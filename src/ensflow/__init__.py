@@ -29,13 +29,13 @@ from .ensemble import (
     SchemeResult,
     SisterEnsemble,
     TrainedErrorModels,
+    build_sisters,
     combine,
     generate_sisters,
     intervals_from_prediction,
     member_interval_bounds,
     predict_error_quantiles,
     run_basic_scheme,
-    run_ensemble_scheme,
     run_scheme,
     to_auxiliary,
     train_error_model,

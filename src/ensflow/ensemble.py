@@ -1,7 +1,9 @@
 """Ensemble post-processing: from a parameter sample to predictive quantiles.
 
 The pipeline turns a collection of m calibrated parameter pairs into one set
-of predictive quantiles for the test months:
+of predictive quantiles for the test months.  Steps 1-2 run once per
+catchment (``build_sisters``); every numbered scheme then runs steps 3-6 on
+that same sister ensemble:
 
 1. each parameter pair is simulated over the error-training and test months,
    giving m equally plausible "sister" predictions;
@@ -36,19 +38,12 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .calibrate import PosteriorSample
 from .evaluate import INTERVAL_ALPHAS, IntervalPrediction
 from .gr2m import simulate_batch
-from .regress import (
-    LinearFit,
-    QuantileFit,
-    RegressionDataset,
-    design_matrix,
-    fit_ols,
-    fit_quantile_set,
-    predict_ols_quantile,
-)
+from .regress import LinearFit, QuantileFit, RegressionDataset, design_matrix, fit_ols, fit_quantile_set
 from .timeseries import MonthlySeries, PeriodPartition
 
 # ten symmetric probabilities; adjacent pairs bound the 99, 97.5, 95, 90
@@ -170,9 +165,6 @@ class TrainedErrorModels:
     models: tuple
     selected_sister: int | None = None
 
-    def model_for(self, sister: int):
-        return self.models[sister] if self.variant == 1 else self.models[0]
-
 
 @dataclass(frozen=True)
 class AuxiliaryQuantiles:
@@ -258,6 +250,17 @@ def generate_sisters(
     return SisterEnsemble(predictions=predictions, errors=errors)
 
 
+def build_sisters(
+    sample: PosteriorSample, series: MonthlySeries, split: PeriodPartition, m: int
+) -> SisterEnsemble:
+    """Steps 1-2 for the first ``m`` pairs of the sample, shared by every numbered scheme."""
+    if sample.m < m:
+        raise ValueError(f"need {m} parameter pairs, sample holds {sample.m}")
+    if sample.m > m:
+        sample = replace(sample, pairs=sample.pairs[:m])
+    return generate_sisters(sample, series, split)
+
+
 def _fit_one(kind: str, u: np.ndarray, e: np.ndarray, probabilities: tuple[float, ...]):
     data = RegressionDataset(design_matrix(u), e)
     return fit_ols(data) if kind == "linear" else fit_quantile_set(data, probabilities)
@@ -299,23 +302,36 @@ def _quantile_coefficients(model: QuantileFit, p: float) -> np.ndarray:
         return model.coefficients[key]
 
 
+def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray, float]:
+    """Coefficients and shift of a fitted model's quantile at p:  x @ beta + shift.
+
+    The linear family's Gaussian quantile shifts the mean by sigma z_p; a
+    pinball-loss fit has its own coefficients per probability and no shift.
+    """
+    if isinstance(model, LinearFit):
+        return model.coefficients, model.sigma * ndtri(p)
+    if isinstance(model, QuantileFit):
+        return _quantile_coefficients(model, p), 0.0
+    raise TypeError(f"unsupported error model {type(model).__name__}")
+
+
 def predict_error_quantiles(
     models: TrainedErrorModels, ensemble: SisterEnsemble, probabilities: tuple[float, ...]
 ) -> np.ndarray:
-    """Conditional error quantiles on the test months, shape (m, n_probs, n3)."""
+    """Conditional error quantiles on the test months, shape (m, n_probs, n3).
+
+    Every error model is a line in the sister's own prediction u, so the
+    quantile at p is  b0 + b1 u (+ sigma z_p for the linear family), computed
+    for all sisters at once; variants 2 and 3 broadcast their single model.
+    """
     probs = _check_probabilities(probabilities)
-    out = np.empty((ensemble.m, len(probs), ensemble.n3))
-    for i in range(ensemble.m):
-        x = design_matrix(ensemble.test_predictions[i])
-        model = models.model_for(i)
-        if isinstance(model, LinearFit):
-            for j, p in enumerate(probs):
-                out[i, j] = predict_ols_quantile(model, x, p)
-        elif isinstance(model, QuantileFit):
-            for j, p in enumerate(probs):
-                out[i, j] = x @ _quantile_coefficients(model, p)
-        else:
-            raise TypeError(f"unsupported error model {type(model).__name__}")
+    beta, shift = zip(*(_quantile_line(model, p) for model in models.models for p in probs))
+    beta = np.reshape(beta, (len(models.models), len(probs), 2, 1))
+    shift = np.reshape(shift, (len(models.models), len(probs), 1))
+    # in place, so the only (m, n_probs, n3) array is the result
+    out = beta[:, :, 1] * ensemble.test_predictions[:, np.newaxis, :]
+    out += beta[:, :, 0]
+    out += shift
     return out
 
 
@@ -370,46 +386,9 @@ def run_basic_scheme(
     data = RegressionDataset(design_matrix(p[rows], e[rows]), y[rows])
     x_test = design_matrix(p[split.t3], e[split.t3])
 
-    quantiles = np.empty((len(probs), split.n3))
-    if model_kind == "linear":
-        fit = fit_ols(data)
-        for j, prob in enumerate(probs):
-            quantiles[j] = predict_ols_quantile(fit, x_test, prob)
-    else:
-        fit = fit_quantile_set(data, probs)
-        for j, prob in enumerate(probs):
-            quantiles[j] = x_test @ fit.coefficients[prob]
-    return CombinedPrediction(probabilities=probs, quantiles=quantiles)
-
-
-def run_ensemble_scheme(
-    sample: PosteriorSample,
-    series: MonthlySeries,
-    split: PeriodPartition,
-    config: SchemeConfig,
-) -> tuple[CombinedPrediction, AuxiliaryQuantiles, SisterEnsemble]:
-    """Steps 1-6 for one numbered scheme; returns the delivered prediction
-    plus the per-sister intermediates needed for crowd bookkeeping."""
-    if sample.m < config.m:
-        raise ValueError(f"need {config.m} parameter pairs, sample holds {sample.m}")
-    if sample.m > config.m:
-        sample = PosteriorSample(
-            pairs=sample.pairs[: config.m],
-            mode=sample.mode,
-            converged=sample.converged,
-            psrf=sample.psrf,
-        )
-    ensemble = generate_sisters(sample, series, split)
-    models = train_error_model(ensemble, config)
-    error_quantiles = predict_error_quantiles(models, ensemble, config.probabilities)
-    aux = to_auxiliary(ensemble, error_quantiles, config.probabilities)
-    combined = combine(aux)
-    if config.clamp_nonnegative:
-        combined = CombinedPrediction(
-            probabilities=combined.probabilities,
-            quantiles=np.maximum(combined.quantiles, 0.0),
-        )
-    return combined, aux, ensemble
+    fit = fit_ols(data) if model_kind == "linear" else fit_quantile_set(data, probs)
+    quantiles = [x_test @ beta + shift for beta, shift in (_quantile_line(fit, p) for p in probs)]
+    return CombinedPrediction(probabilities=probs, quantiles=np.array(quantiles))
 
 
 @dataclass(frozen=True)
@@ -426,16 +405,20 @@ def run_scheme(
     split: PeriodPartition,
     config: SchemeConfig | None = None,
     sample: PosteriorSample | None = None,
+    sisters: SisterEnsemble | None = None,
 ) -> SchemeResult:
     """Dispatch one scheme id and time it.
 
     Numbered schemes override the config's variant and regression family
-    (that is what the number means) and require a parameter sample.
+    (that is what the number means) and run steps 3-6 on ``sisters``; when
+    no sisters are given they are built from the head of ``sample`` first,
+    and that simulation then counts towards the elapsed time.
     """
     scheme_id = str(scheme)
     if config is None:
         config = SchemeConfig()
     t_start = time.perf_counter()
+    auxiliary = None
     if scheme_id in BASIC_SCHEMES:
         prediction = run_basic_scheme(
             scheme_id.removeprefix("basic-"),
@@ -444,20 +427,20 @@ def run_scheme(
             config.probabilities,
             include_warmup=config.include_warmup_in_basic,
         )
-        if config.clamp_nonnegative:
-            prediction = CombinedPrediction(
-                probabilities=prediction.probabilities,
-                quantiles=np.maximum(prediction.quantiles, 0.0),
-            )
-        auxiliary = None
     elif scheme_id in SCHEME_DEFS:
-        if sample is None:
-            raise ValueError(f"scheme {scheme_id} needs a calibration sample")
+        if sisters is None:
+            if sample is None:
+                raise ValueError(f"scheme {scheme_id} needs a calibration sample")
+            sisters = build_sisters(sample, series, split, config.m)
         variant, kind = SCHEME_DEFS[scheme_id]
-        scheme_config = replace(config, variant=variant, error_model=kind)
-        prediction, auxiliary, _ = run_ensemble_scheme(sample, series, split, scheme_config)
+        models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
+        error_quantiles = predict_error_quantiles(models, sisters, config.probabilities)
+        auxiliary = to_auxiliary(sisters, error_quantiles, config.probabilities)
+        prediction = combine(auxiliary)
     else:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {ALL_SCHEMES}")
+    if config.clamp_nonnegative:
+        prediction = replace(prediction, quantiles=np.maximum(prediction.quantiles, 0.0))
     return SchemeResult(
         scheme=scheme_id,
         prediction=prediction,

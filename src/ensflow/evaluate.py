@@ -88,16 +88,20 @@ def average_width(pred: IntervalPrediction) -> float:
     return math.fsum(pred.upper - pred.lower) / pred.n
 
 
+def _interval_scores(alpha: float, lower: np.ndarray, upper: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise interval score; bounds of shape (n,) or (m, n) against y (n,)."""
+    penalty = 2.0 / alpha
+    return (
+        (upper - lower)
+        + penalty * np.where(y < lower, lower - y, 0.0)
+        + penalty * np.where(y > upper, y - upper, 0.0)
+    )
+
+
 def average_interval_score(pred: IntervalPrediction, observed) -> float:
     """Mean interval score; lower is better, misses cost 2/alpha per mm."""
     y = _check_observations(pred, observed)
-    penalty = 2.0 / pred.alpha
-    scores = (
-        (pred.upper - pred.lower)
-        + penalty * np.where(y < pred.lower, pred.lower - y, 0.0)
-        + penalty * np.where(y > pred.upper, y - pred.upper, 0.0)
-    )
-    return math.fsum(scores) / pred.n
+    return math.fsum(_interval_scores(pred.alpha, pred.lower, pred.upper, y)) / pred.n
 
 
 def crossing_count(pred: IntervalPrediction) -> int:
@@ -144,12 +148,13 @@ def wisdom_metrics(member_lowers, member_uppers, combined: IntervalPrediction, o
         raise ValueError(f"member bounds must be matching (m, n) arrays, got {lowers.shape} vs {uppers.shape}")
     if lowers.shape[1] != combined.n:
         raise ValueError(f"member length {lowers.shape[1]} does not match combined length {combined.n}")
+    if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
+        raise ValueError("member interval bounds contain non-finite values")
     y = _check_observations(combined, observed)
 
     ais_out = average_interval_score(combined, y)
     member_scores = [
-        average_interval_score(IntervalPrediction(combined.alpha, lowers[i], uppers[i]), y)
-        for i in range(lowers.shape[0])
+        math.fsum(row) / combined.n for row in _interval_scores(combined.alpha, lowers, uppers, y)
     ]
     aais_in = math.fsum(member_scores) / len(member_scores)
 
@@ -277,5 +282,5 @@ def summarize(records) -> dict:
 
 def write_summary_json(summary: dict, path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

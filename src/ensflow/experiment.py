@@ -24,6 +24,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .ensemble import (
     DEFAULT_PROBABILITIES,
     SchemeConfig,
     SchemeResult,
+    build_sisters,
     intervals_from_prediction,
     member_interval_bounds,
     run_scheme,
@@ -346,12 +348,21 @@ class WisdomRow:
     record: WisdomRecord
 
 
+class CalibrationRecord(NamedTuple):
+    """Calibration outcome of one catchment; psrf is nan when nothing was calibrated."""
+
+    psrf: float
+    converged: bool
+    restarts: int
+    seconds: float
+
+
 @dataclass
 class ExperimentResult:
     records: list[MetricsRecord]
     wisdom: list[WisdomRow]
     failures: list[CatchmentFailure]
-    calibration: dict[str, tuple[float, bool, int, float]]  # psrf, converged, restarts, seconds
+    calibration: dict[str, CalibrationRecord]
     exit_code: int
 
 
@@ -398,6 +409,7 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
     )
 
     calibration: CalibrationResult | None = None
+    sisters = None
     if any(s not in BASIC_SCHEMES for s in config.schemes):
         chain_config = ChainConfig(
             n_chains=config.n_chains,
@@ -415,19 +427,17 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
             calibration = calibrate_catchment(series, split, chain_config, mode=config.retention)
         except (ValueError, RuntimeError) as exc:
             return CatchmentFailure(cid, "calibrate", str(exc))
+        try:
+            sisters = build_sisters(calibration.sample, series, split, config.m)
+        except ValueError as exc:
+            return CatchmentFailure(cid, "sisters", str(exc))
 
     observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
     records: list[MetricsRecord] = []
     wisdom_rows: list[WisdomRow] = []
     for scheme in config.schemes:
         try:
-            result: SchemeResult = run_scheme(
-                scheme,
-                series,
-                split,
-                scheme_config,
-                sample=None if calibration is None else calibration.sample,
-            )
+            result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
         except (ValueError, TypeError) as exc:
             return CatchmentFailure(cid, f"scheme {scheme}", str(exc))
         intervals = intervals_from_prediction(result.prediction, INTERVAL_ALPHAS)
@@ -450,11 +460,11 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
                 wisdom_rows.append(
                     WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test))
                 )
-    cal_info = (
-        (calibration.psrf, calibration.sample.converged, calibration.restarts_used, calibration.elapsed_seconds)
-        if calibration is not None
-        else (float("nan"), True, 0, 0.0)
-    )
+    cal_info = CalibrationRecord(float("nan"), True, 0, 0.0)
+    if calibration is not None:
+        cal_info = CalibrationRecord(
+            calibration.psrf, calibration.sample.converged, calibration.restarts_used, calibration.elapsed_seconds
+        )
     return cid, records, wisdom_rows, cal_info
 
 
@@ -474,7 +484,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     records: list[MetricsRecord] = []
     wisdom_rows: list[WisdomRow] = []
     failures: list[CatchmentFailure] = []
-    calibration: dict[str, tuple[float, bool, int, float]] = {}
+    calibration: dict[str, CalibrationRecord] = {}
     for outcome in outcomes:
         if isinstance(outcome, CatchmentFailure):
             failures.append(outcome)
@@ -532,8 +542,9 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
             {"alpha": alpha, "scheme": scheme, "rank": rank} for alpha, scheme, rank in averages
         ],
         "calibration": {
-            cid: {"psrf": psrf, "converged": converged, "restarts": restarts, "seconds": seconds}
-            for cid, (psrf, converged, restarts, seconds) in sorted(result.calibration.items())
+            # strict JSON has no NaN or Infinity: an undefined PSRF is null
+            cid: {**cal._asdict(), "psrf": cal.psrf if math.isfinite(cal.psrf) else None}
+            for cid, cal in sorted(result.calibration.items())
         },
         "failures": len(result.failures),
     }
@@ -589,8 +600,8 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
             if key not in seen:
                 seen.add(key)
                 writer.writerow((r.catchment, r.scheme, repr(float(r.seconds))))
-        for cid, (_, _, _, seconds) in sorted(result.calibration.items()):
-            writer.writerow((cid, "calibration", repr(float(seconds))))
+        for cid, cal in sorted(result.calibration.items()):
+            writer.writerow((cid, "calibration", repr(float(cal.seconds))))
 
     if result.failures:
         with open(out / "failures.csv", "w", newline="") as fh:

@@ -59,20 +59,20 @@ def default_initial_state(params: Gr2mParams) -> Gr2mState:
     return Gr2mState(soil=0.5 * params.theta1, routing=DEFAULT_ROUTING_INIT_MM)
 
 
-def _step_values(
-    theta1: float, theta2: float, s: float, r: float, p: float, e: float
-) -> tuple[float, float, float]:
-    """One month of the store arithmetic on plain floats (hot path).
+def _step_values(theta1, theta2, s, r, p, e, tanh=math.tanh):
+    """One month of the store arithmetic (hot path).
 
-    Returns (new soil store, new routing store, streamflow depth Q).
+    Works on plain floats with ``math.tanh`` and, elementwise across
+    parameter pairs, on arrays with ``np.tanh``.  Returns (new soil store,
+    new routing store, streamflow depth Q).
     """
     # 1. rainfall uptake into the soil store through a tanh exchange;
     #    whatever the store does not absorb becomes excess rainfall p1
-    phi = math.tanh(p / theta1)
+    phi = tanh(p / theta1)
     s1 = (s + theta1 * phi) / (1.0 + phi * s / theta1)
     p1 = p + s - s1
     # 2. evaporation drawdown from the soil store through a tanh exchange
-    psi = math.tanh(e / theta1)
+    psi = tanh(e / theta1)
     s2 = s1 * (1.0 - psi) / (1.0 + psi * (1.0 - s1 / theta1))
     # 3. cubic-law percolation empties the soil store towards routing
     s_new = s2 / (1.0 + (s2 / theta1) ** 3) ** (1.0 / 3.0)
@@ -196,15 +196,7 @@ def simulate_batch(
     n_keep = split.n_total - split.warmup
     out = np.empty((t1.size, n_keep))
     for t in range(split.n_total):
-        phi = np.tanh(p[t] / t1)
-        s1 = (s + t1 * phi) / (1.0 + phi * s / t1)
-        p1 = p[t] + s - s1
-        psi = np.tanh(e[t] / t1)
-        s2 = s1 * (1.0 - psi) / (1.0 + psi * (1.0 - s1 / t1))
-        s = s2 / (1.0 + (s2 / t1) ** 3) ** (1.0 / 3.0)
-        r2 = t2 * (r + (p1 + (s2 - s)))
-        q = r2 * r2 / (r2 + ROUTING_CAPACITY_MM)
-        r = r2 - q
+        s, r, q = _step_values(t1, t2, s, r, p[t], e[t], np.tanh)
         if t >= split.warmup:
             out[:, t - split.warmup] = q
     return out

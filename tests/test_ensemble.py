@@ -13,13 +13,13 @@ from ensflow.ensemble import (
     CombinedPrediction,
     SchemeConfig,
     SisterEnsemble,
+    build_sisters,
     combine,
     generate_sisters,
     intervals_from_prediction,
     member_interval_bounds,
     predict_error_quantiles,
     run_basic_scheme,
-    run_ensemble_scheme,
     run_scheme,
     to_auxiliary,
     train_error_model,
@@ -148,7 +148,7 @@ class TestTrainErrorModel:
                     design_matrix(ensemble.training_predictions[i]), ensemble.errors[i]
                 )
             )
-            np.testing.assert_array_equal(models.model_for(i).coefficients, direct.coefficients)
+            np.testing.assert_array_equal(models.models[i].coefficients, direct.coefficients)
 
     def test_variant_2_pools_rows_sister_major(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
@@ -160,7 +160,7 @@ class TestTrainErrorModel:
                 ensemble.errors.reshape(-1),
             )
         )
-        np.testing.assert_array_equal(models.model_for(2).coefficients, pooled.coefficients)
+        np.testing.assert_array_equal(models.models[0].coefficients, pooled.coefficients)
 
     def test_variant_3_seeded_selection(self):
         ensemble = generate_sisters(posterior(m=6), catchment(), SPLIT)
@@ -195,10 +195,20 @@ class TestErrorQuantilesAndAuxiliary:
         models = train_error_model(ensemble, config)
         eq = predict_error_quantiles(models, ensemble, config.probabilities)
         assert eq.shape == (2, 4, 18)
-        fit = models.model_for(0)
+        fit = models.models[0]
         x = design_matrix(ensemble.test_predictions[1])
         np.testing.assert_array_equal(eq[1, 0], predict_ols_quantile(fit, x, 0.05))
         np.testing.assert_array_equal(eq[1, 3], predict_ols_quantile(fit, x, 0.95))
+
+    def test_per_sister_quantile_lines(self):
+        ensemble = generate_sisters(posterior(m=3), catchment(), SPLIT)
+        config = small_config(variant=1, error_model="quantile", m=3)
+        models = train_error_model(ensemble, config)
+        eq = predict_error_quantiles(models, ensemble, config.probabilities)
+        for i in range(3):
+            x = design_matrix(ensemble.test_predictions[i])
+            for j, p in enumerate(config.probabilities):
+                np.testing.assert_array_equal(eq[i, j], x @ models.models[i].coefficients[p])
 
     def test_auxiliary_flips_probability_labels(self):
         # aux at p must equal prediction minus the error quantile at 1 - p
@@ -294,17 +304,17 @@ class TestBasicSchemes:
 
 
 class TestRunEnsembleScheme:
+    """Numbered schemes through ``run_scheme``: steps 1-6 from a parameter sample."""
+
     def test_single_sister_collapses_variants(self):
         # with one sister there is nothing to pool or select, so all three
         # variants of a family deliver identical quantiles
         series = catchment()
         sample = posterior(m=1, seed=3)
-        for kind in ("linear", "quantile"):
+        for family in (("1", "2", "3"), ("4", "5", "6")):
             outputs = [
-                run_ensemble_scheme(
-                    sample, series, SPLIT, small_config(variant=v, error_model=kind, m=1)
-                )[0].quantiles
-                for v in (1, 2, 3)
+                run_scheme(scheme, series, SPLIT, small_config(m=1), sample).prediction.quantiles
+                for scheme in family
             ]
             assert np.array_equal(outputs[0], outputs[1])
             assert np.array_equal(outputs[1], outputs[2])
@@ -312,17 +322,21 @@ class TestRunEnsembleScheme:
     def test_sample_head_used_when_larger(self):
         series = catchment()
         sample = posterior(m=10, seed=4)
-        config = small_config(variant=2, error_model="linear", m=4)
-        full, _, _ = run_ensemble_scheme(sample, series, SPLIT, config)
+        config = small_config(m=4)
+        full = run_scheme("2", series, SPLIT, config, sample)
         head = PosteriorSample(pairs=sample.pairs[:4], mode=sample.mode)
-        trimmed, _, _ = run_ensemble_scheme(head, series, SPLIT, config)
-        np.testing.assert_array_equal(full.quantiles, trimmed.quantiles)
+        trimmed = run_scheme("2", series, SPLIT, config, head)
+        np.testing.assert_array_equal(full.prediction.quantiles, trimmed.prediction.quantiles)
+        np.testing.assert_array_equal(
+            build_sisters(sample, series, SPLIT, 4).predictions,
+            generate_sisters(head, series, SPLIT).predictions,
+        )
 
     def test_sample_too_small_rejected(self):
         with pytest.raises(ValueError, match="parameter pairs"):
-            run_ensemble_scheme(
-                posterior(m=2), catchment(), SPLIT, small_config(variant=2, m=5)
-            )
+            run_scheme("2", catchment(), SPLIT, small_config(m=5), posterior(m=2))
+        with pytest.raises(ValueError, match="parameter pairs"):
+            build_sisters(posterior(m=2), catchment(), SPLIT, 5)
 
     def test_translation_equivariance(self):
         # shifting the observed flow on the training months shifts the
@@ -335,10 +349,10 @@ class TestRunEnsembleScheme:
         shifted = MonthlySeries(
             series.origin, series.precipitation, series.potential_evaporation, shifted_flow
         )
-        for kind in ("linear", "quantile"):
-            config = small_config(variant=2, error_model=kind, m=4)
-            base, _, _ = run_ensemble_scheme(sample, series, SPLIT, config)
-            moved, _, _ = run_ensemble_scheme(sample, shifted, SPLIT, config)
+        config = small_config(m=4)
+        for scheme in ("2", "5"):
+            base = run_scheme(scheme, series, SPLIT, config, sample).prediction
+            moved = run_scheme(scheme, shifted, SPLIT, config, sample).prediction
             np.testing.assert_allclose(
                 moved.quantiles, base.quantiles + shift, rtol=1e-8, atol=1e-8
             )
@@ -346,17 +360,23 @@ class TestRunEnsembleScheme:
     def test_clamp_flag(self):
         series = catchment()
         sample = posterior(m=4, seed=6)
-        config = small_config(variant=2, error_model="quantile", m=4, clamp_nonnegative=True)
-        clamped, _, _ = run_ensemble_scheme(sample, series, SPLIT, config)
+        config = small_config(m=4, clamp_nonnegative=True)
+        clamped = run_scheme("5", series, SPLIT, config, sample).prediction
         assert np.all(clamped.quantiles >= 0.0)
 
     def test_intermediates_exposed(self):
-        combined, aux, ensemble = run_ensemble_scheme(
-            posterior(m=3, seed=7), catchment(), SPLIT, small_config(variant=1, m=3)
+        series = catchment()
+        sample = posterior(m=3, seed=7)
+        result = run_scheme("1", series, SPLIT, small_config(m=3), sample)
+        assert result.auxiliary.values.shape == (3, 4, 18)
+        np.testing.assert_allclose(
+            result.prediction.quantiles, result.auxiliary.values.mean(axis=0), rtol=1e-12
         )
-        assert aux.values.shape == (3, 4, 18)
-        assert ensemble.m == 3
-        np.testing.assert_allclose(combined.quantiles, aux.values.mean(axis=0), rtol=1e-12)
+        # prebuilt sisters give exactly what the scheme builds from the sample
+        sisters = build_sisters(sample, series, SPLIT, 3)
+        assert sisters.m == 3
+        shared = run_scheme("1", series, SPLIT, small_config(m=3), sisters=sisters)
+        np.testing.assert_array_equal(shared.auxiliary.values, result.auxiliary.values)
 
 
 class TestRunScheme:
@@ -366,9 +386,11 @@ class TestRunScheme:
         sample = posterior(m=4, seed=9)
         config = small_config(variant=1, error_model="linear", m=4)
         via_dispatch = run_scheme("5", series, SPLIT, config, sample)
-        direct, _, _ = run_ensemble_scheme(
-            sample, series, SPLIT, small_config(variant=2, error_model="quantile", m=4)
-        )
+        sisters = generate_sisters(sample, series, SPLIT)
+        direct_config = small_config(variant=2, error_model="quantile", m=4)
+        models = train_error_model(sisters, direct_config)
+        error_quantiles = predict_error_quantiles(models, sisters, direct_config.probabilities)
+        direct = combine(to_auxiliary(sisters, error_quantiles, direct_config.probabilities))
         assert via_dispatch.scheme == "5"
         np.testing.assert_array_equal(via_dispatch.prediction.quantiles, direct.quantiles)
         assert via_dispatch.auxiliary is not None

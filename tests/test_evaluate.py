@@ -146,6 +146,19 @@ class TestWisdomMetrics:
             wisdom_metrics(np.zeros((2, 2)), np.zeros((3, 2)), combined, [0.5, 0.5])
         with pytest.raises(ValueError, match="does not match combined"):
             wisdom_metrics(np.zeros((2, 3)), np.zeros((2, 3)), combined, [0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            wisdom_metrics(np.array([[0.0, np.nan]]), np.ones((1, 2)), combined, [0.5, 0.5])
+
+    def test_member_scores_match_per_member_scoring(self):
+        rng = np.random.default_rng(3)
+        lowers = rng.normal(size=(5, 12))
+        uppers = lowers + rng.uniform(-0.5, 2.0, size=(5, 12))
+        y = rng.normal(size=12)
+        combined = interval(0.05, lowers.mean(axis=0), uppers.mean(axis=0))
+        record = wisdom_metrics(lowers, uppers, combined, y)
+        scores = [average_interval_score(interval(0.05, lo, up), y) for lo, up in zip(lowers, uppers)]
+        assert record.aais_in == math.fsum(scores) / 5
+        assert record.improvements == tuple((s - record.ais_out) / s for s in scores)
 
 
 class TestRankSchemes:
@@ -230,3 +243,5 @@ class TestMetricsIo:
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text)["5"]["95"]["score_mean"] == 1.0
+        with pytest.raises(ValueError):
+            write_summary_json({"psrf": float("nan")}, path)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ensflow import ensemble
 from ensflow.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -206,6 +207,40 @@ class TestRunExperiment:
         # header + 5 levels x 2 catchments x 2 schemes
         assert len(ranking_lines) == 21
 
+    def test_basic_only_summary_is_strict_json(self, tmp_path):
+        # nothing is calibrated, so the PSRF is undefined and must be null
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        write_catchments(tmp_path, ["north"])
+        run_experiment(small_run_config(tmp_path))
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["calibration"]["north"]["psrf"] is None
+
+    def test_sisters_simulated_once_per_catchment(self, tmp_path, monkeypatch):
+        calls = []
+        original = ensemble.generate_sisters
+
+        def counting(sample, series, split):
+            calls.append(sample.m)
+            return original(sample, series, split)
+
+        monkeypatch.setattr(ensemble, "generate_sisters", counting)
+        write_catchments(tmp_path, ["north", "south"])
+        config = small_run_config(
+            tmp_path,
+            schemes=("basic-linear", "1", "2", "3"),
+            m=40,
+            n_iterations=150,
+            retain_per_chain=20,
+            max_restarts=0,
+        )
+        result = run_experiment(config)
+        assert not result.failures
+        assert calls == [40, 40]
+        assert len(result.wisdom) == 2 * 3 * 5
+
     def test_rerun_is_reproducible(self, tmp_path):
         write_catchments(tmp_path, ["north"])
         first = run_experiment(small_run_config(tmp_path))
@@ -265,6 +300,7 @@ class TestRunExperiment:
         assert all(row.record.relative_difference >= -1e-12 for row in result.wisdom)
         psrf, converged, restarts, seconds = result.calibration["east"]
         assert np.isfinite(psrf) and restarts == 0 and seconds > 0.0
+        assert result.calibration["east"].psrf == psrf
         timing = (tmp_path / "out" / "timing.csv").read_text()
         assert "calibration" in timing
         wisdom_lines = (tmp_path / "out" / "wisdom.csv").read_text().splitlines()
