@@ -60,6 +60,9 @@ class ParameterBox:
         for name, (lo, hi) in (("theta1", self.theta1_range), ("theta2", self.theta2_range)):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"{name} range must be a finite ordered pair, got ({lo}, {hi})")
+        if not (self.theta1_range[0] > 0.0 and self.theta2_range[0] >= 0.0):
+            # the model's domain (Gr2mParams); the float kernel divides by theta1
+            raise ValueError(f"need theta1 > 0 and theta2 >= 0, got {self.theta1_range}, {self.theta2_range}")
 
     @property
     def lower(self) -> np.ndarray:
@@ -221,12 +224,14 @@ def _run_single_chain(
     accepted = np.zeros(n, dtype=bool)
     history = np.empty((n + 1, 2))
     history[0] = current
+    (lo1, hi1), (lo2, hi2) = box.theta1_range, box.theta2_range
 
     def posterior(point: np.ndarray) -> float:
         # flat prior on the box: outside it the posterior vanishes
-        if not box.contains(point):
+        theta1, theta2 = float(point[0]), float(point[1])
+        if not (lo1 <= theta1 <= hi1 and lo2 <= theta2 <= hi2):
             return -math.inf
-        value = float(objective(point[0], point[1]))
+        value = float(objective(theta1, theta2))
         return value if math.isfinite(value) else -math.inf
 
     for t in range(n):
@@ -347,11 +352,12 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     The model is warmed up over the warm-up months and compared with
     observed flow over the calibration period only.
     """
-    p = np.ascontiguousarray(series.precipitation, dtype=float)
-    e = np.ascontiguousarray(series.potential_evaporation, dtype=float)
-    observed = np.asarray(series.streamflow, dtype=float)[split.t1]
     if series.n < split.warmup + split.n1:
         raise ValueError("series too short for the warm-up plus calibration months")
+    # lists of floats, converted once: the float kernel is slow on numpy scalars
+    p = np.asarray(series.precipitation, dtype=float).tolist()
+    e = np.asarray(series.potential_evaporation, dtype=float).tolist()
+    observed = np.asarray(series.streamflow, dtype=float)[split.t1]
 
     def objective(theta1: float, theta2: float) -> float:
         predicted = _simulate_flow(theta1, theta2, p, e, split.warmup, split.n1)

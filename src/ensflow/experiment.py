@@ -116,16 +116,11 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         SchemeConfig(probabilities=config.probabilities, m=max(config.m, 1))
     except ValueError as exc:
         problems.append(str(exc))
-    if config.n_chains < 2:
-        problems.append(f"n_chains must be >= 2, got {config.n_chains}")
-    if not 1 <= config.retain_per_chain <= config.n_iterations:
-        problems.append(
-            f"retain_per_chain must lie in 1..{config.n_iterations}, got {config.retain_per_chain}"
-        )
-    if config.psrf_threshold <= 1.0:
-        problems.append(f"psrf_threshold must exceed 1, got {config.psrf_threshold}")
-    if config.max_restarts < 0:
-        problems.append(f"max_restarts must be >= 0, got {config.max_restarts}")
+    for build in (_parameter_box, _chain_config):
+        try:
+            build(config)
+        except ValueError as exc:
+            problems.append(str(exc))
     if config.retention not in ("bayesian-tail", "informal-head"):
         problems.append(f"retention must be bayesian-tail or informal-head, got {config.retention!r}")
     needs_sample = any(s not in BASIC_SCHEMES for s in config.schemes)
@@ -134,13 +129,18 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             f"m={config.m} exceeds retained pairs "
             f"(n_chains * retain_per_chain = {config.n_chains * config.retain_per_chain})"
         )
-    if not config.theta1_min < config.theta1_max:
-        problems.append("theta1_min must be below theta1_max")
-    if not config.theta2_min < config.theta2_max:
-        problems.append("theta2_min must be below theta2_max")
     if config.workers < 1:
         problems.append(f"workers must be >= 1, got {config.workers}")
     return problems
+
+
+def _parameter_box(config: ExperimentConfig) -> ParameterBox:
+    return ParameterBox((config.theta1_min, config.theta1_max), (config.theta2_min, config.theta2_max))
+
+
+def _chain_config(config: ExperimentConfig, **overrides) -> ChainConfig:
+    names = ("n_chains", "n_iterations", "retain_per_chain", "psrf_threshold", "max_restarts")
+    return ChainConfig(**{name: getattr(config, name) for name in names}, **overrides)
 
 
 def _parse_value(name: str, text: str, example):
@@ -380,86 +380,72 @@ def discover_catchments(config: ExperimentConfig) -> list[str]:
 
 
 def _process_catchment(args: tuple[ExperimentConfig, str]):
-    """Everything for one catchment; returns rows or a failure record."""
+    """Everything for one catchment; returns rows or a failure record.
+
+    Any exception becomes a ``CatchmentFailure`` with the stage it came from,
+    its type and its message, so one bad catchment never ends the batch.
+    """
     config, cid = args
+    stage = "ingest"
     try:
         series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
-    except (OSError, ValueError) as exc:
-        return CatchmentFailure(cid, "ingest", str(exc))
-    report = validate_series(series)
-    if not report.accepted:
-        bad = {name: r.first_bad_index for name, r in report.variables.items() if r.first_bad_index is not None}
-        return CatchmentFailure(cid, "validate", f"unusable values at {bad}")
-    try:
+        stage = "validate"
+        report = validate_series(series)
+        if not report.accepted:
+            bad = {name: r.first_bad_index for name, r in report.variables.items() if r.first_bad_index is not None}
+            return CatchmentFailure(cid, stage, f"unusable values at {bad}")
+        stage = "partition"
         if config.n3 > 0:
             expected = config.warmup + config.n1 + config.n2 + config.n3
             if series.n != expected:
                 raise ValueError(f"series has {series.n} months, config demands exactly {expected}")
         split = partition(series.n, config.warmup, config.n1, config.n2)
-    except ValueError as exc:
-        return CatchmentFailure(cid, "partition", str(exc))
 
-    seed = _catchment_seed(config.seed, cid)
-    scheme_config = SchemeConfig(
-        m=config.m,
-        probabilities=config.probabilities,
-        seed=seed,
-        include_warmup_in_basic=config.include_warmup_in_basic,
-        clamp_nonnegative=config.clamp_nonnegative,
-    )
-
-    calibration: CalibrationResult | None = None
-    sisters = None
-    if any(s not in BASIC_SCHEMES for s in config.schemes):
-        chain_config = ChainConfig(
-            n_chains=config.n_chains,
-            n_iterations=config.n_iterations,
-            retain_per_chain=config.retain_per_chain,
-            psrf_threshold=config.psrf_threshold,
-            max_restarts=config.max_restarts,
-            seed=seed,
-            box=ParameterBox(
-                theta1_range=(config.theta1_min, config.theta1_max),
-                theta2_range=(config.theta2_min, config.theta2_max),
-            ),
-        )
-        try:
+        seed = _catchment_seed(config.seed, cid)
+        calibration: CalibrationResult | None = None
+        sisters = None
+        if any(s not in BASIC_SCHEMES for s in config.schemes):
+            stage = "calibrate"
+            chain_config = _chain_config(config, seed=seed, box=_parameter_box(config))
             calibration = calibrate_catchment(series, split, chain_config, mode=config.retention)
-        except (ValueError, RuntimeError) as exc:
-            return CatchmentFailure(cid, "calibrate", str(exc))
-        try:
+            stage = "sisters"
             sisters = build_sisters(calibration.sample, series, split, config.m)
-        except ValueError as exc:
-            return CatchmentFailure(cid, "sisters", str(exc))
 
-    observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
-    records: list[MetricsRecord] = []
-    wisdom_rows: list[WisdomRow] = []
-    for scheme in config.schemes:
-        try:
+        scheme_config = SchemeConfig(
+            m=config.m,
+            probabilities=config.probabilities,
+            seed=seed,
+            include_warmup_in_basic=config.include_warmup_in_basic,
+            clamp_nonnegative=config.clamp_nonnegative,
+        )
+        observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
+        records: list[MetricsRecord] = []
+        wisdom_rows: list[WisdomRow] = []
+        for scheme in config.schemes:
+            stage = f"scheme {scheme}"
             result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
-        except (ValueError, TypeError) as exc:
-            return CatchmentFailure(cid, f"scheme {scheme}", str(exc))
-        intervals = intervals_from_prediction(result.prediction, INTERVAL_ALPHAS)
-        for alpha in INTERVAL_ALPHAS:
-            pred = intervals[alpha]
-            records.append(
-                MetricsRecord(
-                    catchment=cid,
-                    scheme=result.scheme,
-                    alpha=alpha,
-                    coverage=coverage_probability(pred, observed_test),
-                    width=average_width(pred),
-                    score=average_interval_score(pred, observed_test),
-                    crossings=crossing_count(pred),
-                    seconds=result.elapsed_seconds,
+            intervals = intervals_from_prediction(result.prediction, INTERVAL_ALPHAS)
+            for alpha in INTERVAL_ALPHAS:
+                pred = intervals[alpha]
+                records.append(
+                    MetricsRecord(
+                        catchment=cid,
+                        scheme=result.scheme,
+                        alpha=alpha,
+                        coverage=coverage_probability(pred, observed_test),
+                        width=average_width(pred),
+                        score=average_interval_score(pred, observed_test),
+                        crossings=crossing_count(pred),
+                        seconds=result.elapsed_seconds,
+                    )
                 )
-            )
-            if result.auxiliary is not None:
-                lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
-                wisdom_rows.append(
-                    WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test))
-                )
+                if result.auxiliary is not None:
+                    lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
+                    wisdom_rows.append(
+                        WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test))
+                    )
+    except Exception as exc:
+        return CatchmentFailure(cid, stage, f"{type(exc).__name__}: {exc}")
     cal_info = CalibrationRecord(float("nan"), True, 0, 0.0)
     if calibration is not None:
         cal_info = CalibrationRecord(

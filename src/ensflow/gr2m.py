@@ -59,30 +59,38 @@ def default_initial_state(params: Gr2mParams) -> Gr2mState:
     return Gr2mState(soil=0.5 * params.theta1, routing=DEFAULT_ROUTING_INIT_MM)
 
 
-def _step_values(theta1, theta2, s, r, p, e, tanh=math.tanh):
-    """One month of the store arithmetic (hot path).
+def _run(theta1, theta2, s, r, p, e, n_months, tanh):
+    """The month loop, written once (hot path); returns (S, R, monthly flows Q).
 
-    Works on plain floats with ``math.tanh`` and, elementwise across
-    parameter pairs, on arrays with ``np.tanh``.  Returns (new soil store,
-    new routing store, streamflow depth Q).
+    With ``math.tanh`` it is the scalar kernel behind ``step``, ``simulate``
+    and calibration, on Python floats with ``p`` and ``e`` as lists (numpy
+    scalars make every operation several times slower); with ``np.tanh`` it
+    runs ``simulate_batch`` elementwise across parameter pairs.  It checks
+    nothing: the divisions rely on theta1 > 0, the domain that ``Gr2mParams``,
+    ``simulate_batch`` and the calibration ``ParameterBox`` enforce.
     """
-    # 1. rainfall uptake into the soil store through a tanh exchange;
-    #    whatever the store does not absorb becomes excess rainfall p1
-    phi = tanh(p / theta1)
-    s1 = (s + theta1 * phi) / (1.0 + phi * s / theta1)
-    p1 = p + s - s1
-    # 2. evaporation drawdown from the soil store through a tanh exchange
-    psi = tanh(e / theta1)
-    s2 = s1 * (1.0 - psi) / (1.0 + psi * (1.0 - s1 / theta1))
-    # 3. cubic-law percolation empties the soil store towards routing
-    s_new = s2 / (1.0 + (s2 / theta1) ** 3) ** (1.0 / 3.0)
-    p3 = p1 + (s2 - s_new)
-    # 4. the routing store takes excess rainfall plus percolation and the
-    #    total is scaled by the exchange coefficient
-    r2 = theta2 * (r + p3)
-    # 5. quadratic outflow against the fixed 60 mm capacity
-    q = r2 * r2 / (r2 + ROUTING_CAPACITY_MM)
-    return s_new, r2 - q, q
+    flows = []
+    for t in range(n_months):
+        pt = p[t]
+        # 1. rainfall uptake into the soil store through a tanh exchange;
+        #    whatever the store does not absorb becomes excess rainfall p1
+        phi = tanh(pt / theta1)
+        s1 = (s + theta1 * phi) / (1.0 + phi * s / theta1)
+        p1 = pt + s - s1
+        # 2. evaporation drawdown from the soil store through a tanh exchange
+        psi = tanh(e[t] / theta1)
+        s2 = s1 * (1.0 - psi) / (1.0 + psi * (1.0 - s1 / theta1))
+        # 3. cubic-law percolation empties the soil store towards routing
+        s = s2 / (1.0 + (s2 / theta1) ** 3) ** (1.0 / 3.0)
+        p3 = p1 + (s2 - s)
+        # 4. the routing store takes excess rainfall plus percolation and
+        #    the total is scaled by the exchange coefficient
+        r2 = theta2 * (r + p3)
+        # 5. quadratic outflow against the fixed 60 mm capacity
+        q = r2 * r2 / (r2 + ROUTING_CAPACITY_MM)
+        r = r2 - q
+        flows.append(q)
+    return s, r, flows
 
 
 def step(
@@ -105,34 +113,33 @@ def step(
         raise ValueError(f"soil store {state.soil} outside [0, {params.theta1}]")
     if not (math.isfinite(state.routing) and state.routing >= 0.0):
         raise ValueError(f"routing store must be >= 0, got {state.routing}")
-    s, r, q = _step_values(
-        params.theta1, params.theta2, state.soil, state.routing, precipitation, potential_evaporation
-    )
+    p, e = (precipitation,), (potential_evaporation,)
+    s, r, (q,) = _run(params.theta1, params.theta2, state.soil, state.routing, p, e, 1, math.tanh)
     return Gr2mState(soil=s, routing=r), q
 
 
 def _simulate_flow(
     theta1: float,
     theta2: float,
-    precipitation: np.ndarray,
-    potential_evaporation: np.ndarray,
+    precipitation,
+    potential_evaporation,
     warmup: int,
     n_keep: int,
     soil_init: float | None = None,
     routing_init: float = DEFAULT_ROUTING_INIT_MM,
 ) -> np.ndarray:
-    """Run ``warmup + n_keep`` months and return the flows after warm-up."""
-    s = 0.5 * theta1 if soil_init is None else soil_init
-    r = routing_init
-    p = precipitation
-    e = potential_evaporation
-    out = np.empty(n_keep)
-    for t in range(warmup):
-        s, r, _ = _step_values(theta1, theta2, s, r, p[t], e[t])
-    for t in range(n_keep):
-        i = warmup + t
-        s, r, out[t] = _step_values(theta1, theta2, s, r, p[i], e[i])
-    return out
+    """Run ``warmup + n_keep`` months on Python floats; return the flows after warm-up.
+
+    The forcing is two float arrays or two lists of floats; callers that
+    simulate the same forcing many times (calibration) convert it once.
+    """
+    theta1, theta2 = float(theta1), float(theta2)
+    s = 0.5 * theta1 if soil_init is None else float(soil_init)
+    p, e, n_months = precipitation, potential_evaporation, warmup + n_keep
+    if not isinstance(p, list):
+        p, e = p[:n_months].tolist(), e[:n_months].tolist()
+    _, _, flows = _run(theta1, theta2, s, float(routing_init), p, e, n_months, math.tanh)
+    return np.array(flows[warmup:])
 
 
 def simulate(
@@ -191,12 +198,6 @@ def simulate_batch(
     if split.n_total > p.size or p.size != e.size:
         raise ValueError("forcing does not cover the partition")
 
-    s = 0.5 * t1
     r = np.full(t1.shape, DEFAULT_ROUTING_INIT_MM)
-    n_keep = split.n_total - split.warmup
-    out = np.empty((t1.size, n_keep))
-    for t in range(split.n_total):
-        s, r, q = _step_values(t1, t2, s, r, p[t], e[t], np.tanh)
-        if t >= split.warmup:
-            out[:, t - split.warmup] = q
-    return out
+    _, _, flows = _run(t1, t2, 0.5 * t1, r, p, e, split.n_total, np.tanh)
+    return np.stack(flows[split.warmup :], axis=1)

@@ -80,6 +80,16 @@ class TestParameterBox:
         with pytest.raises(ValueError, match="theta2"):
             ParameterBox((1.0, 10.0), (2.0, 1.0))
 
+    def test_box_outside_model_domain_rejected(self):
+        # the float kernel divides by theta1, and a negative theta2 scores
+        # physically meaningless flows, so the box must stay in Gr2mParams' domain
+        for theta1_range in ((0.0, 10.0), (-5.0, 10.0)):
+            with pytest.raises(ValueError, match="theta1"):
+                ParameterBox(theta1_range, (0.2, 5.0))
+        with pytest.raises(ValueError, match="theta2"):
+            ParameterBox((1.0, 10.0), (-0.1, 1.0))
+        assert ParameterBox((1e-6, 10.0), (0.0, 1.0)).theta2_range == (0.0, 1.0)
+
 
 class TestChainConfig:
     def test_validation(self):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ensflow import ensemble
+from ensflow import ensemble, experiment
 from ensflow.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -81,6 +81,13 @@ class TestConfigFile:
         assert any("exceeds retained pairs" in p for p in validate_config(config))
         # basic-only runs never draw parameter pairs, so the cap does not apply
         assert validate_config(ExperimentConfig(schemes=("basic-linear",), m=601)) == []
+
+    def test_parameter_box_checked(self):
+        for bad in (dict(theta1_min=0.0), dict(theta1_min=-5.0), dict(theta2_min=-0.1)):
+            assert validate_config(ExperimentConfig(**bad)), bad
+        problems = validate_config(ExperimentConfig(theta1_min=10.0, theta1_max=5.0))
+        assert any("theta1" in p for p in problems)
+        assert validate_config(ExperimentConfig(theta2_min=0.0)) == []
 
     def test_retention_mode_checked(self):
         problems = validate_config(ExperimentConfig(retention="sideways"))
@@ -267,6 +274,27 @@ class TestRunExperiment:
         assert {r.catchment for r in result.records} == {"good"}
         failures_csv = (tmp_path / "out" / "failures.csv").read_text()
         assert "broken" in failures_csv
+
+    def test_crashing_catchment_does_not_end_the_batch(self, tmp_path, monkeypatch):
+        original = experiment.calibrate_catchment
+
+        def crash_on_south(series, split, chain_config, mode):
+            if chain_config.seed == _catchment_seed(0, "south"):
+                raise ZeroDivisionError("float division by zero")
+            return original(series, split, chain_config, mode=mode)
+
+        monkeypatch.setattr(experiment, "calibrate_catchment", crash_on_south)
+        write_catchments(tmp_path, ["north", "south", "west"])
+        config = small_run_config(
+            tmp_path, schemes=("basic-linear", "1"), m=20, n_iterations=100, retain_per_chain=10, max_restarts=0
+        )
+        result = run_experiment(config)
+        assert result.exit_code == 0
+        assert [(f.catchment, f.stage) for f in result.failures] == [("south", "calibrate")]
+        assert result.failures[0].message == "ZeroDivisionError: float division by zero"
+        assert {r.catchment for r in result.records} == {"north", "west"}
+        assert set(result.calibration) == {"north", "west"}
+        assert "ZeroDivisionError" in (tmp_path / "out" / "failures.csv").read_text()
 
     def test_no_usable_catchment_exits_2(self, tmp_path):
         data = tmp_path / "data"

@@ -11,17 +11,19 @@ import math
 import numpy as np
 import pytest
 
+from ensflow.calibrate import ChainConfig, ParameterBox, calibration_objective, log_likelihood, run_chains
 from ensflow.gr2m import (
     DEFAULT_ROUTING_INIT_MM,
     ROUTING_CAPACITY_MM,
     Gr2mParams,
     Gr2mState,
+    _simulate_flow,
     default_initial_state,
     simulate,
     simulate_batch,
     step,
 )
-from ensflow.timeseries import partition
+from ensflow.timeseries import MonthlySeries, partition
 
 # frozen oracle: theta1=300, theta2=1, S=150, R=30, P=100, E=50
 ORACLE_IN = dict(theta1=300.0, theta2=1.0, soil=150.0, routing=30.0, p=100.0, e=50.0)
@@ -227,3 +229,117 @@ class TestSimulateBatch:
         split = partition(12, 0, 4, 4)
         with pytest.raises(ValueError, match="does not cover"):
             simulate_batch(np.ones(2), np.ones(2), np.ones(6), np.ones(6), split)
+
+
+# Bit-exactness oracle: the per-month loop on ndarray forcing and np.float64
+# parameters that the float kernel replaced, copied verbatim.  The float
+# kernel must reproduce it bit for bit, so seeded chains and everything
+# downstream of them keep their values.
+
+
+def _oracle_step_values(theta1, theta2, s, r, p, e, tanh=math.tanh):
+    # 1. rainfall uptake into the soil store through a tanh exchange;
+    #    whatever the store does not absorb becomes excess rainfall p1
+    phi = tanh(p / theta1)
+    s1 = (s + theta1 * phi) / (1.0 + phi * s / theta1)
+    p1 = p + s - s1
+    # 2. evaporation drawdown from the soil store through a tanh exchange
+    psi = tanh(e / theta1)
+    s2 = s1 * (1.0 - psi) / (1.0 + psi * (1.0 - s1 / theta1))
+    # 3. cubic-law percolation empties the soil store towards routing
+    s_new = s2 / (1.0 + (s2 / theta1) ** 3) ** (1.0 / 3.0)
+    p3 = p1 + (s2 - s_new)
+    # 4. the routing store takes excess rainfall plus percolation and the
+    #    total is scaled by the exchange coefficient
+    r2 = theta2 * (r + p3)
+    # 5. quadratic outflow against the fixed 60 mm capacity
+    q = r2 * r2 / (r2 + ROUTING_CAPACITY_MM)
+    return s_new, r2 - q, q
+
+
+def _oracle_simulate_flow(
+    theta1, theta2, precipitation, potential_evaporation, warmup, n_keep, soil_init=None,
+    routing_init=DEFAULT_ROUTING_INIT_MM,
+):
+    s = 0.5 * theta1 if soil_init is None else soil_init
+    r = routing_init
+    p = precipitation
+    e = potential_evaporation
+    out = np.empty(n_keep)
+    for t in range(warmup):
+        s, r, _ = _oracle_step_values(theta1, theta2, s, r, p[t], e[t])
+    for t in range(n_keep):
+        i = warmup + t
+        s, r, out[t] = _oracle_step_values(theta1, theta2, s, r, p[i], e[i])
+    return out
+
+
+def _oracle_simulate_batch(t1, t2, p, e, split):
+    s = 0.5 * t1
+    r = np.full(t1.shape, DEFAULT_ROUTING_INIT_MM)
+    n_keep = split.n_total - split.warmup
+    out = np.empty((t1.size, n_keep))
+    for t in range(split.n_total):
+        s, r, q = _oracle_step_values(t1, t2, s, r, p[t], e[t], np.tanh)
+        if t >= split.warmup:
+            out[:, t - split.warmup] = q
+    return out
+
+
+def _in_box_pairs(rng, n):
+    # np.float64 parameters, as the sampler draws them from the default box
+    box = ParameterBox()
+    return [box.sample(rng) for _ in range(n)]
+
+
+class TestFloatKernelBitExact:
+    def test_simulate_flow_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        p, e = random_forcing(rng, 156)
+        for theta1, theta2 in _in_box_pairs(rng, 40):
+            expected = _oracle_simulate_flow(theta1, theta2, p, e, 12, 144)
+            assert np.array_equal(_simulate_flow(theta1, theta2, p, e, 12, 144), expected)
+            assert np.array_equal(
+                _simulate_flow(float(theta1), float(theta2), p.tolist(), e.tolist(), 12, 144), expected
+            )
+
+    def test_simulate_flow_with_initial_state_matches_oracle(self):
+        rng = np.random.default_rng(32)
+        p, e = random_forcing(rng, 60)
+        for theta1, theta2 in _in_box_pairs(rng, 10):
+            soil, routing = theta1 * rng.uniform(), rng.uniform(0.0, 100.0)
+            expected = _oracle_simulate_flow(theta1, theta2, p, e, 0, 60, soil, routing)
+            got = _simulate_flow(theta1, theta2, p, e, 0, 60, soil_init=soil, routing_init=routing)
+            assert np.array_equal(got, expected)
+
+    def test_simulate_batch_matches_oracle(self):
+        rng = np.random.default_rng(33)
+        p, e = random_forcing(rng, 72)
+        split = partition(72, 12, 24, 24)
+        t1, t2 = np.array(_in_box_pairs(rng, 25)).T
+        got = simulate_batch(t1, t2, p, e, split)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _oracle_simulate_batch(t1, t2, p, e, split))
+
+    def test_seeded_chains_match_oracle_objective(self):
+        rng = np.random.default_rng(34)
+        p, e = random_forcing(rng, 84)
+        split = partition(84, 12, 48, 12)
+        truth = _oracle_simulate_flow(400.0, 0.9, p, e, 0, 84)
+        observed = np.maximum(truth + 0.5 * rng.standard_normal(84), 0.0)
+        series = MonthlySeries((1950, 1), p, e, observed)
+
+        def oracle_objective(theta1, theta2):
+            predicted = _oracle_simulate_flow(
+                np.float64(theta1), np.float64(theta2), p, e, split.warmup, split.n1
+            )
+            return log_likelihood(observed[split.t1], predicted)
+
+        config = ChainConfig(seed=17, n_iterations=400, retain_per_chain=100)
+        got = run_chains(calibration_objective(series, split), config)
+        expected = run_chains(oracle_objective, config)
+        for a, b in zip(got.chains, expected.chains):
+            assert np.array_equal(a.params, b.params)
+            assert np.array_equal(a.log_likelihood, b.log_likelihood)
+            assert np.array_equal(a.accepted, b.accepted)
+            assert np.array_equal(a.initial, b.initial)
