@@ -57,12 +57,17 @@ class ParameterBox:
     theta2_range: tuple[float, float] = (0.2, 5.0)
 
     def __post_init__(self) -> None:
+        problems = []
         for name, (lo, hi) in (("theta1", self.theta1_range), ("theta2", self.theta2_range)):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} range must be a finite ordered pair, got ({lo}, {hi})")
-        if not (self.theta1_range[0] > 0.0 and self.theta2_range[0] >= 0.0):
-            # the model's domain (Gr2mParams); the float kernel divides by theta1
-            raise ValueError(f"need theta1 > 0 and theta2 >= 0, got {self.theta1_range}, {self.theta2_range}")
+                problems.append(f"{name}_min must be below {name}_max, both finite, got ({lo}, {hi})")
+        # the model's domain (Gr2mParams); the float kernel divides by theta1
+        if not self.theta1_range[0] > 0.0:
+            problems.append(f"theta1_min must be > 0, got {self.theta1_range[0]}")
+        if not self.theta2_range[0] >= 0.0:
+            problems.append(f"theta2_min must be >= 0, got {self.theta2_range[0]}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def lower(self) -> np.ndarray:
@@ -76,8 +81,9 @@ class ParameterBox:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, point: np.ndarray) -> bool:
-        return bool(np.all(point >= self.lower) and np.all(point <= self.upper))
+    def contains(self, point) -> bool:
+        (lo1, hi1), (lo2, hi2) = self.theta1_range, self.theta2_range
+        return bool(lo1 <= point[0] <= hi1 and lo2 <= point[1] <= hi2)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
@@ -94,18 +100,19 @@ class ChainConfig:
     box: ParameterBox = field(default_factory=ParameterBox)
 
     def __post_init__(self) -> None:
+        problems = []
         if self.n_chains < 2:
-            raise ValueError(f"need at least 2 chains, got {self.n_chains}")
+            problems.append(f"n_chains must be >= 2 (need at least 2 chains), got {self.n_chains}")
         if self.n_iterations < 1:
-            raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
+            problems.append(f"n_iterations must be >= 1, got {self.n_iterations}")
         if not 1 <= self.retain_per_chain <= self.n_iterations:
-            raise ValueError(
-                f"retain_per_chain must lie in 1..{self.n_iterations}, got {self.retain_per_chain}"
-            )
+            problems.append(f"retain_per_chain must lie in 1..{self.n_iterations}, got {self.retain_per_chain}")
         if self.psrf_threshold <= 1.0:
-            raise ValueError(f"psrf_threshold must exceed 1, got {self.psrf_threshold}")
+            problems.append(f"psrf_threshold must exceed 1, got {self.psrf_threshold}")
         if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+            problems.append(f"max_restarts must be >= 0, got {self.max_restarts}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -224,12 +231,11 @@ def _run_single_chain(
     accepted = np.zeros(n, dtype=bool)
     history = np.empty((n + 1, 2))
     history[0] = current
-    (lo1, hi1), (lo2, hi2) = box.theta1_range, box.theta2_range
 
     def posterior(point: np.ndarray) -> float:
         # flat prior on the box: outside it the posterior vanishes
         theta1, theta2 = float(point[0]), float(point[1])
-        if not (lo1 <= theta1 <= hi1 and lo2 <= theta2 <= hi2):
+        if not box.contains((theta1, theta2)):
             return -math.inf
         value = float(objective(theta1, theta2))
         return value if math.isfinite(value) else -math.inf

@@ -98,7 +98,7 @@ class ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """Collect every problem instead of stopping at the first."""
+    """Collect every problem; ParameterBox and ChainConfig each report all of theirs in one entry."""
     problems: list[str] = []
     if config.warmup < 0:
         problems.append(f"warmup must be >= 0, got {config.warmup}")

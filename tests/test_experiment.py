@@ -75,6 +75,19 @@ class TestConfigFile:
         assert len(problems) >= 3
         assert any("warmup" in p for p in problems)
         assert any("unknown scheme" in p for p in problems)
+        # box and chain settings are checked by their constructors, which
+        # still report every problem and name the keys to edit
+        config = ExperimentConfig(
+            theta1_min=5.0, theta1_max=5.0, theta2_min=2.0, theta2_max=1.0, n_chains=1, psrf_threshold=1.0
+        )
+        text = "; ".join(validate_config(config))
+        for expected in (
+            "theta1_min must be below theta1_max",
+            "theta2_min must be below theta2_max",
+            "n_chains must be >= 2",
+            "psrf_threshold must exceed 1",
+        ):
+            assert expected in text, expected
 
     def test_m_capped_by_retained_pairs(self):
         config = ExperimentConfig(schemes=("5",), m=601)
@@ -83,10 +96,13 @@ class TestConfigFile:
         assert validate_config(ExperimentConfig(schemes=("basic-linear",), m=601)) == []
 
     def test_parameter_box_checked(self):
-        for bad in (dict(theta1_min=0.0), dict(theta1_min=-5.0), dict(theta2_min=-0.1)):
-            assert validate_config(ExperimentConfig(**bad)), bad
-        problems = validate_config(ExperimentConfig(theta1_min=10.0, theta1_max=5.0))
-        assert any("theta1" in p for p in problems)
+        for bad, expected in (
+            (dict(theta1_min=0.0), "theta1_min must be > 0"),
+            (dict(theta1_min=-5.0), "theta1_min must be > 0"),
+            (dict(theta2_min=-0.1), "theta2_min must be >= 0"),
+            (dict(theta1_min=10.0, theta1_max=5.0), "theta1_min must be below theta1_max"),
+        ):
+            assert [expected in p for p in validate_config(ExperimentConfig(**bad))] == [True], bad
         assert validate_config(ExperimentConfig(theta2_min=0.0)) == []
 
     def test_retention_mode_checked(self):
