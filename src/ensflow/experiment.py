@@ -21,7 +21,7 @@ import datetime as dt
 import json
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -454,6 +454,14 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
     return cid, records, wisdom_rows, cal_info
 
 
+def _worker_outcome(cid: str, future: Future):
+    """A pool future's result; a dead worker (OOM kill, os._exit) costs only the catchments not yet finished."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return CatchmentFailure(cid, "worker", f"{type(exc).__name__}: {exc}")
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
     problems = validate_config(config)
@@ -463,7 +471,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     jobs = [(config, cid) for cid in ids]
     if config.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_process_catchment, jobs))
+            futures = [pool.submit(_process_catchment, job) for job in jobs]
+            outcomes = [_worker_outcome(cid, future) for cid, future in zip(ids, futures)]
     else:
         outcomes = [_process_catchment(job) for job in jobs]
 

@@ -1,6 +1,10 @@
 """Configuration files, synthetic catchments and end-to-end batch runs."""
 
 import json
+import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +315,44 @@ class TestRunExperiment:
         assert {r.catchment for r in result.records} == {"north", "west"}
         assert set(result.calibration) == {"north", "west"}
         assert "ZeroDivisionError" in (tmp_path / "out" / "failures.csv").read_text()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patched stage"
+    )
+    def test_dead_worker_does_not_end_the_batch(self, tmp_path, monkeypatch):
+        # "south" kills its worker process, but only once the parent holds
+        # north's result, so north must survive the broken pool
+        received = tmp_path / "north-received"
+        original_load = experiment.load_catchment
+        original_outcome = experiment._worker_outcome
+
+        def die_on_south(path):
+            if Path(path).stem == "south":
+                deadline = time.monotonic() + 30.0
+                while not received.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+            return original_load(path)
+
+        def note_north(cid, future):
+            outcome = original_outcome(cid, future)
+            if cid == "north":
+                received.touch()
+            return outcome
+
+        monkeypatch.setattr(experiment, "load_catchment", die_on_south)
+        monkeypatch.setattr(experiment, "_worker_outcome", note_north)
+        write_catchments(tmp_path, ["north", "south"])
+        result = run_experiment(small_run_config(tmp_path, schemes=("basic-linear",), workers=2))
+        assert result.exit_code == 0
+        assert [(f.catchment, f.stage) for f in result.failures] == [("south", "worker")]
+        assert result.failures[0].message.startswith("BrokenProcessPool: ")
+        assert {r.catchment for r in result.records} == {"north"}
+        out = tmp_path / "out"
+        for name in ("metrics.csv", "summary.json", "rankings.csv", "wisdom.csv", "timing.csv"):
+            assert (out / name).exists()
+        failures_csv = (out / "failures.csv").read_text()
+        assert "south" in failures_csv and "BrokenProcessPool" in failures_csv
 
     def test_no_usable_catchment_exits_2(self, tmp_path):
         data = tmp_path / "data"

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.optimize import linprog
 
+from ensflow import regress
+from ensflow.ensemble import DEFAULT_PROBABILITIES
 from ensflow.regress import (
     QuantileFitError,
     RankDeficiencyError,
@@ -217,3 +221,108 @@ class TestQuantileFit:
         # lower-probability curves sit lower on average
         fitted = {p: float(np.mean(data.predictors @ fit.coefficients[p])) for p in probs}
         assert fitted[0.1] < fitted[0.9]
+
+
+def linprog_primal(x, y, p):
+    """The split formulation through scipy's public linprog, as the oracle."""
+    n, k = x.shape
+    cost = np.concatenate([np.zeros(k), np.full(n, p), np.full(n, 1.0 - p)])
+    eye = scipy.sparse.eye(n, format="csc")
+    a_eq = scipy.sparse.hstack([scipy.sparse.csc_matrix(x), eye, -eye], format="csc")
+    result = linprog(cost, A_eq=a_eq, b_eq=y, bounds=[(None, None)] * k + [(0.0, None)] * (2 * n), method="highs")
+    assert result.success
+    return result.x[:k]
+
+
+def linprog_quantile(x, y, p):
+    """fit_quantile written against linprog: the dual, its certificate, the primal fallback."""
+    n, k = x.shape
+    result = linprog(-y, A_eq=x.T, b_eq=np.zeros(k), bounds=[(p - 1.0, p)] * n, method="highs")
+    if result.success:
+        beta, dual_objective = -result.eqlin.marginals, -result.fun
+        achieved = float(np.sum(pinball_loss(p, y, x @ beta)))
+        if math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective)):
+            return beta
+    return linprog_primal(x, y, p)
+
+
+class TestDirectHighsMatchesLinprog:
+    """The direct HiGHS call must give linprog's coefficients bit for bit."""
+
+    @staticmethod
+    def datasets(rng):
+        for n in (12, 96, 144):
+            for k in (2, 3):
+                x = np.column_stack([np.ones(n)] + [rng.gamma(2.0, 1.0, size=n) for _ in range(k - 1)])
+                y = x @ rng.uniform(-3.0, 3.0, size=k) + rng.normal(size=n)
+                yield x, y
+                zeros = x.copy()
+                zeros[:, 1:][rng.random((n, k - 1)) < 0.25] = 0.0
+                yield zeros, y
+                yield x, np.round(y / 3.0)  # heavily tied responses
+
+    def test_dual_bit_identical(self):
+        rng = np.random.default_rng(61)
+        for x, y in self.datasets(rng):
+            data = RegressionDataset(x, y)
+            for p in DEFAULT_PROBABILITIES:
+                assert np.array_equal(fit_quantile(data, p), linprog_quantile(x, y, p)), (x.shape, p)
+
+    def test_pooled_dual_bit_identical(self):
+        # scheme 5 pools every sister: 100 sisters x 96 months
+        rng = np.random.default_rng(67)
+        n = 9600
+        x = np.column_stack([np.ones(n), rng.gamma(2.0, 1.0, size=n)])
+        x[rng.random(n) < 0.05, 1] = 0.0
+        y = x @ [0.3, 0.8] + rng.normal(size=n)
+        data = RegressionDataset(x, y)
+        for p in (0.005, 0.995):
+            assert np.array_equal(fit_quantile(data, p), linprog_quantile(x, y, p)), p
+
+    def test_primal_bit_identical(self):
+        from ensflow.regress import _fit_quantile_primal
+
+        rng = np.random.default_rng(71)
+        for x, y in self.datasets(rng):
+            for p in (0.005, 0.5, 0.995):
+                assert np.array_equal(_fit_quantile_primal(x, y, p), linprog_primal(x, y, p)), (x.shape, p)
+
+
+class TestQuantileFallback:
+    @pytest.fixture
+    def data(self):
+        data, _ = random_dataset(np.random.default_rng(73), n=50, k=2)
+        return data
+
+    def patch_first_call(self, monkeypatch, first):
+        """Replace the first LP solve (the dual) by ``first(solved)``; count every call."""
+        original = regress._solve_lp
+        calls = []
+
+        def solve(*args):
+            calls.append(args)
+            solved = original(*args)
+            return first(solved) if len(calls) == 1 else solved
+
+        monkeypatch.setattr(regress, "_solve_lp", solve)
+        return calls
+
+    def test_unsolved_dual_falls_back_to_primal(self, data, monkeypatch):
+        expected = regress._fit_quantile_primal(data.predictors, data.response, 0.3)
+        calls = self.patch_first_call(monkeypatch, lambda solved: None)
+        beta = fit_quantile(data, 0.3)
+        assert len(calls) == 2
+        assert calls[1][0].size == data.k + 2 * data.n  # the split formulation
+        assert np.array_equal(beta, expected)
+
+    def test_failed_certificate_falls_back_to_primal(self, data, monkeypatch):
+        expected = regress._fit_quantile_primal(data.predictors, data.response, 0.3)
+        calls = self.patch_first_call(monkeypatch, lambda solved: (solved[0], solved[1], solved[2] - 1.0))
+        beta = fit_quantile(data, 0.3)
+        assert len(calls) == 2
+        assert np.array_equal(beta, expected)
+
+    def test_both_formulations_failing_raises(self, data, monkeypatch):
+        monkeypatch.setattr(regress, "_solve_lp", lambda *args: None)
+        with pytest.raises(QuantileFitError, match="p=0.3"):
+            fit_quantile(data, 0.3)
