@@ -39,6 +39,8 @@ _DR_SHRINK = 5.0
 # iterations before covariance adaptation starts, and its cadence
 _ADAPT_START = 200
 _ADAPT_EVERY = 50
+# fewest draws per chain the PSRF estimate accepts (Brooks & Gelman 1998)
+MIN_PSRF_DRAWS = 10
 
 
 class DegenerateFitError(ValueError):
@@ -103,8 +105,13 @@ class ChainConfig:
         problems = []
         if self.n_chains < 2:
             problems.append(f"n_chains must be >= 2 (need at least 2 chains), got {self.n_chains}")
-        if self.n_iterations < 1:
-            problems.append(f"n_iterations must be >= 1, got {self.n_iterations}")
+        # calibrate_catchment's psrf keeps the second half of each chain
+        min_iterations = 2 * MIN_PSRF_DRAWS - 1
+        if self.n_iterations < min_iterations:
+            problems.append(
+                f"n_iterations must be >= {min_iterations} (the PSRF needs {MIN_PSRF_DRAWS} draws "
+                f"from the second half of each chain), got {self.n_iterations}"
+            )
         if not 1 <= self.retain_per_chain <= self.n_iterations:
             problems.append(f"retain_per_chain must lie in 1..{self.n_iterations}, got {self.retain_per_chain}")
         if self.psrf_threshold <= 1.0:
@@ -335,8 +342,8 @@ def psrf(chains, discard_fraction: float = 0.5) -> float:
     start = int(math.floor(discard_fraction * full_n))
     kept = [a[start:] for a in arrays]
     n = kept[0].shape[0]
-    if n < 10:
-        raise ValueError(f"need at least 10 retained draws per chain, got {n}")
+    if n < MIN_PSRF_DRAWS:
+        raise ValueError(f"need at least {MIN_PSRF_DRAWS} retained draws per chain, got {n}")
     m = len(kept)
 
     within = np.mean([np.atleast_2d(np.cov(a.T, ddof=1)) for a in kept], axis=0)
@@ -397,8 +404,7 @@ def calibrate_catchment(
     """
     if config is None:
         config = ChainConfig()
-    if mode not in RETENTION_MODES:
-        raise ValueError(f"unknown retention mode {mode!r}, expected one of {RETENTION_MODES}")
+    keep = retention_slice(mode, config.n_iterations, config.retain_per_chain)
     objective = calibration_objective(series, split)
 
     t_start = time.perf_counter()
@@ -420,7 +426,6 @@ def calibrate_catchment(
             break
 
     estimate, chain_set = best
-    keep = retention_slice(mode, config.n_iterations, config.retain_per_chain)
     pairs = np.concatenate([chain.params[keep] for chain in chain_set.chains], axis=0)
     sample = PosteriorSample(pairs=pairs, mode=mode, converged=converged, psrf=estimate)
     return CalibrationResult(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .evaluate import read_metrics_csv
@@ -22,9 +21,24 @@ from .experiment import (
     generate_synthetic,
     load_config,
     run_experiment,
-    validate_config,
 )
 from .timeseries import load_catchment, validate_series
+
+# run flag -> ExperimentConfig key; a flag that is given replaces the config file's value
+_RUN_FLAGS = {
+    "input": "input_dir",
+    "out": "output_dir",
+    "seed": "seed",
+    "workers": "workers",
+    "schemes": "schemes",
+    "m": "m",
+    "iterations": "n_iterations",
+    "retain": "retain_per_chain",
+}
+
+
+def _scheme_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--schemes", default=None, help="comma-separated scheme ids")
+    run.add_argument("--schemes", type=_scheme_list, default=None, help="comma-separated scheme ids")
     run.add_argument("--m", type=int, default=None)
     run.add_argument("--iterations", type=int, default=None, help="chain length")
     run.add_argument("--retain", type=int, default=None, help="retained states per chain")
@@ -117,32 +131,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    flags = {key: getattr(args, flag) for flag, key in _RUN_FLAGS.items() if getattr(args, flag) is not None}
     try:
-        config = load_config(args.config) if args.config else ExperimentConfig()
+        config = load_config(args.config, **flags) if args.config else ExperimentConfig(**flags)
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    overrides = {}
-    if args.input is not None:
-        overrides["input_dir"] = args.input
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.schemes is not None:
-        overrides["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if args.m is not None:
-        overrides["m"] = args.m
-    if args.iterations is not None:
-        overrides["n_iterations"] = args.iterations
-    if args.retain is not None:
-        overrides["retain_per_chain"] = args.retain
-    config = replace(config, **overrides)
-    problems = validate_config(config)
-    if problems:
-        print("configuration error: " + "; ".join(problems), file=sys.stderr)
         return 1
     if not discover_catchments(config):
         print(f"no catchment files in {config.input_dir}", file=sys.stderr)

@@ -101,13 +101,19 @@ class SchemeConfig:
     clamp_nonnegative: bool = False
 
     def __post_init__(self) -> None:
+        problems = []
         if self.variant not in (1, 2, 3):
-            raise ValueError(f"variant must be 1, 2 or 3, got {self.variant}")
+            problems.append(f"variant must be 1, 2 or 3, got {self.variant}")
         if self.error_model not in ERROR_MODEL_KINDS:
-            raise ValueError(f"error_model must be one of {ERROR_MODEL_KINDS}, got {self.error_model!r}")
+            problems.append(f"error_model must be one of {ERROR_MODEL_KINDS}, got {self.error_model!r}")
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "probabilities", _check_probabilities(self.probabilities))
+            problems.append(f"m must be >= 1, got {self.m}")
+        try:
+            object.__setattr__(self, "probabilities", _check_probabilities(self.probabilities))
+        except ValueError as exc:
+            problems.append(str(exc))
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

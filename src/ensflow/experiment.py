@@ -22,13 +22,13 @@ import json
 import math
 import zlib
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .calibrate import CalibrationResult, ChainConfig, ParameterBox, calibrate_catchment
+from .calibrate import RETENTION_MODES, CalibrationResult, ChainConfig, ParameterBox, calibrate_catchment
 from .ensemble import (
     ALL_SCHEMES,
     BASIC_SCHEMES,
@@ -96,42 +96,46 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        """Collect every problem into one ConfigError; scheme, box and chain keys are checked by their own types."""
+        problems: list[str] = []
+        if self.warmup < 0:
+            problems.append(f"warmup must be >= 0, got {self.warmup}")
+        for name in ("n1", "n2"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n3 < 0:
+            problems.append(f"n3 must be >= 0 (0 = remainder), got {self.n3}")
+        for scheme in self.schemes:
+            if scheme not in ALL_SCHEMES:
+                problems.append(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
+        for build in (_scheme_config, _parameter_box, _chain_config):
+            try:
+                build(self)
+            except ValueError as exc:
+                problems.append(str(exc))
+        if self.retention not in RETENTION_MODES:
+            problems.append(f"retention must be one of {RETENTION_MODES}, got {self.retention!r}")
+        needs_sample = any(s not in BASIC_SCHEMES for s in self.schemes)
+        if needs_sample and self.m > self.n_chains * self.retain_per_chain:
+            problems.append(
+                f"m={self.m} exceeds retained pairs "
+                f"(n_chains * retain_per_chain = {self.n_chains * self.retain_per_chain})"
+            )
+        if self.workers < 1:
+            problems.append(f"workers must be >= 1, got {self.workers}")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
-def validate_config(config: ExperimentConfig) -> list[str]:
-    """Collect every problem; ParameterBox and ChainConfig each report all of theirs in one entry."""
-    problems: list[str] = []
-    if config.warmup < 0:
-        problems.append(f"warmup must be >= 0, got {config.warmup}")
-    for name in ("n1", "n2"):
-        if getattr(config, name) < 1:
-            problems.append(f"{name} must be >= 1, got {getattr(config, name)}")
-    if config.n3 < 0:
-        problems.append(f"n3 must be >= 0 (0 = remainder), got {config.n3}")
-    for scheme in config.schemes:
-        if scheme not in ALL_SCHEMES:
-            problems.append(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
-    if config.m < 1:
-        problems.append(f"m must be >= 1, got {config.m}")
-    try:
-        SchemeConfig(probabilities=config.probabilities, m=max(config.m, 1))
-    except ValueError as exc:
-        problems.append(str(exc))
-    for build in (_parameter_box, _chain_config):
-        try:
-            build(config)
-        except ValueError as exc:
-            problems.append(str(exc))
-    if config.retention not in ("bayesian-tail", "informal-head"):
-        problems.append(f"retention must be bayesian-tail or informal-head, got {config.retention!r}")
-    needs_sample = any(s not in BASIC_SCHEMES for s in config.schemes)
-    if needs_sample and config.m > config.n_chains * config.retain_per_chain:
-        problems.append(
-            f"m={config.m} exceeds retained pairs "
-            f"(n_chains * retain_per_chain = {config.n_chains * config.retain_per_chain})"
-        )
-    if config.workers < 1:
-        problems.append(f"workers must be >= 1, got {config.workers}")
-    return problems
+
+def _scheme_config(config: ExperimentConfig, seed: int = 0) -> SchemeConfig:
+    return SchemeConfig(
+        m=config.m,
+        probabilities=config.probabilities,
+        seed=seed,
+        include_warmup_in_basic=config.include_warmup_in_basic,
+        clamp_nonnegative=config.clamp_nonnegative,
+    )
 
 
 def _parameter_box(config: ExperimentConfig) -> ParameterBox:
@@ -163,11 +167,15 @@ def _parse_value(name: str, text: str, example):
     return text.strip()
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a flat key = value file; unknown keys and bad values are all reported."""
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Read a flat key = value file; unknown keys and bad values are all reported.
+
+    ``overrides`` replace the file's values before the config is built, and so
+    before it is checked.
+    """
     defaults = ExperimentConfig()
     known = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
-    overrides: dict = {}
+    values: dict = {}
     problems: list[str] = []
     for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -182,16 +190,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             problems.append(f"line {line_number}: unknown key {key!r}")
             continue
         try:
-            overrides[key] = _parse_value(key, value.strip(), known[key])
+            values[key] = _parse_value(key, value.strip(), known[key])
         except ValueError as exc:
             problems.append(f"line {line_number}: {exc}")
     if problems:
         raise ConfigError("; ".join(problems))
-    config = replace(defaults, **overrides)
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return config
+    return ExperimentConfig(**{**values, **overrides})
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -411,13 +415,7 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
             stage = "sisters"
             sisters = build_sisters(calibration.sample, series, split, config.m)
 
-        scheme_config = SchemeConfig(
-            m=config.m,
-            probabilities=config.probabilities,
-            seed=seed,
-            include_warmup_in_basic=config.include_warmup_in_basic,
-            clamp_nonnegative=config.clamp_nonnegative,
-        )
+        scheme_config = _scheme_config(config, seed)
         observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
         records: list[MetricsRecord] = []
         wisdom_rows: list[WisdomRow] = []
@@ -464,9 +462,6 @@ def _worker_outcome(cid: str, future: Future):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
     ids = discover_catchments(config)
     jobs = [(config, cid) for cid in ids]
     if config.workers > 1 and len(jobs) > 1:

@@ -200,10 +200,9 @@ def fit_quantile(data: RegressionDataset, probability: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantileFit:
-    """Per-probability coefficient vectors and achieved average pinball losses."""
+    """Per-probability coefficient vectors."""
 
     coefficients: dict[float, np.ndarray]
-    losses: dict[float, float]
 
     @property
     def probabilities(self) -> tuple[float, ...]:
@@ -212,10 +211,5 @@ class QuantileFit:
 
 def fit_quantile_set(data: RegressionDataset, probabilities) -> QuantileFit:
     """Fit each probability independently (curves may cross, by design)."""
-    coefficients: dict[float, np.ndarray] = {}
-    losses: dict[float, float] = {}
-    for p in probabilities:
-        beta = fit_quantile(data, p)
-        coefficients[float(p)] = beta
-        losses[float(p)] = average_pinball_loss(p, data.response, data.predictors @ beta)
-    return QuantileFit(coefficients=coefficients, losses=losses)
+    coefficients = {float(p): fit_quantile(data, p) for p in probabilities}
+    return QuantileFit(coefficients=coefficients)

@@ -104,6 +104,17 @@ class TestChainConfig:
         with pytest.raises(ValueError, match="max_restarts"):
             ChainConfig(max_restarts=-1)
 
+    def test_chain_too_short_for_psrf_rejected(self):
+        with pytest.raises(ValueError, match="n_iterations must be >= 19"):
+            ChainConfig(n_iterations=18, retain_per_chain=10)
+        # the PSRF keeps the second half: 19 iterations leave it the 10 draws it needs, 18 do not
+        rng = np.random.default_rng(131)
+        shortest = ChainConfig(n_iterations=19, retain_per_chain=10)
+        chains = [rng.standard_normal((shortest.n_iterations, 2)) for _ in range(shortest.n_chains)]
+        assert math.isfinite(psrf(chains))
+        with pytest.raises(ValueError, match="at least 10 retained draws"):
+            psrf([chain[1:] for chain in chains])
+
 
 class TestRetention:
     def test_slices(self):

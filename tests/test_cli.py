@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from ensflow.cli import main
+from dataclasses import fields
+
+from ensflow.cli import _RUN_FLAGS, _build_parser, main
 from ensflow.experiment import ExperimentConfig, SyntheticSpec, generate_synthetic, save_config
 
 
@@ -105,6 +107,26 @@ class TestRun:
         args = self.run_args(tmp_path, tmp_path / "none")
         assert main(args) == 2
         assert "no catchment files" in capsys.readouterr().err
+
+    def test_flag_fixes_a_file_value(self, tmp_path, capsys):
+        # m = 700 alone exceeds 3 chains x 200 retained states; --retain 300 makes room
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("m = 700\n")
+        (tmp_path / "none").mkdir()
+        assert main(["run", "--config", str(cfg), "--retain", "300", "--input", str(tmp_path / "none")]) == 2
+        assert "no catchment files" in capsys.readouterr().err
+
+    def test_every_flag_problem_named(self, tmp_path, capsys):
+        (tmp_path / "none").mkdir()
+        assert main(["run", "--m", "0", "--workers", "0", "--input", str(tmp_path / "none")]) == 1
+        err = capsys.readouterr().err
+        assert "m must be >= 1" in err and "workers must be >= 1" in err
+
+    def test_flag_table_matches_parser_and_config(self):
+        keys = {f.name for f in fields(ExperimentConfig)}
+        assert set(_RUN_FLAGS.values()) <= keys
+        options = set(vars(_build_parser().parse_args(["run"]))) - {"verb", "config"}
+        assert set(_RUN_FLAGS) == options
 
     def test_skips_are_reported_on_stderr(self, tmp_path, capsys):
         data = make_data(tmp_path)

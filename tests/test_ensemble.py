@@ -80,6 +80,13 @@ class TestProbabilitySet:
         with pytest.raises(ValueError, match="lie in"):
             SchemeConfig(probabilities=(0.0, 1.0))
 
+    def test_every_problem_reported_at_once(self):
+        with pytest.raises(ValueError) as excinfo:
+            SchemeConfig(m=0, probabilities=(0.2,))
+        message = str(excinfo.value)
+        assert "m must be >= 1" in message
+        assert "need at least two probabilities" in message
+
     def test_scheme_table(self):
         assert SCHEME_DEFS == {
             "1": (1, "linear"), "2": (2, "linear"), "3": (3, "linear"),

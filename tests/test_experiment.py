@@ -21,7 +21,6 @@ from ensflow.experiment import (
     run_experiment,
     save_config,
     synthesize_monthly,
-    validate_config,
 )
 from ensflow.gr2m import Gr2mParams, simulate
 from ensflow.timeseries import load_catchment, partition
@@ -74,17 +73,20 @@ class TestConfigFile:
             load_config(path)
 
     def test_validate_collects_multiple_problems(self):
-        config = ExperimentConfig(warmup=-1, m=0, schemes=("9", "basic-linear"))
-        problems = validate_config(config)
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(warmup=-1, m=0, schemes=("9", "basic-linear"))
+        problems = str(excinfo.value).split("; ")
         assert len(problems) >= 3
         assert any("warmup" in p for p in problems)
         assert any("unknown scheme" in p for p in problems)
+        assert any("m must be >= 1" in p for p in problems)
         # box and chain settings are checked by their constructors, which
         # still report every problem and name the keys to edit
-        config = ExperimentConfig(
-            theta1_min=5.0, theta1_max=5.0, theta2_min=2.0, theta2_max=1.0, n_chains=1, psrf_threshold=1.0
-        )
-        text = "; ".join(validate_config(config))
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(
+                theta1_min=5.0, theta1_max=5.0, theta2_min=2.0, theta2_max=1.0, n_chains=1, psrf_threshold=1.0
+            )
+        text = str(excinfo.value)
         for expected in (
             "theta1_min must be below theta1_max",
             "theta2_min must be below theta2_max",
@@ -94,10 +96,10 @@ class TestConfigFile:
             assert expected in text, expected
 
     def test_m_capped_by_retained_pairs(self):
-        config = ExperimentConfig(schemes=("5",), m=601)
-        assert any("exceeds retained pairs" in p for p in validate_config(config))
+        with pytest.raises(ConfigError, match="exceeds retained pairs"):
+            ExperimentConfig(schemes=("5",), m=601)
         # basic-only runs never draw parameter pairs, so the cap does not apply
-        assert validate_config(ExperimentConfig(schemes=("basic-linear",), m=601)) == []
+        assert ExperimentConfig(schemes=("basic-linear",), m=601).m == 601
 
     def test_parameter_box_checked(self):
         for bad, expected in (
@@ -106,12 +108,22 @@ class TestConfigFile:
             (dict(theta2_min=-0.1), "theta2_min must be >= 0"),
             (dict(theta1_min=10.0, theta1_max=5.0), "theta1_min must be below theta1_max"),
         ):
-            assert [expected in p for p in validate_config(ExperimentConfig(**bad))] == [True], bad
-        assert validate_config(ExperimentConfig(theta2_min=0.0)) == []
+            with pytest.raises(ConfigError) as excinfo:
+                ExperimentConfig(**bad)
+            # exactly one problem: the bound this value breaks
+            assert [expected in p for p in str(excinfo.value).split("; ")] == [True], bad
+        assert ExperimentConfig(theta2_min=0.0).theta2_min == 0.0
 
     def test_retention_mode_checked(self):
-        problems = validate_config(ExperimentConfig(retention="sideways"))
-        assert any("retention" in p for p in problems)
+        with pytest.raises(ConfigError, match="retention"):
+            ExperimentConfig(retention="sideways")
+
+    def test_overrides_applied_before_the_check(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("m = 700\n")
+        with pytest.raises(ConfigError, match="exceeds retained pairs"):
+            load_config(path)
+        assert load_config(path, retain_per_chain=300).m == 700
 
 
 class TestSyntheticCatchments:
