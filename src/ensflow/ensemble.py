@@ -277,25 +277,24 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
     kind = config.error_model
     u = ensemble.training_predictions
     e = ensemble.errors
-    if config.variant == 1:
-        models = []
-        for i in range(ensemble.m):
-            try:
-                models.append(_fit_one(kind, u[i], e[i], config.probabilities))
-            except ValueError as exc:
-                raise type(exc)(f"sister {i}: {exc}") from exc
-        return TrainedErrorModels(kind=kind, variant=1, models=tuple(models))
     if config.variant == 2:
         # pool every sister's rows, sister-major order
         model = _fit_one(kind, u.reshape(-1), e.reshape(-1), config.probabilities)
         return TrainedErrorModels(kind=kind, variant=2, models=(model,))
-    rng = np.random.default_rng(config.seed)
-    chosen = int(rng.integers(ensemble.m))
-    try:
-        model = _fit_one(kind, u[chosen], e[chosen], config.probabilities)
-    except ValueError as exc:
-        raise type(exc)(f"sister {chosen}: {exc}") from exc
-    return TrainedErrorModels(kind=kind, variant=3, models=(model,), selected_sister=chosen)
+    # variant 1 fits every sister, variant 3 the one sister the scheme seed draws
+    chosen = None if config.variant == 1 else int(np.random.default_rng(config.seed).integers(ensemble.m))
+    # a rejected MCMC move repeats its pair and so its sister: fit each
+    # distinct (u, e) row once, matched byte for byte (-0.0 is not 0.0)
+    rows = {i: u[i].tobytes() + e[i].tobytes() for i in (range(ensemble.m) if chosen is None else [chosen])}
+    fits = {}
+    for i, row in rows.items():
+        if row not in fits:
+            try:
+                fits[row] = _fit_one(kind, u[i], e[i], config.probabilities)
+            except ValueError as exc:
+                raise type(exc)(f"sister {i}: {exc}") from exc
+    models = tuple(fits[row] for row in rows.values())
+    return TrainedErrorModels(kind=kind, variant=config.variant, models=models, selected_sister=chosen)
 
 
 def _quantile_coefficients(model: QuantileFit, p: float) -> np.ndarray:

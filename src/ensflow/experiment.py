@@ -106,6 +106,8 @@ class ExperimentConfig:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n3 < 0:
             problems.append(f"n3 must be >= 0 (0 = remainder), got {self.n3}")
+        if not self.schemes:
+            problems.append("schemes must name at least one scheme")
         for scheme in self.schemes:
             if scheme not in ALL_SCHEMES:
                 problems.append(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")

@@ -12,6 +12,9 @@ Both linear programs go straight to HiGHS (scipy's private ``_highspy._core``)
 with ``linprog(method="highs")``'s options and feasibility check: the same
 coefficients bit for bit, without linprog's overhead, about ¾ of a program
 this small.  The linprog oracle tests in ``tests/test_regress.py`` pin it.
+A dataset's quantile fits share one model on one HiGHS instance: each
+probability changes its bounds and solves it cold, so each gets the
+coefficients of a fit on its own (a warm start moves them by a few ulp).
 """
 
 from __future__ import annotations
@@ -126,20 +129,29 @@ _LINPROG_OPTIONS = dict(
 )
 
 
-def _solve_lp(cost, start, index, value, rhs, lower, upper):
-    """min cost'z s.t. A z = rhs, lower <= z <= upper (A as CSC arrays): (z, row duals, objective) or None."""
+def _model(cost, start, index, value, rhs):
+    """A new HiGHS instance with linprog's options holding min cost'z s.t. A z = rhs (A as CSC arrays), or None."""
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
     lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     # lists fill the matrix's vectors faster than arrays do
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start.tolist(), index.tolist(), value.tolist()
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(cost.size), np.zeros(cost.size)
     lp.row_lower_ = lp.row_upper_ = rhs
     solver = _highs._Highs()
     statuses = [solver.setOptionValue(option, setting) for option, setting in _LINPROG_OPTIONS.items()]
-    failed = _highs.HighsStatus.kError in statuses + [solver.passModel(lp), solver.run()]
-    if failed or solver.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+    return None if _highs.HighsStatus.kError in statuses + [solver.passModel(lp)] else solver
+
+
+def _solve(solver, rhs, lower, upper):
+    """Solve ``solver``'s model (right-hand side ``rhs``) cold within the bounds: (z, row duals, objective) or None."""
+    if solver is None:
+        return None
+    columns = np.arange(lower.size, dtype=np.int32)
+    # clearSolver drops the last solve's basis: a warm start moves the coefficients by a few ulp
+    statuses = [solver.changeColsBounds(lower.size, columns, lower, upper), solver.clearSolver(), solver.run()]
+    if _highs.HighsStatus.kError in statuses or solver.getModelStatus() != _highs.HighsModelStatus.kOptimal:
         return None
     solution, objective = solver.getSolution(), solver.getObjectiveValue()
     z, residual = np.array(solution.col_value), rhs - np.array(solution.row_value)
@@ -164,38 +176,11 @@ def _fit_quantile_primal(x: np.ndarray, y: np.ndarray, probability: float) -> np
     start = np.concatenate([start, start[-1] + np.arange(1, 2 * n + 1)])
     index = np.concatenate([index, np.arange(n), np.arange(n)])
     value = np.concatenate([value, np.ones(n), -np.ones(n)])
-    lower = np.concatenate([np.full(k, -np.inf), np.zeros(2 * n)])
-    solved = _solve_lp(cost, start, index, value, y, lower, np.full(k + 2 * n, np.inf))
+    lower, upper = np.concatenate([np.full(k, -np.inf), np.zeros(2 * n)]), np.full(k + 2 * n, np.inf)
+    solved = _solve(_model(cost, start, index, value, y), y, lower, upper)
     if solved is None:
         raise QuantileFitError(f"linear program failed at p={probability}: no optimum passed the feasibility check")
     return solved[0][:k]
-
-
-def fit_quantile(data: RegressionDataset, probability: float) -> np.ndarray:
-    """Coefficients minimising the total pinball loss at ``probability``.
-
-    The reference problem is the linear program
-
-        min p*sum(u) + (1-p)*sum(v)   s.t.   X beta + u - v = y,  u, v >= 0.
-
-    For speed it is solved in its dual form (n box-bounded variables against
-    only k equality rows) and the coefficients are read off the equality
-    multipliers; strong duality gives a certificate, and on any mismatch the
-    primal formulation is solved directly instead.  Both go straight to HiGHS
-    (``_solve_lp``, see the module docstring for why), bit-identical to linprog.
-    """
-    if not 0.0 < probability < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {probability}")
-    x, y = data.predictors, data.response
-    # dual: max y'd  s.t.  X'd = 0,  p - 1 <= d_i <= p
-    solved = _solve_lp(-y, *_csc(x), np.zeros(data.k), np.full(data.n, probability - 1.0), np.full(data.n, probability))
-    if solved is not None:
-        beta, dual_objective = -solved[1], -solved[2]
-        achieved = float(np.sum(pinball_loss(probability, y, x @ beta)))
-        scale = max(1.0, abs(dual_objective))
-        if math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * scale:
-            return beta
-    return _fit_quantile_primal(x, y, probability)
 
 
 @dataclass(frozen=True)
@@ -210,6 +195,37 @@ class QuantileFit:
 
 
 def fit_quantile_set(data: RegressionDataset, probabilities) -> QuantileFit:
-    """Fit each probability independently (curves may cross, by design)."""
-    coefficients = {float(p): fit_quantile(data, p) for p in probabilities}
+    """Fit each probability independently (curves may cross, by design).
+
+    At probability p the fit is the linear program  min p*sum(u) + (1-p)*sum(v)
+    s.t.  X beta + u - v = y,  u, v >= 0,  solved in its dual form (n box-bounded
+    variables against k equality rows; Koenker & Bassett 1978) with the
+    coefficients read off the equality multipliers.  Only the dual's bounds
+    p - 1 <= d_i <= p depend on p, so the dataset's one model serves every p,
+    solved cold each time: a basis kept from the previous p would move the
+    coefficients by a few ulp and make them depend on the order of the set.
+    Strong duality gives a certificate; on a mismatch the primal formulation
+    is solved directly instead, for that probability only.
+    """
+    probabilities = [float(p) for p in probabilities]
+    for p in probabilities:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"probability must lie in (0, 1), got {p}")
+    x, y = data.predictors, data.response
+    # dual: max y'd  s.t.  X'd = 0,  p - 1 <= d_i <= p
+    dual, coefficients = _model(-y, *_csc(x), np.zeros(data.k)), {}
+    for p in probabilities:
+        solved = _solve(dual, np.zeros(data.k), np.full(data.n, p - 1.0), np.full(data.n, p))
+        if solved is not None:
+            beta, dual_objective = -solved[1], -solved[2]
+            achieved = float(np.sum(pinball_loss(p, y, x @ beta)))
+            if math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective)):
+                coefficients[p] = beta
+                continue
+        coefficients[p] = _fit_quantile_primal(x, y, p)
     return QuantileFit(coefficients=coefficients)
+
+
+def fit_quantile(data: RegressionDataset, probability: float) -> np.ndarray:
+    """Coefficients minimising the total pinball loss at ``probability``: ``fit_quantile_set`` at one probability."""
+    return fit_quantile_set(data, (probability,)).coefficients[float(probability)]

@@ -122,6 +122,11 @@ class TestRun:
         err = capsys.readouterr().err
         assert "m must be >= 1" in err and "workers must be >= 1" in err
 
+    def test_empty_scheme_list_named(self, tmp_path, capsys):
+        (tmp_path / "none").mkdir()
+        assert main(["run", "--schemes", ",", "--input", str(tmp_path / "none")]) == 1
+        assert "schemes must name at least one scheme" in capsys.readouterr().err
+
     def test_flag_table_matches_parser_and_config(self):
         keys = {f.name for f in fields(ExperimentConfig)}
         assert set(_RUN_FLAGS.values()) <= keys

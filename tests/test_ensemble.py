@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from ensflow import ensemble as ensemble_module
+from ensflow import regress
 from ensflow.calibrate import PosteriorSample
 from ensflow.ensemble import (
     ALL_SCHEMES,
     BASIC_SCHEMES,
     DEFAULT_PROBABILITIES,
+    ERROR_MODEL_KINDS,
     SCHEME_DEFS,
     AuxiliaryQuantiles,
     CombinedPrediction,
     SchemeConfig,
     SisterEnsemble,
+    _fit_one,
     build_sisters,
     combine,
     generate_sisters,
@@ -60,6 +64,16 @@ def small_config(**kw):
     base = dict(m=6, probabilities=(0.05, 0.25, 0.75, 0.95))
     base.update(kw)
     return SchemeConfig(**base)
+
+
+def counted(calls, function):
+    """``function``, recording the arguments of every call in ``calls``."""
+
+    def call(*args):
+        calls.append(args)
+        return function(*args)
+
+    return call
 
 
 class TestProbabilitySet:
@@ -156,6 +170,45 @@ class TestTrainErrorModel:
                 )
             )
             np.testing.assert_array_equal(models.models[i].coefficients, direct.coefficients)
+
+    def test_variant_1_fits_each_distinct_sister_once(self, monkeypatch):
+        # a rejected MCMC move repeats the chain's pair, and with it the sister
+        pairs = posterior(m=4).pairs[[0, 0, 1, 2, 2, 2, 3, 1]]
+        base = generate_sisters(PosteriorSample(pairs=pairs, mode="bayesian-tail"), catchment(), SPLIT)
+        predictions, errors = base.predictions.copy(), base.errors.copy()
+        errors[[0, 1], 0] = 0.0
+        # sister 8 equals sister 0 in value but not byte for byte: -0.0 is its own row
+        predictions, errors = np.vstack([predictions, predictions[0]]), np.vstack([errors, errors[0]])
+        errors[8, 0] = -0.0
+        ensemble = SisterEnsemble(predictions, errors)
+        u, e = ensemble.training_predictions, ensemble.errors
+        distinct = 5  # {0, 1}, {2, 7}, {3, 4, 5}, {6}, {8}
+        for kind in ERROR_MODEL_KINDS:
+            config = small_config(variant=1, error_model=kind, m=9)
+            direct = [_fit_one(kind, u[i], e[i], config.probabilities) for i in range(9)]
+            fits, solves = [], []
+            monkeypatch.setattr(ensemble_module, "_fit_one", counted(fits, ensemble_module._fit_one))
+            monkeypatch.setattr(regress, "_solve", counted(solves, regress._solve))
+            models = train_error_model(ensemble, config)
+            monkeypatch.undo()
+            assert len(fits) == distinct
+            assert len(solves) == (distinct * len(config.probabilities) if kind == "quantile" else 0)
+            assert len(models.models) == 9
+            for model, expected in zip(models.models, direct):
+                if kind == "linear":
+                    assert np.array_equal(model.coefficients, expected.coefficients)
+                    assert model.sigma == expected.sigma
+                else:
+                    assert model.probabilities == expected.probabilities
+                    for p in config.probabilities:
+                        assert np.array_equal(model.coefficients[p], expected.coefficients[p])
+
+    def test_repeated_failing_sister_reported_by_index(self):
+        # the constant-prediction sister repeats; its first index is named
+        pairs = np.array([[400.0, 0.9], [400.0, 0.9], [300.0, 0.0], [300.0, 0.0]])
+        ensemble = generate_sisters(PosteriorSample(pairs=pairs, mode="bayesian-tail"), catchment(), SPLIT)
+        with pytest.raises(RankDeficiencyError, match="sister 2:"):
+            train_error_model(ensemble, small_config(variant=1, error_model="linear", m=4))
 
     def test_variant_2_pools_rows_sister_major(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)

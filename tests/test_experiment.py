@@ -118,6 +118,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="retention"):
             ExperimentConfig(retention="sideways")
 
+    def test_empty_scheme_list_rejected(self):
+        # a run with no scheme would score nothing and say nothing about why
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(schemes=())
+        assert str(excinfo.value).split("; ") == ["schemes must name at least one scheme"]
+
     def test_overrides_applied_before_the_check(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("m = 700\n")

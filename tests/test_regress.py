@@ -219,6 +219,21 @@ class TestQuantileFit:
         fitted = {p: float(np.mean(data.predictors @ fit.coefficients[p])) for p in probs}
         assert fitted[0.1] < fitted[0.9]
 
+    def test_set_does_not_depend_on_probability_order(self):
+        # every probability is solved cold on the dataset's one model, so
+        # neither the order nor the company of the others moves a coefficient
+        rng = np.random.default_rng(79)
+        probs = DEFAULT_PROBABILITIES
+        for n, k in ((96, 2), (144, 3)):
+            data, _ = random_dataset(rng, n=n, k=k)
+            forward = fit_quantile_set(data, probs)
+            reverse = fit_quantile_set(data, probs[::-1])
+            assert reverse.probabilities == probs[::-1]
+            for p in probs:
+                single = fit_quantile_set(data, (p,)).coefficients[p]
+                assert np.array_equal(forward.coefficients[p], reverse.coefficients[p]), (n, p)
+                assert np.array_equal(forward.coefficients[p], single), (n, p)
+
 
 def linprog_primal(x, y, p):
     """The split formulation through scipy's public linprog, as the oracle."""
@@ -261,9 +276,9 @@ class TestDirectHighsMatchesLinprog:
     def test_dual_bit_identical(self):
         rng = np.random.default_rng(61)
         for x, y in self.datasets(rng):
-            data = RegressionDataset(x, y)
+            fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
             for p in DEFAULT_PROBABILITIES:
-                assert np.array_equal(fit_quantile(data, p), linprog_quantile(x, y, p)), (x.shape, p)
+                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (x.shape, p)
 
     def test_pooled_dual_bit_identical(self):
         # scheme 5 pools every sister: 100 sisters x 96 months
@@ -272,9 +287,9 @@ class TestDirectHighsMatchesLinprog:
         x = np.column_stack([np.ones(n), rng.gamma(2.0, 1.0, size=n)])
         x[rng.random(n) < 0.05, 1] = 0.0
         y = x @ [0.3, 0.8] + rng.normal(size=n)
-        data = RegressionDataset(x, y)
+        fit = fit_quantile_set(RegressionDataset(x, y), (0.005, 0.995))
         for p in (0.005, 0.995):
-            assert np.array_equal(fit_quantile(data, p), linprog_quantile(x, y, p)), p
+            assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
 
     def test_primal_bit_identical(self):
         from ensflow.regress import _fit_quantile_primal
@@ -291,35 +306,49 @@ class TestQuantileFallback:
         data, _ = random_dataset(np.random.default_rng(73), n=50, k=2)
         return data
 
-    def patch_first_call(self, monkeypatch, first):
-        """Replace the first LP solve (the dual) by ``first(solved)``; count every call."""
-        original = regress._solve_lp
+    def patch_call(self, monkeypatch, replace, number=1):
+        """Replace the ``number``-th LP solve by ``replace(solved)``; count every call."""
+        original = regress._solve
         calls = []
 
         def solve(*args):
             calls.append(args)
             solved = original(*args)
-            return first(solved) if len(calls) == 1 else solved
+            return replace(solved) if len(calls) == number else solved
 
-        monkeypatch.setattr(regress, "_solve_lp", solve)
+        monkeypatch.setattr(regress, "_solve", solve)
         return calls
 
     def test_unsolved_dual_falls_back_to_primal(self, data, monkeypatch):
         expected = regress._fit_quantile_primal(data.predictors, data.response, 0.3)
-        calls = self.patch_first_call(monkeypatch, lambda solved: None)
+        calls = self.patch_call(monkeypatch, lambda solved: None)
         beta = fit_quantile(data, 0.3)
         assert len(calls) == 2
-        assert calls[1][0].size == data.k + 2 * data.n  # the split formulation
+        assert calls[1][2].size == data.k + 2 * data.n  # the split formulation's columns
         assert np.array_equal(beta, expected)
 
     def test_failed_certificate_falls_back_to_primal(self, data, monkeypatch):
         expected = regress._fit_quantile_primal(data.predictors, data.response, 0.3)
-        calls = self.patch_first_call(monkeypatch, lambda solved: (solved[0], solved[1], solved[2] - 1.0))
+        calls = self.patch_call(monkeypatch, lambda solved: (solved[0], solved[1], solved[2] - 1.0))
         beta = fit_quantile(data, 0.3)
         assert len(calls) == 2
         assert np.array_equal(beta, expected)
 
+    def test_fallback_mid_set_leaves_later_probabilities_alone(self, data, monkeypatch):
+        # the dual of the fifth probability fails; its primal is solved on a
+        # model of its own, and the shared dual model carries on unchanged
+        probs = DEFAULT_PROBABILITIES
+        fresh = {p: fit_quantile(data, p) for p in probs}
+        expected = regress._fit_quantile_primal(data.predictors, data.response, probs[4])
+        calls = self.patch_call(monkeypatch, lambda solved: None, number=5)
+        fit = fit_quantile_set(data, probs)
+        assert len(calls) == len(probs) + 1
+        assert calls[5][2].size == data.k + 2 * data.n  # the primal right after the failed dual
+        assert np.array_equal(fit.coefficients[probs[4]], expected)
+        for p in probs[:4] + probs[5:]:
+            assert np.array_equal(fit.coefficients[p], fresh[p]), p
+
     def test_both_formulations_failing_raises(self, data, monkeypatch):
-        monkeypatch.setattr(regress, "_solve_lp", lambda *args: None)
+        monkeypatch.setattr(regress, "_solve", lambda *args: None)
         with pytest.raises(QuantileFitError, match="p=0.3"):
             fit_quantile(data, 0.3)
