@@ -36,7 +36,7 @@ probabilities = (0.05, 0.25, 0.75, 0.95)
 for kind in ("linear", "quantile"):
     config = SchemeConfig(variant=2, error_model=kind, probabilities=probabilities, m=40)
     models = train_error_model(ensemble, config)
-    eq = predict_error_quantiles(models, ensemble, probabilities)
+    eq = predict_error_quantiles(models, ensemble)
     # conditional error band of sister 0 in its wettest and driest test month
     wet = int(np.argmax(ensemble.test_predictions[0]))
     dry = int(np.argmin(ensemble.test_predictions[0]))

@@ -140,13 +140,6 @@ class Chain:
 class ChainSet:
     chains: tuple[Chain, ...]
 
-    def __len__(self) -> int:
-        return len(self.chains)
-
-    @property
-    def n_iterations(self) -> int:
-        return self.chains[0].params.shape[0]
-
 
 @dataclass(frozen=True)
 class PosteriorSample:
@@ -236,8 +229,6 @@ def _run_single_chain(
     params = np.empty((n, 2))
     lls = np.empty(n)
     accepted = np.zeros(n, dtype=bool)
-    history = np.empty((n + 1, 2))
-    history[0] = current
 
     def posterior(point: np.ndarray) -> float:
         # flat prior on the box: outside it the posterior vanishes
@@ -276,12 +267,11 @@ def _run_single_chain(
                     accepted[t] = True
         params[t] = current
         lls[t] = current_ll
-        history[t + 1] = current
 
         if t + 1 >= _ADAPT_START and (t + 1) % _ADAPT_EVERY == 0:
-            # estimate from the recent half of the history so the wide
+            # estimate from the recent half of the chain so the wide
             # initial transient stops inflating the proposal
-            tail = history[(t + 2) // 2 : t + 2]
+            tail = params[t // 2 : t + 1]
             sample_cov = np.cov(tail.T, ddof=1)
             proposal = _ADAPT_SCALE * sample_cov + np.diag(1e-10 * box.widths**2)
             try:
@@ -317,7 +307,7 @@ def run_chains(objective, config: ChainConfig) -> ChainSet:
 def psrf(chains, discard_fraction: float = 0.5) -> float:
     """Multivariate potential scale reduction factor.
 
-    Accepts a :class:`ChainSet` or a sequence of (n, d) arrays.  The first
+    Takes a sequence of (n, d) arrays, one per chain.  The first
     ``discard_fraction`` of every chain is dropped, then
 
         estimate = sqrt( (n-1)/n + (m+1)/m * lambda_max )
@@ -326,10 +316,7 @@ def psrf(chains, discard_fraction: float = 0.5) -> float:
     between-chain covariance of chain means against the pooled within-chain
     covariance.  Values near 1 indicate the chains agree.
     """
-    if isinstance(chains, ChainSet):
-        arrays = [c.params for c in chains.chains]
-    else:
-        arrays = [np.asarray(c, dtype=float) for c in chains]
+    arrays = [np.asarray(c, dtype=float) for c in chains]
     if len(arrays) < 2:
         raise ValueError(f"need at least 2 chains, got {len(arrays)}")
     if not 0.0 <= discard_fraction < 1.0:
@@ -416,7 +403,7 @@ def calibrate_catchment(
         attempt_config = replace(config, seed=config.seed + 1_000_003 * attempt)
         chain_set = run_chains(objective, attempt_config)
         try:
-            estimate = psrf(chain_set, discard_fraction=0.5)
+            estimate = psrf([c.params for c in chain_set.chains], discard_fraction=0.5)
         except DegenerateChainsError:
             estimate = math.inf
         if best is None or estimate < best[0]:

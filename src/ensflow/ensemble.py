@@ -46,9 +46,8 @@ from .gr2m import simulate_batch
 from .regress import LinearFit, QuantileFit, RegressionDataset, design_matrix, fit_ols, fit_quantile_set
 from .timeseries import MonthlySeries, PeriodPartition
 
-# ten symmetric probabilities; adjacent pairs bound the 99, 97.5, 95, 90
-# and 80 percent central intervals
-DEFAULT_PROBABILITIES = (0.005, 0.0125, 0.025, 0.05, 0.10, 0.90, 0.95, 0.975, 0.9875, 0.995)
+# the bounds alpha/2 and 1 - alpha/2 of every scored central interval
+DEFAULT_PROBABILITIES = tuple(sorted(p for a in INTERVAL_ALPHAS for p in (a / 2, 1 - a / 2)))
 
 ERROR_MODEL_KINDS = ("linear", "quantile")
 
@@ -164,10 +163,11 @@ class SisterEnsemble:
 
 @dataclass(frozen=True)
 class TrainedErrorModels:
-    """Fitted error models: one per sister (variant 1) or a single one (2, 3)."""
+    """Error models fitted at ``probabilities``: one per sister (variant 1) or a single one (2, 3)."""
 
     kind: str
     variant: int
+    probabilities: tuple[float, ...]
     models: tuple
     selected_sister: int | None = None
 
@@ -280,7 +280,7 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
     if config.variant == 2:
         # pool every sister's rows, sister-major order
         model = _fit_one(kind, u.reshape(-1), e.reshape(-1), config.probabilities)
-        return TrainedErrorModels(kind=kind, variant=2, models=(model,))
+        return TrainedErrorModels(kind=kind, variant=2, probabilities=config.probabilities, models=(model,))
     # variant 1 fits every sister, variant 3 the one sister the scheme seed draws
     chosen = None if config.variant == 1 else int(np.random.default_rng(config.seed).integers(ensemble.m))
     # a rejected MCMC move repeats its pair and so its sister: fit each
@@ -294,17 +294,9 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
             except ValueError as exc:
                 raise type(exc)(f"sister {i}: {exc}") from exc
     models = tuple(fits[row] for row in rows.values())
-    return TrainedErrorModels(kind=kind, variant=config.variant, models=models, selected_sister=chosen)
-
-
-def _quantile_coefficients(model: QuantileFit, p: float) -> np.ndarray:
-    try:
-        return model.coefficients[p]
-    except KeyError:
-        key = min(model.coefficients, key=lambda q: abs(q - p))
-        if abs(key - p) > 1e-9:
-            raise ValueError(f"model was not trained at probability {p}") from None
-        return model.coefficients[key]
+    return TrainedErrorModels(
+        kind=kind, variant=config.variant, probabilities=config.probabilities, models=models, selected_sister=chosen
+    )
 
 
 def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray, float]:
@@ -316,20 +308,18 @@ def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray
     if isinstance(model, LinearFit):
         return model.coefficients, model.sigma * ndtri(p)
     if isinstance(model, QuantileFit):
-        return _quantile_coefficients(model, p), 0.0
+        return model.coefficients[p], 0.0
     raise TypeError(f"unsupported error model {type(model).__name__}")
 
 
-def predict_error_quantiles(
-    models: TrainedErrorModels, ensemble: SisterEnsemble, probabilities: tuple[float, ...]
-) -> np.ndarray:
-    """Conditional error quantiles on the test months, shape (m, n_probs, n3).
+def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble) -> np.ndarray:
+    """Error quantiles at the models' probabilities on the test months, shape (m, n_probs, n3).
 
     Every error model is a line in the sister's own prediction u, so the
     quantile at p is  b0 + b1 u (+ sigma z_p for the linear family), computed
     for all sisters at once; variants 2 and 3 broadcast their single model.
     """
-    probs = _check_probabilities(probabilities)
+    probs = models.probabilities
     beta, shift = zip(*(_quantile_line(model, p) for model in models.models for p in probs))
     beta = np.reshape(beta, (len(models.models), len(probs), 2, 1))
     shift = np.reshape(shift, (len(models.models), len(probs), 1))
@@ -349,13 +339,12 @@ def to_auxiliary(
     with a sorted symmetric probability set the flip is a reversal along the
     probability axis.
     """
-    probs = _check_probabilities(probabilities)
     eq = np.asarray(error_quantiles, dtype=float)
-    expected = (ensemble.m, len(probs), ensemble.n3)
+    expected = (ensemble.m, len(probabilities), ensemble.n3)
     if eq.shape != expected:
         raise ValueError(f"error quantiles must have shape {expected}, got {eq.shape}")
     values = ensemble.test_predictions[:, np.newaxis, :] - eq[:, ::-1, :]
-    return AuxiliaryQuantiles(probabilities=probs, values=values)
+    return AuxiliaryQuantiles(probabilities=probabilities, values=values)
 
 
 def combine(aux: AuxiliaryQuantiles) -> CombinedPrediction:
@@ -439,8 +428,7 @@ def run_scheme(
             sisters = build_sisters(sample, series, split, config.m)
         variant, kind = SCHEME_DEFS[scheme_id]
         models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
-        error_quantiles = predict_error_quantiles(models, sisters, config.probabilities)
-        auxiliary = to_auxiliary(sisters, error_quantiles, config.probabilities)
+        auxiliary = to_auxiliary(sisters, predict_error_quantiles(models, sisters), models.probabilities)
         prediction = combine(auxiliary)
     else:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {ALL_SCHEMES}")

@@ -32,7 +32,6 @@ from .calibrate import RETENTION_MODES, CalibrationResult, ChainConfig, Paramete
 from .ensemble import (
     ALL_SCHEMES,
     BASIC_SCHEMES,
-    DEFAULT_PROBABILITIES,
     SchemeConfig,
     SchemeResult,
     build_sisters,
@@ -80,7 +79,6 @@ class ExperimentConfig:
     n3: int = 0  # 0 means: whatever the series leaves over
     schemes: tuple[str, ...] = ALL_SCHEMES
     m: int = 600
-    probabilities: tuple[float, ...] = DEFAULT_PROBABILITIES
     n_chains: int = 3
     n_iterations: int = 2000
     retain_per_chain: int = 200
@@ -133,7 +131,6 @@ class ExperimentConfig:
 def _scheme_config(config: ExperimentConfig, seed: int = 0) -> SchemeConfig:
     return SchemeConfig(
         m=config.m,
-        probabilities=config.probabilities,
         seed=seed,
         include_warmup_in_basic=config.include_warmup_in_basic,
         clamp_nonnegative=config.clamp_nonnegative,
@@ -162,10 +159,7 @@ def _parse_value(name: str, text: str, example):
     if isinstance(example, float):
         return float(text)
     if isinstance(example, tuple):
-        items = [item.strip() for item in text.split(",") if item.strip()]
-        if example and isinstance(example[0], float):
-            return tuple(float(item) for item in items)
-        return tuple(items)
+        return tuple(item.strip() for item in text.split(",") if item.strip())
     return text.strip()
 
 
@@ -205,7 +199,7 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, tuple):
-            text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
+            text = ",".join(value)
         elif isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):

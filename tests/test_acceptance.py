@@ -263,7 +263,7 @@ def test_criterion_08_pipeline_counts_at_full_dimensions():
 
     config = SchemeConfig(variant=2, error_model="linear", m=600)
     models = train_error_model(ensemble, config)
-    eq = predict_error_quantiles(models, ensemble, DEFAULT_PROBABILITIES)
+    eq = predict_error_quantiles(models, ensemble)
     auxiliary = to_auxiliary(ensemble, eq, DEFAULT_PROBABILITIES)
     assert auxiliary.values.shape == (600, 10, 300)
     assert auxiliary.values.shape[0] * auxiliary.values.shape[1] == 6000

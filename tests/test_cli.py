@@ -96,6 +96,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_probability_key_rejected_before_any_catchment(self, tmp_path, capsys):
+        args = self.run_args(tmp_path, make_data(tmp_path))
+        args[args.index("basic-linear,basic-quantile")] = "basic-linear"
+        cfg = tmp_path / "exp.cfg"  # written by run_args
+        cfg.write_text(cfg.read_text() + "probabilities = 0.1, 0.9\n")
+        assert main(args) == 1
+        assert "unknown key 'probabilities'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scheme_rejected(self, tmp_path, capsys):
         data = make_data(tmp_path)
         args = self.run_args(tmp_path, data)

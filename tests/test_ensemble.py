@@ -78,9 +78,8 @@ def counted(calls, function):
 
 class TestProbabilitySet:
     def test_default_set_frozen(self):
-        assert DEFAULT_PROBABILITIES == (
-            0.005, 0.0125, 0.025, 0.05, 0.10, 0.90, 0.95, 0.975, 0.9875, 0.995,
-        )
+        paper = (0.005, 0.0125, 0.025, 0.05, 0.10, 0.90, 0.95, 0.975, 0.9875, 0.995)
+        assert [p.hex() for p in DEFAULT_PROBABILITIES] == [p.hex() for p in paper]
 
     def test_asymmetric_set_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -253,7 +252,7 @@ class TestErrorQuantilesAndAuxiliary:
         ensemble = generate_sisters(posterior(m=2), catchment(), SPLIT)
         config = small_config(variant=2, error_model="linear")
         models = train_error_model(ensemble, config)
-        eq = predict_error_quantiles(models, ensemble, config.probabilities)
+        eq = predict_error_quantiles(models, ensemble)
         assert eq.shape == (2, 4, 18)
         fit = models.models[0]
         x = design_matrix(ensemble.test_predictions[1])
@@ -264,7 +263,7 @@ class TestErrorQuantilesAndAuxiliary:
         ensemble = generate_sisters(posterior(m=3), catchment(), SPLIT)
         config = small_config(variant=1, error_model="quantile", m=3)
         models = train_error_model(ensemble, config)
-        eq = predict_error_quantiles(models, ensemble, config.probabilities)
+        eq = predict_error_quantiles(models, ensemble)
         for i in range(3):
             x = design_matrix(ensemble.test_predictions[i])
             for j, p in enumerate(config.probabilities):
@@ -449,7 +448,7 @@ class TestRunScheme:
         sisters = generate_sisters(sample, series, SPLIT)
         direct_config = small_config(variant=2, error_model="quantile", m=4)
         models = train_error_model(sisters, direct_config)
-        error_quantiles = predict_error_quantiles(models, sisters, direct_config.probabilities)
+        error_quantiles = predict_error_quantiles(models, sisters)
         direct = combine(to_auxiliary(sisters, error_quantiles, direct_config.probabilities))
         assert via_dispatch.scheme == "5"
         np.testing.assert_array_equal(via_dispatch.prediction.quantiles, direct.quantiles)

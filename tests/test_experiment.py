@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,23 +34,46 @@ class TestConfigFile:
         assert load_config(path) == ExperimentConfig()
 
     def test_save_load_round_trip(self, tmp_path):
-        config = ExperimentConfig(
+        # a value for every field, none of them the default; a new field
+        # fails the lookup below until it is given one here
+        changed = dict(
             input_dir="data",
+            output_dir="results",
             catchments=("b", "a"),
+            warmup=6,
             n1=24,
             n2=12,
             n3=12,
             schemes=("1", "basic-linear"),
             m=90,
-            probabilities=(0.1, 0.9),
+            n_chains=4,
+            n_iterations=300,
             retain_per_chain=50,
+            psrf_threshold=1.05,
+            max_restarts=3,
+            retention="informal-head",
+            include_warmup_in_basic=False,
             clamp_nonnegative=True,
+            theta1_min=2.5,
+            theta1_max=2500.0,
+            theta2_min=0.1 + 0.2,  # needs all 17 digits of its repr
             theta2_max=4.5,
+            seed=7,
             workers=2,
         )
+        config = ExperimentConfig(**{f.name: changed[f.name] for f in fields(ExperimentConfig)})
+        defaults = ExperimentConfig()
+        assert all(getattr(config, f.name) != getattr(defaults, f.name) for f in fields(config))
         path = tmp_path / "exp.cfg"
         save_config(config, path)
         assert load_config(path) == config
+
+    def test_probability_set_is_not_a_key(self, tmp_path):
+        # the probabilities are the bounds of the scored intervals, not a setting
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 7\nprobabilities = 0.1, 0.9\n")
+        with pytest.raises(ConfigError, match="line 2: unknown key 'probabilities'"):
+            load_config(path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -219,7 +243,6 @@ def small_run_config(tmp_path, **kw):
         n2=12,
         n3=0,
         schemes=("basic-linear", "basic-quantile"),
-        probabilities=(0.005, 0.0125, 0.025, 0.05, 0.10, 0.90, 0.95, 0.975, 0.9875, 0.995),
     )
     base.update(kw)
     return ExperimentConfig(**base)
