@@ -18,7 +18,6 @@ each chain.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .gr2m import _simulate_flow
-from .timeseries import MonthlySeries, PeriodPartition
+from .timeseries import MonthlySeries, PeriodPartition, write_csv
 
 # proposal-covariance scaling for 2 parameters (Haario-style adaptation)
 _ADAPT_SCALE = 2.38**2 / 2.0
@@ -426,18 +425,9 @@ def calibrate_catchment(
 
 def dump_chains(chain_set: ChainSet, path: str | Path) -> None:
     """Write every chain state to CSV: chain, iteration, theta1, theta2, logL, accepted."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("chain", "iteration", "theta1", "theta2", "logL", "accepted"))
-        for index, chain in enumerate(chain_set.chains):
-            for t in range(chain.params.shape[0]):
-                writer.writerow(
-                    (
-                        index,
-                        t,
-                        repr(float(chain.params[t, 0])),
-                        repr(float(chain.params[t, 1])),
-                        repr(float(chain.log_likelihood[t])),
-                        int(chain.accepted[t]),
-                    )
-                )
+    rows = (
+        (index, t, *chain.params[t], chain.log_likelihood[t], int(chain.accepted[t]))
+        for index, chain in enumerate(chain_set.chains)
+        for t in range(chain.params.shape[0])
+    )
+    write_csv(path, ("chain", "iteration", "theta1", "theta2", "logL", "accepted"), rows)

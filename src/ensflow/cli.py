@@ -22,7 +22,7 @@ from .experiment import (
     load_config,
     run_experiment,
 )
-from .timeseries import load_catchment, validate_series
+from .timeseries import load_catchment
 
 # run flag -> ExperimentConfig key; a flag that is given replaces the config file's value
 _RUN_FLAGS = {
@@ -97,17 +97,8 @@ def _cmd_ingest(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"{cid}: REJECTED ({exc})")
             continue
-        report = validate_series(series)
-        if report.accepted:
-            n_valid += 1
-            print(f"{cid}: ok, {series.n} months from {series.origin[0]}-{series.origin[1]:02d}")
-        else:
-            bad = {
-                name: (r.negatives, r.non_finite)
-                for name, r in report.variables.items()
-                if r.first_bad_index is not None
-            }
-            print(f"{cid}: REJECTED (negatives/non-finite per variable: {bad})")
+        n_valid += 1
+        print(f"{cid}: ok, {series.n} months from {series.origin[0]}-{series.origin[1]:02d}")
     print(f"{n_valid}/{len(wanted)} catchments valid")
     return 0 if n_valid else 2
 

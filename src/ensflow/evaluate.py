@@ -18,13 +18,14 @@ result.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .timeseries import read_csv, write_csv
 
 # central-interval levels 99, 97.5, 95, 90 and 80 percent
 INTERVAL_ALPHAS = (0.01, 0.025, 0.05, 0.10, 0.20)
@@ -211,44 +212,19 @@ METRICS_FIELDS = ("catchment", "scheme", "alpha", "coverage", "width", "score", 
 
 
 def write_metrics_csv(records, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_FIELDS)
-        for r in records:
-            writer.writerow(
-                (
-                    r.catchment,
-                    r.scheme,
-                    repr(float(r.alpha)),
-                    repr(float(r.coverage)),
-                    repr(float(r.width)),
-                    repr(float(r.score)),
-                    int(r.crossings),
-                    repr(float(r.seconds)),
-                )
-            )
+    rows = ((r.catchment, r.scheme, r.alpha, r.coverage, r.width, r.score, r.crossings, r.seconds) for r in records)
+    write_csv(path, METRICS_FIELDS, rows)
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
+    """Read a metrics file; a wrong header, a short or long row or a non-finite number raises ``ValueError``."""
     records: list[MetricsRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != METRICS_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(METRICS_FIELDS)}")
-        for row in reader:
-            records.append(
-                MetricsRecord(
-                    catchment=row[0],
-                    scheme=row[1],
-                    alpha=float(row[2]),
-                    coverage=float(row[3]),
-                    width=float(row[4]),
-                    score=float(row[5]),
-                    crossings=int(row[6]),
-                    seconds=float(row[7]),
-                )
-            )
+    for line, row in enumerate(read_csv(path, METRICS_FIELDS), start=2):
+        numbers = [float(row[i]) for i in (2, 3, 4, 5, 7)]
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{path}:{line}: non-finite number in {','.join(row)}")
+        alpha, coverage, width, score, seconds = numbers
+        records.append(MetricsRecord(row[0], row[1], alpha, coverage, width, score, int(row[6]), seconds))
     return records
 
 

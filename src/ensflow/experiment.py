@@ -16,7 +16,6 @@ results of the remaining ones.
 from __future__ import annotations
 
 import calendar
-import csv
 import datetime as dt
 import json
 import math
@@ -59,7 +58,7 @@ from .timeseries import (
     MonthlySeries,
     load_catchment,
     partition,
-    validate_series,
+    write_csv,
     write_daily_csv,
 )
 
@@ -388,12 +387,9 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
     config, cid = args
     stage = "ingest"
     try:
+        # load_catchment rejects negative, non-finite and overflowing values,
+        # so the series needs no validate_series screening
         series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
-        stage = "validate"
-        report = validate_series(series)
-        if not report.accepted:
-            bad = {name: r.first_bad_index for name, r in report.variables.items() if r.first_bad_index is not None}
-            return CatchmentFailure(cid, stage, f"unusable values at {bad}")
         stage = "partition"
         if config.n3 > 0:
             expected = config.warmup + config.n1 + config.n2 + config.n3
@@ -508,10 +504,39 @@ def _rankings_rows(records: list[MetricsRecord]):
         ranks, average = rank_schemes(table)
         for i, c in enumerate(complete):
             for j, s in enumerate(schemes):
-                rows.append((c, repr(float(alpha)), s, int(ranks[i, j])))
+                rows.append((c, alpha, s, ranks[i, j]))
         for j, s in enumerate(schemes):
-            averages.append((repr(float(alpha)), s, repr(float(average[j]))))
+            averages.append((alpha, s, float(average[j])))
     return rows, averages
+
+
+def _wisdom_rows(wisdom: list[WisdomRow]):
+    """One ``wisdom.csv`` row per record; the member improvements are summarised without their nans."""
+    for row in wisdom:
+        rec = row.record
+        usable = [x for x in rec.improvements if not math.isnan(x)]
+        ri = (min(usable), np.median(usable), max(usable)) if usable else (None, None, None)
+        yield (
+            row.catchment, row.scheme, rec.alpha, rec.ais_out, rec.aais_in, rec.relative_difference,
+            *ri, len(rec.improvements), len(rec.excluded),
+        )
+
+
+def _timing_rows(result: ExperimentResult):
+    """Seconds per (catchment, scheme) as first recorded, then calibration seconds per catchment."""
+    seen = set()
+    for r in result.records:
+        if (r.catchment, r.scheme) not in seen:
+            seen.add((r.catchment, r.scheme))
+            yield r.catchment, r.scheme, r.seconds
+    for cid, cal in sorted(result.calibration.items()):
+        yield cid, "calibration", cal.seconds
+
+
+WISDOM_FIELDS = (
+    "catchment", "scheme", "alpha", "ais_out", "aais_in", "relative_difference",
+    "ri_min", "ri_median", "ri_max", "n_members", "n_excluded",
+)
 
 
 def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
@@ -536,62 +561,9 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
     }
     write_summary_json(summary_doc, out / "summary.json")
 
-    with open(out / "rankings.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("catchment", "alpha", "scheme", "rank"))
-        writer.writerows(rows)
-
-    with open(out / "wisdom.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            (
-                "catchment",
-                "scheme",
-                "alpha",
-                "ais_out",
-                "aais_in",
-                "relative_difference",
-                "ri_min",
-                "ri_median",
-                "ri_max",
-                "n_members",
-                "n_excluded",
-            )
-        )
-        for row in result.wisdom:
-            rec = row.record
-            usable = [x for x in rec.improvements if not math.isnan(x)]
-            writer.writerow(
-                (
-                    row.catchment,
-                    row.scheme,
-                    repr(float(rec.alpha)),
-                    repr(float(rec.ais_out)),
-                    repr(float(rec.aais_in)),
-                    repr(float(rec.relative_difference)),
-                    repr(float(min(usable))) if usable else "",
-                    repr(float(np.median(usable))) if usable else "",
-                    repr(float(max(usable))) if usable else "",
-                    len(rec.improvements),
-                    len(rec.excluded),
-                )
-            )
-
-    with open(out / "timing.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("catchment", "scheme", "seconds"))
-        seen = set()
-        for r in result.records:
-            key = (r.catchment, r.scheme)
-            if key not in seen:
-                seen.add(key)
-                writer.writerow((r.catchment, r.scheme, repr(float(r.seconds))))
-        for cid, cal in sorted(result.calibration.items()):
-            writer.writerow((cid, "calibration", repr(float(cal.seconds))))
-
+    write_csv(out / "rankings.csv", ("catchment", "alpha", "scheme", "rank"), rows)
+    write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
+    write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), _timing_rows(result))
     if result.failures:
-        with open(out / "failures.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("catchment", "stage", "message"))
-            for failure in result.failures:
-                writer.writerow((failure.catchment, failure.stage, failure.message))
+        failure_rows = ((f.catchment, f.stage, f.message) for f in result.failures)
+        write_csv(out / "failures.csv", ("catchment", "stage", "message"), failure_rows)

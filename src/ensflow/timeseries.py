@@ -3,6 +3,8 @@
 Daily records come in as one CSV per catchment with columns
 ``date,precip_mm,pet_mm,flow_mm`` (ISO dates, empty field = missing value).
 Everything downstream of ingestion works on calendar-month totals in mm.
+:func:`write_csv` and :func:`read_csv` hold the CSV format that this file and
+every report file share.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import calendar
 import csv
 import datetime as dt
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,33 +197,50 @@ def validate_series(series: MonthlySeries) -> SeriesReport:
     return SeriesReport(variables=reports, accepted=accepted)
 
 
+def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then ``rows``: the one CSV format of every ensflow file.
+
+    A ``float`` cell (numpy ``float64`` included) is written as
+    ``repr(float(v))``, so it reads back bit for bit, and ``None`` as an empty
+    cell; any other cell is written as :mod:`csv` writes it.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else "" if v is None else v for v in row] for row in rows
+        )
+
+
+def read_csv(path: str | Path, header: tuple[str, ...]) -> Iterator[list[str]]:
+    """Yield the rows of a CSV written by :func:`write_csv`, one list of strings each.
+
+    Raises ``ValueError`` naming the path when the header is not ``header``,
+    and naming ``path:line`` when a row has the wrong number of fields.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = tuple(next(reader, ()))
+        if found != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}, got {','.join(found)}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            yield row
+
+
 def read_daily_csv(path: str | Path) -> list[DailyRecord]:
     """Read one catchment's daily CSV; empty fields become ``None``."""
     records: list[DailyRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}")
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{row_number}: expected 4 fields, got {len(row)}")
-            date = dt.date.fromisoformat(row[0])
-            values = [float(field) if field != "" else None for field in row[1:]]
-            records.append(DailyRecord(date, values[0], values[1], values[2]))
+    for row in read_csv(path, CSV_HEADER):
+        values = [float(field) if field != "" else None for field in row[1:]]
+        records.append(DailyRecord(dt.date.fromisoformat(row[0]), values[0], values[1], values[2]))
     return records
 
 
 def write_daily_csv(path: str | Path, records: list[DailyRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            row = [rec.date.isoformat()] + [
-                "" if v is None else repr(float(v))
-                for v in (rec.precipitation, rec.potential_evaporation, rec.streamflow)
-            ]
-            writer.writerow(row)
+    rows = ((r.date.isoformat(), r.precipitation, r.potential_evaporation, r.streamflow) for r in records)
+    write_csv(path, CSV_HEADER, rows)
 
 
 def infer_span(records: list[DailyRecord]) -> tuple[int, int]:
@@ -243,8 +263,9 @@ def infer_span(records: list[DailyRecord]) -> tuple[int, int]:
 def aggregate_daily_to_monthly(records: list[DailyRecord], span: tuple[int, int]) -> MonthlySeries:
     """Sum daily values to calendar-month totals over ``span`` (inclusive years).
 
-    Every day of every month inside the span must be present with no missing
-    and no negative value; the first violation is reported with its date.
+    Every day of every month inside the span must be present with no missing,
+    negative or non-finite value, and no monthly total may overflow; the first
+    violation is reported with its date or month.
     Uses exactly-rounded summation so monthly totals do not depend on the
     order daily values happen to be stored in.
     """
@@ -279,7 +300,10 @@ def aggregate_daily_to_monthly(records: list[DailyRecord], span: tuple[int, int]
                         raise ValueError(f"bad {name} value {value!r} on {date}")
                     buckets[name].append(value)
             for name in VARIABLES:
-                totals[name][index] = math.fsum(buckets[name])
+                try:
+                    totals[name][index] = math.fsum(buckets[name])
+                except OverflowError:
+                    raise ValueError(f"{name} total overflows in {year}-{month:02d}") from None
             index += 1
     return MonthlySeries(
         origin=(first_year, 1),

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ensflow.calibrate import (
+    Chain,
     ChainConfig,
+    ChainSet,
     DegenerateChainsError,
     DegenerateFitError,
     ParameterBox,
@@ -322,3 +324,30 @@ class TestDumpChains:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == chain_set.chains[0].params[0, 0]
+
+    def test_bytes_pinned(self, tmp_path):
+        chain_set = ChainSet(
+            (
+                Chain(
+                    params=np.array([[400.0, 0.9], [401.5, 0.875]]),
+                    log_likelihood=np.array([-12.5, -12.25]),
+                    accepted=np.array([False, True]),
+                    initial=np.array([400.0, 0.9]),
+                ),
+                Chain(
+                    params=np.array([[1.0 / 3.0, 2.0], [0.1, 1e-05]]),
+                    log_likelihood=np.array([-3.0, -0.5]),
+                    accepted=np.array([True, False]),
+                    initial=np.array([0.5, 2.0]),
+                ),
+            )
+        )
+        path = tmp_path / "chains.csv"
+        dump_chains(chain_set, path)
+        assert path.read_bytes().decode() == (
+            "chain,iteration,theta1,theta2,logL,accepted\r\n"
+            "0,0,400.0,0.9,-12.5,0\r\n"
+            "0,1,401.5,0.875,-12.25,1\r\n"
+            "1,0,0.3333333333333333,2.0,-3.0,1\r\n"
+            "1,1,0.1,1e-05,-0.5,0\r\n"
+        )

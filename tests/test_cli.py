@@ -1,5 +1,6 @@
 """Command-line entry points and exit codes (0 ok, 1 bad config, 2 no data)."""
 
+import datetime as dt
 import json
 
 import pytest
@@ -57,6 +58,16 @@ class TestIngest:
     def test_empty_directory(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["ingest", "--input", str(tmp_path / "empty")]) == 2
+
+    def test_overflowing_month_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [f"{dt.date(1990, 1, 1) + dt.timedelta(days=d)},1.0,1.0,1.0" for d in range(365)]
+        rows[3] = rows[3].replace(",1.0,1.0,1.0", ",1e308,1.0,1.0")
+        rows[4] = rows[4].replace(",1.0,1.0,1.0", ",1e308,1.0,1.0")
+        (data / "huge.csv").write_text("date,precip_mm,pet_mm,flow_mm\n" + "\n".join(rows) + "\n")
+        assert main(["ingest", "--input", str(data)]) == 2
+        assert "huge: REJECTED" in capsys.readouterr().out
 
 
 def small_partition_config(tmp_path):
@@ -178,6 +189,20 @@ class TestReport:
         path = tmp_path / "metrics.csv"
         path.write_text("catchment,scheme,alpha,coverage,width,score,crossings,seconds\n")
         assert main(["report", "--metrics", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "row", ["c1,1,0.05,0.9,1.0,2.0,0", "c1,1,0.05,0.9,1.0,nan,0,1.5"], ids=["truncated", "nan-score"]
+    )
+    def test_malformed_metrics_rejected_before_writing(self, tmp_path, capsys, row):
+        path = tmp_path / "metrics.csv"
+        path.write_text(
+            "catchment,scheme,alpha,coverage,width,score,crossings,seconds\n"
+            f"c0,1,0.05,0.9,1.0,2.0,0,1.5\n{row}\n"
+        )
+        out = tmp_path / "re"
+        assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
+        assert "cannot read metrics" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestArgumentHandling:

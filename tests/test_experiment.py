@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 
 from ensflow import ensemble, experiment
+from ensflow.evaluate import MetricsRecord, WisdomRecord
 from ensflow.experiment import (
+    CalibrationRecord,
+    CatchmentFailure,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
     SyntheticSpec,
+    WisdomRow,
     _catchment_seed,
     discover_catchments,
     generate_synthetic,
@@ -463,3 +468,74 @@ class TestRunExperiment:
     def test_invalid_config_rejected_before_any_work(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(small_run_config(tmp_path, workers=0))
+
+
+def hand_built_result():
+    """Two catchments x two schemes at one level, two wisdom rows, one failure, one calibration."""
+    nan = float("nan")
+    records = [
+        MetricsRecord("c1", "1", 0.05, 0.9375, 12.5, 17.25, 0, 1.5),
+        MetricsRecord("c1", "basic-linear", 0.05, 1.0 / 3.0, 0.1, 20.0, 2, 0.25),
+        MetricsRecord("c2", "1", 0.05, 1.0, 3.0, 4.0, 1, 2.0),
+        MetricsRecord("c2", "basic-linear", 0.05, 0.5, 2.5, 3.5, 0, 0.125),
+    ]
+    wisdom = [
+        WisdomRow("c1", "1", WisdomRecord(0.05, 17.25, 20.0, 0.125, (0.25, nan, 0.5), (1,))),
+        WisdomRow("c2", "1", WisdomRecord(0.2, 4.0, 4.0, 0.0, (nan, nan), (0, 1))),
+    ]
+    failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2')]
+    calibration = {"c1": CalibrationRecord(1.05, True, 0, 2.5)}
+    return ExperimentResult(records, wisdom, failures, calibration, exit_code=0)
+
+
+def crlf(*lines):
+    return "".join(line + "\r\n" for line in lines)
+
+
+class TestReportFiles:
+    def test_csv_bytes_pinned(self, tmp_path):
+        experiment.emit_reports(hand_built_result(), tmp_path)
+        expected = {
+            "metrics.csv": crlf(
+                "catchment,scheme,alpha,coverage,width,score,crossings,seconds",
+                "c1,1,0.05,0.9375,12.5,17.25,0,1.5",
+                "c1,basic-linear,0.05,0.3333333333333333,0.1,20.0,2,0.25",
+                "c2,1,0.05,1.0,3.0,4.0,1,2.0",
+                "c2,basic-linear,0.05,0.5,2.5,3.5,0,0.125",
+            ),
+            "rankings.csv": crlf(
+                "catchment,alpha,scheme,rank",
+                "c1,0.05,1,1",
+                "c1,0.05,basic-linear,2",
+                "c2,0.05,1,2",
+                "c2,0.05,basic-linear,1",
+            ),
+            "wisdom.csv": crlf(
+                "catchment,scheme,alpha,ais_out,aais_in,relative_difference,"
+                "ri_min,ri_median,ri_max,n_members,n_excluded",
+                "c1,1,0.05,17.25,20.0,0.125,0.25,0.375,0.5,3,1",
+                "c2,1,0.2,4.0,4.0,0.0,,,,2,2",
+            ),
+            "timing.csv": crlf(
+                "catchment,scheme,seconds",
+                "c1,1,1.5",
+                "c1,basic-linear,0.25",
+                "c2,1,2.0",
+                "c2,basic-linear,0.125",
+                "c1,calibration,2.5",
+            ),
+            "failures.csv": crlf(
+                "catchment,stage,message",
+                'c3,ingest,"ValueError: bad ""x"", at 2"',
+            ),
+        }
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes().decode() == text, name
+
+    def test_average_ranks_are_json_numbers(self, tmp_path):
+        experiment.emit_reports(hand_built_result(), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["average_ranks"] == [
+            {"alpha": 0.05, "scheme": "1", "rank": 1.5},
+            {"alpha": 0.05, "scheme": "basic-linear", "rank": 1.5},
+        ]

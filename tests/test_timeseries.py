@@ -214,9 +214,17 @@ class TestAggregation:
             aggregate_daily_to_monthly(records, (1990, 1990))
 
     def test_negative_value_rejected(self):
+        # with the overflow case, every monthly total that passes is finite and
+        # non-negative, so a loaded series always passes validate_series
+        for bad in (-1.0, math.nan, math.inf):
+            records = daily_year(1990)
+            records[0] = DailyRecord(records[0].date, bad, 1.0, 1.0)
+            with pytest.raises(ValueError, match="bad precipitation"):
+                aggregate_daily_to_monthly(records, (1990, 1990))
         records = daily_year(1990)
-        records[0] = DailyRecord(records[0].date, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="bad precipitation"):
+        for i in (40, 41):
+            records[i] = DailyRecord(records[i].date, 1.0, 1.0, 1e308)
+        with pytest.raises(ValueError, match="streamflow total overflows in 1990-02"):
             aggregate_daily_to_monthly(records, (1990, 1990))
 
     def test_unordered_dates_rejected(self):
