@@ -318,7 +318,12 @@ def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble
     Every error model is a line in the sister's own prediction u, so the
     quantile at p is  b0 + b1 u (+ sigma z_p for the linear family), computed
     for all sisters at once; variants 2 and 3 broadcast their single model.
+    The result is one (m, n_probs, n3) array, 14.4 MB at paper dimensions
+    (600, 10, 300): the pipeline asks for one probability at a time (see
+    ``to_auxiliary``) and only inspection asks for them all.
     """
+    if len(models.models) not in (1, ensemble.m):
+        raise ValueError(f"{len(models.models)} error models do not match {ensemble.m} sisters")
     probs = models.probabilities
     beta, shift = zip(*(_quantile_line(model, p) for model in models.models for p in probs))
     beta = np.reshape(beta, (len(models.models), len(probs), 2, 1))
@@ -330,21 +335,21 @@ def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble
     return out
 
 
-def to_auxiliary(
-    ensemble: SisterEnsemble, error_quantiles: np.ndarray, probabilities: tuple[float, ...]
-) -> AuxiliaryQuantiles:
-    """Subtract error quantiles from the sister prediction, flipping labels.
+def to_auxiliary(ensemble: SisterEnsemble, models: TrainedErrorModels) -> AuxiliaryQuantiles:
+    """Steps 4-5: subtract the error quantiles from the sister prediction, flipping labels.
 
     aux quantile at probability p = prediction - error quantile at 1 - p;
     with a sorted symmetric probability set the flip is a reversal along the
-    probability axis.
+    probability axis.  Each probability's (m, n3) error quantiles go straight
+    into their flipped slot, so the result is the only (m, n_probs, n3) array
+    a scheme holds: 14.4 MB at paper dimensions (600, 10, 300).
     """
-    eq = np.asarray(error_quantiles, dtype=float)
-    expected = (ensemble.m, len(probabilities), ensemble.n3)
-    if eq.shape != expected:
-        raise ValueError(f"error quantiles must have shape {expected}, got {eq.shape}")
-    values = ensemble.test_predictions[:, np.newaxis, :] - eq[:, ::-1, :]
-    return AuxiliaryQuantiles(probabilities=probabilities, values=values)
+    probs = models.probabilities
+    values = np.empty((ensemble.m, len(probs), ensemble.n3))
+    for i, p in enumerate(probs):
+        error_quantile = predict_error_quantiles(replace(models, probabilities=(p,)), ensemble)
+        np.subtract(ensemble.test_predictions, error_quantile[:, 0, :], out=values[:, -1 - i, :])
+    return AuxiliaryQuantiles(probabilities=probs, values=values)
 
 
 def combine(aux: AuxiliaryQuantiles) -> CombinedPrediction:
@@ -406,7 +411,9 @@ def run_scheme(
     Numbered schemes override the config's variant and regression family
     (that is what the number means) and run steps 3-6 on ``sisters``; when
     no sisters are given they are built from the head of ``sample`` first,
-    and that simulation then counts towards the elapsed time.
+    and that simulation then counts towards the elapsed time.  A numbered
+    scheme allocates one (m, n_probs, n3) array, the auxiliary quantiles the
+    result keeps: 14.4 MB at paper dimensions (600, 10, 300).
     """
     scheme_id = str(scheme)
     if config is None:
@@ -428,7 +435,7 @@ def run_scheme(
             sisters = build_sisters(sample, series, split, config.m)
         variant, kind = SCHEME_DEFS[scheme_id]
         models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
-        auxiliary = to_auxiliary(sisters, predict_error_quantiles(models, sisters), models.probabilities)
+        auxiliary = to_auxiliary(sisters, models)
         prediction = combine(auxiliary)
     else:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {ALL_SCHEMES}")

@@ -154,28 +154,16 @@ def wisdom_metrics(member_lowers, member_uppers, combined: IntervalPrediction, o
     y = _check_observations(combined, observed)
 
     ais_out = average_interval_score(combined, y)
+    # one row's plain floats at a time: fsum over numpy scalars is slower, and a whole-array list is large
     member_scores = [
-        math.fsum(row) / combined.n for row in _interval_scores(combined.alpha, lowers, uppers, y)
+        math.fsum(row.tolist()) / combined.n for row in _interval_scores(combined.alpha, lowers, uppers, y)
     ]
     aais_in = math.fsum(member_scores) / len(member_scores)
-
-    improvements = []
-    excluded = []
-    for i, score in enumerate(member_scores):
-        if score == 0.0:
-            improvements.append(float("nan"))
-            excluded.append(i)
-        else:
-            improvements.append((score - ais_out) / score)
+    # a member scoring exactly zero has no relative improvement
+    improvements = tuple(float("nan") if score == 0.0 else (score - ais_out) / score for score in member_scores)
+    excluded = tuple(i for i, score in enumerate(member_scores) if score == 0.0)
     relative_difference = 0.0 if aais_in == 0.0 else (aais_in - ais_out) / aais_in
-    return WisdomRecord(
-        alpha=combined.alpha,
-        ais_out=ais_out,
-        aais_in=aais_in,
-        relative_difference=relative_difference,
-        improvements=tuple(improvements),
-        excluded=tuple(excluded),
-    )
+    return WisdomRecord(combined.alpha, ais_out, aais_in, relative_difference, improvements, excluded)
 
 
 def rank_schemes(ais_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,16 +204,17 @@ def write_metrics_csv(records, path: str | Path) -> None:
     write_csv(path, METRICS_FIELDS, rows)
 
 
+def _metrics_record(row: list[str]) -> MetricsRecord:
+    numbers = [float(row[i]) for i in (2, 3, 4, 5, 7)]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"non-finite number in {','.join(row)}")
+    alpha, coverage, width, score, seconds = numbers
+    return MetricsRecord(row[0], row[1], alpha, coverage, width, score, int(row[6]), seconds)
+
+
 def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
-    """Read a metrics file; a wrong header, a short or long row or a non-finite number raises ``ValueError``."""
-    records: list[MetricsRecord] = []
-    for line, row in enumerate(read_csv(path, METRICS_FIELDS), start=2):
-        numbers = [float(row[i]) for i in (2, 3, 4, 5, 7)]
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"{path}:{line}: non-finite number in {','.join(row)}")
-        alpha, coverage, width, score, seconds = numbers
-        records.append(MetricsRecord(row[0], row[1], alpha, coverage, width, score, int(row[6]), seconds))
-    return records
+    """Read a metrics file; a wrong header, a bad row or a non-finite number raises ``ValueError``."""
+    return list(read_csv(path, METRICS_FIELDS, _metrics_record))
 
 
 def _level_label(alpha: float) -> str:

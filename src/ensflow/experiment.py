@@ -378,6 +378,28 @@ def discover_catchments(config: ExperimentConfig) -> list[str]:
     return sorted(p.stem for p in Path(config.input_dir).glob("*.csv"))
 
 
+def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test):
+    """Run one scheme and score its five levels: (metrics records, wisdom rows).
+
+    The scheme's auxiliary quantiles, and the member bounds that view them,
+    live only in this call, so they are freed before the next scheme runs.
+    """
+    result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
+    records: list[MetricsRecord] = []
+    wisdom_rows: list[WisdomRow] = []
+    for alpha, pred in intervals_from_prediction(result.prediction, INTERVAL_ALPHAS).items():
+        records.append(
+            MetricsRecord(
+                cid, result.scheme, alpha, coverage_probability(pred, observed_test), average_width(pred),
+                average_interval_score(pred, observed_test), crossing_count(pred), result.elapsed_seconds,
+            )
+        )
+        if result.auxiliary is not None:
+            lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
+            wisdom_rows.append(WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test)))
+    return records, wisdom_rows
+
+
 def _process_catchment(args: tuple[ExperimentConfig, str]):
     """Everything for one catchment; returns rows or a failure record.
 
@@ -413,27 +435,9 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
         wisdom_rows: list[WisdomRow] = []
         for scheme in config.schemes:
             stage = f"scheme {scheme}"
-            result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
-            intervals = intervals_from_prediction(result.prediction, INTERVAL_ALPHAS)
-            for alpha in INTERVAL_ALPHAS:
-                pred = intervals[alpha]
-                records.append(
-                    MetricsRecord(
-                        catchment=cid,
-                        scheme=result.scheme,
-                        alpha=alpha,
-                        coverage=coverage_probability(pred, observed_test),
-                        width=average_width(pred),
-                        score=average_interval_score(pred, observed_test),
-                        crossings=crossing_count(pred),
-                        seconds=result.elapsed_seconds,
-                    )
-                )
-                if result.auxiliary is not None:
-                    lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
-                    wisdom_rows.append(
-                        WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test))
-                    )
+            scored = _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test)
+            records += scored[0]
+            wisdom_rows += scored[1]
     except Exception as exc:
         return CatchmentFailure(cid, stage, f"{type(exc).__name__}: {exc}")
     cal_info = CalibrationRecord(float("nan"), True, 0, 0.0)

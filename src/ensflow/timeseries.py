@@ -13,7 +13,7 @@ import calendar
 import csv
 import datetime as dt
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,11 +212,12 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence
         )
 
 
-def read_csv(path: str | Path, header: tuple[str, ...]) -> Iterator[list[str]]:
-    """Yield the rows of a CSV written by :func:`write_csv`, one list of strings each.
+def read_csv(path: str | Path, header: tuple[str, ...], parse: Callable[[list[str]], object]) -> Iterator:
+    """Yield ``parse(row)`` for each row of a CSV written by :func:`write_csv`.
 
     Raises ``ValueError`` naming the path when the header is not ``header``,
-    and naming ``path:line`` when a row has the wrong number of fields.
+    and naming ``path:line`` when a row has the wrong number of fields or
+    ``parse`` raises ``ValueError`` on it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -226,16 +227,21 @@ def read_csv(path: str | Path, header: tuple[str, ...]) -> Iterator[list[str]]:
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            yield row
+            try:
+                parsed = parse(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            yield parsed
+
+
+def _daily_record(row: list[str]) -> DailyRecord:
+    values = [float(field) if field != "" else None for field in row[1:]]
+    return DailyRecord(dt.date.fromisoformat(row[0]), values[0], values[1], values[2])
 
 
 def read_daily_csv(path: str | Path) -> list[DailyRecord]:
     """Read one catchment's daily CSV; empty fields become ``None``."""
-    records: list[DailyRecord] = []
-    for row in read_csv(path, CSV_HEADER):
-        values = [float(field) if field != "" else None for field in row[1:]]
-        records.append(DailyRecord(dt.date.fromisoformat(row[0]), values[0], values[1], values[2]))
-    return records
+    return list(read_csv(path, CSV_HEADER, _daily_record))
 
 
 def write_daily_csv(path: str | Path, records: list[DailyRecord]) -> None:

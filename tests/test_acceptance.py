@@ -14,13 +14,11 @@ import pytest
 from ensflow.calibrate import ChainConfig, PosteriorSample, calibrate_catchment, psrf
 from ensflow.cli import main
 from ensflow.ensemble import (
-    DEFAULT_PROBABILITIES,
     SchemeConfig,
     combine,
     generate_sisters,
     intervals_from_prediction,
     member_interval_bounds,
-    predict_error_quantiles,
     run_scheme,
     to_auxiliary,
     train_error_model,
@@ -263,8 +261,7 @@ def test_criterion_08_pipeline_counts_at_full_dimensions():
 
     config = SchemeConfig(variant=2, error_model="linear", m=600)
     models = train_error_model(ensemble, config)
-    eq = predict_error_quantiles(models, ensemble)
-    auxiliary = to_auxiliary(ensemble, eq, DEFAULT_PROBABILITIES)
+    auxiliary = to_auxiliary(ensemble, models)
     assert auxiliary.values.shape == (600, 10, 300)
     assert auxiliary.values.shape[0] * auxiliary.values.shape[1] == 6000
 

@@ -69,6 +69,14 @@ class TestIngest:
         assert main(["ingest", "--input", str(data)]) == 2
         assert "huge: REJECTED" in capsys.readouterr().out
 
+    def test_unparsable_date_rejected_with_its_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "c1.csv").write_text("date,precip_mm,pet_mm,flow_mm\n1990-12-31,1,1,1\n1990-13-01,1,1,1\n")
+        assert main(["ingest", "--input", str(data)]) == 2
+        out = capsys.readouterr().out
+        assert "c1: REJECTED" in out and "c1.csv:3: month must be in 1..12" in out
+
 
 def small_partition_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
@@ -202,6 +210,15 @@ class TestReport:
         out = tmp_path / "re"
         assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
         assert "cannot read metrics" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_cell_named_by_its_line(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        path.write_text("catchment,scheme,alpha,coverage,width,score,crossings,seconds\nc0,1,0.05,0.9,abc,2.0,0,1.5\n")
+        out = tmp_path / "re"
+        assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read metrics" in err and "metrics.csv:2: could not convert string to float: 'abc'" in err
         assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Sister generation, error models, auxiliary quantiles and scheme dispatch."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ensflow.ensemble import (
     CombinedPrediction,
     SchemeConfig,
     SisterEnsemble,
+    TrainedErrorModels,
     _fit_one,
     build_sisters,
     combine,
@@ -28,8 +31,11 @@ from ensflow.ensemble import (
     to_auxiliary,
     train_error_model,
 )
+from ensflow.experiment import SyntheticSpec, synthesize_monthly
 from ensflow.gr2m import Gr2mParams, simulate
 from ensflow.regress import (
+    LinearFit,
+    QuantileFit,
     RankDeficiencyError,
     RegressionDataset,
     design_matrix,
@@ -275,11 +281,13 @@ class TestErrorQuantilesAndAuxiliary:
         predictions = np.array([[10.0, 20.0, 30.0]])
         errors = np.array([[0.0, 1.0]])
         ensemble = SisterEnsemble(np.hstack([errors, predictions]), errors)
-        eq = np.arange(12.0).reshape(1, 4, 3)
-        aux = to_auxiliary(ensemble, eq, probs)
-        np.testing.assert_array_equal(aux.values[0, 0], predictions[0] - eq[0, 3])
-        np.testing.assert_array_equal(aux.values[0, 1], predictions[0] - eq[0, 2])
-        np.testing.assert_array_equal(aux.values[0, 3], predictions[0] - eq[0, 0])
+        # the error quantile at probs[j] is j + u / 4: distinct at every level and exact
+        fit = QuantileFit({p: np.array([float(j), 0.25]) for j, p in enumerate(probs)})
+        aux = to_auxiliary(ensemble, TrainedErrorModels("quantile", 2, probs, (fit,)))
+        assert aux.values.shape == (1, 4, 3)
+        assert aux.probabilities == probs
+        for j in range(4):
+            np.testing.assert_array_equal(aux.values[0, j], predictions[0] - (3 - j + predictions[0] / 4))
 
     def test_antisymmetric_errors_center_on_prediction(self):
         # when error quantiles satisfy eq(p) = -eq(1 - p) the auxiliary
@@ -289,15 +297,31 @@ class TestErrorQuantilesAndAuxiliary:
         errors = np.array([[0.0, 1.0, 2.0]])
         ensemble = SisterEnsemble(np.hstack([errors, predictions]), errors)
         c = 1.25
-        eq = np.array([[[-c, -c], [c, c]]])
-        aux = to_auxiliary(ensemble, eq, probs)
+        fit = QuantileFit({0.1: np.array([-c, 0.0]), 0.9: np.array([c, 0.0])})
+        aux = to_auxiliary(ensemble, TrainedErrorModels("quantile", 2, probs, (fit,)))
         np.testing.assert_allclose(aux.values[0, 0], predictions[0] - c)
         np.testing.assert_allclose(aux.values[0, 1], predictions[0] + c)
 
     def test_shape_validation(self):
-        ensemble = SisterEnsemble(np.zeros((2, 6)), np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="shape"):
-            to_auxiliary(ensemble, np.zeros((2, 3, 2)), (0.1, 0.9))
+        # per-sister models fitted on three sisters cannot serve two
+        ensemble = generate_sisters(posterior(m=2), catchment(), SPLIT)
+        fit = LinearFit(np.array([0.0, 1.0]), 1.0)
+        models = TrainedErrorModels("linear", 1, (0.1, 0.9), (fit, fit, fit))
+        with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
+            to_auxiliary(ensemble, models)
+        with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
+            predict_error_quantiles(models, ensemble)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_DEFS))
+    def test_auxiliary_equals_whole_array_formula(self, scheme):
+        # one probability at a time into one buffer gives the very bits of the
+        # (m, n_probs, n3) subtraction with its probability axis reversed
+        variant, kind = SCHEME_DEFS[scheme]
+        sisters = generate_sisters(posterior(m=5, seed=2), catchment(), SPLIT)
+        models = train_error_model(sisters, small_config(variant=variant, error_model=kind, m=5))
+        u = sisters.test_predictions
+        expected = u[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
+        assert np.array_equal(to_auxiliary(sisters, models).values, expected)
 
     def test_combine_is_sister_mean(self):
         values = np.stack([np.full((2, 3), 1.0), np.full((2, 3), 3.0)])
@@ -437,6 +461,24 @@ class TestRunEnsembleScheme:
         shared = run_scheme("1", series, SPLIT, small_config(m=3), sisters=sisters)
         np.testing.assert_array_equal(shared.auxiliary.values, result.auxiliary.values)
 
+    @pytest.mark.parametrize("scheme", ["1", "5"])  # one per-sister and one pooled scheme
+    def test_one_auxiliary_sized_array_per_scheme(self, scheme):
+        # steps 4-5 write into the one (m, n_probs, n3) buffer the result keeps;
+        # a second array that size (whole error quantiles first) would read 2x.
+        # The buffer is large beside numpy's per-call iteration buffers (<= 64 kB each)
+        series, _ = synthesize_monthly(SyntheticSpec(n_months=120, seed=12))
+        split = partition(120, 6, 6, 6)  # n3 = 102
+        sisters = build_sisters(posterior(m=200, seed=11), series, split, 200)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            result = run_scheme(scheme, series, split, SchemeConfig(m=200), sisters=sisters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.auxiliary.values.shape == (200, 10, 102)
+        assert peak - baseline < 1.5 * result.auxiliary.values.nbytes
+
 
 class TestRunScheme:
     def test_numbered_scheme_overrides_config(self):
@@ -448,8 +490,7 @@ class TestRunScheme:
         sisters = generate_sisters(sample, series, SPLIT)
         direct_config = small_config(variant=2, error_model="quantile", m=4)
         models = train_error_model(sisters, direct_config)
-        error_quantiles = predict_error_quantiles(models, sisters)
-        direct = combine(to_auxiliary(sisters, error_quantiles, direct_config.probabilities))
+        direct = combine(to_auxiliary(sisters, models))
         assert via_dispatch.scheme == "5"
         np.testing.assert_array_equal(via_dispatch.prediction.quantiles, direct.quantiles)
         assert via_dispatch.auxiliary is not None

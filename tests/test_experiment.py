@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import time
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -313,6 +314,29 @@ class TestRunExperiment:
         assert not result.failures
         assert calls == [40, 40]
         assert len(result.wisdom) == 2 * 3 * 5
+
+    def test_each_scheme_frees_its_auxiliary_before_the_next_runs(self, tmp_path, monkeypatch):
+        # a worker holds at most one (m, n_probs, n3) array: when a scheme
+        # starts, no earlier scheme's auxiliary quantiles are alive
+        arrays = []
+        alive_at_start = []
+        original = experiment.run_scheme
+
+        def tracking(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in arrays])
+            result = original(*args, **kwargs)
+            arrays.append(weakref.ref(result.auxiliary.values))
+            return result
+
+        monkeypatch.setattr(experiment, "run_scheme", tracking)
+        write_catchments(tmp_path, ["north"])
+        config = small_run_config(
+            tmp_path, schemes=("1", "2"), m=20, n_iterations=150, retain_per_chain=20, max_restarts=0
+        )
+        outcome = experiment._process_catchment((config, "north"))
+        assert not isinstance(outcome, CatchmentFailure)
+        assert alive_at_start == [[], [False]]
+        assert [ref() for ref in arrays] == [None, None]
 
     def test_rerun_is_reproducible(self, tmp_path):
         write_catchments(tmp_path, ["north"])

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,13 @@ class TestDailyCsv:
         path = tmp_path / "bad.csv"
         path.write_text("date,precip_mm,pet_mm,flow_mm\n2000-01-01,1,1\n")
         with pytest.raises(ValueError, match="expected 4 fields"):
+            read_daily_csv(path)
+
+    @pytest.mark.parametrize("row", ["2000-01-02,1,x,1", "2000-02-30,1,1,1"], ids=["number", "date"])
+    def test_bad_row_named_by_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"date,precip_mm,pet_mm,flow_mm\n2000-01-01,1,1,1\n{row}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: ")):
             read_daily_csv(path)
 
     def test_values_survive_exactly(self, tmp_path):
