@@ -1,5 +1,6 @@
 """Configuration files, synthetic catchments and end-to-end batch runs."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -223,6 +224,39 @@ class TestSyntheticCatchments:
         meta = json.loads(meta_path.read_text())
         assert meta["theta1"] == spec.theta1
         np.testing.assert_allclose(meta["truth_monthly_flow"], truth, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, rows, csv_sha, meta_sha",
+        [
+            pytest.param(
+                SyntheticSpec(n_months=24, seed=3, start_year=1899), 730,
+                "8f27336f230df8c4e6a1715d42020451c7b4e7a0b0060bf96acbb4808c094040",
+                "208657f79af6f8135195bc163a4b4bb0c1d46522dbd359a9b49d434f0ec7ae2d",
+                id="non-leap-1900",
+            ),
+            pytest.param(
+                SyntheticSpec(n_months=24, seed=4, start_year=1999), 731,
+                "a4deb632bd85860a18ca4dd6d3f597785f7d038d4a39ffea8414628bc1ae4a7c",
+                "0d48bdfc3c5f777fddf31cc2fedae2b84a70d26345edce81f4366336c040b652",
+                id="leap-2000",
+            ),
+            pytest.param(
+                # theta2 = 0 and no flow noise: every flow is 0.0, and the last day's clamp sees 0.0
+                SyntheticSpec(n_months=13, seed=5, theta2=0.0, flow_noise_floor=0.0), 396,
+                "981e9b2236e7571bae4d31fd278ed9dfb6540d6fb495777fa625c0157c5b28da",
+                "83c0bb78ddd0bafb76c1d54d94e27528d9bd2f2cbef33dee2bd2a819f68145b8",
+                id="closed-outlet",
+            ),
+        ],
+    )
+    def test_written_files_pinned(self, tmp_path, spec, rows, csv_sha, meta_sha):
+        csv_path, meta_path = generate_synthetic(spec, tmp_path, "pinned")
+        lines = csv_path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"date,precip_mm,pet_mm,flow_mm" and lines[-1] == b"" and len(lines) == rows + 2
+        dates = [line.split(b",", 1)[0] for line in lines[1:-1]]
+        assert (b"1900-02-29" in dates, b"2000-02-29" in dates) == (False, spec.start_year == 1999)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(meta_path.read_bytes()).hexdigest() == meta_sha
 
 
 class TestCatchmentSeeds:
