@@ -72,6 +72,7 @@ from .gr2m import (
     default_initial_state,
     simulate,
     simulate_batch,
+    simulate_flow,
     step,
 )
 from .regress import (

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .gr2m import _simulate_flow
+from .gr2m import simulate_flow
 from .timeseries import MonthlySeries, PeriodPartition, write_csv
 
 # proposal-covariance scaling for 2 parameters (Haario-style adaptation)
@@ -359,7 +359,7 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     observed = np.asarray(series.streamflow, dtype=float)[split.t1]
 
     def objective(theta1: float, theta2: float) -> float:
-        predicted = _simulate_flow(theta1, theta2, p, e, split.warmup, split.n1)
+        predicted = simulate_flow(theta1, theta2, p, e, split.warmup, split.n1)
         return log_likelihood(observed, predicted)
 
     return objective

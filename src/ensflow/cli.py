@@ -108,15 +108,15 @@ def _cmd_synth(args) -> int:
         print("count and months must be >= 1", file=sys.stderr)
         return 1
     for index in range(args.count):
-        spec = SyntheticSpec(
-            theta1=args.theta1,
-            theta2=args.theta2,
-            n_months=args.months,
-            seed=args.seed + index,
-            flow_noise_ratio=args.noise_ratio,
-            flow_noise_floor=args.noise_floor,
-        )
-        csv_path, meta_path = generate_synthetic(spec, args.out, f"synth{index:03d}")
+        try:
+            spec = SyntheticSpec(
+                theta1=args.theta1, theta2=args.theta2, n_months=args.months, seed=args.seed + index,
+                flow_noise_ratio=args.noise_ratio, flow_noise_floor=args.noise_floor,
+            )
+            csv_path, meta_path = generate_synthetic(spec, args.out, f"synth{index:03d}")
+        except ValueError as exc:
+            print(f"synth{index:03d}: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {csv_path} (+ {meta_path.name})")
     return 0
 

@@ -62,6 +62,7 @@ SCHEME_DEFS = {
 }
 BASIC_SCHEMES = ("basic-linear", "basic-quantile")
 ALL_SCHEMES = BASIC_SCHEMES + tuple(SCHEME_DEFS)
+QUANTILE_SCHEMES = ("basic-quantile", *(scheme for scheme, (_, kind) in SCHEME_DEFS.items() if kind == "quantile"))
 
 
 def _check_probabilities(probabilities: tuple[float, ...]) -> tuple[float, ...]:

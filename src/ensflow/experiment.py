@@ -21,6 +21,7 @@ import json
 import math
 import zlib
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -29,14 +30,8 @@ import numpy as np
 
 from .calibrate import RETENTION_MODES, CalibrationResult, ChainConfig, ParameterBox, calibrate_catchment
 from .ensemble import (
-    ALL_SCHEMES,
-    BASIC_SCHEMES,
-    SchemeConfig,
-    SchemeResult,
-    build_sisters,
-    intervals_from_prediction,
-    member_interval_bounds,
-    run_scheme,
+    ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, SchemeResult, build_sisters,
+    intervals_from_prediction, member_interval_bounds, run_scheme,
 )
 from .evaluate import (
     INTERVAL_ALPHAS,
@@ -52,15 +47,9 @@ from .evaluate import (
     write_metrics_csv,
     write_summary_json,
 )
-from .gr2m import _simulate_flow
-from .timeseries import (
-    DailyRecord,
-    MonthlySeries,
-    load_catchment,
-    partition,
-    write_csv,
-    write_daily_csv,
-)
+from .gr2m import simulate_flow
+from .regress import load_solver
+from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, float_cell, load_catchment, partition, write_csv
 
 
 class ConfigError(ValueError):
@@ -262,7 +251,7 @@ def synthesize_monthly(spec: SyntheticSpec) -> tuple[MonthlySeries, np.ndarray]:
     )
     precip = spec.precip_mean * (1.0 + spec.precip_amplitude * np.sin(phase)) * wobble()
     pet = spec.pet_mean * (1.0 + spec.pet_amplitude * np.sin(phase + np.pi)) * wobble()
-    truth = _simulate_flow(spec.theta1, spec.theta2, precip, pet, 0, spec.n_months)
+    truth = simulate_flow(spec.theta1, spec.theta2, precip, pet, 0, spec.n_months)
     sd = spec.flow_noise_ratio * truth + spec.flow_noise_floor
     observed = np.maximum(truth + sd * rng.standard_normal(spec.n_months), 0.0)
     series = MonthlySeries(
@@ -274,46 +263,42 @@ def synthesize_monthly(spec: SyntheticSpec) -> tuple[MonthlySeries, np.ndarray]:
     return series, truth
 
 
-def _monthly_to_daily(series: MonthlySeries) -> list[DailyRecord]:
-    """Spread each monthly total uniformly over its days.
+def _daily_rows(series: MonthlySeries):
+    """Daily CSV rows: each monthly total spread uniformly over its days, the repeated value formatted once.
 
     The last day takes the closure residual so the daily values sum back to
     the monthly total as closely as floating point allows.
     """
-    records: list[DailyRecord] = []
     year, month = series.origin
+    columns = [getattr(series, name).tolist() for name in VARIABLES]
     for t in range(series.n):
         days = calendar.monthrange(year, month)[1]
-        values = {}
-        for name in ("precipitation", "potential_evaporation", "streamflow"):
-            total = float(getattr(series, name)[t])
-            per_day = total / days
-            last = total - math.fsum([per_day] * (days - 1))
-            values[name] = [per_day] * (days - 1) + [max(last, 0.0)]
-        for day in range(1, days + 1):
-            records.append(
-                DailyRecord(
-                    date=dt.date(year, month, day),
-                    precipitation=values["precipitation"][day - 1],
-                    potential_evaporation=values["potential_evaporation"][day - 1],
-                    streamflow=values["streamflow"][day - 1],
-                )
-            )
-        month += 1
-        if month == 13:
-            year, month = year + 1, 1
-    return records
+        prefix = dt.date(year, month, 1).isoformat()[:-2]
+        per_day, last_day = [], []
+        for values in columns:
+            daily = values[t] / days
+            per_day.append(float_cell(daily))
+            last_day.append(float_cell(max(values[t] - math.fsum([daily] * (days - 1)), 0.0)))
+        for day in range(1, days):
+            yield (f"{prefix}{day:02d}", *per_day)
+        yield (f"{prefix}{days}", *last_day)
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
 
 
 def generate_synthetic(
     spec: SyntheticSpec, out_dir: str | Path, catchment_id: str = "synthetic"
 ) -> tuple[Path, Path]:
-    """Write one synthetic catchment: a daily CSV plus a truth sidecar JSON."""
+    """Write one synthetic catchment's daily CSV and truth sidecar JSON; a non-finite value raises first."""
+    series, truth = synthesize_monthly(spec)
+    for name, values in [(name, getattr(series, name)) for name in VARIABLES] + [("truth flow", truth)]:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            when = f"{spec.start_year + bad[0] // 12}-{bad[0] % 12 + 1:02d}"
+            raise ValueError(f"{name} is not finite in month {bad[0] + 1} ({when}), the first of {bad.size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series, truth = synthesize_monthly(spec)
     csv_path = out / f"{catchment_id}.csv"
-    write_daily_csv(csv_path, _monthly_to_daily(series))
+    write_csv(csv_path, CSV_HEADER, _daily_rows(series))
     meta_path = out / f"{catchment_id}.meta.json"
     meta = {
         "catchment": catchment_id,
@@ -325,7 +310,7 @@ def generate_synthetic(
         "flow_noise_floor": spec.flow_noise_floor,
         "truth_monthly_flow": [float(q) for q in truth],
     }
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
     return csv_path, meta_path
 
 
@@ -449,44 +434,46 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
 
 
 def _worker_outcome(cid: str, future: Future):
-    """A pool future's result; a dead worker (OOM kill, os._exit) costs only the catchments not yet finished."""
+    """A pool future's result, or a ``worker`` failure when the pool broke (a worker killed for memory, os._exit)."""
     try:
         return future.result()
     except Exception as exc:
         return CatchmentFailure(cid, "worker", f"{type(exc).__name__}: {exc}")
 
 
+def _pool_outcomes(jobs: list, workers: int) -> list:
+    """Each job's outcome from a process pool, in job order; a dead worker fails only its own catchment.
+
+    The catchments the dead worker's pool left unfinished run once more, each in a one-worker pool of its own.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [(job[1], pool.submit(_process_catchment, job)) for job in jobs]
+        outcomes = {cid: _worker_outcome(cid, future) for cid, future in futures}
+    retry = [job for job in jobs if getattr(outcomes[job[1]], "stage", None) == "worker"]
+    for start in range(0, len(retry), workers):  # workers pools at a time
+        with ExitStack() as stack:
+            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in range(workers)]
+            futures = [(job[1], pool.submit(_process_catchment, job)) for job, pool in zip(retry[start:], pools)]
+            outcomes.update((cid, _worker_outcome(cid, future)) for cid, future in futures)
+    return list(outcomes.values())
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
-    ids = discover_catchments(config)
-    jobs = [(config, cid) for cid in ids]
+    if set(config.schemes) & set(QUANTILE_SCHEMES):
+        load_solver()  # before a pool forks its workers, and outside every scheme's timer
+    jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_process_catchment, job) for job in jobs]
-            outcomes = [_worker_outcome(cid, future) for cid, future in zip(ids, futures)]
+        outcomes = _pool_outcomes(jobs, config.workers)
     else:
         outcomes = [_process_catchment(job) for job in jobs]
 
-    records: list[MetricsRecord] = []
-    wisdom_rows: list[WisdomRow] = []
-    failures: list[CatchmentFailure] = []
-    calibration: dict[str, CalibrationRecord] = {}
-    for outcome in outcomes:
-        if isinstance(outcome, CatchmentFailure):
-            failures.append(outcome)
-            continue
-        cid, recs, wrows, cal_info = outcome
-        records.extend(recs)
-        wisdom_rows.extend(wrows)
-        calibration[cid] = cal_info
-    exit_code = 0 if records else 2
-    result = ExperimentResult(
-        records=records,
-        wisdom=wisdom_rows,
-        failures=failures,
-        calibration=calibration,
-        exit_code=exit_code,
-    )
+    failures = [outcome for outcome in outcomes if isinstance(outcome, CatchmentFailure)]
+    scored = [outcome for outcome in outcomes if not isinstance(outcome, CatchmentFailure)]
+    records = [record for _, recs, _, _ in scored for record in recs]
+    wisdom_rows = [row for _, _, rows, _ in scored for row in rows]
+    calibration = {cid: cal_info for cid, _, _, cal_info in scored}
+    result = ExperimentResult(records, wisdom_rows, failures, calibration, exit_code=0 if records else 2)
     emit_reports(result, config.output_dir)
     return result
 

@@ -118,7 +118,7 @@ def step(
     return Gr2mState(soil=s, routing=r), q
 
 
-def _simulate_flow(
+def simulate_flow(
     theta1: float,
     theta2: float,
     precipitation,
@@ -130,6 +130,7 @@ def _simulate_flow(
 ) -> np.ndarray:
     """Run ``warmup + n_keep`` months on Python floats; return the flows after warm-up.
 
+    The scalar entry point of ``simulate``, calibration and synthesis; like ``_run`` it checks nothing.
     The forcing is two float arrays or two lists of floats; callers that
     simulate the same forcing many times (calibration) convert it once.
     """
@@ -163,16 +164,8 @@ def simulate(
         raise ValueError(f"partition needs {split.n_total} months, forcing has {p.size}")
     if initial is None:
         initial = default_initial_state(params)
-    return _simulate_flow(
-        params.theta1,
-        params.theta2,
-        p,
-        e,
-        split.warmup,
-        split.n_total - split.warmup,
-        soil_init=initial.soil,
-        routing_init=initial.routing,
-    )
+    n_keep = split.n_total - split.warmup
+    return simulate_flow(params.theta1, params.theta2, p, e, split.warmup, n_keep, initial.soil, initial.routing)
 
 
 def simulate_batch(

@@ -15,6 +15,10 @@ this small.  The linprog oracle tests in ``tests/test_regress.py`` pin it.
 A dataset's quantile fits share one model on one HiGHS instance: each
 probability changes its bounds and solves it cold, so each gets the
 coefficients of a fit on its own (a warm start moves them by a few ulp).
+
+Only this module names HiGHS, and it imports it on the first quantile fit
+(:func:`load_solver`): the import pulls in ``scipy.optimize``, about 0.3 s
+and 17 MB that a process which solves no linear program never needs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize._highspy._core as _highs
 from scipy.special import ndtri
 
 
@@ -122,36 +125,43 @@ def average_pinball_loss(probability: float, observed, predicted) -> float:
     return float(np.mean(pinball_loss(probability, observed, predicted)))
 
 
-# the options linprog(method="highs") sets; every other HiGHS option keeps its default
-_LINPROG_OPTIONS = dict(
-    presolve="on", highs_debug_level=int(_highs.kHighsDebugLevelNone), log_to_console=False, output_flag=False,
-    simplex_strategy=int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-)
+def load_solver():
+    """scipy's HiGHS bindings, imported on the first call; a pool's parent calls it so that its workers inherit them."""
+    import scipy.optimize._highspy._core as highs  # later calls find it in sys.modules
+
+    return highs
 
 
 def _model(cost, start, index, value, rhs):
     """A new HiGHS instance with linprog's options holding min cost'z s.t. A z = rhs (A as CSC arrays), or None."""
-    lp = _highs.HighsLp()
+    highs = load_solver()
+    lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
     lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     # lists fill the matrix's vectors faster than arrays do
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start.tolist(), index.tolist(), value.tolist()
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(cost.size), np.zeros(cost.size)
     lp.row_lower_ = lp.row_upper_ = rhs
-    solver = _highs._Highs()
-    statuses = [solver.setOptionValue(option, setting) for option, setting in _LINPROG_OPTIONS.items()]
-    return None if _highs.HighsStatus.kError in statuses + [solver.passModel(lp)] else solver
+    solver = highs._Highs()
+    # the options linprog(method="highs") sets; every other HiGHS option keeps its default
+    options = dict(
+        presolve="on", highs_debug_level=int(highs.kHighsDebugLevelNone), log_to_console=False, output_flag=False,
+        simplex_strategy=int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    )
+    statuses = [solver.setOptionValue(option, setting) for option, setting in options.items()]
+    return None if highs.HighsStatus.kError in statuses + [solver.passModel(lp)] else solver
 
 
 def _solve(solver, rhs, lower, upper):
     """Solve ``solver``'s model (right-hand side ``rhs``) cold within the bounds: (z, row duals, objective) or None."""
     if solver is None:
         return None
+    highs = load_solver()
     columns = np.arange(lower.size, dtype=np.int32)
     # clearSolver drops the last solve's basis: a warm start moves the coefficients by a few ulp
     statuses = [solver.changeColsBounds(lower.size, columns, lower, upper), solver.clearSolver(), solver.run()]
-    if _highs.HighsStatus.kError in statuses or solver.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+    if highs.HighsStatus.kError in statuses or solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
         return None
     solution, objective = solver.getSolution(), solver.getObjectiveValue()
     z, residual = np.array(solution.col_value), rhs - np.array(solution.row_value)

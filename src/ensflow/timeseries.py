@@ -197,18 +197,24 @@ def validate_series(series: MonthlySeries) -> SeriesReport:
     return SeriesReport(variables=reports, accepted=accepted)
 
 
+def float_cell(value: float) -> str:
+    """The text of a float cell, ``repr(float(value))``: it reads back bit for bit."""
+    return repr(float(value))
+
+
 def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
     """Write ``header`` then ``rows``: the one CSV format of every ensflow file.
 
     A ``float`` cell (numpy ``float64`` included) is written as
-    ``repr(float(v))``, so it reads back bit for bit, and ``None`` as an empty
-    cell; any other cell is written as :mod:`csv` writes it.
+    :func:`float_cell` writes it, and ``None`` as an empty cell; any other
+    cell is written as :mod:`csv` writes it, so a caller that repeats a value
+    may pass its ``float_cell`` text instead.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(
-            [repr(float(v)) if isinstance(v, float) else "" if v is None else v for v in row] for row in rows
+            [float_cell(v) if isinstance(v, float) else "" if v is None else v for v in row] for row in rows
         )
 
 

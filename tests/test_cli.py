@@ -31,6 +31,17 @@ class TestSynth:
     def test_bad_count(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--count", "0"]) == 1
 
+    def test_overflowing_spec_refused_before_writing(self, tmp_path, capsys):
+        # theta2 = 1e300 overflows the routing store: the flows would read inf and nan
+        out = tmp_path / "synthetic"
+        assert main(["synth", "--out", str(out), "--count", "1", "--months", "24", "--theta2", "1e300"]) == 1
+        assert "synth000: streamflow is not finite in month 1 (1950-01), the first of 24" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_spec_refused(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--theta1", "-1"]) == 1
+        assert "theta1 must be > 0" in capsys.readouterr().err
+
 
 class TestIngest:
     def test_valid_directory(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Configuration files, synthetic catchments and end-to-end batch runs."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import fields
@@ -458,6 +461,35 @@ class TestRunExperiment:
         failures_csv = (out / "failures.csv").read_text()
         assert "south" in failures_csv and "BrokenProcessPool" in failures_csv
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patched stage"
+    )
+    @pytest.mark.parametrize("always", [False, True], ids=["dies-once", "dies-every-time"])
+    def test_a_dead_worker_fails_only_its_own_catchment(self, tmp_path, monkeypatch, always):
+        # "b" kills its worker on its first attempt, or on every attempt; every
+        # other catchment, finished or not when the pool broke, comes back scored
+        died = tmp_path / "b-died"
+        original_load = experiment.load_catchment
+
+        def die_on_b(path):
+            if Path(path).stem == "b" and (always or not died.exists()):
+                died.touch()
+                os._exit(1)
+            return original_load(path)
+
+        monkeypatch.setattr(experiment, "load_catchment", die_on_b)
+        ids = ["a", "b", "c", "d", "e"]
+        write_catchments(tmp_path, ids)
+        result = run_experiment(small_run_config(tmp_path, schemes=("basic-linear",), workers=2))
+        assert died.exists() and result.exit_code == 0
+        assert [(f.catchment, f.stage) for f in result.failures] == ([("b", "worker")] if always else [])
+        scored = [cid for cid in ids if not (always and cid == "b")]
+        assert sorted({r.catchment for r in result.records}) == scored
+        serial_config = small_run_config(tmp_path, output_dir=str(tmp_path / "serial"), schemes=("basic-linear",))
+        serial = run_experiment(dataclasses.replace(serial_config, catchments=tuple(scored)))
+        key = lambda r: (r.catchment, r.scheme, r.alpha, r.coverage, r.width, r.score)
+        assert [key(r) for r in result.records] == [key(r) for r in serial.records]
+
     def test_no_usable_catchment_exits_2(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
@@ -526,6 +558,59 @@ class TestRunExperiment:
     def test_invalid_config_rejected_before_any_work(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(small_run_config(tmp_path, workers=0))
+
+
+SOLVER = "scipy.optimize._highspy._core"
+
+# run in a fresh interpreter: pytest's own process has long imported scipy.optimize
+SOLVER_PROBE = """
+import json, sys
+from concurrent import futures
+from ensflow import experiment
+
+seen = []
+
+class Pool(futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        seen.append("{solver}" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+experiment.ProcessPoolExecutor = Pool
+data, schemes, workers = sys.argv[1], tuple(sys.argv[2].split(",")), int(sys.argv[3])
+loaded_at_import = "scipy.optimize" in sys.modules
+for i, cid in enumerate(("a", "b")):
+    experiment.generate_synthetic(experiment.SyntheticSpec(n_months=60, seed=20 + i), data, cid)
+config = experiment.ExperimentConfig(
+    input_dir=data, output_dir=data + "/out", warmup=12, n1=24, n2=12, schemes=schemes, m=20,
+    n_iterations=100, retain_per_chain=10, max_restarts=0, workers=workers,
+)
+result = experiment.run_experiment(config)
+print(json.dumps([loaded_at_import, seen, "{solver}" in sys.modules, len(result.failures)]))
+""".format(solver=SOLVER)
+
+
+def fresh_python(code, *args):
+    """The last stdout line, read as JSON, of ``code`` run by a new interpreter that imports this ensflow."""
+    src = str(Path(experiment.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestSolverLoading:
+    """The LP solver's import (scipy.optimize, ~17 MB) is paid only by runs that fit quantiles."""
+
+    def test_package_and_cli_import_without_it(self):
+        code = "import json, sys, ensflow, ensflow.cli; print(json.dumps([m for m in sys.modules if 'optimize' in m]))"
+        assert fresh_python(code) == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
+    def test_loaded_before_the_pool_forks(self, tmp_path):
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,basic-quantile", "2") == [False, [True], True, 0]
+
+    def test_linear_run_never_loads_it(self, tmp_path):
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "1") == [False, [], False, 0]
 
 
 def hand_built_result():

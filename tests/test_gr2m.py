@@ -17,7 +17,7 @@ from ensflow.gr2m import (
     ROUTING_CAPACITY_MM,
     Gr2mParams,
     Gr2mState,
-    _simulate_flow,
+    simulate_flow,
     default_initial_state,
     simulate,
     simulate_batch,
@@ -298,9 +298,9 @@ class TestFloatKernelBitExact:
         p, e = random_forcing(rng, 156)
         for theta1, theta2 in _in_box_pairs(rng, 40):
             expected = _oracle_simulate_flow(theta1, theta2, p, e, 12, 144)
-            assert np.array_equal(_simulate_flow(theta1, theta2, p, e, 12, 144), expected)
+            assert np.array_equal(simulate_flow(theta1, theta2, p, e, 12, 144), expected)
             assert np.array_equal(
-                _simulate_flow(float(theta1), float(theta2), p.tolist(), e.tolist(), 12, 144), expected
+                simulate_flow(float(theta1), float(theta2), p.tolist(), e.tolist(), 12, 144), expected
             )
 
     def test_simulate_flow_with_initial_state_matches_oracle(self):
@@ -309,7 +309,7 @@ class TestFloatKernelBitExact:
         for theta1, theta2 in _in_box_pairs(rng, 10):
             soil, routing = theta1 * rng.uniform(), rng.uniform(0.0, 100.0)
             expected = _oracle_simulate_flow(theta1, theta2, p, e, 0, 60, soil, routing)
-            got = _simulate_flow(theta1, theta2, p, e, 0, 60, soil_init=soil, routing_init=routing)
+            got = simulate_flow(theta1, theta2, p, e, 0, 60, soil_init=soil, routing_init=routing)
             assert np.array_equal(got, expected)
 
     def test_simulate_batch_matches_oracle(self):
