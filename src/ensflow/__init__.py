@@ -15,7 +15,6 @@ from .calibrate import (
     ParameterBox,
     PosteriorSample,
     calibrate_catchment,
-    dump_chains,
     log_likelihood,
     psrf,
     run_chains,
@@ -42,7 +41,6 @@ from .ensemble import (
 )
 from .evaluate import (
     INTERVAL_ALPHAS,
-    DegenerateBenchmarkError,
     IntervalPrediction,
     MetricsRecord,
     WisdomRecord,
@@ -51,7 +49,6 @@ from .evaluate import (
     coverage_probability,
     crossing_count,
     rank_schemes,
-    relative_improvement,
     wisdom_metrics,
 )
 from .experiment import (
@@ -81,24 +78,16 @@ from .regress import (
     QuantileFitError,
     RankDeficiencyError,
     RegressionDataset,
-    average_pinball_loss,
     design_matrix,
     fit_ols,
-    fit_quantile,
     fit_quantile_set,
     pinball_loss,
-    predict_ols_quantile,
 )
 from .timeseries import (
-    DailyRecord,
     MonthlySeries,
     PeriodPartition,
-    aggregate_daily_to_monthly,
     load_catchment,
     partition,
-    read_daily_csv,
-    validate_series,
-    write_daily_csv,
 )
 
 __version__ = "0.1.0"

@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .gr2m import simulate_flow
-from .timeseries import MonthlySeries, PeriodPartition, write_csv
+from .timeseries import MonthlySeries, PeriodPartition
 
 # proposal-covariance scaling for 2 parameters (Haario-style adaptation)
 _ADAPT_SCALE = 2.38**2 / 2.0
@@ -315,6 +313,8 @@ def psrf(chains, discard_fraction: float = 0.5) -> float:
     between-chain covariance of chain means against the pooled within-chain
     covariance.  Values near 1 indicate the chains agree.
     """
+    import scipy.linalg  # on the first call, not at import: see ``regress``
+
     arrays = [np.asarray(c, dtype=float) for c in chains]
     if len(arrays) < 2:
         raise ValueError(f"need at least 2 chains, got {len(arrays)}")
@@ -422,12 +422,3 @@ def calibrate_catchment(
         elapsed_seconds=time.perf_counter() - t_start,
     )
 
-
-def dump_chains(chain_set: ChainSet, path: str | Path) -> None:
-    """Write every chain state to CSV: chain, iteration, theta1, theta2, logL, accepted."""
-    rows = (
-        (index, t, *chain.params[t], chain.log_likelihood[t], int(chain.accepted[t]))
-        for index, chain in enumerate(chain_set.chains)
-        for t in range(chain.params.shape[0])
-    )
-    write_csv(path, ("chain", "iteration", "theta1", "theta2", "logL", "accepted"), rows)

@@ -34,11 +34,11 @@ regress observed flow on the forcing over every pre-test month.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .calibrate import PosteriorSample
 from .evaluate import INTERVAL_ALPHAS, IntervalPrediction
@@ -300,6 +300,14 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
     )
 
 
+@functools.lru_cache(maxsize=64)  # a scheme asks for each of its probabilities once per sister
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile z_p, scipy's ``ndtri``, imported on the first call (see ``regress``)."""
+    from scipy.special import ndtri
+
+    return ndtri(p)
+
+
 def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray, float]:
     """Coefficients and shift of a fitted model's quantile at p:  x @ beta + shift.
 
@@ -307,7 +315,7 @@ def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray
     pinball-loss fit has its own coefficients per probability and no shift.
     """
     if isinstance(model, LinearFit):
-        return model.coefficients, model.sigma * ndtri(p)
+        return model.coefficients, model.sigma * _normal_quantile(p)
     if isinstance(model, QuantileFit):
         return model.coefficients[p], 0.0
     raise TypeError(f"unsupported error model {type(model).__name__}")

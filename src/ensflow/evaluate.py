@@ -31,10 +31,6 @@ from .timeseries import read_csv, write_csv
 INTERVAL_ALPHAS = (0.01, 0.025, 0.05, 0.10, 0.20)
 
 
-class DegenerateBenchmarkError(ValueError):
-    """Benchmark score is zero; a relative comparison is undefined."""
-
-
 @dataclass(frozen=True)
 class IntervalPrediction:
     """Lower and upper bound series of one central interval.
@@ -108,13 +104,6 @@ def average_interval_score(pred: IntervalPrediction, observed) -> float:
 def crossing_count(pred: IntervalPrediction) -> int:
     """Number of time steps whose lower bound exceeds the upper bound."""
     return int(np.count_nonzero(pred.lower > pred.upper))
-
-
-def relative_improvement(score_of_interest: float, benchmark_score: float) -> float:
-    """(benchmark - candidate) / benchmark; positive when the candidate is better."""
-    if benchmark_score == 0.0:
-        raise DegenerateBenchmarkError("benchmark average interval score is zero")
-    return (benchmark_score - score_of_interest) / benchmark_score
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .evaluate import (
 )
 from .gr2m import simulate_flow
 from .regress import load_solver
-from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, float_cell, load_catchment, partition, write_csv
+from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, load_catchment, partition, write_csv
 
 
 class ConfigError(ValueError):
@@ -162,8 +162,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     values: dict = {}
     problems: list[str] = []
     for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):  # a comment is a whole line; a value may hold '#'
             continue
         if "=" not in line:
             problems.append(f"line {line_number}: expected key = value, got {raw!r}")
@@ -183,9 +183,15 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    lines = []
+    """Write ``config`` for :func:`load_config`; a value it would not read back equal raises ConfigError."""
+    lines, problems = [], []
     for f in fields(config):
         value = getattr(config, f.name)
+        for item in value if isinstance(value, tuple) else (value,) if isinstance(value, str) else ():
+            if item != item.strip() or item.splitlines() not in ([], [item]):
+                problems.append(f"{f.name}: {item!r} has blanks at an end or a line break")
+            elif isinstance(value, tuple) and ("," in item or not item):
+                problems.append(f"{f.name}: list item {item!r} is empty or holds a comma")
         if isinstance(value, tuple):
             text = ",".join(value)
         elif isinstance(value, bool):
@@ -195,6 +201,8 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
         else:
             text = str(value)
         lines.append(f"{f.name} = {text}")
+    if problems:
+        raise ConfigError("; ".join(problems))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -226,6 +234,9 @@ class SyntheticSpec:
     start_year: int = 1950
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.n_months < 1:
             raise ValueError(f"n_months must be >= 1, got {self.n_months}")
         if self.theta1 <= 0 or self.theta2 < 0:
@@ -277,8 +288,8 @@ def _daily_rows(series: MonthlySeries):
         per_day, last_day = [], []
         for values in columns:
             daily = values[t] / days
-            per_day.append(float_cell(daily))
-            last_day.append(float_cell(max(values[t] - math.fsum([daily] * (days - 1)), 0.0)))
+            per_day.append(repr(daily))
+            last_day.append(repr(max(values[t] - math.fsum([daily] * (days - 1)), 0.0)))
         for day in range(1, days):
             yield (f"{prefix}{day:02d}", *per_day)
         yield (f"{prefix}{days}", *last_day)
@@ -394,8 +405,6 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
     config, cid = args
     stage = "ingest"
     try:
-        # load_catchment rejects negative, non-finite and overflowing values,
-        # so the series needs no validate_series screening
         series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
         stage = "partition"
         if config.n3 > 0:
@@ -458,10 +467,19 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
     return list(outcomes.values())
 
 
+def _load_scipy(schemes: tuple[str, ...]) -> None:
+    """Import the scipy modules ``schemes`` use, before a pool forks and outside every timer (see ``regress``)."""
+    if set(schemes) - set(BASIC_SCHEMES):
+        import scipy.linalg  # noqa: F401  (calibrate.psrf)
+    if set(schemes) - set(QUANTILE_SCHEMES):
+        import scipy.special  # noqa: F401  (the linear family's Gaussian quantile)
+    if set(schemes) & set(QUANTILE_SCHEMES):
+        load_solver()
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
-    if set(config.schemes) & set(QUANTILE_SCHEMES):
-        load_solver()  # before a pool forks its workers, and outside every scheme's timer
+    _load_scipy(config.schemes)
     jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
         outcomes = _pool_outcomes(jobs, config.workers)

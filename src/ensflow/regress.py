@@ -16,9 +16,14 @@ A dataset's quantile fits share one model on one HiGHS instance: each
 probability changes its bounds and solves it cold, so each gets the
 coefficients of a fit on its own (a warm start moves them by a few ulp).
 
-Only this module names HiGHS, and it imports it on the first quantile fit
-(:func:`load_solver`): the import pulls in ``scipy.optimize``, about 0.3 s
-and 17 MB that a process which solves no linear program never needs.
+No scipy module loads with ``import ensflow``: scipy's first import costs
+about 0.3 s (its array-API shim pulls in ``numpy.f2py`` and ``numpy.testing``)
+that ``synth``, ``ingest`` and ``report`` never need.  Each scipy import runs
+on the first call of the one function that needs it: ``scipy.linalg`` in
+``calibrate.psrf``, ``scipy.special.ndtri`` in ``ensemble``'s Gaussian
+quantile, HiGHS (with ``scipy.optimize``, 17 MB) in :func:`load_solver`, the
+only place that names it.  ``run_experiment`` imports the ones its schemes use
+before a pool forks, so workers inherit them and no timer includes an import.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 
 class RankDeficiencyError(ValueError):
@@ -99,17 +103,6 @@ def fit_ols(data: RegressionDataset) -> LinearFit:
     return LinearFit(coefficients=beta, sigma=sigma)
 
 
-def predict_ols_quantile(fit: LinearFit, predictors: np.ndarray, probability: float) -> np.ndarray:
-    """Gaussian predictive quantile(s): x'beta + sigma * z_p.
-
-    ``predictors`` is one row (k,) or a matrix (n, k); output matches.
-    """
-    if not 0.0 < probability < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {probability}")
-    x = np.asarray(predictors, dtype=float)
-    return x @ fit.coefficients + fit.sigma * ndtri(probability)
-
-
 def pinball_loss(probability: float, observed, predicted):
     """Pinball (check) loss, elementwise: p*(y - yhat) if y >= yhat else (1-p)*(yhat - y)."""
     if not 0.0 < probability < 1.0:
@@ -119,10 +112,6 @@ def pinball_loss(probability: float, observed, predicted):
     diff = y - q
     out = np.where(diff >= 0.0, probability * diff, (probability - 1.0) * diff)
     return out if out.ndim else float(out)
-
-
-def average_pinball_loss(probability: float, observed, predicted) -> float:
-    return float(np.mean(pinball_loss(probability, observed, predicted)))
 
 
 def load_solver():
@@ -234,8 +223,3 @@ def fit_quantile_set(data: RegressionDataset, probabilities) -> QuantileFit:
                 continue
         coefficients[p] = _fit_quantile_primal(x, y, p)
     return QuantileFit(coefficients=coefficients)
-
-
-def fit_quantile(data: RegressionDataset, probability: float) -> np.ndarray:
-    """Coefficients minimising the total pinball loss at ``probability``: ``fit_quantile_set`` at one probability."""
-    return fit_quantile_set(data, (probability,)).coefficients[float(probability)]

@@ -14,14 +14,13 @@ from ensflow.calibrate import (
     ParameterBox,
     calibrate_catchment,
     calibration_objective,
-    dump_chains,
     log_likelihood,
     psrf,
     retention_slice,
     run_chains,
 )
 from ensflow.gr2m import Gr2mParams, simulate
-from ensflow.timeseries import MonthlySeries, partition
+from ensflow.timeseries import MonthlySeries, partition, write_csv
 
 
 def synthetic_series(n=84, noise_sd=0.5, seed=0, theta1=400.0, theta2=0.9):
@@ -293,7 +292,7 @@ class TestCalibrationObjective:
         objective = calibration_objective(series, split)
         params = Gr2mParams(350.0, 1.1)
         predicted = simulate(params, series.precipitation, series.potential_evaporation, split)
-        expected = log_likelihood(series.streamflow[split.t1], predicted[split.sim_t1])
+        expected = log_likelihood(series.streamflow[split.t1], predicted[: split.n1])
         assert objective(350.0, 1.1) == pytest.approx(expected, rel=1e-12)
 
     def test_perfect_fit_raises_degenerate(self):
@@ -311,7 +310,19 @@ class TestCalibrationObjective:
             calibration_objective(series, split)
 
 
+def dump_chains(chain_set, path):
+    """Every chain state through write_csv: chain, iteration, theta1, theta2, logL, accepted."""
+    rows = (
+        (index, t, *chain.params[t], chain.log_likelihood[t], int(chain.accepted[t]))
+        for index, chain in enumerate(chain_set.chains)
+        for t in range(chain.params.shape[0])
+    )
+    write_csv(path, ("chain", "iteration", "theta1", "theta2", "logL", "accepted"), rows)
+
+
 class TestDumpChains:
+    """A chain dump's numpy cells go through the one CSV format: floats as repr, bit for bit."""
+
     def test_round_trip(self, tmp_path):
         chain_set = run_chains(
             gaussian_objective(), ChainConfig(seed=15, n_iterations=50, retain_per_chain=25)

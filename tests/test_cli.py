@@ -42,6 +42,12 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path), "--theta1", "-1"]) == 1
         assert "theta1 must be > 0" in capsys.readouterr().err
 
+    def test_non_finite_parameter_named_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "synthetic"
+        assert main(["synth", "--out", str(out), "--theta1", "nan"]) == 1
+        assert "synth000: theta1 must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_valid_directory(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from ensflow import ensemble as ensemble_module
 from ensflow import regress
@@ -40,11 +41,15 @@ from ensflow.regress import (
     RegressionDataset,
     design_matrix,
     fit_ols,
-    predict_ols_quantile,
 )
 from ensflow.timeseries import MonthlySeries, partition
 
 SPLIT = partition(60, 6, 18, 18)  # warmup 6, n1 18, n2 18, n3 18
+
+
+def gaussian_quantile(fit: LinearFit, x, p):
+    """The linear family's predictive quantile, x'beta + sigma z_p, written out as the oracle."""
+    return x @ fit.coefficients + fit.sigma * ndtri(p)
 
 
 def catchment():
@@ -262,8 +267,8 @@ class TestErrorQuantilesAndAuxiliary:
         assert eq.shape == (2, 4, 18)
         fit = models.models[0]
         x = design_matrix(ensemble.test_predictions[1])
-        np.testing.assert_array_equal(eq[1, 0], predict_ols_quantile(fit, x, 0.05))
-        np.testing.assert_array_equal(eq[1, 3], predict_ols_quantile(fit, x, 0.95))
+        np.testing.assert_array_equal(eq[1, 0], gaussian_quantile(fit, x, 0.05))
+        np.testing.assert_array_equal(eq[1, 3], gaussian_quantile(fit, x, 0.95))
 
     def test_per_sister_quantile_lines(self):
         ensemble = generate_sisters(posterior(m=3), catchment(), SPLIT)
@@ -367,8 +372,8 @@ class TestBasicSchemes:
         x_test = design_matrix(
             series.precipitation[SPLIT.t3], series.potential_evaporation[SPLIT.t3]
         )
-        np.testing.assert_array_equal(pred.quantiles[0], predict_ols_quantile(fit, x_test, 0.05))
-        np.testing.assert_array_equal(pred.quantiles[1], predict_ols_quantile(fit, x_test, 0.95))
+        np.testing.assert_array_equal(pred.quantiles[0], gaussian_quantile(fit, x_test, 0.05))
+        np.testing.assert_array_equal(pred.quantiles[1], gaussian_quantile(fit, x_test, 0.95))
 
     def test_warmup_exclusion_switch_changes_fit(self):
         series = catchment()

@@ -8,7 +8,6 @@ import pytest
 
 from ensflow.evaluate import (
     INTERVAL_ALPHAS,
-    DegenerateBenchmarkError,
     IntervalPrediction,
     MetricsRecord,
     average_interval_score,
@@ -17,7 +16,6 @@ from ensflow.evaluate import (
     crossing_count,
     rank_schemes,
     read_metrics_csv,
-    relative_improvement,
     summarize,
     wisdom_metrics,
     write_metrics_csv,
@@ -99,14 +97,22 @@ class TestIntervalScore:
 
 
 class TestRelativeImprovement:
+    """(member score - combined score) / member score, as wisdom_metrics reports it per member."""
+
+    @staticmethod
+    def improvement(candidate, benchmark):
+        # an observation inside a closed interval scores the interval's width
+        record = wisdom_metrics([[0.0]], [[benchmark]], interval(0.1, [0.0], [candidate]), [0.0])
+        return record.improvements[0], record.excluded
+
     def test_hand_values(self):
-        assert relative_improvement(8.0, 10.0) == pytest.approx(0.2)
-        assert relative_improvement(12.0, 10.0) == pytest.approx(-0.2)
-        assert relative_improvement(10.0, 10.0) == 0.0
+        assert self.improvement(8.0, 10.0)[0] == pytest.approx(0.2)
+        assert self.improvement(12.0, 10.0)[0] == pytest.approx(-0.2)
+        assert self.improvement(10.0, 10.0)[0] == 0.0
 
     def test_zero_benchmark_rejected(self):
-        with pytest.raises(DegenerateBenchmarkError):
-            relative_improvement(1.0, 0.0)
+        value, excluded = self.improvement(1.0, 0.0)
+        assert math.isnan(value) and excluded == (0,)
 
 
 class TestWisdomMetrics:

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 from dataclasses import fields
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensflow import ensemble, experiment
 from ensflow.evaluate import MetricsRecord, WisdomRecord
@@ -86,9 +89,43 @@ class TestConfigFile:
             load_config(path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
+        # a comment is a line whose first non-blank character is '#'
         path = tmp_path / "exp.cfg"
-        path.write_text("# header\n\nseed = 7   # trailing note\n")
+        path.write_text("# header\n\n   # indented note\nseed = 7\n")
         assert load_config(path).seed == 7
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        config = ExperimentConfig(output_dir="/data/run#2", input_dir="#")
+        save_config(config, tmp_path / "exp.cfg")
+        assert load_config(tmp_path / "exp.cfg") == config
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"output_dir": " out"}, {"input_dir": "data\n"}, {"input_dir": "a\nb"},
+            {"catchments": ("a,b",)}, {"catchments": ("",)},
+        ],
+        ids=["leading-blank", "trailing-newline", "newline", "comma-in-id", "empty-id"],
+    )
+    def test_save_refuses_a_value_it_cannot_write_back(self, tmp_path, changed):
+        with pytest.raises(ConfigError, match=next(iter(changed))):
+            save_config(ExperimentConfig(**changed), tmp_path / "exp.cfg")
+        assert not (tmp_path / "exp.cfg").exists()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        text=st.text(st.characters(blacklist_categories=("Cs",))),
+        ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=3),
+    )
+    def test_saved_config_reads_back_equal_or_is_refused(self, text, ids):
+        config = ExperimentConfig(output_dir=text, catchments=tuple(ids))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "exp.cfg"
+            try:
+                save_config(config, path)
+            except ConfigError:
+                return
+            assert load_config(path) == config
 
     def test_every_problem_reported_at_once(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -213,6 +250,12 @@ class TestSyntheticCatchments:
             SyntheticSpec(precip_amplitude=1.0)
         with pytest.raises(ValueError, match="noise settings"):
             SyntheticSpec(flow_noise_ratio=-0.1)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SyntheticSpec) if f.type == "float"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            SyntheticSpec(**{name: value})
 
     def test_written_catchment_round_trips_monthly_totals(self, tmp_path):
         # whole years, since ingestion trims the span to full calendar years
@@ -561,23 +604,28 @@ class TestRunExperiment:
 
 
 SOLVER = "scipy.optimize._highspy._core"
+# what each scheme family imports from scipy: calibration, the linear family's Gaussian quantile, the LP solver
+SCIPY_MODULES = ("scipy.linalg", "scipy.special", SOLVER)
 
-# run in a fresh interpreter: pytest's own process has long imported scipy.optimize
+# run in a fresh interpreter: pytest's own process has long imported scipy
 SOLVER_PROBE = """
 import json, sys
 from concurrent import futures
 from ensflow import experiment
 
+def loaded():
+    return [name for name in {modules} if name in sys.modules]
+
 seen = []
 
 class Pool(futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
-        seen.append("{solver}" in sys.modules)
+        seen.append(loaded())
         super().__init__(*args, **kwargs)
 
 experiment.ProcessPoolExecutor = Pool
 data, schemes, workers = sys.argv[1], tuple(sys.argv[2].split(",")), int(sys.argv[3])
-loaded_at_import = "scipy.optimize" in sys.modules
+loaded_at_import = [name for name in sys.modules if name.startswith("scipy")]
 for i, cid in enumerate(("a", "b")):
     experiment.generate_synthetic(experiment.SyntheticSpec(n_months=60, seed=20 + i), data, cid)
 config = experiment.ExperimentConfig(
@@ -585,8 +633,21 @@ config = experiment.ExperimentConfig(
     n_iterations=100, retain_per_chain=10, max_restarts=0, workers=workers,
 )
 result = experiment.run_experiment(config)
-print(json.dumps([loaded_at_import, seen, "{solver}" in sys.modules, len(result.failures)]))
-""".format(solver=SOLVER)
+print(json.dumps([loaded_at_import, seen, loaded(), len(result.failures)]))
+""".format(modules=SCIPY_MODULES)
+
+# the verbs that never need scipy, in a fresh interpreter
+NO_SCIPY_VERBS = """
+import json, sys
+from ensflow.cli import main
+from ensflow.evaluate import MetricsRecord, write_metrics_csv
+
+data = sys.argv[1]
+codes = [main(["synth", "--out", data, "--count", "1", "--months", "24"]), main(["ingest", "--input", data])]
+write_metrics_csv([MetricsRecord("c1", "1", 0.05, 1.0, 2.0, 3.0, 0, 0.5)], data + "/metrics.csv")
+codes.append(main(["report", "--metrics", data + "/metrics.csv", "--out", data + "/again"]))
+print(json.dumps([codes, [name for name in sys.modules if name.startswith("scipy")]]))
+"""
 
 
 def fresh_python(code, *args):
@@ -599,18 +660,28 @@ def fresh_python(code, *args):
 
 
 class TestSolverLoading:
-    """The LP solver's import (scipy.optimize, ~17 MB) is paid only by runs that fit quantiles."""
+    """scipy costs about 0.3 s to import: only the runs that use a scipy module load it, before the pool forks."""
 
     def test_package_and_cli_import_without_it(self):
-        code = "import json, sys, ensflow, ensflow.cli; print(json.dumps([m for m in sys.modules if 'optimize' in m]))"
+        code = "import json, sys, ensflow, ensflow.cli; print(json.dumps([m for m in sys.modules if 'scipy' in m]))"
         assert fresh_python(code) == []
+
+    def test_synth_ingest_and_report_never_load_scipy(self, tmp_path):
+        assert fresh_python(NO_SCIPY_VERBS, str(tmp_path)) == [[0, 0, 0], []]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
     def test_loaded_before_the_pool_forks(self, tmp_path):
-        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,basic-quantile", "2") == [False, [True], True, 0]
+        every = list(SCIPY_MODULES)
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,basic-quantile", "2") == [[], [every], every, 0]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
+    def test_linear_modules_loaded_before_the_pool_forks(self, tmp_path):
+        linear = ["scipy.linalg", "scipy.special"]
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "2") == [[], [linear], linear, 0]
 
     def test_linear_run_never_loads_it(self, tmp_path):
-        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "1") == [False, [], False, 0]
+        linear = ["scipy.linalg", "scipy.special"]
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "1") == [[], [], linear, 0]
 
 
 def hand_built_result():

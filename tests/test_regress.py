@@ -8,24 +8,36 @@ import scipy.sparse
 from scipy.optimize import linprog
 
 from ensflow import regress
-from ensflow.ensemble import DEFAULT_PROBABILITIES
+from ensflow.ensemble import DEFAULT_PROBABILITIES, SchemeConfig, _quantile_line
 from ensflow.regress import (
     QuantileFitError,
     RankDeficiencyError,
     RegressionDataset,
-    average_pinball_loss,
     design_matrix,
     fit_ols,
-    fit_quantile,
     fit_quantile_set,
     pinball_loss,
-    predict_ols_quantile,
 )
 
 # two-sided standard normal quantiles, frozen from published tables
 Z_975 = 1.959963984540054
 Z_900 = 1.2815515655446004
 Z_005 = -2.5758293035489004
+
+
+def fit_quantile(data, p):
+    """The coefficients at one probability: ``fit_quantile_set`` at that probability alone."""
+    return fit_quantile_set(data, (p,)).coefficients[p]
+
+
+def average_pinball_loss(p, observed, predicted):
+    return float(np.mean(pinball_loss(p, observed, predicted)))
+
+
+def gaussian_quantile(fit, predictors, p):
+    """The linear family's predictive quantile x'beta + sigma z_p, as the ensemble computes it."""
+    beta, shift = _quantile_line(fit, p)
+    return predictors @ beta + shift
 
 
 def random_dataset(rng, n=60, k=3, noise=1.0):
@@ -97,14 +109,14 @@ class TestOlsQuantile:
         )
         base = float(np.ones(1) @ fit.coefficients)
         for p, z in [(0.975, Z_975), (0.9, Z_900), (0.005, Z_005)]:
-            got = predict_ols_quantile(fit, np.ones((1, 1)), p)[0]
+            got = gaussian_quantile(fit, np.ones((1, 1)), p)[0]
             assert got == pytest.approx(base + fit.sigma * z, rel=1e-12)
 
     def test_median_is_the_mean_line(self):
         rng = np.random.default_rng(31)
         data, _ = random_dataset(rng)
         fit = fit_ols(data)
-        mid = predict_ols_quantile(fit, data.predictors, 0.5)
+        mid = gaussian_quantile(fit, data.predictors, 0.5)
         np.testing.assert_allclose(mid, data.predictors @ fit.coefficients, rtol=1e-12)
 
     def test_quantiles_symmetric_about_mean(self):
@@ -113,15 +125,15 @@ class TestOlsQuantile:
         fit = fit_ols(data)
         row = data.predictors[:1]
         center = float((row @ fit.coefficients)[0])
-        lower = predict_ols_quantile(fit, row, 0.1)[0]
-        upper = predict_ols_quantile(fit, row, 0.9)[0]
+        lower = gaussian_quantile(fit, row, 0.1)[0]
+        upper = gaussian_quantile(fit, row, 0.9)[0]
         assert lower + upper == pytest.approx(2.0 * center, rel=1e-10)
 
     def test_probability_domain(self):
-        fit = fit_ols(RegressionDataset(np.ones((6, 1)), np.arange(6.0)))
+        # the scheme config gates every probability the ensemble asks for
         for bad in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError, match="probability"):
-                predict_ols_quantile(fit, np.ones((1, 1)), bad)
+            with pytest.raises(ValueError, match="probabilities must lie in"):
+                SchemeConfig(probabilities=(bad, 1.0 - bad))
 
 
 class TestPinballLoss:
@@ -247,7 +259,7 @@ def linprog_primal(x, y, p):
 
 
 def linprog_quantile(x, y, p):
-    """fit_quantile written against linprog: the dual, its certificate, the primal fallback."""
+    """fit_quantile_set at one probability written against linprog: the dual, its certificate, the primal fallback."""
     n, k = x.shape
     result = linprog(-y, A_eq=x.T, b_eq=np.zeros(k), bounds=[(p - 1.0, p)] * n, method="highs")
     if result.success:
