@@ -26,7 +26,7 @@ rng = np.random.default_rng(0)
 pairs = np.column_stack(
     [400.0 * np.exp(0.1 * rng.standard_normal(40)), 0.9 + 0.05 * rng.standard_normal(40)]
 )
-sample = PosteriorSample(pairs=pairs, mode="bayesian-tail")
+sample = PosteriorSample(pairs=pairs)
 
 ensemble = generate_sisters(sample, series, split)
 print(f"sisters: {ensemble.m}, each spanning {ensemble.n2} training + {ensemble.n3} test months")

@@ -27,7 +27,7 @@ rng = np.random.default_rng(1)
 pairs = np.column_stack(
     [400.0 * np.exp(0.08 * rng.standard_normal(50)), 0.9 + 0.04 * rng.standard_normal(50)]
 )
-sample = PosteriorSample(pairs=pairs, mode="bayesian-tail")
+sample = PosteriorSample(pairs=pairs)
 config = SchemeConfig(m=50)
 
 observed = np.asarray(series.streamflow)[split.t3]

@@ -30,7 +30,7 @@ rng = np.random.default_rng(2)
 pairs = np.column_stack(
     [400.0 * np.exp(0.1 * rng.standard_normal(30)), 0.9 + 0.05 * rng.standard_normal(30)]
 )
-result = run_scheme("5", series, split, SchemeConfig(m=30), PosteriorSample(pairs=pairs, mode="bayesian-tail"))
+result = run_scheme("5", series, split, SchemeConfig(m=30), PosteriorSample(pairs=pairs))
 
 observed = np.asarray(series.streamflow)[split.t3]
 intervals = intervals_from_prediction(result.prediction)

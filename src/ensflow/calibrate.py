@@ -140,18 +140,9 @@ class ChainSet:
 
 @dataclass(frozen=True)
 class PosteriorSample:
-    """Parameter pairs retained from a chain set, tagged with their retention mode.
-
-    ``bayesian-tail`` keeps the last ``k`` states of each chain (the part
-    treated as posterior draws); ``informal-head`` keeps the first ``k``
-    states, i.e. the transient before convergence, which gives a deliberately
-    rougher parameter collection from the same run.
-    """
+    """Parameter pairs retained from a chain set: the last ``retain_per_chain`` states of each chain."""
 
     pairs: np.ndarray  # (m, 2)
-    mode: str
-    converged: bool = True
-    psrf: float = float("nan")
 
     def __post_init__(self) -> None:
         pairs = np.asarray(self.pairs, dtype=float)
@@ -162,18 +153,6 @@ class PosteriorSample:
     @property
     def m(self) -> int:
         return self.pairs.shape[0]
-
-
-RETENTION_MODES = ("bayesian-tail", "informal-head")
-
-
-def retention_slice(mode: str, n_iterations: int, retain: int) -> slice:
-    """Which chain indices a retention mode keeps."""
-    if mode == "bayesian-tail":
-        return slice(n_iterations - retain, n_iterations)
-    if mode == "informal-head":
-        return slice(0, retain)
-    raise ValueError(f"unknown retention mode {mode!r}, expected one of {RETENTION_MODES}")
 
 
 def log_likelihood(observed: np.ndarray, predicted: np.ndarray) -> float:
@@ -301,11 +280,11 @@ def run_chains(objective, config: ChainConfig) -> ChainSet:
     return ChainSet(chains=chains)
 
 
-def psrf(chains, discard_fraction: float = 0.5) -> float:
+def psrf(chains) -> float:
     """Multivariate potential scale reduction factor.
 
-    Takes a sequence of (n, d) arrays, one per chain.  The first
-    ``discard_fraction`` of every chain is dropped, then
+    Takes a sequence of (n, d) arrays, one per chain.  The first half of
+    every chain (``n // 2`` states) is dropped, then
 
         estimate = sqrt( (n-1)/n + (m+1)/m * lambda_max )
 
@@ -318,14 +297,11 @@ def psrf(chains, discard_fraction: float = 0.5) -> float:
     arrays = [np.asarray(c, dtype=float) for c in chains]
     if len(arrays) < 2:
         raise ValueError(f"need at least 2 chains, got {len(arrays)}")
-    if not 0.0 <= discard_fraction < 1.0:
-        raise ValueError(f"discard_fraction must lie in [0, 1), got {discard_fraction}")
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1 or arrays[0].ndim != 2:
         raise ValueError(f"chains must share one (n, d) shape, got {shapes}")
 
-    full_n = arrays[0].shape[0]
-    start = int(math.floor(discard_fraction * full_n))
+    start = arrays[0].shape[0] // 2
     kept = [a[start:] for a in arrays]
     n = kept[0].shape[0]
     if n < MIN_PSRF_DRAWS:
@@ -370,6 +346,7 @@ class CalibrationResult:
     chain_set: ChainSet
     sample: PosteriorSample
     psrf: float
+    converged: bool
     restarts_used: int
     elapsed_seconds: float
 
@@ -378,19 +355,18 @@ def calibrate_catchment(
     series: MonthlySeries,
     split: PeriodPartition,
     config: ChainConfig | None = None,
-    mode: str = "bayesian-tail",
 ) -> CalibrationResult:
     """Sample the posterior for one catchment, restarting until chains agree.
 
     Runs the chain set, checks the multivariate potential scale reduction
     factor against ``config.psrf_threshold`` and reruns with fresh seeds up
     to ``config.max_restarts`` times.  A run that never converges is not an
-    error: the best attempt is returned with ``sample.converged`` false so
-    batch callers can flag it and move on.
+    error: the best attempt is returned with ``converged`` false so batch
+    callers can flag it and move on.  The sample is the last
+    ``config.retain_per_chain`` states of each chain of that attempt.
     """
     if config is None:
         config = ChainConfig()
-    keep = retention_slice(mode, config.n_iterations, config.retain_per_chain)
     objective = calibration_objective(series, split)
 
     t_start = time.perf_counter()
@@ -402,7 +378,7 @@ def calibrate_catchment(
         attempt_config = replace(config, seed=config.seed + 1_000_003 * attempt)
         chain_set = run_chains(objective, attempt_config)
         try:
-            estimate = psrf([c.params for c in chain_set.chains], discard_fraction=0.5)
+            estimate = psrf([c.params for c in chain_set.chains])
         except DegenerateChainsError:
             estimate = math.inf
         if best is None or estimate < best[0]:
@@ -412,12 +388,12 @@ def calibrate_catchment(
             break
 
     estimate, chain_set = best
-    pairs = np.concatenate([chain.params[keep] for chain in chain_set.chains], axis=0)
-    sample = PosteriorSample(pairs=pairs, mode=mode, converged=converged, psrf=estimate)
+    pairs = np.concatenate([chain.params[-config.retain_per_chain :] for chain in chain_set.chains], axis=0)
     return CalibrationResult(
         chain_set=chain_set,
-        sample=sample,
+        sample=PosteriorSample(pairs),
         psrf=estimate,
+        converged=converged,
         restarts_used=attempts - 1,
         elapsed_seconds=time.perf_counter() - t_start,
     )

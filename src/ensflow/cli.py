@@ -14,13 +14,13 @@ from .evaluate import read_metrics_csv
 from .experiment import (
     ConfigError,
     ExperimentConfig,
-    ExperimentResult,
     SyntheticSpec,
     discover_catchments,
-    emit_reports,
     generate_synthetic,
     load_config,
+    parse_ids,
     run_experiment,
+    write_score_reports,
 )
 from .timeseries import load_catchment
 
@@ -35,10 +35,6 @@ _RUN_FLAGS = {
     "iterations": "n_iterations",
     "retain": "retain_per_chain",
 }
-
-
-def _scheme_list(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--schemes", type=_scheme_list, default=None, help="comma-separated scheme ids")
+    run.add_argument("--schemes", type=parse_ids, default=None, help="comma-separated scheme ids")
     run.add_argument("--m", type=int, default=None)
     run.add_argument("--iterations", type=int, default=None, help="chain length")
     run.add_argument("--retain", type=int, default=None, help="retained states per chain")
@@ -84,9 +80,11 @@ def _cmd_ingest(args) -> int:
     if not directory.is_dir():
         print(f"input directory not found: {directory}", file=sys.stderr)
         return 1
-    wanted = [c for c in args.catchments.split(",") if c] or sorted(
-        p.stem for p in directory.glob("*.csv")
-    )
+    try:
+        wanted = discover_catchments(ExperimentConfig(input_dir=args.input, catchments=parse_ids(args.catchments)))
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     if not wanted:
         print("no catchment files found", file=sys.stderr)
         return 2
@@ -148,8 +146,7 @@ def _cmd_report(args) -> int:
     if not records:
         print("metrics file holds no rows", file=sys.stderr)
         return 2
-    result = ExperimentResult(records=records, wisdom=[], failures=[], calibration={}, exit_code=0)
-    emit_reports(result, args.out)
+    write_score_reports(records, args.out)
     print(f"re-aggregated {len(records)} rows into {args.out}")
     return 0
 

@@ -84,12 +84,11 @@ def _check_probabilities(probabilities: tuple[float, ...]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Switches shared by the numbered schemes.
+    """Settings shared by the schemes.
 
     ``m`` sisters are taken from the head of the parameter sample; the
-    ``seed`` only feeds variant 3's choice of training sister.  The optional
-    non-negativity clamp is off by default: delivered quantiles are reported
-    exactly as computed unless the caller explicitly asks for flooring.
+    ``seed`` only feeds variant 3's choice of training sister.  Delivered
+    quantiles are reported exactly as computed, negative ones included.
     """
 
     variant: int = 2
@@ -97,8 +96,6 @@ class SchemeConfig:
     probabilities: tuple[float, ...] = DEFAULT_PROBABILITIES
     m: int = 600
     seed: int = 0
-    include_warmup_in_basic: bool = True
-    clamp_nonnegative: bool = False
 
     def __post_init__(self) -> None:
         problems = []
@@ -373,21 +370,19 @@ def run_basic_scheme(
     series: MonthlySeries,
     split: PeriodPartition,
     probabilities: tuple[float, ...] = DEFAULT_PROBABILITIES,
-    include_warmup: bool = True,
 ) -> CombinedPrediction:
     """Benchmark without an ensemble: regress flow on forcing, predict quantiles.
 
-    Trains on every month before the test period (warm-up months included by
-    default, switchable) with precipitation and potential evaporation as
-    predictors, then emits quantiles for the test months.
+    Trains on every month before the test period, the warm-up months
+    included, with precipitation and potential evaporation as predictors,
+    then emits quantiles for the test months.
     """
     if model_kind not in ERROR_MODEL_KINDS:
         raise ValueError(f"model kind must be one of {ERROR_MODEL_KINDS}, got {model_kind!r}")
     probs = _check_probabilities(probabilities)
     if series.n < split.n_total:
         raise ValueError(f"series has {series.n} months, partition needs {split.n_total}")
-    start = 0 if include_warmup else split.warmup
-    rows = slice(start, split.warmup + split.n1 + split.n2)
+    rows = slice(0, split.warmup + split.n1 + split.n2)
     p = np.asarray(series.precipitation, dtype=float)
     e = np.asarray(series.potential_evaporation, dtype=float)
     y = np.asarray(series.streamflow, dtype=float)
@@ -430,13 +425,7 @@ def run_scheme(
     t_start = time.perf_counter()
     auxiliary = None
     if scheme_id in BASIC_SCHEMES:
-        prediction = run_basic_scheme(
-            scheme_id.removeprefix("basic-"),
-            series,
-            split,
-            config.probabilities,
-            include_warmup=config.include_warmup_in_basic,
-        )
+        prediction = run_basic_scheme(scheme_id.removeprefix("basic-"), series, split, config.probabilities)
     elif scheme_id in SCHEME_DEFS:
         if sisters is None:
             if sample is None:
@@ -448,8 +437,6 @@ def run_scheme(
         prediction = combine(auxiliary)
     else:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {ALL_SCHEMES}")
-    if config.clamp_nonnegative:
-        prediction = replace(prediction, quantiles=np.maximum(prediction.quantiles, 0.0))
     return SchemeResult(
         scheme=scheme_id,
         prediction=prediction,

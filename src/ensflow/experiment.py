@@ -20,6 +20,7 @@ import datetime as dt
 import json
 import math
 import zlib
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibrate import RETENTION_MODES, CalibrationResult, ChainConfig, ParameterBox, calibrate_catchment
+from .calibrate import CalibrationResult, ChainConfig, ParameterBox, calibrate_catchment
 from .ensemble import (
     ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, SchemeResult, build_sisters,
     intervals_from_prediction, member_interval_bounds, run_scheme,
@@ -72,9 +73,6 @@ class ExperimentConfig:
     retain_per_chain: int = 200
     psrf_threshold: float = 1.10
     max_restarts: int = 10
-    retention: str = "bayesian-tail"
-    include_warmup_in_basic: bool = True
-    clamp_nonnegative: bool = False
     theta1_min: float = 1.0
     theta1_max: float = 3000.0
     theta2_min: float = 0.2
@@ -97,13 +95,15 @@ class ExperimentConfig:
         for scheme in self.schemes:
             if scheme not in ALL_SCHEMES:
                 problems.append(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
+        for name in ("catchments", "schemes"):
+            for item, count in Counter(getattr(self, name)).items():
+                if count > 1:
+                    problems.append(f"{name} lists {item!r} " + ("twice" if count == 2 else f"{count} times"))
         for build in (_scheme_config, _parameter_box, _chain_config):
             try:
                 build(self)
             except ValueError as exc:
                 problems.append(str(exc))
-        if self.retention not in RETENTION_MODES:
-            problems.append(f"retention must be one of {RETENTION_MODES}, got {self.retention!r}")
         needs_sample = any(s not in BASIC_SCHEMES for s in self.schemes)
         if needs_sample and self.m > self.n_chains * self.retain_per_chain:
             problems.append(
@@ -117,12 +117,7 @@ class ExperimentConfig:
 
 
 def _scheme_config(config: ExperimentConfig, seed: int = 0) -> SchemeConfig:
-    return SchemeConfig(
-        m=config.m,
-        seed=seed,
-        include_warmup_in_basic=config.include_warmup_in_basic,
-        clamp_nonnegative=config.clamp_nonnegative,
-    )
+    return SchemeConfig(m=config.m, seed=seed)
 
 
 def _parameter_box(config: ExperimentConfig) -> ParameterBox:
@@ -134,20 +129,18 @@ def _chain_config(config: ExperimentConfig, **overrides) -> ChainConfig:
     return ChainConfig(**{name: getattr(config, name) for name in names}, **overrides)
 
 
-def _parse_value(name: str, text: str, example):
-    if isinstance(example, bool):
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {text!r}")
+def parse_ids(text: str) -> tuple[str, ...]:
+    """A comma-separated list of catchment or scheme ids, each stripped of blanks; empty items are dropped."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _parse_value(text: str, example):
     if isinstance(example, int):
         return int(text)
     if isinstance(example, float):
         return float(text)
     if isinstance(example, tuple):
-        return tuple(item.strip() for item in text.split(",") if item.strip())
+        return parse_ids(text)
     return text.strip()
 
 
@@ -174,7 +167,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             problems.append(f"line {line_number}: unknown key {key!r}")
             continue
         try:
-            values[key] = _parse_value(key, value.strip(), known[key])
+            values[key] = _parse_value(value.strip(), known[key])
         except ValueError as exc:
             problems.append(f"line {line_number}: {exc}")
     if problems:
@@ -194,8 +187,6 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
                 problems.append(f"{f.name}: list item {item!r} is empty or holds a comma")
         if isinstance(value, tuple):
             text = ",".join(value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         elif isinstance(value, float):
             text = repr(value)
         else:
@@ -344,7 +335,7 @@ class WisdomRow:
 
 
 class CalibrationRecord(NamedTuple):
-    """Calibration outcome of one catchment; psrf is nan when nothing was calibrated."""
+    """Calibration outcome of one calibrated catchment; psrf is inf when every attempt's chains were degenerate."""
 
     psrf: float
     converged: bool
@@ -419,7 +410,7 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
         if any(s not in BASIC_SCHEMES for s in config.schemes):
             stage = "calibrate"
             chain_config = _chain_config(config, seed=seed, box=_parameter_box(config))
-            calibration = calibrate_catchment(series, split, chain_config, mode=config.retention)
+            calibration = calibrate_catchment(series, split, chain_config)
             stage = "sisters"
             sisters = build_sisters(calibration.sample, series, split, config.m)
 
@@ -434,11 +425,9 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
             wisdom_rows += scored[1]
     except Exception as exc:
         return CatchmentFailure(cid, stage, f"{type(exc).__name__}: {exc}")
-    cal_info = CalibrationRecord(float("nan"), True, 0, 0.0)
-    if calibration is not None:
-        cal_info = CalibrationRecord(
-            calibration.psrf, calibration.sample.converged, calibration.restarts_used, calibration.elapsed_seconds
-        )
+    cal_info = None if calibration is None else CalibrationRecord(
+        calibration.psrf, calibration.converged, calibration.restarts_used, calibration.elapsed_seconds
+    )
     return cid, records, wisdom_rows, cal_info
 
 
@@ -490,7 +479,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scored = [outcome for outcome in outcomes if not isinstance(outcome, CatchmentFailure)]
     records = [record for _, recs, _, _ in scored for record in recs]
     wisdom_rows = [row for _, _, rows, _ in scored for row in rows]
-    calibration = {cid: cal_info for cid, _, _, cal_info in scored}
+    calibration = {cid: cal_info for cid, _, _, cal_info in scored if cal_info is not None}
     result = ExperimentResult(records, wisdom_rows, failures, calibration, exit_code=0 if records else 2)
     emit_reports(result, config.output_dir)
     return result
@@ -532,7 +521,7 @@ def _wisdom_rows(wisdom: list[WisdomRow]):
 
 
 def _timing_rows(result: ExperimentResult):
-    """Seconds per (catchment, scheme) as first recorded, then calibration seconds per catchment."""
+    """Seconds per (catchment, scheme) as first recorded, then calibration seconds per calibrated catchment."""
     seen = set()
     for r in result.records:
         if (r.catchment, r.scheme) not in seen:
@@ -548,29 +537,39 @@ WISDOM_FIELDS = (
 )
 
 
-def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
+def write_score_reports(records: list[MetricsRecord], out_dir: str | Path, **summary) -> None:
+    """Write what ``records`` alone determine: ``metrics.csv``, ``rankings.csv`` and ``summary.json``.
+
+    ``summary.json`` holds the per-scheme statistics and the average ranks,
+    followed by the ``summary`` entries given.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    write_metrics_csv(result.records, out / "metrics.csv")
-
-    summary = summarize(result.records)
-    rows, averages = _rankings_rows(result.records)
+    write_metrics_csv(records, out / "metrics.csv")
+    rows, averages = _rankings_rows(records)
     summary_doc = {
-        "schemes": summary,
+        "schemes": summarize(records),
         "average_ranks": [
             {"alpha": alpha, "scheme": scheme, "rank": rank} for alpha, scheme, rank in averages
         ],
-        "calibration": {
-            # strict JSON has no NaN or Infinity: an undefined PSRF is null
+        **summary,
+    }
+    write_summary_json(summary_doc, out / "summary.json")
+    write_csv(out / "rankings.csv", ("catchment", "alpha", "scheme", "rank"), rows)
+
+
+def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
+    out = Path(out_dir)
+    write_score_reports(
+        result.records,
+        out,
+        calibration={
+            # strict JSON has no NaN or Infinity: the PSRF of degenerate chains is null
             cid: {**cal._asdict(), "psrf": cal.psrf if math.isfinite(cal.psrf) else None}
             for cid, cal in sorted(result.calibration.items())
         },
-        "failures": len(result.failures),
-    }
-    write_summary_json(summary_doc, out / "summary.json")
-
-    write_csv(out / "rankings.csv", ("catchment", "alpha", "scheme", "rank"), rows)
+        failures=len(result.failures),
+    )
     write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
     write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), _timing_rows(result))
     if result.failures:

@@ -69,9 +69,7 @@ def test_criterion_01_combined_interval_never_beaten_by_member_average():
     cases = 0
     for c, catchment_seed in enumerate(WISDOM_CATCHMENT_SEEDS):
         series, _ = synthesize_monthly(SyntheticSpec(n_months=96, seed=catchment_seed))
-        sample = PosteriorSample(
-            pairs=seeded_pairs(np.random.default_rng(900 + c), 50), mode="bayesian-tail"
-        )
+        sample = PosteriorSample(pairs=seeded_pairs(np.random.default_rng(900 + c), 50))
         observed = np.asarray(series.streamflow)[split.t3]
         for scheme in ("1", "2", "3", "4", "5", "6"):
             result = run_scheme(scheme, series, split, config, sample)
@@ -170,7 +168,7 @@ def test_criterion_04_parameter_recovery_under_heteroscedastic_noise():
         seed = RECOVERY_SEED_BASE + rep
         series, _ = synthesize_monthly(SyntheticSpec(seed=seed, **RECOVERY_GENERATOR))
         result = calibrate_catchment(series, split, ChainConfig(seed=seed))
-        assert result.sample.converged, f"replicate {rep} did not converge"
+        assert result.converged, f"replicate {rep} did not converge"
         assert result.psrf < 1.10
         assert result.restarts_used <= 10
         pairs = result.sample.pairs
@@ -245,9 +243,7 @@ def test_criterion_08_pipeline_counts_at_full_dimensions():
     300-month delivered quantiles, all exact."""
     split = partition(468, 12, 12, 144)  # 300 test months
     series, _ = synthesize_monthly(SyntheticSpec(n_months=468, seed=77))
-    sample = PosteriorSample(
-        pairs=seeded_pairs(np.random.default_rng(88), 600), mode="bayesian-tail"
-    )
+    sample = PosteriorSample(pairs=seeded_pairs(np.random.default_rng(88), 600))
     ensemble = generate_sisters(sample, series, split)
     assert ensemble.errors.shape == (600, 144)
     assert ensemble.errors.size == 86400
@@ -268,9 +264,7 @@ def test_criterion_09_single_member_collapses_scheme_variants():
     and so are the three quantile schemes."""
     split = partition(96, 12, 24, 36)
     series, _ = synthesize_monthly(SyntheticSpec(n_months=96, seed=11))
-    sample = PosteriorSample(
-        pairs=seeded_pairs(np.random.default_rng(5), 1), mode="bayesian-tail"
-    )
+    sample = PosteriorSample(pairs=seeded_pairs(np.random.default_rng(5), 1))
     config = SchemeConfig(m=1)
     quantiles = {
         scheme: run_scheme(scheme, series, split, config, sample).prediction.quantiles

@@ -69,6 +69,14 @@ class TestIngest:
         assert main(["ingest", "--input", str(data), "--catchments", "c2"]) == 0
         assert "1/1 catchments valid" in capsys.readouterr().out
 
+    def test_id_list_read_like_the_config_file(self, tmp_path, capsys):
+        # blanks around an id are dropped, as in `catchments = c1, c2`
+        data = make_data(tmp_path, ("c1", "c2"))
+        assert main(["ingest", "--input", str(data), "--catchments", " c1 , c2,"]) == 0
+        assert "2/2 catchments valid" in capsys.readouterr().out
+        assert main(["ingest", "--input", str(data), "--catchments", "c1,c1"]) == 1
+        assert "catchments lists 'c1' twice" in capsys.readouterr().err
+
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["ingest", "--input", str(tmp_path / "absent")]) == 1
 
@@ -141,6 +149,24 @@ class TestRun:
         assert "unknown key 'probabilities'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["retention = informal-head", "include_warmup_in_basic = false", "clamp_nonnegative = true"]
+    )
+    def test_removed_switch_rejected_before_any_catchment(self, tmp_path, capsys, line):
+        args = self.run_args(tmp_path, make_data(tmp_path))
+        cfg = tmp_path / "exp.cfg"  # written by run_args
+        text = cfg.read_text()
+        cfg.write_text(text + line + "\n")
+        assert main(args) == 1
+        key = line.split(" = ")[0]
+        assert f"line {len(text.splitlines()) + 1}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_scheme_rejected(self, tmp_path, capsys):
+        (tmp_path / "none").mkdir()
+        assert main(["run", "--schemes", "1,1", "--input", str(tmp_path / "none")]) == 1
+        assert "schemes lists '1' twice" in capsys.readouterr().err
+
     def test_unknown_scheme_rejected(self, tmp_path, capsys):
         data = make_data(tmp_path)
         args = self.run_args(tmp_path, data)
@@ -195,8 +221,13 @@ class TestReport:
             ["report", "--metrics", str(tmp_path / "out" / "metrics.csv"), "--out", str(out2)]
         )
         assert code == 0
-        assert (out2 / "rankings.csv").exists() and (out2 / "summary.json").exists()
         assert "re-aggregated 10 rows" in capsys.readouterr().out
+        # only what metrics.csv determines: no wisdom, timing, calibration or failure count
+        assert sorted(p.name for p in out2.iterdir()) == ["metrics.csv", "rankings.csv", "summary.json"]
+        summary = json.loads((out2 / "summary.json").read_text())
+        assert sorted(summary) == ["average_ranks", "schemes"]
+        for name in ("metrics.csv", "rankings.csv"):
+            assert (out2 / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     def args_for_run(self, tmp_path, data):
         return [

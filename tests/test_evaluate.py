@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ensflow.evaluate import (
     INTERVAL_ALPHAS,
@@ -145,6 +148,21 @@ class TestWisdomMetrics:
             combined = interval(0.1, lowers.mean(axis=0), uppers.mean(axis=0))
             record = wisdom_metrics(lowers, uppers, combined, y)
             assert record.relative_difference >= -1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+        alpha=st.sampled_from(INTERVAL_ALPHAS),
+        data=st.data(),
+    )
+    def test_relative_difference_never_below_round_off(self, shape, alpha, data):
+        # any member bounds, crossed ones included: the score is convex in (lower, upper)
+        value = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+        lowers = data.draw(arrays(float, shape, elements=value))
+        uppers = data.draw(arrays(float, shape, elements=value))
+        y = data.draw(arrays(float, shape[1], elements=value))
+        combined = interval(alpha, lowers.mean(axis=0), uppers.mean(axis=0))
+        assert wisdom_metrics(lowers, uppers, combined, y).relative_difference >= -1e-12
 
     def test_shape_validation(self):
         combined = interval(0.1, [0.0, 0.0], [1.0, 1.0])

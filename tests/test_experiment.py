@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -12,6 +13,7 @@ import time
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,9 +66,6 @@ class TestConfigFile:
             retain_per_chain=50,
             psrf_threshold=1.05,
             max_restarts=3,
-            retention="informal-head",
-            include_warmup_in_basic=False,
-            clamp_nonnegative=True,
             theta1_min=2.5,
             theta1_max=2500.0,
             theta2_min=0.1 + 0.2,  # needs all 17 digits of its repr
@@ -115,7 +114,7 @@ class TestConfigFile:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
         text=st.text(st.characters(blacklist_categories=("Cs",))),
-        ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=3),
+        ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=3, unique=True),
     )
     def test_saved_config_reads_back_equal_or_is_refused(self, text, ids):
         config = ExperimentConfig(output_dir=text, catchments=tuple(ids))
@@ -185,9 +184,26 @@ class TestConfigFile:
             assert [expected in p for p in str(excinfo.value).split("; ")] == [True], bad
         assert ExperimentConfig(theta2_min=0.0).theta2_min == 0.0
 
-    def test_retention_mode_checked(self):
-        with pytest.raises(ConfigError, match="retention"):
-            ExperimentConfig(retention="sideways")
+    def test_removed_switches_are_unknown_keys(self, tmp_path):
+        # retention, basic warm-up and clamping are fixed behaviour, not settings
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "seed = 7\nretention = bayesian-tail\ninclude_warmup_in_basic = true\nclamp_nonnegative = false\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).split("; ") == [
+            "line 2: unknown key 'retention'",
+            "line 3: unknown key 'include_warmup_in_basic'",
+            "line 4: unknown key 'clamp_nonnegative'",
+        ]
+
+    @pytest.mark.parametrize("name", ["catchments", "schemes"])
+    def test_repeated_id_rejected(self, name):
+        # a repeated id would be scored twice by one worker and once by a pool
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(**{name: ("1", "2", "1", "3", "3", "3")})
+        assert str(excinfo.value).split("; ") == [f"{name} lists '1' twice", f"{name} lists '3' 3 times"]
 
     def test_empty_scheme_list_rejected(self):
         # a run with no scheme would score nothing and say nothing about why
@@ -257,6 +273,24 @@ class TestSyntheticCatchments:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
             SyntheticSpec(**{name: value})
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        years=st.integers(1, 3),
+        start_year=st.integers(1896, 2004),  # the 1900 and 2000 Februaries included
+        theta1=st.floats(50.0, 2000.0),
+        theta2=st.floats(0.0, 2.0),
+    )
+    def test_ingest_gives_each_month_within_one_ulp(self, seed, years, start_year, theta1, theta2):
+        spec = SyntheticSpec(theta1=theta1, theta2=theta2, n_months=12 * years, seed=seed, start_year=start_year)
+        series, _ = synthesize_monthly(spec)
+        with tempfile.TemporaryDirectory() as scratch:
+            loaded = load_catchment(generate_synthetic(spec, scratch, "c")[0])
+        assert (loaded.n, loaded.origin) == (series.n, series.origin)
+        for name in ("precipitation", "potential_evaporation", "streamflow"):
+            total, read = getattr(series, name), getattr(loaded, name)
+            assert np.all(np.abs(read - total) <= np.spacing(total)), name
+
     def test_written_catchment_round_trips_monthly_totals(self, tmp_path):
         # whole years, since ingestion trims the span to full calendar years
         spec = SyntheticSpec(n_months=24, seed=11)
@@ -311,6 +345,33 @@ class TestCatchmentSeeds:
         assert _catchment_seed(0, "alpha") != _catchment_seed(0, "beta")
         assert _catchment_seed(0, "alpha") != _catchment_seed(1, "alpha")
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ids=st.lists(st.text("abcz019_-", min_size=1, max_size=5), min_size=1, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_seed_does_not_depend_on_the_batch(self, seed, ids, data):
+        # every catchment's first scheme fails with the seed it was given, so a
+        # run's failures map each catchment to its seed
+        series, _ = synthesize_monthly(SyntheticSpec(n_months=60))
+
+        def report_seed(scheme, series, split, config, **kwargs):
+            raise LookupError(config.seed)
+
+        def seeds(catchments):
+            with tempfile.TemporaryDirectory() as scratch:
+                config = small_run_config(Path(scratch), catchments=tuple(catchments), seed=seed)
+                with mock.patch.object(experiment, "load_catchment", lambda path: series), \
+                        mock.patch.object(experiment, "run_scheme", report_seed):
+                    failures = run_experiment(config).failures
+            return {f.catchment: f.message for f in failures}
+
+        subset = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        whole = seeds(ids)
+        assert whole == {cid: f"LookupError: {_catchment_seed(seed, cid)}" for cid in ids}
+        assert seeds(subset) == {cid: whole[cid] for cid in subset}
+
     def test_discovery(self, tmp_path):
         for name in ("b", "a"):
             generate_synthetic(SyntheticSpec(n_months=14), tmp_path, name)
@@ -355,22 +416,29 @@ class TestRunExperiment:
             assert (out / name).exists()
         assert not (out / "failures.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["calibration"]) == {"north", "south"}
+        # basic schemes calibrate nothing, so no catchment has a calibration entry or timing row
+        assert summary["calibration"] == {} and result.calibration == {}
         assert summary["failures"] == 0
+        assert "calibration" not in (out / "timing.csv").read_text()
         ranking_lines = (out / "rankings.csv").read_text().splitlines()
         # header + 5 levels x 2 catchments x 2 schemes
         assert len(ranking_lines) == 21
 
     def test_basic_only_summary_is_strict_json(self, tmp_path):
-        # nothing is calibrated, so the PSRF is undefined and must be null
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
         write_catchments(tmp_path, ["north"])
         run_experiment(small_run_config(tmp_path))
-        text = (tmp_path / "out" / "summary.json").read_text()
-        summary = json.loads(text, parse_constant=reject)
-        assert summary["calibration"]["north"]["psrf"] is None
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
+        assert summary["calibration"] == {}
+        # degenerate chains leave the PSRF undefined (inf), which strict JSON writes as null
+        degenerate = dataclasses.replace(
+            hand_built_result(), calibration={"c1": CalibrationRecord(math.inf, False, 2, 1.5)}
+        )
+        experiment.emit_reports(degenerate, tmp_path / "degenerate")
+        summary = json.loads((tmp_path / "degenerate" / "summary.json").read_text(), parse_constant=reject)
+        assert summary["calibration"] == {"c1": {"psrf": None, "converged": False, "restarts": 2, "seconds": 1.5}}
 
     def test_sisters_simulated_once_per_catchment(self, tmp_path, monkeypatch):
         calls = []
@@ -448,10 +516,10 @@ class TestRunExperiment:
     def test_crashing_catchment_does_not_end_the_batch(self, tmp_path, monkeypatch):
         original = experiment.calibrate_catchment
 
-        def crash_on_south(series, split, chain_config, mode):
+        def crash_on_south(series, split, chain_config):
             if chain_config.seed == _catchment_seed(0, "south"):
                 raise ZeroDivisionError("float division by zero")
-            return original(series, split, chain_config, mode=mode)
+            return original(series, split, chain_config)
 
         monkeypatch.setattr(experiment, "calibrate_catchment", crash_on_south)
         write_catchments(tmp_path, ["north", "south", "west"])

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensflow.calibrate import ChainConfig, ParameterBox, calibration_objective, log_likelihood, run_chains
 from ensflow.gr2m import (
@@ -123,6 +125,22 @@ class TestSingleStep:
             assert 0.0 <= state.soil <= params.theta1
             assert state.routing >= 0.0
             assert q >= 0.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        theta1=st.floats(1.0, 3000.0),
+        theta2=st.floats(0.0, 5.0),
+        forcing=st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)), min_size=1, max_size=36),
+    )
+    def test_stores_and_flows_stay_in_bounds(self, theta1, theta2, forcing):
+        # any parameters in the calibration box and any forcing in [0, 1e4] mm
+        params = Gr2mParams(theta1, theta2)
+        state = default_initial_state(params)
+        for p, e in forcing:
+            state, q = step(state, params, p, e)
+            assert 0.0 <= state.soil <= theta1
+            assert 0.0 <= state.routing < math.inf
+            assert 0.0 <= q < math.inf
 
     def test_input_validation(self):
         params = Gr2mParams(300.0, 1.0)

@@ -1,10 +1,13 @@
 """Linear and quantile regression against closed-form and order-statistic oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ensflow import regress
@@ -268,6 +271,32 @@ def linprog_quantile(x, y, p):
         if math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective)):
             return beta
     return linprog_primal(x, y, p)
+
+
+# tiny integer datasets: the small ranges make tied x values and duplicate rows common
+INTEGER_ROWS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-5, 5)), min_size=4, max_size=9)
+
+
+class TestQuantileFitProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(rows=INTEGER_ROWS, duplicated=st.integers(0, 3))
+    def test_reaches_the_best_two_point_vertex(self, rows, duplicated):
+        # an optimal line passes through two data points with distinct x, so
+        # the best line through any such pair is the optimal loss
+        rows = rows + rows[:duplicated]
+        x, y = (np.array(column, dtype=float) for column in zip(*rows))
+        pairs = [(i, j) for i, j in itertools.combinations(range(len(rows)), 2) if x[i] != x[j]]
+        if not pairs:
+            return  # a single x value: no line through two points
+        data = RegressionDataset(design_matrix(x), y)
+        fit = fit_quantile_set(data, DEFAULT_PROBABILITIES)
+        for p in DEFAULT_PROBABILITIES:
+            best = min(
+                math.fsum(pinball_loss(p, y, y[i] + (y[j] - y[i]) / (x[j] - x[i]) * (x - x[i])))
+                for i, j in pairs
+            )
+            achieved = math.fsum(pinball_loss(p, y, data.predictors @ fit.coefficients[p]))
+            assert achieved == pytest.approx(best, rel=1e-9, abs=1e-9), p
 
 
 class TestDirectHighsMatchesLinprog:
