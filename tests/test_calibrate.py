@@ -244,6 +244,16 @@ class TestCalibrateCatchment:
         assert np.array_equal(a.sample.pairs, b.sample.pairs)
         assert a.psrf == b.psrf
 
+    def test_retention_modes_pick_different_segments(self):
+        # the one retention left keeps each chain's tail, never its warm-up head
+        series = synthetic_series(seed=2)
+        split = partition(84, 12, 48, 12)
+        config = ChainConfig(seed=4, n_iterations=400, retain_per_chain=100)
+        result = calibrate_catchment(series, split, config)
+        chain = result.chain_set.chains[0]
+        assert np.array_equal(result.sample.pairs[:100], chain.params[-100:])
+        assert not np.array_equal(result.sample.pairs[:100], chain.params[:100])
+
     def test_non_convergence_is_flagged_not_fatal(self):
         series = synthetic_series(seed=3)
         split = partition(84, 12, 48, 12)
