@@ -34,7 +34,7 @@ print(f"training errors: {ensemble.errors.size} values, mean {ensemble.errors.me
 
 probabilities = (0.05, 0.25, 0.75, 0.95)
 for kind in ("linear", "quantile"):
-    config = SchemeConfig(variant=2, error_model=kind, probabilities=probabilities, m=40)
+    config = SchemeConfig(variant=2, error_model=kind, probabilities=probabilities)
     models = train_error_model(ensemble, config)
     eq = predict_error_quantiles(models, ensemble)
     # conditional error band of sister 0 in its wettest and driest test month
@@ -47,5 +47,5 @@ for kind in ("linear", "quantile"):
     print()
 
 # variant 3 trains on one seeded-random sister; the choice is reproducible
-config3 = SchemeConfig(variant=3, error_model="linear", probabilities=probabilities, m=40, seed=9)
+config3 = SchemeConfig(variant=3, error_model="linear", probabilities=probabilities, seed=9)
 print(f"variant 3 trains on sister {train_error_model(ensemble, config3).selected_sister} of {ensemble.m}")

@@ -14,7 +14,7 @@ the crowd effect on a real scheme run.
 import numpy as np
 
 from ensflow.calibrate import PosteriorSample
-from ensflow.ensemble import SchemeConfig, intervals_from_prediction, member_interval_bounds, run_scheme
+from ensflow.ensemble import build_sisters, intervals_from_prediction, member_interval_bounds, run_scheme
 from ensflow.evaluate import IntervalPrediction, average_interval_score, wisdom_metrics
 from ensflow.experiment import SyntheticSpec, synthesize_monthly
 from ensflow.timeseries import partition
@@ -30,7 +30,8 @@ rng = np.random.default_rng(2)
 pairs = np.column_stack(
     [400.0 * np.exp(0.1 * rng.standard_normal(30)), 0.9 + 0.05 * rng.standard_normal(30)]
 )
-result = run_scheme("5", series, split, SchemeConfig(m=30), PosteriorSample(pairs=pairs))
+sisters = build_sisters(PosteriorSample(pairs=pairs), series, split, 30)
+result = run_scheme("5", series, split, sisters=sisters)
 
 observed = np.asarray(series.streamflow)[split.t3]
 intervals = intervals_from_prediction(result.prediction)

@@ -111,10 +111,12 @@ class ChainConfig:
             )
         if not 1 <= self.retain_per_chain <= self.n_iterations:
             problems.append(f"retain_per_chain must lie in 1..{self.n_iterations}, got {self.retain_per_chain}")
-        if self.psrf_threshold <= 1.0:
+        if not self.psrf_threshold > 1.0:  # nan too: no estimate is below it
             problems.append(f"psrf_threshold must exceed 1, got {self.psrf_threshold}")
         if self.max_restarts < 0:
             problems.append(f"max_restarts must be >= 0, got {self.max_restarts}")
+        if self.seed < 0:  # numpy's SeedSequence takes non-negative integers only
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if problems:
             raise ValueError("; ".join(problems))
 

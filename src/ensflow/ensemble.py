@@ -86,15 +86,13 @@ def _check_probabilities(probabilities: tuple[float, ...]) -> tuple[float, ...]:
 class SchemeConfig:
     """Settings shared by the schemes.
 
-    ``m`` sisters are taken from the head of the parameter sample; the
-    ``seed`` only feeds variant 3's choice of training sister.  Delivered
+    The ``seed`` only feeds variant 3's choice of training sister.  Delivered
     quantiles are reported exactly as computed, negative ones included.
     """
 
     variant: int = 2
     error_model: str = "quantile"
     probabilities: tuple[float, ...] = DEFAULT_PROBABILITIES
-    m: int = 600
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -103,8 +101,6 @@ class SchemeConfig:
             problems.append(f"variant must be 1, 2 or 3, got {self.variant}")
         if self.error_model not in ERROR_MODEL_KINDS:
             problems.append(f"error_model must be one of {ERROR_MODEL_KINDS}, got {self.error_model!r}")
-        if self.m < 1:
-            problems.append(f"m must be >= 1, got {self.m}")
         try:
             object.__setattr__(self, "probabilities", _check_probabilities(self.probabilities))
         except ValueError as exc:
@@ -260,9 +256,7 @@ def build_sisters(
     """Steps 1-2 for the first ``m`` pairs of the sample, shared by every numbered scheme."""
     if sample.m < m:
         raise ValueError(f"need {m} parameter pairs, sample holds {sample.m}")
-    if sample.m > m:
-        sample = replace(sample, pairs=sample.pairs[:m])
-    return generate_sisters(sample, series, split)
+    return generate_sisters(PosteriorSample(sample.pairs[:m]), series, split)
 
 
 def _fit_one(kind: str, u: np.ndarray, e: np.ndarray, probabilities: tuple[float, ...]):
@@ -403,43 +397,33 @@ class SchemeResult:
 
 
 def run_scheme(
-    scheme: str | int,
+    scheme: str,
     series: MonthlySeries,
     split: PeriodPartition,
     config: SchemeConfig | None = None,
-    sample: PosteriorSample | None = None,
     sisters: SisterEnsemble | None = None,
 ) -> SchemeResult:
     """Dispatch one scheme id and time it.
 
     Numbered schemes override the config's variant and regression family
-    (that is what the number means) and run steps 3-6 on ``sisters``; when
-    no sisters are given they are built from the head of ``sample`` first,
-    and that simulation then counts towards the elapsed time.  A numbered
-    scheme allocates one (m, n_probs, n3) array, the auxiliary quantiles the
-    result keeps: 14.4 MB at paper dimensions (600, 10, 300).
+    (that is what the number means) and run steps 3-6 on ``sisters``, which
+    ``build_sisters`` makes once per catchment, outside the elapsed time.  A
+    numbered scheme allocates one (m, n_probs, n3) array, the auxiliary
+    quantiles the result keeps: 14.4 MB at paper dimensions (600, 10, 300).
     """
-    scheme_id = str(scheme)
     if config is None:
         config = SchemeConfig()
     t_start = time.perf_counter()
     auxiliary = None
-    if scheme_id in BASIC_SCHEMES:
-        prediction = run_basic_scheme(scheme_id.removeprefix("basic-"), series, split, config.probabilities)
-    elif scheme_id in SCHEME_DEFS:
+    if scheme in BASIC_SCHEMES:
+        prediction = run_basic_scheme(scheme.removeprefix("basic-"), series, split, config.probabilities)
+    elif scheme in SCHEME_DEFS:
         if sisters is None:
-            if sample is None:
-                raise ValueError(f"scheme {scheme_id} needs a calibration sample")
-            sisters = build_sisters(sample, series, split, config.m)
-        variant, kind = SCHEME_DEFS[scheme_id]
+            raise ValueError(f"scheme {scheme} runs on sisters: make them with build_sisters first")
+        variant, kind = SCHEME_DEFS[scheme]
         models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
         auxiliary = to_auxiliary(sisters, models)
         prediction = combine(auxiliary)
     else:
-        raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {ALL_SCHEMES}")
-    return SchemeResult(
-        scheme=scheme_id,
-        prediction=prediction,
-        auxiliary=auxiliary,
-        elapsed_seconds=time.perf_counter() - t_start,
-    )
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
+    return SchemeResult(scheme, prediction, auxiliary, elapsed_seconds=time.perf_counter() - t_start)

@@ -4,7 +4,8 @@ A run takes a directory of daily catchment CSVs, calibrates each catchment,
 executes the requested prediction schemes, scores five central intervals per
 scheme and writes five machine-readable outputs: ``metrics.csv``,
 ``summary.json``, ``rankings.csv``, ``wisdom.csv`` and ``timing.csv``
-(plus ``failures.csv`` when catchments had to be skipped).
+(plus ``failures.csv`` when catchments had to be skipped; a run without
+skips removes the one an earlier run left in the same directory).
 
 Configuration lives in a flat ``key = value`` text file; every key has a
 default, so an empty file is a valid experiment.  Catchment-level randomness
@@ -50,7 +51,7 @@ from .evaluate import (
 )
 from .gr2m import simulate_flow
 from .regress import load_solver
-from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, load_catchment, partition, write_csv
+from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_csv
 
 
 class ConfigError(ValueError):
@@ -64,32 +65,24 @@ class ExperimentConfig:
     catchments: tuple[str, ...] = ()  # empty means: every *.csv in input_dir
     warmup: int = 12
     n1: int = 144
-    n2: int = 144
-    n3: int = 0  # 0 means: whatever the series leaves over
+    n2: int = 144  # the test period is whatever each series leaves over
     schemes: tuple[str, ...] = ALL_SCHEMES
     m: int = 600
-    n_chains: int = 3
-    n_iterations: int = 2000
-    retain_per_chain: int = 200
-    psrf_threshold: float = 1.10
-    max_restarts: int = 10
-    theta1_min: float = 1.0
-    theta1_max: float = 3000.0
-    theta2_min: float = 0.2
-    theta2_max: float = 5.0
+    n_chains: int = ChainConfig.n_chains
+    n_iterations: int = ChainConfig.n_iterations
+    retain_per_chain: int = ChainConfig.retain_per_chain
+    psrf_threshold: float = ChainConfig.psrf_threshold
+    max_restarts: int = ChainConfig.max_restarts
+    theta1_min: float = ParameterBox.theta1_range[0]
+    theta1_max: float = ParameterBox.theta1_range[1]
+    theta2_min: float = ParameterBox.theta2_range[0]
+    theta2_max: float = ParameterBox.theta2_range[1]
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
-        """Collect every problem into one ConfigError; scheme, box and chain keys are checked by their own types."""
+        """Collect every problem into one ConfigError; partition, box and chain keys are checked by their own types."""
         problems: list[str] = []
-        if self.warmup < 0:
-            problems.append(f"warmup must be >= 0, got {self.warmup}")
-        for name in ("n1", "n2"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n3 < 0:
-            problems.append(f"n3 must be >= 0 (0 = remainder), got {self.n3}")
         if not self.schemes:
             problems.append("schemes must name at least one scheme")
         for scheme in self.schemes:
@@ -99,9 +92,15 @@ class ExperimentConfig:
             for item, count in Counter(getattr(self, name)).items():
                 if count > 1:
                     problems.append(f"{name} lists {item!r} " + ("twice" if count == 2 else f"{count} times"))
-        for build in (_scheme_config, _parameter_box, _chain_config):
+        if self.m < 1:
+            problems.append(f"m must be >= 1, got {self.m}")
+        for build in (
+            lambda: PeriodPartition(self.warmup, self.n1, self.n2, 1),  # the shortest test period
+            lambda: _parameter_box(self),
+            lambda: _chain_config(self, seed=self.seed),
+        ):
             try:
-                build(self)
+                build()
             except ValueError as exc:
                 problems.append(str(exc))
         needs_sample = any(s not in BASIC_SCHEMES for s in self.schemes)
@@ -114,10 +113,6 @@ class ExperimentConfig:
             problems.append(f"workers must be >= 1, got {self.workers}")
         if problems:
             raise ConfigError("; ".join(problems))
-
-
-def _scheme_config(config: ExperimentConfig, seed: int = 0) -> SchemeConfig:
-    return SchemeConfig(m=config.m, seed=seed)
 
 
 def _parameter_box(config: ExperimentConfig) -> ParameterBox:
@@ -153,6 +148,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     defaults = ExperimentConfig()
     known = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
     values: dict = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     problems: list[str] = []
     for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -166,10 +162,14 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         if key not in known:
             problems.append(f"line {line_number}: unknown key {key!r}")
             continue
+        if key in set_on:
+            problems.append(f"line {line_number}: key {key!r} already set on line {set_on[key]}")
+            continue
+        set_on[key] = line_number
         try:
             values[key] = _parse_value(value.strip(), known[key])
         except ValueError as exc:
-            problems.append(f"line {line_number}: {exc}")
+            problems.append(f"line {line_number}: {key}: {exc}")
     if problems:
         raise ConfigError("; ".join(problems))
     return ExperimentConfig(**{**values, **overrides})
@@ -398,10 +398,6 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
     try:
         series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
         stage = "partition"
-        if config.n3 > 0:
-            expected = config.warmup + config.n1 + config.n2 + config.n3
-            if series.n != expected:
-                raise ValueError(f"series has {series.n} months, config demands exactly {expected}")
         split = partition(series.n, config.warmup, config.n1, config.n2)
 
         seed = _catchment_seed(config.seed, cid)
@@ -414,7 +410,7 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
             stage = "sisters"
             sisters = build_sisters(calibration.sample, series, split, config.m)
 
-        scheme_config = _scheme_config(config, seed)
+        scheme_config = SchemeConfig(seed=seed)
         observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
         records: list[MetricsRecord] = []
         wisdom_rows: list[WisdomRow] = []
@@ -443,14 +439,16 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
     """Each job's outcome from a process pool, in job order; a dead worker fails only its own catchment.
 
     The catchments the dead worker's pool left unfinished run once more, each in a one-worker pool of its own.
+    A fork-context pool starts all its workers at the first submit, so no pool asks for more than it has jobs.
     """
+    workers = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [(job[1], pool.submit(_process_catchment, job)) for job in jobs]
         outcomes = {cid: _worker_outcome(cid, future) for cid, future in futures}
     retry = [job for job in jobs if getattr(outcomes[job[1]], "stage", None) == "worker"]
-    for start in range(0, len(retry), workers):  # workers pools at a time
+    for start in range(0, len(retry), workers):  # at most workers pools at a time
         with ExitStack() as stack:
-            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in range(workers)]
+            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in retry[start : start + workers]]
             futures = [(job[1], pool.submit(_process_catchment, job)) for job, pool in zip(retry[start:], pools)]
             outcomes.update((cid, _worker_outcome(cid, future)) for cid, future in futures)
     return list(outcomes.values())
@@ -575,3 +573,5 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
     if result.failures:
         failure_rows = ((f.catchment, f.stage, f.message) for f in result.failures)
         write_csv(out / "failures.csv", ("catchment", "stage", "message"), failure_rows)
+    else:  # an earlier run's file would contradict summary.json's "failures": 0
+        (out / "failures.csv").unlink(missing_ok=True)

@@ -66,7 +66,8 @@ class PeriodPartition:
 
     ``warmup`` months initialise model states and are never scored.  The next
     ``n1`` months calibrate the model, the following ``n2`` train error
-    models, and the final ``n3`` months are held out for testing.
+    models, and the final ``n3`` months are held out for testing.  Every
+    problem is reported in one ``ValueError``.
     """
 
     warmup: int
@@ -75,11 +76,12 @@ class PeriodPartition:
     n3: int
 
     def __post_init__(self) -> None:
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        problems = [f"warmup must be >= 0, got {self.warmup}"] if self.warmup < 0 else []
         for name in ("n1", "n2", "n3"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def n_total(self) -> int:

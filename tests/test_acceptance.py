@@ -15,6 +15,7 @@ from ensflow.calibrate import ChainConfig, PosteriorSample, calibrate_catchment,
 from ensflow.cli import main
 from ensflow.ensemble import (
     SchemeConfig,
+    build_sisters,
     combine,
     generate_sisters,
     intervals_from_prediction,
@@ -64,15 +65,15 @@ def test_criterion_01_combined_interval_never_beaten_by_member_average():
     """RD = (member-average score - combined score) / member-average score
     stays >= -1e-12 for 20 catchments x 6 schemes x 5 interval levels."""
     split = partition(96, 12, 24, 36)  # 24 test months
-    config = SchemeConfig(m=50)
     worst = np.inf
     cases = 0
     for c, catchment_seed in enumerate(WISDOM_CATCHMENT_SEEDS):
         series, _ = synthesize_monthly(SyntheticSpec(n_months=96, seed=catchment_seed))
         sample = PosteriorSample(pairs=seeded_pairs(np.random.default_rng(900 + c), 50))
+        sisters = build_sisters(sample, series, split, 50)
         observed = np.asarray(series.streamflow)[split.t3]
         for scheme in ("1", "2", "3", "4", "5", "6"):
-            result = run_scheme(scheme, series, split, config, sample)
+            result = run_scheme(scheme, series, split, sisters=sisters)
             intervals = intervals_from_prediction(result.prediction)
             for alpha in INTERVAL_ALPHAS:
                 lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
@@ -194,14 +195,14 @@ def tenfold_calibrated_runs():
     """Ten seeded heteroscedastic catchments, calibrated, with the pooled
     quantile scheme and the per-sister linear scheme run on 600 test months."""
     split = partition(900, 12, 144, 144)  # leaves 600 test months
-    config = SchemeConfig(m=100)
     rows = []
     for i in CALIBRATION_COVERAGE_SEEDS:
         series, _ = synthesize_monthly(SyntheticSpec(n_months=900, seed=i))
         calibration = calibrate_catchment(series, split, ChainConfig(seed=1000 + i))
         observed = np.asarray(series.streamflow)[split.t3]
-        pooled_quantile = run_scheme("5", series, split, config, calibration.sample)
-        per_sister_linear = run_scheme("1", series, split, config, calibration.sample)
+        sisters = build_sisters(calibration.sample, series, split, 100)
+        pooled_quantile = run_scheme("5", series, split, sisters=sisters)
+        per_sister_linear = run_scheme("1", series, split, sisters=sisters)
         rows.append((per_sister_linear, pooled_quantile, observed))
     return rows
 
@@ -249,7 +250,7 @@ def test_criterion_08_pipeline_counts_at_full_dimensions():
     assert ensemble.errors.size == 86400
     assert ensemble.predictions.shape == (600, 444)
 
-    config = SchemeConfig(variant=2, error_model="linear", m=600)
+    config = SchemeConfig(variant=2, error_model="linear")
     models = train_error_model(ensemble, config)
     auxiliary = to_auxiliary(ensemble, models)
     assert auxiliary.values.shape == (600, 10, 300)
@@ -264,10 +265,9 @@ def test_criterion_09_single_member_collapses_scheme_variants():
     and so are the three quantile schemes."""
     split = partition(96, 12, 24, 36)
     series, _ = synthesize_monthly(SyntheticSpec(n_months=96, seed=11))
-    sample = PosteriorSample(pairs=seeded_pairs(np.random.default_rng(5), 1))
-    config = SchemeConfig(m=1)
+    sisters = build_sisters(PosteriorSample(pairs=seeded_pairs(np.random.default_rng(5), 1)), series, split, 1)
     quantiles = {
-        scheme: run_scheme(scheme, series, split, config, sample).prediction.quantiles
+        scheme: run_scheme(scheme, series, split, sisters=sisters).prediction.quantiles
         for scheme in ("1", "2", "3", "4", "5", "6")
     }
     assert np.array_equal(quantiles["1"], quantiles["2"])

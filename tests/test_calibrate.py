@@ -104,6 +104,14 @@ class TestChainConfig:
         with pytest.raises(ValueError, match="max_restarts"):
             ChainConfig(max_restarts=-1)
 
+    def test_values_no_run_could_use_rejected(self):
+        # a nan threshold is never reached, so every attempt would run and none converge
+        with pytest.raises(ValueError, match="psrf_threshold must exceed 1, got nan"):
+            ChainConfig(psrf_threshold=float("nan"))
+        # numpy's SeedSequence takes non-negative integers only
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ChainConfig(seed=-1)
+
     def test_chain_too_short_for_psrf_rejected(self):
         with pytest.raises(ValueError, match="n_iterations must be >= 19"):
             ChainConfig(n_iterations=18, retain_per_chain=10)

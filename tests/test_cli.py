@@ -150,7 +150,7 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "line", ["retention = informal-head", "include_warmup_in_basic = false", "clamp_nonnegative = true"]
+        "line", ["retention = informal-head", "include_warmup_in_basic = false", "clamp_nonnegative = true", "n3 = 0"]
     )
     def test_removed_switch_rejected_before_any_catchment(self, tmp_path, capsys, line):
         args = self.run_args(tmp_path, make_data(tmp_path))
@@ -160,6 +160,12 @@ class TestRun:
         assert main(args) == 1
         key = line.split(" = ")[0]
         assert f"line {len(text.splitlines()) + 1}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_rejected_before_any_catchment(self, tmp_path, capsys):
+        args = self.run_args(tmp_path, make_data(tmp_path)) + ["--seed", "-1"]
+        assert main(args) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_repeated_scheme_rejected(self, tmp_path, capsys):

@@ -74,7 +74,7 @@ def posterior(m=6, seed=0):
 
 
 def small_config(**kw):
-    base = dict(m=6, probabilities=(0.05, 0.25, 0.75, 0.95))
+    base = dict(probabilities=(0.05, 0.25, 0.75, 0.95))
     base.update(kw)
     return SchemeConfig(**base)
 
@@ -108,9 +108,9 @@ class TestProbabilitySet:
 
     def test_every_problem_reported_at_once(self):
         with pytest.raises(ValueError) as excinfo:
-            SchemeConfig(m=0, probabilities=(0.2,))
+            SchemeConfig(variant=4, probabilities=(0.2,))
         message = str(excinfo.value)
-        assert "m must be >= 1" in message
+        assert "variant must be 1, 2 or 3" in message
         assert "need at least two probabilities" in message
 
     def test_scheme_table(self):
@@ -196,7 +196,7 @@ class TestTrainErrorModel:
         u, e = ensemble.training_predictions, ensemble.errors
         distinct = 5  # {0, 1}, {2, 7}, {3, 4, 5}, {6}, {8}
         for kind in ERROR_MODEL_KINDS:
-            config = small_config(variant=1, error_model=kind, m=9)
+            config = small_config(variant=1, error_model=kind)
             direct = [_fit_one(kind, u[i], e[i], config.probabilities) for i in range(9)]
             fits, solves = [], []
             monkeypatch.setattr(ensemble_module, "_fit_one", counted(fits, ensemble_module._fit_one))
@@ -220,7 +220,7 @@ class TestTrainErrorModel:
         pairs = np.array([[400.0, 0.9], [400.0, 0.9], [300.0, 0.0], [300.0, 0.0]])
         ensemble = generate_sisters(PosteriorSample(pairs=pairs), catchment(), SPLIT)
         with pytest.raises(RankDeficiencyError, match="sister 2:"):
-            train_error_model(ensemble, small_config(variant=1, error_model="linear", m=4))
+            train_error_model(ensemble, small_config(variant=1, error_model="linear"))
 
     def test_variant_2_pools_rows_sister_major(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
@@ -257,7 +257,7 @@ class TestTrainErrorModel:
         sample = PosteriorSample(pairs=pairs)
         ensemble = generate_sisters(sample, series, SPLIT)
         with pytest.raises(RankDeficiencyError, match="sister 0:"):
-            train_error_model(ensemble, small_config(variant=1, error_model="linear", m=2))
+            train_error_model(ensemble, small_config(variant=1, error_model="linear"))
 
 
 class TestErrorQuantilesAndAuxiliary:
@@ -274,7 +274,7 @@ class TestErrorQuantilesAndAuxiliary:
 
     def test_per_sister_quantile_lines(self):
         ensemble = generate_sisters(posterior(m=3), catchment(), SPLIT)
-        config = small_config(variant=1, error_model="quantile", m=3)
+        config = small_config(variant=1, error_model="quantile")
         models = train_error_model(ensemble, config)
         eq = predict_error_quantiles(models, ensemble)
         for i in range(3):
@@ -325,7 +325,7 @@ class TestErrorQuantilesAndAuxiliary:
         # (m, n_probs, n3) subtraction with its probability axis reversed
         variant, kind = SCHEME_DEFS[scheme]
         sisters = generate_sisters(posterior(m=5, seed=2), catchment(), SPLIT)
-        models = train_error_model(sisters, small_config(variant=variant, error_model=kind, m=5))
+        models = train_error_model(sisters, small_config(variant=variant, error_model=kind))
         u = sisters.test_predictions
         expected = u[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
         assert np.array_equal(to_auxiliary(sisters, models).values, expected)
@@ -347,7 +347,7 @@ class TestErrorQuantilesAndAuxiliary:
             predictions[-1], errors[-1] = predictions[0], errors[0]
         sisters = SisterEnsemble(predictions, errors)
         variant, kind = SCHEME_DEFS[scheme]
-        models = train_error_model(sisters, small_config(variant=variant, error_model=kind, m=m, seed=seed))
+        models = train_error_model(sisters, small_config(variant=variant, error_model=kind, seed=seed))
         expected = sisters.test_predictions[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
         assert np.array_equal(to_auxiliary(sisters, models).values, expected)
 
@@ -409,16 +409,16 @@ class TestBasicSchemes:
 
 
 class TestRunEnsembleScheme:
-    """Numbered schemes through ``run_scheme``: steps 1-6 from a parameter sample."""
+    """Numbered schemes: sisters from ``build_sisters``, then steps 3-6 through ``run_scheme``."""
 
     def test_single_sister_collapses_variants(self):
         # with one sister there is nothing to pool or select, so all three
         # variants of a family deliver identical quantiles
         series = catchment()
-        sample = posterior(m=1, seed=3)
+        sisters = build_sisters(posterior(m=1, seed=3), series, SPLIT, 1)
         for family in (("1", "2", "3"), ("4", "5", "6")):
             outputs = [
-                run_scheme(scheme, series, SPLIT, small_config(m=1), sample).prediction.quantiles
+                run_scheme(scheme, series, SPLIT, small_config(), sisters).prediction.quantiles
                 for scheme in family
             ]
             assert np.array_equal(outputs[0], outputs[1])
@@ -427,19 +427,13 @@ class TestRunEnsembleScheme:
     def test_sample_head_used_when_larger(self):
         series = catchment()
         sample = posterior(m=10, seed=4)
-        config = small_config(m=4)
-        full = run_scheme("2", series, SPLIT, config, sample)
         head = PosteriorSample(pairs=sample.pairs[:4])
-        trimmed = run_scheme("2", series, SPLIT, config, head)
+        full = run_scheme("2", series, SPLIT, small_config(), build_sisters(sample, series, SPLIT, 4))
+        trimmed = run_scheme("2", series, SPLIT, small_config(), generate_sisters(head, series, SPLIT))
         np.testing.assert_array_equal(full.prediction.quantiles, trimmed.prediction.quantiles)
-        np.testing.assert_array_equal(
-            build_sisters(sample, series, SPLIT, 4).predictions,
-            generate_sisters(head, series, SPLIT).predictions,
-        )
+        np.testing.assert_array_equal(full.auxiliary.values, trimmed.auxiliary.values)
 
     def test_sample_too_small_rejected(self):
-        with pytest.raises(ValueError, match="parameter pairs"):
-            run_scheme("2", catchment(), SPLIT, small_config(m=5), posterior(m=2))
         with pytest.raises(ValueError, match="parameter pairs"):
             build_sisters(posterior(m=2), catchment(), SPLIT, 5)
 
@@ -454,27 +448,22 @@ class TestRunEnsembleScheme:
         shifted = MonthlySeries(
             series.origin, series.precipitation, series.potential_evaporation, shifted_flow
         )
-        config = small_config(m=4)
+        config = small_config()
         for scheme in ("2", "5"):
-            base = run_scheme(scheme, series, SPLIT, config, sample).prediction
-            moved = run_scheme(scheme, shifted, SPLIT, config, sample).prediction
+            base = run_scheme(scheme, series, SPLIT, config, build_sisters(sample, series, SPLIT, 4)).prediction
+            moved = run_scheme(scheme, shifted, SPLIT, config, build_sisters(sample, shifted, SPLIT, 4)).prediction
             np.testing.assert_allclose(
                 moved.quantiles, base.quantiles + shift, rtol=1e-8, atol=1e-8
             )
 
     def test_intermediates_exposed(self):
         series = catchment()
-        sample = posterior(m=3, seed=7)
-        result = run_scheme("1", series, SPLIT, small_config(m=3), sample)
+        sisters = build_sisters(posterior(m=3, seed=7), series, SPLIT, 3)
+        result = run_scheme("1", series, SPLIT, small_config(), sisters=sisters)
         assert result.auxiliary.values.shape == (3, 4, 18)
         np.testing.assert_allclose(
             result.prediction.quantiles, result.auxiliary.values.mean(axis=0), rtol=1e-12
         )
-        # prebuilt sisters give exactly what the scheme builds from the sample
-        sisters = build_sisters(sample, series, SPLIT, 3)
-        assert sisters.m == 3
-        shared = run_scheme("1", series, SPLIT, small_config(m=3), sisters=sisters)
-        np.testing.assert_array_equal(shared.auxiliary.values, result.auxiliary.values)
 
     @pytest.mark.parametrize("scheme", ["1", "5"])  # one per-sister and one pooled scheme
     def test_one_auxiliary_sized_array_per_scheme(self, scheme):
@@ -487,7 +476,7 @@ class TestRunEnsembleScheme:
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            result = run_scheme(scheme, series, split, SchemeConfig(m=200), sisters=sisters)
+            result = run_scheme(scheme, series, split, SchemeConfig(), sisters=sisters)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,11 +488,10 @@ class TestRunScheme:
     def test_numbered_scheme_overrides_config(self):
         # the scheme id fixes variant and family no matter what the config says
         series = catchment()
-        sample = posterior(m=4, seed=9)
-        config = small_config(variant=1, error_model="linear", m=4)
-        via_dispatch = run_scheme("5", series, SPLIT, config, sample)
-        sisters = generate_sisters(sample, series, SPLIT)
-        direct_config = small_config(variant=2, error_model="quantile", m=4)
+        sisters = generate_sisters(posterior(m=4, seed=9), series, SPLIT)
+        config = small_config(variant=1, error_model="linear")
+        via_dispatch = run_scheme("5", series, SPLIT, config, sisters)
+        direct_config = small_config(variant=2, error_model="quantile")
         models = train_error_model(sisters, direct_config)
         direct = combine(to_auxiliary(sisters, models))
         assert via_dispatch.scheme == "5"
@@ -512,22 +500,18 @@ class TestRunScheme:
         assert via_dispatch.elapsed_seconds >= 0.0
 
     def test_basic_scheme_needs_no_sample(self):
-        result = run_scheme("basic-linear", catchment(), SPLIT, small_config(m=4))
+        result = run_scheme("basic-linear", catchment(), SPLIT, small_config())
         assert result.scheme == "basic-linear"
         assert result.auxiliary is None
         assert result.prediction.quantiles.shape == (4, 18)
 
-    def test_numbered_scheme_requires_sample(self):
-        with pytest.raises(ValueError, match="needs a calibration sample"):
-            run_scheme("3", catchment(), SPLIT, small_config(m=4), sample=None)
-
-    def test_integer_ids_accepted(self):
-        series = catchment()
-        sample = posterior(m=4, seed=10)
-        a = run_scheme(1, series, SPLIT, small_config(m=4), sample)
-        b = run_scheme("1", series, SPLIT, small_config(m=4), sample)
-        np.testing.assert_array_equal(a.prediction.quantiles, b.prediction.quantiles)
+    def test_numbered_scheme_requires_sisters(self):
+        with pytest.raises(ValueError, match="build_sisters"):
+            run_scheme("4", catchment(), SPLIT, small_config())
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
-            run_scheme("7", catchment(), SPLIT, small_config(m=4), posterior(m=4))
+            run_scheme("7", catchment(), SPLIT, small_config())
+        # an id is the string that names it
+        with pytest.raises(ValueError, match="unknown scheme 1"):
+            run_scheme(1, catchment(), SPLIT)

@@ -58,7 +58,6 @@ class TestConfigFile:
             warmup=6,
             n1=24,
             n2=12,
-            n3=12,
             schemes=("1", "basic-linear"),
             m=90,
             n_chains=4,
@@ -197,6 +196,44 @@ class TestConfigFile:
             "line 3: unknown key 'include_warmup_in_basic'",
             "line 4: unknown key 'clamp_nonnegative'",
         ]
+
+    def test_test_period_is_not_a_key(self, tmp_path):
+        # the test period is whatever each series leaves after warmup, n1 and n2
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 7\nn3 = 0\n")
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'n3'$"):
+            load_config(path)
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("m = 10\nseed = 1\n\nm = 20\n")
+        with pytest.raises(ConfigError, match="^line 4: key 'm' already set on line 1$"):
+            load_config(path)
+
+    def test_bad_value_names_its_key(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 1\nm = zero\npsrf_threshold = high\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).split("; ") == [
+            "line 2: m: invalid literal for int() with base 10: 'zero'",
+            "line 3: psrf_threshold: could not convert string to float: 'high'",
+        ]
+
+    def test_values_that_break_every_catchment_rejected(self):
+        # a nan threshold is never reached, and numpy seeds must be non-negative
+        with pytest.raises(ConfigError, match="psrf_threshold must exceed 1, got nan"):
+            ExperimentConfig(psrf_threshold=float("nan"))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
+
+    def test_readme_names_every_key(self):
+        # the README paragraph that lists the config keys, up to the next blank line
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = next(p for p in readme.split("\n\n") if "Keys mirror `ExperimentConfig`" in p)
+        assert [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in paragraph] == []
+        removed = ("n3", "retention", "include_warmup_in_basic", "clamp_nonnegative", "probabilities")
+        assert [key for key in removed if f"`{key}`" in paragraph] == []
 
     @pytest.mark.parametrize("name", ["catchments", "schemes"])
     def test_repeated_id_rejected(self, name):
@@ -388,7 +425,6 @@ def small_run_config(tmp_path, **kw):
         warmup=12,
         n1=24,
         n2=12,
-        n3=0,
         schemes=("basic-linear", "basic-quantile"),
     )
     base.update(kw)
@@ -513,6 +549,17 @@ class TestRunExperiment:
         failures_csv = (tmp_path / "out" / "failures.csv").read_text()
         assert "broken" in failures_csv
 
+    def test_clean_rerun_removes_the_old_failures_file(self, tmp_path):
+        data = write_catchments(tmp_path, ["good"])
+        (data / "broken.csv").write_text("not,a,valid,header\n1,2,3,4\n")
+        run_experiment(small_run_config(tmp_path))
+        assert (tmp_path / "out" / "failures.csv").exists()
+        (data / "broken.csv").unlink()
+        result = run_experiment(small_run_config(tmp_path))
+        assert result.failures == []
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["failures"] == 0
+        assert not (tmp_path / "out" / "failures.csv").exists()
+
     def test_crashing_catchment_does_not_end_the_batch(self, tmp_path, monkeypatch):
         original = experiment.calibrate_catchment
 
@@ -609,13 +656,6 @@ class TestRunExperiment:
         assert result.exit_code == 2
         assert result.records == []
 
-    def test_strict_length_check_when_n3_fixed(self, tmp_path):
-        write_catchments(tmp_path, ["short"], months=60)
-        config = small_run_config(tmp_path, n3=13)  # demands 12+24+12+13 = 61 months
-        result = run_experiment(config)
-        assert result.failures and result.failures[0].stage == "partition"
-        assert "demands exactly 61" in result.failures[0].message
-
     def test_ensemble_scheme_end_to_end(self, tmp_path):
         write_catchments(tmp_path, ["east"])
         config = small_run_config(
@@ -665,6 +705,45 @@ class TestRunExperiment:
             (r.catchment, r.scheme, r.alpha, r.coverage, r.width, r.score) for r in rs
         )
         assert strip(serial.records) == strip(parallel.records)
+
+    @staticmethod
+    def record_pool_sizes(monkeypatch):
+        """The ``max_workers`` each pool is asked for; a fork-context pool starts them all at the first submit."""
+        asked = []
+        real_pool = experiment.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            asked.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_pool)
+        return asked
+
+    def test_no_pool_asks_for_more_workers_than_catchments(self, tmp_path, monkeypatch):
+        asked = self.record_pool_sizes(monkeypatch)
+        write_catchments(tmp_path, ["w1", "w2"])
+        result = run_experiment(small_run_config(tmp_path, schemes=("basic-linear",), workers=6))
+        assert not result.failures and len(result.records) == 10
+        assert asked == [2]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patched stage"
+    )
+    def test_a_retry_opens_one_pool_per_retried_catchment(self, tmp_path, monkeypatch):
+        # w2 is retried every time; w1 only when w2's death broke the pool before w1 was done
+        asked = self.record_pool_sizes(monkeypatch)
+        original_load = experiment.load_catchment
+
+        def die_on_w2(path):
+            if Path(path).stem == "w2":
+                os._exit(1)
+            return original_load(path)
+
+        monkeypatch.setattr(experiment, "load_catchment", die_on_w2)
+        write_catchments(tmp_path, ["w1", "w2"])
+        result = run_experiment(small_run_config(tmp_path, schemes=("basic-linear",), workers=6))
+        assert [(f.catchment, f.stage) for f in result.failures] == [("w2", "worker")]
+        assert asked in ([2, 1], [2, 1, 1])
 
     def test_invalid_config_rejected_before_any_work(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):

@@ -115,6 +115,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             PeriodPartition(0, 1, 1, 0)
 
+    def test_every_problem_reported_at_once(self):
+        with pytest.raises(ValueError) as excinfo:
+            PeriodPartition(-2, 0, 1, 0)
+        assert str(excinfo.value) == "warmup must be >= 0, got -2; n1 must be >= 1, got 0; n3 must be >= 1, got 0"
+
 
 class TestValidateSeries:
     """Value screening happens on ingest: a loaded series is finite and non-negative."""
