@@ -294,8 +294,6 @@ def psrf(chains) -> float:
     between-chain covariance of chain means against the pooled within-chain
     covariance.  Values near 1 indicate the chains agree.
     """
-    import scipy.linalg  # on the first call, not at import: see ``regress``
-
     arrays = [np.asarray(c, dtype=float) for c in chains]
     if len(arrays) < 2:
         raise ValueError(f"need at least 2 chains, got {len(arrays)}")
@@ -315,11 +313,12 @@ def psrf(chains) -> float:
     between_over_n = np.atleast_2d(np.cov(means.T, ddof=1))
     if not (np.isfinite(within).all() and np.isfinite(between_over_n).all()):
         raise DegenerateChainsError("covariance estimates are not finite")
-    try:
-        eigenvalues = scipy.linalg.eigh(between_over_n, within, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+    try:  # within = L L', and L^-1 between L^-T has the generalised eigenvalues
+        lower = np.linalg.cholesky(within)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateChainsError(f"within-chain covariance is singular: {exc}") from exc
-    lam = max(0.0, float(eigenvalues[-1]))
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, between_over_n).T)
+    lam = max(0.0, float(np.linalg.eigvalsh(reduced)[-1]))
     return math.sqrt((n - 1) / n + (m + 1) / m * lam)
 
 

@@ -35,6 +35,7 @@ regress observed flow on the forcing over every pre-test month.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -291,12 +292,39 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
     )
 
 
+# Cephes ndtri's P/Q tables, highest power first, Q's leading 1 written out: np.polyval rounds as its polevl does
+_NDTRI_CENTRE = ((-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+                  1.39312609387279679503e1, -1.23916583867381258016e0),
+                 (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+                  -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+                  1.59056225126211695515e1, -1.18331621121330003142e0))
+_NDTRI_TAIL = ((4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+                1.46849561928858024014e1, 2.18663306850790267539e0, -1.40256079171354495875e-1,
+                -3.50424626827848203418e-2, -8.57456785154685413611e-4),
+               (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+                1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+                -3.80806407691578277194e-2, -9.33259480895457427372e-4))
+_NDTRI_FAR = ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0, 1.33303460815807542389e0,
+               2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4,
+               2.65806974686737550832e-6, 6.23974539184983293730e-9),
+              (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+               2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+               2.89247864745380683936e-6, 6.79019408009981274425e-9))
+_EXP_M2 = 0.13533528323661269189
+
+
 @functools.lru_cache(maxsize=64)  # a scheme asks for each of its probabilities once per sister
 def _normal_quantile(p: float) -> float:
-    """The standard normal quantile z_p, scipy's ``ndtri``, imported on the first call (see ``regress``)."""
-    from scipy.special import ndtri
-
-    return ndtri(p)
+    """The standard normal quantile z_p, 0 < p < 1: Cephes ``ndtri`` (scipy.special's), ported step for step."""
+    lower = p <= 1.0 - _EXP_M2
+    y = p if lower else 1.0 - p
+    if y > _EXP_M2:  # exp(-2) < p <= 1 - exp(-2); the last factor is sqrt(2 pi)
+        y, (num, den) = y - 0.5, _NDTRI_CENTRE
+        return (y + y * (y * y * np.polyval(num, y * y) / np.polyval(den, y * y))) * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    num, den = _NDTRI_TAIL if x < 8.0 else _NDTRI_FAR  # x < 8 for min(p, 1 - p) > exp(-32)
+    z = x - math.log(x) / x - 1.0 / x * np.polyval(num, 1.0 / x) / np.polyval(den, 1.0 / x)
+    return -z if lower else z
 
 
 def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray, float]:

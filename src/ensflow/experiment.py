@@ -454,19 +454,10 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
     return list(outcomes.values())
 
 
-def _load_scipy(schemes: tuple[str, ...]) -> None:
-    """Import the scipy modules ``schemes`` use, before a pool forks and outside every timer (see ``regress``)."""
-    if set(schemes) - set(BASIC_SCHEMES):
-        import scipy.linalg  # noqa: F401  (calibrate.psrf)
-    if set(schemes) - set(QUANTILE_SCHEMES):
-        import scipy.special  # noqa: F401  (the linear family's Gaussian quantile)
-    if set(schemes) & set(QUANTILE_SCHEMES):
-        load_solver()
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
-    _load_scipy(config.schemes)
+    if set(config.schemes) & set(QUANTILE_SCHEMES):
+        load_solver()  # before a pool forks and outside every timer (see ``regress``)
     jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
         outcomes = _pool_outcomes(jobs, config.workers)

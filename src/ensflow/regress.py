@@ -16,19 +16,20 @@ A dataset's quantile fits share one model on one HiGHS instance: each
 probability changes its bounds and solves it cold, so each gets the
 coefficients of a fit on its own (a warm start moves them by a few ulp).
 
-No scipy module loads with ``import ensflow``: scipy's first import costs
-about 0.3 s (its array-API shim pulls in ``numpy.f2py`` and ``numpy.testing``)
-that ``synth``, ``ingest`` and ``report`` never need.  Each scipy import runs
-on the first call of the one function that needs it: ``scipy.linalg`` in
-``calibrate.psrf``, ``scipy.special.ndtri`` in ``ensemble``'s Gaussian
-quantile, HiGHS (with ``scipy.optimize``, 17 MB) in :func:`load_solver`, the
-only place that names it.  ``run_experiment`` imports the ones its schemes use
-before a pool forks, so workers inherit them and no timer includes an import.
+A run loads no scipy Python package, only HiGHS's compiled extension:
+``import scipy.optimize`` costs about 0.5 s and 45 MB that every forked
+worker would inherit.  :func:`load_solver`, the only place that names HiGHS,
+loads the extension from its file; ``run_experiment`` calls it before a pool
+forks, so workers inherit it and no timer includes it.  The tests keep scipy
+as the oracle of this module, ``calibrate.psrf`` and ``ensemble``'s quantile.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +115,22 @@ def pinball_loss(probability: float, observed, predicted):
     return out if out.ndim else float(out)
 
 
-def load_solver():
-    """scipy's HiGHS bindings, imported on the first call; a pool's parent calls it so that its workers inherit them."""
-    import scipy.optimize._highspy._core as highs  # later calls find it in sys.modules
+SOLVER = "scipy.optimize._highspy._core"
 
-    return highs
+
+def load_solver():
+    """scipy's HiGHS extension, loaded on the first call from its file under its own name, not via scipy.optimize."""
+    if SOLVER not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")  # imports nothing
+        folders = [f"{root}/optimize/_highspy" for root in scipy.submodule_search_locations] if scipy else []
+        found = importlib.machinery.PathFinder.find_spec("_core", folders)
+        if found is None:
+            raise ImportError("quantile schemes need HiGHS from scipy>=1.15: no scipy/optimize/_highspy/_core* file")
+        spec = importlib.util.spec_from_file_location(SOLVER, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[SOLVER] = module  # which a later scipy.optimize reuses: a second copy could not register its types
+    return sys.modules[SOLVER]
 
 
 def _model(cost, start, index, value, rhs):

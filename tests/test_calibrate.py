@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ensflow.calibrate import (
     Chain,
@@ -136,6 +137,16 @@ class TestRetention:
             assert np.array_equal(result.sample.pairs[100 * i : 100 * (i + 1)], chain.params[300:])
 
 
+def psrf_by_eigh(chains):
+    """The diagnostic with scipy's generalised symmetric eigensolver, as the oracle."""
+    kept = [c[c.shape[0] // 2 :] for c in chains]
+    n, m = kept[0].shape[0], len(kept)
+    within = np.mean([np.atleast_2d(np.cov(a.T, ddof=1)) for a in kept], axis=0)
+    between_over_n = np.atleast_2d(np.cov(np.stack([a.mean(axis=0) for a in kept]).T, ddof=1))
+    lam = max(0.0, float(scipy.linalg.eigh(between_over_n, within, eigvals_only=True)[-1]))
+    return math.sqrt((n - 1) / n + (m + 1) / m * lam)
+
+
 class TestPsrf:
     def test_well_mixed_chains_near_one(self):
         rng = np.random.default_rng(101)
@@ -174,6 +185,16 @@ class TestPsrf:
         chains = [np.ones((100, 2)), np.ones((100, 2))]
         with pytest.raises(DegenerateChainsError):
             psrf(chains)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_scipy_generalised_eigenvalues(self, d):
+        # numpy's Cholesky reduction rounds apart from LAPACK's dsygvd by a few ulp at most
+        rng = np.random.default_rng(131 + d)
+        for _ in range(200):
+            n, m = int(rng.integers(20, 400)), int(rng.integers(2, 5))
+            scale = rng.uniform(0.01, 100.0, size=d)
+            chains = [(rng.standard_normal((n, d)) + rng.normal(0.0, 0.5, size=d)) * scale for _ in range(m)]
+            assert psrf(chains) == pytest.approx(psrf_by_eigh(chains), rel=1e-15, abs=0.0)
 
     def test_validation(self):
         rng = np.random.default_rng(127)

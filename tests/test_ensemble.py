@@ -1,5 +1,6 @@
 """Sister generation, error models, auxiliary quantiles and scheme dispatch."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,28 @@ class TestProbabilitySet:
             "4": (1, "quantile"), "5": (2, "quantile"), "6": (3, "quantile"),
         }
         assert ALL_SCHEMES == ("basic-linear", "basic-quantile", "1", "2", "3", "4", "5", "6")
+
+
+class TestNormalQuantile:
+    """The Cephes ``ndtri`` port gives scipy's ``ndtri`` bit for bit: scheme 1-3 cells depend on the last bit."""
+
+    @staticmethod
+    def probabilities():
+        near = []
+        for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)):  # where ndtri changes formula
+            down = up = edge
+            near.append(edge)
+            for _ in range(4):
+                down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
+                near += [down, up]
+        tails = [10.0**-k for k in range(1, 300)] + [1.0 - 10.0**-k for k in range(1, 16)]
+        uniforms = np.random.default_rng(2024).uniform(size=100_000).tolist()
+        return list(DEFAULT_PROBABILITIES) + near + tails + uniforms
+
+    def test_bit_identical_to_scipy(self):
+        ps = self.probabilities()
+        expected = [float(z).hex() for z in ndtri(np.array(ps))]
+        assert [float(ensemble_module._normal_quantile(p)).hex() for p in ps] == expected
 
 
 class TestSisterEnsemble:

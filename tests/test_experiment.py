@@ -39,6 +39,7 @@ from ensflow.experiment import (
     synthesize_monthly,
 )
 from ensflow.gr2m import Gr2mParams, simulate
+from ensflow.regress import SOLVER, load_solver
 from ensflow.timeseries import load_catchment, partition
 
 
@@ -750,9 +751,11 @@ class TestRunExperiment:
             run_experiment(small_run_config(tmp_path, workers=0))
 
 
-SOLVER = "scipy.optimize._highspy._core"
-# what each scheme family imports from scipy: calibration, the linear family's Gaussian quantile, the LP solver
-SCIPY_MODULES = ("scipy.linalg", "scipy.special", SOLVER)
+def highs_modules():
+    """The HiGHS extension and the submodules it registers: all of scipy that a run may load."""
+    load_solver()
+    return sorted(name for name in sys.modules if name == SOLVER or name.startswith(SOLVER + "."))
+
 
 # run in a fresh interpreter: pytest's own process has long imported scipy
 SOLVER_PROBE = """
@@ -761,7 +764,7 @@ from concurrent import futures
 from ensflow import experiment
 
 def loaded():
-    return [name for name in {modules} if name in sys.modules]
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
 
 seen = []
 
@@ -772,7 +775,7 @@ class Pool(futures.ProcessPoolExecutor):
 
 experiment.ProcessPoolExecutor = Pool
 data, schemes, workers = sys.argv[1], tuple(sys.argv[2].split(",")), int(sys.argv[3])
-loaded_at_import = [name for name in sys.modules if name.startswith("scipy")]
+loaded_at_import = loaded()
 for i, cid in enumerate(("a", "b")):
     experiment.generate_synthetic(experiment.SyntheticSpec(n_months=60, seed=20 + i), data, cid)
 config = experiment.ExperimentConfig(
@@ -781,7 +784,7 @@ config = experiment.ExperimentConfig(
 )
 result = experiment.run_experiment(config)
 print(json.dumps([loaded_at_import, seen, loaded(), len(result.failures)]))
-""".format(modules=SCIPY_MODULES)
+"""
 
 # the verbs that never need scipy, in a fresh interpreter
 NO_SCIPY_VERBS = """
@@ -796,6 +799,25 @@ codes.append(main(["report", "--metrics", data + "/metrics.csv", "--out", data +
 print(json.dumps([codes, [name for name in sys.modules if name.startswith("scipy")]]))
 """
 
+# load_solver before any scipy import, then scipy.optimize on top: one extension, linprog's coefficients
+DIRECT_LOAD_PROBE = """
+import json, sys
+import numpy as np
+from ensflow.regress import RegressionDataset, fit_quantile_set, load_solver
+
+highs = load_solver()
+packages = [name for name in ("scipy", "scipy.optimize") if name in sys.modules]
+from scipy.optimize import linprog
+import scipy.optimize._highspy._core as core
+
+x = np.column_stack([np.ones(12), [0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 3.0, 1.0, 0.0, 2.0, 1.0, 3.0]])
+y = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 0.0, 3.0, 2.0, 1.0, 2.0, 2.0, 4.0])
+fit = fit_quantile_set(RegressionDataset(x, y), (0.1, 0.25, 0.5, 0.75, 0.9))
+dual = {p: linprog(-y, A_eq=x.T, b_eq=np.zeros(2), bounds=[(p - 1.0, p)] * 12, method="highs") for p in fit.coefficients}
+same = [np.array_equal(fit.coefficients[p], -result.eqlin.marginals) for p, result in dual.items()]
+print(json.dumps([packages, core is highs is load_solver(), same]))
+"""
+
 
 def fresh_python(code, *args):
     """The last stdout line, read as JSON, of ``code`` run by a new interpreter that imports this ensflow."""
@@ -807,7 +829,7 @@ def fresh_python(code, *args):
 
 
 class TestSolverLoading:
-    """scipy costs about 0.3 s to import: only the runs that use a scipy module load it, before the pool forks."""
+    """A run loads no scipy package: quantile schemes load HiGHS's extension alone, before the pool forks."""
 
     def test_package_and_cli_import_without_it(self):
         code = "import json, sys, ensflow, ensflow.cli; print(json.dumps([m for m in sys.modules if 'scipy' in m]))"
@@ -818,17 +840,19 @@ class TestSolverLoading:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
     def test_loaded_before_the_pool_forks(self, tmp_path):
-        every = list(SCIPY_MODULES)
-        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,basic-quantile", "2") == [[], [every], every, 0]
+        schemes = "basic-linear,basic-quantile,1,4"  # psrf, the Gaussian quantile and the LPs all run
+        highs = highs_modules()
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), schemes, "2") == [[], [highs], highs, 0]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
-    def test_linear_modules_loaded_before_the_pool_forks(self, tmp_path):
-        linear = ["scipy.linalg", "scipy.special"]
-        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "2") == [[], [linear], linear, 0]
+    def test_linear_run_with_a_pool_never_loads_it(self, tmp_path):
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "2") == [[], [[]], [], 0]
 
     def test_linear_run_never_loads_it(self, tmp_path):
-        linear = ["scipy.linalg", "scipy.special"]
-        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "1") == [[], [], linear, 0]
+        assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "1") == [[], [], [], 0]
+
+    def test_direct_load_is_the_module_scipy_optimize_uses(self):
+        assert fresh_python(DIRECT_LOAD_PROBE) == [[], True, [True] * 5]
 
 
 def hand_built_result():

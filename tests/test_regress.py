@@ -1,7 +1,10 @@
 """Linear and quantile regression against closed-form and order-statistic oracles."""
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -339,6 +342,20 @@ class TestDirectHighsMatchesLinprog:
         for x, y in self.datasets(rng):
             for p in (0.005, 0.5, 0.995):
                 assert np.array_equal(_fit_quantile_primal(x, y, p), linprog_primal(x, y, p)), (x.shape, p)
+
+
+class TestMissingSolver:
+    """Without scipy's HiGHS extension ``load_solver`` says what it looked for, not an AttributeError."""
+
+    @pytest.mark.parametrize("scipy_found", [False, True])
+    def test_names_the_file_and_the_requirement(self, monkeypatch, tmp_path, scipy_found):
+        # either no scipy at all, or a scipy folder without the extension file
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if scipy_found else None)
+        monkeypatch.delitem(sys.modules, regress.SOLVER, raising=False)
+        with pytest.raises(ImportError, match=r"scipy>=1\.15.*scipy/optimize/_highspy/_core\*"):
+            regress.load_solver()
 
 
 class TestQuantileFallback:
