@@ -36,13 +36,17 @@ probabilities = (0.05, 0.25, 0.75, 0.95)
 for kind in ("linear", "quantile"):
     config = SchemeConfig(variant=2, error_model=kind, probabilities=probabilities)
     models = train_error_model(ensemble, config)
-    eq = predict_error_quantiles(models, ensemble)
+    # each probability's error quantile is a line in the sister's prediction u
+    print(f"{kind} error model (pooled):")
+    for j, p in enumerate(probabilities):
+        (b0, b1), shift = models.coefficients[0, j], models.shift[0, j]
+        print(f"  {p:.0%} error quantile: {b0 + shift:+.2f} {b1:+.3f} u")
     # conditional error band of sister 0 in its wettest and driest test month
+    eq = [predict_error_quantiles(models, ensemble, j)[0] for j in range(len(probabilities))]
     wet = int(np.argmax(ensemble.test_predictions[0]))
     dry = int(np.argmin(ensemble.test_predictions[0]))
-    print(f"{kind} error model (pooled):")
     for label, t in (("wettest", wet), ("driest", dry)):
-        band = ", ".join(f"{p:.0%}: {eq[0, j, t]:+7.2f}" for j, p in enumerate(probabilities))
+        band = ", ".join(f"{p:.0%}: {eq[j][t]:+7.2f}" for j, p in enumerate(probabilities))
         print(f"  {label} test month (prediction {ensemble.test_predictions[0, t]:7.1f} mm): {band}")
     print()
 

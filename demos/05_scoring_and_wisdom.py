@@ -37,7 +37,7 @@ observed = np.asarray(series.streamflow)[split.t3]
 intervals = intervals_from_prediction(result.prediction)
 print(f"\n{'level':>6} {'combined AIS':>13} {'member avg AIS':>15} {'RD':>8}")
 for alpha in (0.01, 0.025, 0.05, 0.10, 0.20):
-    lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
+    lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
     record = wisdom_metrics(lowers, uppers, intervals[alpha], observed)
     print(
         f"{1 - alpha:>6.1%} {record.ais_out:>13.2f} {record.aais_in:>15.2f}"

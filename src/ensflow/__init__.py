@@ -22,7 +22,6 @@ from .calibrate import (
 from .ensemble import (
     ALL_SCHEMES,
     DEFAULT_PROBABILITIES,
-    AuxiliaryQuantiles,
     CombinedPrediction,
     SchemeConfig,
     SchemeResult,

@@ -34,7 +34,6 @@ regress observed flow on the forcing over every pre-test month.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -44,7 +43,7 @@ import numpy as np
 from .calibrate import PosteriorSample
 from .evaluate import INTERVAL_ALPHAS, IntervalPrediction
 from .gr2m import simulate_batch
-from .regress import LinearFit, QuantileFit, RegressionDataset, design_matrix, fit_ols, fit_quantile_set
+from .regress import LinearFit, RegressionDataset, design_matrix, fit_ols, fit_quantile_set
 from .timeseries import MonthlySeries, PeriodPartition
 
 # the bounds alpha/2 and 1 - alpha/2 of every scored central interval
@@ -158,34 +157,28 @@ class SisterEnsemble:
 
 @dataclass(frozen=True)
 class TrainedErrorModels:
-    """Error models fitted at ``probabilities``: one per sister (variant 1) or a single one (2, 3)."""
+    """Error models fitted at ``probabilities``: one per sister (variant 1) or a single one (2, 3).
+
+    Model i's error quantile at ``probabilities[j]`` is a line in a sister's
+    prediction u:  ``coefficients[i, j, 0] + coefficients[i, j, 1] u + shift[i, j]``,
+    with ``coefficients`` (n_models, n_probs, 2) and ``shift`` (n_models, n_probs).
+    """
 
     kind: str
     variant: int
     probabilities: tuple[float, ...]
-    models: tuple
+    coefficients: np.ndarray
+    shift: np.ndarray
     selected_sister: int | None = None
 
-
-@dataclass(frozen=True)
-class AuxiliaryQuantiles:
-    """Per-sister quantiles of the auxiliary process, shape (m, n_probs, n3)."""
-
-    probabilities: tuple[float, ...]
-    values: np.ndarray
-
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != len(self.probabilities):
-            raise ValueError(
-                f"values must be (m, {len(self.probabilities)}, n3), got {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probabilities", _check_probabilities(self.probabilities))
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
+        coefficients, shift = np.asarray(self.coefficients, dtype=float), np.asarray(self.shift, dtype=float)
+        n = len(self.probabilities)
+        if coefficients.shape[1:] != (n, 2) or shift.shape != coefficients.shape[:2]:
+            raise ValueError(f"need coefficients (n_models, {n}, 2) and shift (n_models, {n}), "
+                             f"got {coefficients.shape} and {shift.shape}")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "shift", shift)
 
 
 @dataclass(frozen=True)
@@ -224,11 +217,13 @@ def intervals_from_prediction(
     return out
 
 
-def member_interval_bounds(aux: AuxiliaryQuantiles, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sister central-interval bounds at one level: two (m, n3) arrays."""
-    lo = _probability_index(aux.probabilities, alpha / 2.0)
-    hi = _probability_index(aux.probabilities, 1.0 - alpha / 2.0)
-    return aux.values[:, lo, :], aux.values[:, hi, :]
+def member_interval_bounds(
+    ensemble: SisterEnsemble, models: TrainedErrorModels, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sister central-interval bounds at one level: two (m, n3) arrays, made on demand by ``to_auxiliary``."""
+    lo = _probability_index(models.probabilities, alpha / 2.0)
+    hi = _probability_index(models.probabilities, 1.0 - alpha / 2.0)
+    return to_auxiliary(ensemble, models, lo), to_auxiliary(ensemble, models, hi)
 
 
 def generate_sisters(
@@ -267,29 +262,32 @@ def _fit_one(kind: str, u: np.ndarray, e: np.ndarray, probabilities: tuple[float
 
 def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> TrainedErrorModels:
     """Fit the configured error-model variant on the training errors."""
-    kind = config.error_model
-    u = ensemble.training_predictions
-    e = ensemble.errors
+    kind, probs = config.error_model, config.probabilities
+    u, e = ensemble.training_predictions, ensemble.errors
+    chosen, which = None, slice(None)
     if config.variant == 2:
         # pool every sister's rows, sister-major order
-        model = _fit_one(kind, u.reshape(-1), e.reshape(-1), config.probabilities)
-        return TrainedErrorModels(kind=kind, variant=2, probabilities=config.probabilities, models=(model,))
-    # variant 1 fits every sister, variant 3 the one sister the scheme seed draws
-    chosen = None if config.variant == 1 else int(np.random.default_rng(config.seed).integers(ensemble.m))
-    # a rejected MCMC move repeats its pair and so its sister: fit each
-    # distinct (u, e) row once, matched byte for byte (-0.0 is not 0.0)
-    rows = {i: u[i].tobytes() + e[i].tobytes() for i in (range(ensemble.m) if chosen is None else [chosen])}
-    fits = {}
-    for i, row in rows.items():
-        if row not in fits:
+        fits = [_fit_one(kind, u.reshape(-1), e.reshape(-1), probs)]
+    else:
+        if config.variant == 3:  # the one sister the scheme seed draws
+            chosen = int(np.random.default_rng(config.seed).integers(ensemble.m))
+            first = [chosen]
+        else:
+            # a rejected MCMC move repeats its pair and so its sister: fit each
+            # distinct (u, e) row once, matched byte for byte (-0.0 is not 0.0)
+            rows = np.hstack([u, e])
+            _, first, which = np.unique(
+                rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0], return_index=True, return_inverse=True
+            )
+        by_sister = {}
+        for i in sorted(first):  # in sister order, so a failure names the first sister with those rows
             try:
-                fits[row] = _fit_one(kind, u[i], e[i], config.probabilities)
+                by_sister[i] = _fit_one(kind, u[i], e[i], probs)
             except ValueError as exc:
                 raise type(exc)(f"sister {i}: {exc}") from exc
-    models = tuple(fits[row] for row in rows.values())
-    return TrainedErrorModels(
-        kind=kind, variant=config.variant, probabilities=config.probabilities, models=models, selected_sister=chosen
-    )
+        fits = [by_sister[i] for i in first]
+    coefficients, shift = _quantile_lines(fits, probs)
+    return TrainedErrorModels(kind, config.variant, probs, coefficients[which], shift[which], chosen)
 
 
 # Cephes ndtri's P/Q tables, highest power first, Q's leading 1 written out: np.polyval rounds as its polevl does
@@ -313,7 +311,6 @@ _NDTRI_FAR = ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292
 _EXP_M2 = 0.13533528323661269189
 
 
-@functools.lru_cache(maxsize=64)  # a scheme asks for each of its probabilities once per sister
 def _normal_quantile(p: float) -> float:
     """The standard normal quantile z_p, 0 < p < 1: Cephes ``ndtri`` (scipy.special's), ported step for step."""
     lower = p <= 1.0 - _EXP_M2
@@ -327,64 +324,67 @@ def _normal_quantile(p: float) -> float:
     return -z if lower else z
 
 
-def _quantile_line(model: LinearFit | QuantileFit, p: float) -> tuple[np.ndarray, float]:
-    """Coefficients and shift of a fitted model's quantile at p:  x @ beta + shift.
+def _quantile_lines(fits: list, probabilities: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each fit's quantile at each probability as a line  x @ coefficients[i, j] + shift[i, j].
 
-    The linear family's Gaussian quantile shifts the mean by sigma z_p; a
-    pinball-loss fit has its own coefficients per probability and no shift.
+    Returns coefficients (n_fits, n_probs, k) and shift (n_fits, n_probs).
+    The linear family's Gaussian quantile shifts the mean by sigma z_p, each
+    z_p computed once; a pinball-loss fit has its own coefficients per
+    probability and no shift.
     """
-    if isinstance(model, LinearFit):
-        return model.coefficients, model.sigma * _normal_quantile(p)
-    if isinstance(model, QuantileFit):
-        return model.coefficients[p], 0.0
-    raise TypeError(f"unsupported error model {type(model).__name__}")
+    if isinstance(fits[0], LinearFit):
+        z = np.array([_normal_quantile(p) for p in probabilities])
+        coefficients = np.array([[fit.coefficients] * len(probabilities) for fit in fits])
+        return coefficients, np.array([[fit.sigma] for fit in fits]) * z
+    coefficients = np.array([[fit.coefficients[p] for p in probabilities] for fit in fits])
+    return coefficients, np.zeros(coefficients.shape[:2])
 
 
-def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble) -> np.ndarray:
-    """Error quantiles at the models' probabilities on the test months, shape (m, n_probs, n3).
+def predict_error_quantiles(
+    models: TrainedErrorModels, ensemble: SisterEnsemble, j: int | None = None
+) -> np.ndarray:
+    """Error quantiles on the test months at ``probabilities[j]``, (m, n3), or at all of them, (m, n_probs, n3).
 
     Every error model is a line in the sister's own prediction u, so the
-    quantile at p is  b0 + b1 u (+ sigma z_p for the linear family), computed
-    for all sisters at once; variants 2 and 3 broadcast their single model.
-    The result is one (m, n_probs, n3) array, 14.4 MB at paper dimensions
-    (600, 10, 300): the pipeline asks for one probability at a time (see
-    ``to_auxiliary``) and only inspection asks for them all.
+    quantile is  b1 u + b0 + shift, computed for all sisters at once;
+    variants 2 and 3 broadcast their single model.  A run asks for one
+    probability at a time (see ``to_auxiliary``); only inspection asks for
+    them all.
     """
-    if len(models.models) not in (1, ensemble.m):
-        raise ValueError(f"{len(models.models)} error models do not match {ensemble.m} sisters")
-    probs = models.probabilities
-    beta, shift = zip(*(_quantile_line(model, p) for model in models.models for p in probs))
-    beta = np.reshape(beta, (len(models.models), len(probs), 2, 1))
-    shift = np.reshape(shift, (len(models.models), len(probs), 1))
-    # in place, so the only (m, n_probs, n3) array is the result
-    out = beta[:, :, 1] * ensemble.test_predictions[:, np.newaxis, :]
-    out += beta[:, :, 0]
-    out += shift
+    n_models = models.coefficients.shape[0]
+    if n_models not in (1, ensemble.m):
+        raise ValueError(f"{n_models} error models do not match {ensemble.m} sisters")
+    u = ensemble.test_predictions
+    if j is None:
+        j, u = slice(None), u[:, np.newaxis, :]
+    # in place, so the only array of the result's size is the result
+    out = models.coefficients[:, j, 1, np.newaxis] * u
+    out += models.coefficients[:, j, 0, np.newaxis]
+    out += models.shift[:, j, np.newaxis]
     return out
 
 
-def to_auxiliary(ensemble: SisterEnsemble, models: TrainedErrorModels) -> AuxiliaryQuantiles:
-    """Steps 4-5: subtract the error quantiles from the sister prediction, flipping labels.
+def to_auxiliary(ensemble: SisterEnsemble, models: TrainedErrorModels, j: int) -> np.ndarray:
+    """Steps 4-5 at ``probabilities[j]``: every sister's auxiliary quantiles, shape (m, n3).
 
     aux quantile at probability p = prediction - error quantile at 1 - p;
-    with a sorted symmetric probability set the flip is a reversal along the
-    probability axis.  Each probability's (m, n3) error quantiles go straight
-    into their flipped slot, so the result is the only (m, n_probs, n3) array
-    a scheme holds: 14.4 MB at paper dimensions (600, 10, 300).
+    in a sorted symmetric probability set 1 - p is ``probabilities[-1 - j]``.
+    The difference overwrites the error quantiles, so a call makes one
+    (m, n3) array.
     """
-    probs = models.probabilities
-    values = np.empty((ensemble.m, len(probs), ensemble.n3))
-    for i, p in enumerate(probs):
-        error_quantile = predict_error_quantiles(replace(models, probabilities=(p,)), ensemble)
-        np.subtract(ensemble.test_predictions, error_quantile[:, 0, :], out=values[:, -1 - i, :])
-    return AuxiliaryQuantiles(probabilities=probs, values=values)
+    error_quantile = predict_error_quantiles(models, ensemble, len(models.probabilities) - 1 - j)
+    return np.subtract(ensemble.test_predictions, error_quantile, out=error_quantile)
 
 
-def combine(aux: AuxiliaryQuantiles) -> CombinedPrediction:
-    """Arithmetic mean over sisters at each (probability, month)."""
-    return CombinedPrediction(
-        probabilities=aux.probabilities, quantiles=aux.values.mean(axis=0)
-    )
+def combine(ensemble: SisterEnsemble, models: TrainedErrorModels) -> CombinedPrediction:
+    """Step 6: the arithmetic mean over sisters at each (probability, month), one probability at a time."""
+    means = []
+    for j in range(len(models.probabilities)):
+        aux = to_auxiliary(ensemble, models, j)
+        # numpy sums a lone column pairwise but a wider array row by row, in
+        # the order of the (m, n_probs, n3) mean: keep that order when n3 = 1
+        means.append(aux.mean(axis=0) if ensemble.n3 > 1 else np.add.accumulate(aux[:, 0])[-1:] / ensemble.m)
+    return CombinedPrediction(probabilities=models.probabilities, quantiles=np.array(means))
 
 
 def run_basic_scheme(
@@ -412,7 +412,8 @@ def run_basic_scheme(
     x_test = design_matrix(p[split.t3], e[split.t3])
 
     fit = fit_ols(data) if model_kind == "linear" else fit_quantile_set(data, probs)
-    quantiles = [x_test @ beta + shift for beta, shift in (_quantile_line(fit, p) for p in probs)]
+    coefficients, shift = _quantile_lines([fit], probs)
+    quantiles = [x_test @ beta + s for beta, s in zip(coefficients[0], shift[0])]
     return CombinedPrediction(probabilities=probs, quantiles=np.array(quantiles))
 
 
@@ -420,7 +421,7 @@ def run_basic_scheme(
 class SchemeResult:
     scheme: str
     prediction: CombinedPrediction
-    auxiliary: AuxiliaryQuantiles | None
+    models: TrainedErrorModels | None
     elapsed_seconds: float
 
 
@@ -436,13 +437,13 @@ def run_scheme(
     Numbered schemes override the config's variant and regression family
     (that is what the number means) and run steps 3-6 on ``sisters``, which
     ``build_sisters`` makes once per catchment, outside the elapsed time.  A
-    numbered scheme allocates one (m, n_probs, n3) array, the auxiliary
-    quantiles the result keeps: 14.4 MB at paper dimensions (600, 10, 300).
+    numbered scheme's result keeps its error models, from which
+    ``member_interval_bounds`` makes any level's member bounds on demand.
     """
     if config is None:
         config = SchemeConfig()
     t_start = time.perf_counter()
-    auxiliary = None
+    models = None
     if scheme in BASIC_SCHEMES:
         prediction = run_basic_scheme(scheme.removeprefix("basic-"), series, split, config.probabilities)
     elif scheme in SCHEME_DEFS:
@@ -450,8 +451,7 @@ def run_scheme(
             raise ValueError(f"scheme {scheme} runs on sisters: make them with build_sisters first")
         variant, kind = SCHEME_DEFS[scheme]
         models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
-        auxiliary = to_auxiliary(sisters, models)
-        prediction = combine(auxiliary)
+        prediction = combine(sisters, models)
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
-    return SchemeResult(scheme, prediction, auxiliary, elapsed_seconds=time.perf_counter() - t_start)
+    return SchemeResult(scheme, prediction, models, elapsed_seconds=time.perf_counter() - t_start)

@@ -368,8 +368,8 @@ def discover_catchments(config: ExperimentConfig) -> list[str]:
 def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test):
     """Run one scheme and score its five levels: (metrics records, wisdom rows).
 
-    The scheme's auxiliary quantiles, and the member bounds that view them,
-    live only in this call, so they are freed before the next scheme runs.
+    A numbered scheme's member bounds are made level by level, and each
+    level's two (m, n3) arrays are freed before the next level's are made.
     """
     result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
     records: list[MetricsRecord] = []
@@ -381,8 +381,8 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
                 average_interval_score(pred, observed_test), crossing_count(pred), result.elapsed_seconds,
             )
         )
-        if result.auxiliary is not None:
-            lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
+        if result.models is not None:
+            lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
             wisdom_rows.append(WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test)))
     return records, wisdom_rows
 

@@ -76,7 +76,7 @@ def test_criterion_01_combined_interval_never_beaten_by_member_average():
             result = run_scheme(scheme, series, split, sisters=sisters)
             intervals = intervals_from_prediction(result.prediction)
             for alpha in INTERVAL_ALPHAS:
-                lowers, uppers = member_interval_bounds(result.auxiliary, alpha)
+                lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
                 record = wisdom_metrics(lowers, uppers, intervals[alpha], observed)
                 worst = min(worst, record.relative_difference)
                 cases += 1
@@ -252,11 +252,11 @@ def test_criterion_08_pipeline_counts_at_full_dimensions():
 
     config = SchemeConfig(variant=2, error_model="linear")
     models = train_error_model(ensemble, config)
-    auxiliary = to_auxiliary(ensemble, models)
-    assert auxiliary.values.shape == (600, 10, 300)
-    assert auxiliary.values.shape[0] * auxiliary.values.shape[1] == 6000
+    auxiliary = [to_auxiliary(ensemble, models, j) for j in range(len(models.probabilities))]
+    assert {aux.shape for aux in auxiliary} == {(600, 300)}
+    assert len(auxiliary) * auxiliary[0].shape[0] == 6000
 
-    combined = combine(auxiliary)
+    combined = combine(ensemble, models)
     assert combined.quantiles.shape == (10, 300)
 
 

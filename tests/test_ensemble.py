@@ -1,7 +1,6 @@
 """Sister generation, error models, auxiliary quantiles and scheme dispatch."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from ensflow.ensemble import (
     DEFAULT_PROBABILITIES,
     ERROR_MODEL_KINDS,
     SCHEME_DEFS,
-    AuxiliaryQuantiles,
     CombinedPrediction,
     SchemeConfig,
     SisterEnsemble,
@@ -35,11 +33,9 @@ from ensflow.ensemble import (
     to_auxiliary,
     train_error_model,
 )
-from ensflow.experiment import SyntheticSpec, synthesize_monthly
 from ensflow.gr2m import Gr2mParams, simulate
 from ensflow.regress import (
     LinearFit,
-    QuantileFit,
     RankDeficiencyError,
     RegressionDataset,
     design_matrix,
@@ -53,6 +49,28 @@ SPLIT = partition(60, 6, 18, 18)  # warmup 6, n1 18, n2 18, n3 18
 def gaussian_quantile(fit: LinearFit, x, p):
     """The linear family's predictive quantile, x'beta + sigma z_p, written out as the oracle."""
     return x @ fit.coefficients + fit.sigma * ndtri(p)
+
+
+def quantile_lines(fit, probabilities):
+    """A fit's (n_probs, 2) coefficients and (n_probs,) shift, written out as the oracle of one model's lines."""
+    if isinstance(fit, LinearFit):
+        shift = np.array([fit.sigma * ndtri(p) for p in probabilities])
+        return np.array([fit.coefficients for _ in probabilities]), shift
+    return np.array([fit.coefficients[p] for p in probabilities]), np.zeros(len(probabilities))
+
+
+def pooled_models(probs, coefficients):
+    """One pinball-loss-style model (variant 2) with the given (n_probs, 2) lines and no shift."""
+    return TrainedErrorModels("quantile", 2, probs, np.array([coefficients], float), np.zeros((1, len(probs))))
+
+
+def whole_array_auxiliary(sisters, models):
+    """The (m, n_probs, n3) auxiliary quantiles in one subtraction, probability axis reversed: the oracle."""
+    return sisters.test_predictions[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
+
+
+def auxiliary_stack(sisters, models):
+    return np.stack([to_auxiliary(sisters, models, j) for j in range(len(models.probabilities))], axis=1)
 
 
 def catchment():
@@ -196,7 +214,7 @@ class TestTrainErrorModel:
     def test_variant_1_fits_each_sister(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
         models = train_error_model(ensemble, small_config(variant=1, error_model="linear"))
-        assert models.variant == 1 and len(models.models) == 4
+        assert models.variant == 1 and models.coefficients.shape == (4, 4, 2)
         # each model is the plain least-squares fit on that sister's rows
         for i in range(4):
             direct = fit_ols(
@@ -204,7 +222,9 @@ class TestTrainErrorModel:
                     design_matrix(ensemble.training_predictions[i]), ensemble.errors[i]
                 )
             )
-            np.testing.assert_array_equal(models.models[i].coefficients, direct.coefficients)
+            coefficients, shift = quantile_lines(direct, models.probabilities)
+            assert np.array_equal(models.coefficients[i], coefficients)
+            assert np.array_equal(models.shift[i], shift)
 
     def test_variant_1_fits_each_distinct_sister_once(self, monkeypatch):
         # a rejected MCMC move repeats the chain's pair, and with it the sister
@@ -228,15 +248,11 @@ class TestTrainErrorModel:
             monkeypatch.undo()
             assert len(fits) == distinct
             assert len(solves) == (distinct * len(config.probabilities) if kind == "quantile" else 0)
-            assert len(models.models) == 9
-            for model, expected in zip(models.models, direct):
-                if kind == "linear":
-                    assert np.array_equal(model.coefficients, expected.coefficients)
-                    assert model.sigma == expected.sigma
-                else:
-                    assert model.probabilities == expected.probabilities
-                    for p in config.probabilities:
-                        assert np.array_equal(model.coefficients[p], expected.coefficients[p])
+            assert models.coefficients.shape == (9, len(config.probabilities), 2)
+            for i, expected in enumerate(direct):
+                coefficients, shift = quantile_lines(expected, config.probabilities)
+                assert np.array_equal(models.coefficients[i], coefficients)
+                assert np.array_equal(models.shift[i], shift)
 
     def test_repeated_failing_sister_reported_by_index(self):
         # the constant-prediction sister repeats; its first index is named
@@ -248,14 +264,16 @@ class TestTrainErrorModel:
     def test_variant_2_pools_rows_sister_major(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
         models = train_error_model(ensemble, small_config(variant=2, error_model="linear"))
-        assert len(models.models) == 1
+        assert models.coefficients.shape[0] == 1
         pooled = fit_ols(
             RegressionDataset(
                 design_matrix(ensemble.training_predictions.reshape(-1)),
                 ensemble.errors.reshape(-1),
             )
         )
-        np.testing.assert_array_equal(models.models[0].coefficients, pooled.coefficients)
+        coefficients, shift = quantile_lines(pooled, models.probabilities)
+        assert np.array_equal(models.coefficients[0], coefficients)
+        assert np.array_equal(models.shift[0], shift)
 
     def test_variant_3_seeded_selection(self):
         ensemble = generate_sisters(posterior(m=6), catchment(), SPLIT)
@@ -272,6 +290,10 @@ class TestTrainErrorModel:
             for s in range(20)
         }
         assert len(chosen) >= 2  # the seed genuinely drives the draw
+        u, e = ensemble.training_predictions[expected], ensemble.errors[expected]
+        coefficients, shift = quantile_lines(_fit_one("linear", u, e, config.probabilities), config.probabilities)
+        assert np.array_equal(models.coefficients, coefficients[None])
+        assert np.array_equal(models.shift, shift[None])
 
     def test_degenerate_sister_reported_by_index(self):
         # a sister with a constant prediction gives a rank-deficient design
@@ -290,7 +312,7 @@ class TestErrorQuantilesAndAuxiliary:
         models = train_error_model(ensemble, config)
         eq = predict_error_quantiles(models, ensemble)
         assert eq.shape == (2, 4, 18)
-        fit = models.models[0]
+        fit = _fit_one("linear", ensemble.training_predictions.reshape(-1), ensemble.errors.reshape(-1), ())
         x = design_matrix(ensemble.test_predictions[1])
         np.testing.assert_array_equal(eq[1, 0], gaussian_quantile(fit, x, 0.05))
         np.testing.assert_array_equal(eq[1, 3], gaussian_quantile(fit, x, 0.95))
@@ -301,9 +323,11 @@ class TestErrorQuantilesAndAuxiliary:
         models = train_error_model(ensemble, config)
         eq = predict_error_quantiles(models, ensemble)
         for i in range(3):
+            fit = _fit_one("quantile", ensemble.training_predictions[i], ensemble.errors[i], config.probabilities)
             x = design_matrix(ensemble.test_predictions[i])
             for j, p in enumerate(config.probabilities):
-                np.testing.assert_array_equal(eq[i, j], x @ models.models[i].coefficients[p])
+                np.testing.assert_array_equal(eq[i, j], x @ fit.coefficients[p])
+                np.testing.assert_array_equal(predict_error_quantiles(models, ensemble, j)[i], eq[i, j])
 
     def test_auxiliary_flips_probability_labels(self):
         # aux at p must equal prediction minus the error quantile at 1 - p
@@ -312,12 +336,11 @@ class TestErrorQuantilesAndAuxiliary:
         errors = np.array([[0.0, 1.0]])
         ensemble = SisterEnsemble(np.hstack([errors, predictions]), errors)
         # the error quantile at probs[j] is j + u / 4: distinct at every level and exact
-        fit = QuantileFit({p: np.array([float(j), 0.25]) for j, p in enumerate(probs)})
-        aux = to_auxiliary(ensemble, TrainedErrorModels("quantile", 2, probs, (fit,)))
-        assert aux.values.shape == (1, 4, 3)
-        assert aux.probabilities == probs
+        models = pooled_models(probs, [[float(j), 0.25] for j in range(4)])
         for j in range(4):
-            np.testing.assert_array_equal(aux.values[0, j], predictions[0] - (3 - j + predictions[0] / 4))
+            aux = to_auxiliary(ensemble, models, j)
+            assert aux.shape == (1, 3)
+            np.testing.assert_array_equal(aux[0], predictions[0] - (3 - j + predictions[0] / 4))
 
     def test_antisymmetric_errors_center_on_prediction(self):
         # when error quantiles satisfy eq(p) = -eq(1 - p) the auxiliary
@@ -327,31 +350,52 @@ class TestErrorQuantilesAndAuxiliary:
         errors = np.array([[0.0, 1.0, 2.0]])
         ensemble = SisterEnsemble(np.hstack([errors, predictions]), errors)
         c = 1.25
-        fit = QuantileFit({0.1: np.array([-c, 0.0]), 0.9: np.array([c, 0.0])})
-        aux = to_auxiliary(ensemble, TrainedErrorModels("quantile", 2, probs, (fit,)))
-        np.testing.assert_allclose(aux.values[0, 0], predictions[0] - c)
-        np.testing.assert_allclose(aux.values[0, 1], predictions[0] + c)
+        models = pooled_models(probs, [[-c, 0.0], [c, 0.0]])
+        np.testing.assert_allclose(to_auxiliary(ensemble, models, 0)[0], predictions[0] - c)
+        np.testing.assert_allclose(to_auxiliary(ensemble, models, 1)[0], predictions[0] + c)
 
     def test_shape_validation(self):
         # per-sister models fitted on three sisters cannot serve two
         ensemble = generate_sisters(posterior(m=2), catchment(), SPLIT)
-        fit = LinearFit(np.array([0.0, 1.0]), 1.0)
-        models = TrainedErrorModels("linear", 1, (0.1, 0.9), (fit, fit, fit))
+        models = TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 2, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
-            to_auxiliary(ensemble, models)
+            to_auxiliary(ensemble, models, 0)
         with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
             predict_error_quantiles(models, ensemble)
+        # the lines must cover every probability, one shift each
+        with pytest.raises(ValueError, match=r"need coefficients \(n_models, 2, 2\)"):
+            TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"got \(3, 2, 2\) and \(2, 2\)"):
+            TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 2, 2)), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_DEFS))
     def test_auxiliary_equals_whole_array_formula(self, scheme):
-        # one probability at a time into one buffer gives the very bits of the
-        # (m, n_probs, n3) subtraction with its probability axis reversed
+        # one probability at a time gives the very bits of the (m, n_probs, n3)
+        # subtraction with its probability axis reversed, each as its own array
         variant, kind = SCHEME_DEFS[scheme]
         sisters = generate_sisters(posterior(m=5, seed=2), catchment(), SPLIT)
         models = train_error_model(sisters, small_config(variant=variant, error_model=kind))
-        u = sisters.test_predictions
-        expected = u[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
-        assert np.array_equal(to_auxiliary(sisters, models).values, expected)
+        expected = whole_array_auxiliary(sisters, models)
+        for j in range(len(models.probabilities)):
+            aux = to_auxiliary(sisters, models, j)
+            assert aux.flags.c_contiguous
+            assert np.array_equal(aux, expected[:, j])
+
+    @pytest.mark.parametrize("n3", [18, 1])  # a lone test month is summed in its own order
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_DEFS))
+    def test_scheme_outputs_equal_whole_array_formula(self, scheme, n3):
+        # delivered quantiles are the whole array's sister mean, and every
+        # level's member bounds are its slices, bit for bit
+        series, split = catchment(), partition(60, 6, 18, 36 - n3)
+        sisters = build_sisters(posterior(m=12, seed=6), series, split, 12)
+        result = run_scheme(scheme, series, split, small_config(), sisters)
+        expected = whole_array_auxiliary(sisters, result.models)
+        assert np.array_equal(result.prediction.quantiles, expected.mean(axis=0))
+        probs = result.models.probabilities
+        for alpha in (0.1, 0.5):
+            lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
+            assert np.array_equal(lowers, expected[:, probs.index(alpha / 2)])
+            assert np.array_equal(uppers, expected[:, probs.index(1 - alpha / 2)])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -371,13 +415,16 @@ class TestErrorQuantilesAndAuxiliary:
         sisters = SisterEnsemble(predictions, errors)
         variant, kind = SCHEME_DEFS[scheme]
         models = train_error_model(sisters, small_config(variant=variant, error_model=kind, seed=seed))
-        expected = sisters.test_predictions[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
-        assert np.array_equal(to_auxiliary(sisters, models).values, expected)
+        expected = whole_array_auxiliary(sisters, models)
+        assert np.array_equal(auxiliary_stack(sisters, models), expected)
+        assert np.array_equal(combine(sisters, models).quantiles, expected.mean(axis=0))
 
     def test_combine_is_sister_mean(self):
-        values = np.stack([np.full((2, 3), 1.0), np.full((2, 3), 3.0)])
-        aux = AuxiliaryQuantiles(probabilities=(0.1, 0.9), values=values)
-        combined = combine(aux)
+        # zero error quantiles leave each sister's prediction as its auxiliary quantile
+        predictions = np.array([[0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 3.0, 3.0, 3.0]])
+        ensemble = SisterEnsemble(predictions, np.zeros((2, 2)))
+        combined = combine(ensemble, pooled_models((0.1, 0.9), np.zeros((2, 2))))
+        assert combined.probabilities == (0.1, 0.9)
         np.testing.assert_array_equal(combined.quantiles, np.full((2, 3), 2.0))
 
 
@@ -398,11 +445,15 @@ class TestIntervalExtraction:
             intervals_from_prediction(pred, alphas=(0.05,))
 
     def test_member_bounds(self):
-        values = np.arange(24.0).reshape(2, 4, 3)
-        aux = AuxiliaryQuantiles(probabilities=(0.05, 0.25, 0.75, 0.95), values=values)
-        lowers, uppers = member_interval_bounds(aux, 0.1)
-        np.testing.assert_array_equal(lowers, values[:, 0, :])
-        np.testing.assert_array_equal(uppers, values[:, 3, :])
+        # error quantile j at probs[j]: the 90% bounds are u - 3 and u - 0
+        predictions = np.arange(10.0).reshape(2, 5)
+        ensemble = SisterEnsemble(predictions, np.zeros((2, 2)))
+        models = pooled_models((0.05, 0.25, 0.75, 0.95), [[float(j), 0.0] for j in range(4)])
+        lowers, uppers = member_interval_bounds(ensemble, models, 0.1)
+        np.testing.assert_array_equal(lowers, predictions[:, 2:] - 3.0)
+        np.testing.assert_array_equal(uppers, predictions[:, 2:])
+        with pytest.raises(ValueError, match="not in the delivered set"):
+            member_interval_bounds(ensemble, models, 0.2)
 
 
 class TestBasicSchemes:
@@ -454,7 +505,8 @@ class TestRunEnsembleScheme:
         full = run_scheme("2", series, SPLIT, small_config(), build_sisters(sample, series, SPLIT, 4))
         trimmed = run_scheme("2", series, SPLIT, small_config(), generate_sisters(head, series, SPLIT))
         np.testing.assert_array_equal(full.prediction.quantiles, trimmed.prediction.quantiles)
-        np.testing.assert_array_equal(full.auxiliary.values, trimmed.auxiliary.values)
+        np.testing.assert_array_equal(full.models.coefficients, trimmed.models.coefficients)
+        np.testing.assert_array_equal(full.models.shift, trimmed.models.shift)
 
     def test_sample_too_small_rejected(self):
         with pytest.raises(ValueError, match="parameter pairs"):
@@ -483,28 +535,8 @@ class TestRunEnsembleScheme:
         series = catchment()
         sisters = build_sisters(posterior(m=3, seed=7), series, SPLIT, 3)
         result = run_scheme("1", series, SPLIT, small_config(), sisters=sisters)
-        assert result.auxiliary.values.shape == (3, 4, 18)
-        np.testing.assert_allclose(
-            result.prediction.quantiles, result.auxiliary.values.mean(axis=0), rtol=1e-12
-        )
-
-    @pytest.mark.parametrize("scheme", ["1", "5"])  # one per-sister and one pooled scheme
-    def test_one_auxiliary_sized_array_per_scheme(self, scheme):
-        # steps 4-5 write into the one (m, n_probs, n3) buffer the result keeps;
-        # a second array that size (whole error quantiles first) would read 2x.
-        # The buffer is large beside numpy's per-call iteration buffers (<= 64 kB each)
-        series, _ = synthesize_monthly(SyntheticSpec(n_months=120, seed=12))
-        split = partition(120, 6, 6, 6)  # n3 = 102
-        sisters = build_sisters(posterior(m=200, seed=11), series, split, 200)
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            result = run_scheme(scheme, series, split, SchemeConfig(), sisters=sisters)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.auxiliary.values.shape == (200, 10, 102)
-        assert peak - baseline < 1.5 * result.auxiliary.values.nbytes
+        assert result.models.coefficients.shape == (3, 4, 2)
+        assert np.array_equal(result.prediction.quantiles, auxiliary_stack(sisters, result.models).mean(axis=0))
 
 
 class TestRunScheme:
@@ -516,16 +548,16 @@ class TestRunScheme:
         via_dispatch = run_scheme("5", series, SPLIT, config, sisters)
         direct_config = small_config(variant=2, error_model="quantile")
         models = train_error_model(sisters, direct_config)
-        direct = combine(to_auxiliary(sisters, models))
+        direct = combine(sisters, models)
         assert via_dispatch.scheme == "5"
         np.testing.assert_array_equal(via_dispatch.prediction.quantiles, direct.quantiles)
-        assert via_dispatch.auxiliary is not None
+        assert via_dispatch.models.kind == "quantile" and via_dispatch.models.variant == 2
         assert via_dispatch.elapsed_seconds >= 0.0
 
     def test_basic_scheme_needs_no_sample(self):
         result = run_scheme("basic-linear", catchment(), SPLIT, small_config())
         assert result.scheme == "basic-linear"
-        assert result.auxiliary is None
+        assert result.models is None
         assert result.prediction.quantiles.shape == (4, 18)
 
     def test_numbered_scheme_requires_sisters(self):

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
-import weakref
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensflow import ensemble, experiment
+from ensflow.calibrate import PosteriorSample
 from ensflow.evaluate import MetricsRecord, WisdomRecord
 from ensflow.experiment import (
     CalibrationRecord,
@@ -500,28 +501,26 @@ class TestRunExperiment:
         assert calls == [40, 40]
         assert len(result.wisdom) == 2 * 3 * 5
 
-    def test_each_scheme_frees_its_auxiliary_before_the_next_runs(self, tmp_path, monkeypatch):
-        # a worker holds at most one (m, n_probs, n3) array: when a scheme
-        # starts, no earlier scheme's auxiliary quantiles are alive
-        arrays = []
-        alive_at_start = []
-        original = experiment.run_scheme
-
-        def tracking(*args, **kwargs):
-            alive_at_start.append([ref() is not None for ref in arrays])
-            result = original(*args, **kwargs)
-            arrays.append(weakref.ref(result.auxiliary.values))
-            return result
-
-        monkeypatch.setattr(experiment, "run_scheme", tracking)
-        write_catchments(tmp_path, ["north"])
-        config = small_run_config(
-            tmp_path, schemes=("1", "2"), m=20, n_iterations=150, retain_per_chain=20, max_restarts=0
-        )
-        outcome = experiment._process_catchment((config, "north"))
-        assert not isinstance(outcome, CatchmentFailure)
-        assert alive_at_start == [[], [False]]
-        assert [ref() for ref in arrays] == [None, None]
+    @pytest.mark.parametrize("scheme", ["1", "5"])  # one per-sister and one pooled scheme
+    def test_scoring_a_scheme_peaks_below_eight_member_arrays(self, scheme):
+        # scoring holds one level's (m, n3) member bounds at a time: the whole
+        # (m, n_probs, n3) auxiliary array alone would be ten such arrays
+        m, series = 200, synthesize_monthly(SyntheticSpec(n_months=120, seed=12))[0]
+        split = partition(120, 6, 6, 6)  # n3 = 102
+        rng = np.random.default_rng(11)
+        pairs = np.column_stack([400.0 + 25.0 * rng.standard_normal(m), 0.9 + 0.02 * rng.standard_normal(m)])
+        sisters = ensemble.build_sisters(PosteriorSample(pairs), series, split, m)
+        observed = series.streamflow[split.t3]
+        args = ("c", scheme, series, split, ensemble.SchemeConfig(), sisters, observed)
+        experiment._score_scheme(*args)  # first calls load the solver and fill numpy's caches
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            experiment._score_scheme(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < 8 * m * split.n3 * 8
 
     def test_rerun_is_reproducible(self, tmp_path):
         write_catchments(tmp_path, ["north"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ensflow import regress
-from ensflow.ensemble import DEFAULT_PROBABILITIES, SchemeConfig, _quantile_line
+from ensflow.ensemble import DEFAULT_PROBABILITIES, SchemeConfig, _quantile_lines
 from ensflow.regress import (
     QuantileFitError,
     RankDeficiencyError,
@@ -42,8 +42,8 @@ def average_pinball_loss(p, observed, predicted):
 
 def gaussian_quantile(fit, predictors, p):
     """The linear family's predictive quantile x'beta + sigma z_p, as the ensemble computes it."""
-    beta, shift = _quantile_line(fit, p)
-    return predictors @ beta + shift
+    coefficients, shift = _quantile_lines([fit], (p,))
+    return predictors @ coefficients[0, 0] + shift[0, 0]
 
 
 def random_dataset(rng, n=60, k=3, noise=1.0):
