@@ -8,13 +8,12 @@ split of the residual into positive and negative parts.  Quantile curves
 fitted independently per probability may cross; crossings are counted
 downstream, never repaired here.
 
-Both linear programs go straight to HiGHS (scipy's private ``_highspy._core``)
+The quantile program goes straight to HiGHS (scipy's private ``_highspy._core``)
 with ``linprog(method="highs")``'s options and feasibility check: the same
 coefficients bit for bit, without linprog's overhead, about ¾ of a program
 this small.  The linprog oracle tests in ``tests/test_regress.py`` pin it.
-A dataset's quantile fits share one model on one HiGHS instance: each
-probability changes its bounds and solves it cold, so each gets the
-coefficients of a fit on its own (a warm start moves them by a few ulp).
+A dataset's fits share one model on one HiGHS instance; each probability takes
+one of three routes that keep HiGHS's bits (see :func:`fit_quantile_set`).
 
 A run loads no scipy Python package, only HiGHS's compiled extension:
 ``import scipy.optimize`` costs about 0.5 s and 45 MB that every forked
@@ -133,17 +132,19 @@ def load_solver():
     return sys.modules[SOLVER]
 
 
-def _model(cost, start, index, value, rhs):
-    """A new HiGHS instance with linprog's options holding min cost'z s.t. A z = rhs (A as CSC arrays), or None."""
-    highs = load_solver()
+def _model(x: np.ndarray, y: np.ndarray):
+    """A new HiGHS instance with linprog's options holding the quantile dual  min -y'd  s.t.  X'd = 0."""
+    highs, (n, k) = load_solver(), x.shape
     lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = k
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    which, index = np.nonzero(x)  # column i of X' is row i of X, exact zeros dropped
     # lists fill the matrix's vectors faster than arrays do
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start.tolist(), index.tolist(), value.tolist()
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(cost.size), np.zeros(cost.size)
-    lp.row_lower_ = lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1)))).tolist()
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = index.tolist(), x[which, index].tolist()
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = -y, np.zeros(n), np.zeros(n)
+    lp.row_lower_ = lp.row_upper_ = np.zeros(k)
     solver = highs._Highs()
     # the options linprog(method="highs") sets; every other HiGHS option keeps its default
     options = dict(
@@ -151,47 +152,68 @@ def _model(cost, start, index, value, rhs):
         simplex_strategy=int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
     )
     statuses = [solver.setOptionValue(option, setting) for option, setting in options.items()]
-    return None if highs.HighsStatus.kError in statuses + [solver.passModel(lp)] else solver
+    if highs.HighsStatus.kError in statuses + [solver.passModel(lp)]:
+        raise QuantileFitError("HiGHS refused the linear program or linprog's options")
+    return solver
 
 
-def _solve(solver, rhs, lower, upper):
-    """Solve ``solver``'s model (right-hand side ``rhs``) cold within the bounds: (z, row duals, objective) or None."""
-    if solver is None:
-        return None
-    highs = load_solver()
-    columns = np.arange(lower.size, dtype=np.int32)
-    # clearSolver drops the last solve's basis: a warm start moves the coefficients by a few ulp
-    statuses = [solver.changeColsBounds(lower.size, columns, lower, upper), solver.clearSolver(), solver.run()]
+def _solve(solver, x, y, p, presolve="on", basis=None):
+    """The dual's coefficients at p, solved cold with ``presolve`` on or off or warm from an optimal ``basis``; None
+    for a failed run, a warm run that iterates, or a failed feasibility check or duality-gap certificate."""
+    highs, n = load_solver(), x.shape[0]
+    lower, upper = np.full(n, p - 1.0), np.full(n, p)
+    statuses = [solver.setOptionValue("presolve", presolve)]
+    statuses.append(solver.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper))
+    # clearSolver drops the last solve's basis: a warm start from it would move the coefficients by a few ulp
+    statuses += [solver.clearSolver() if basis is None else solver.setBasis(basis), solver.run()]
     if highs.HighsStatus.kError in statuses or solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
         return None
-    solution, objective = solver.getSolution(), solver.getObjectiveValue()
-    z, residual = np.array(solution.col_value), rhs - np.array(solution.row_value)
+    solution, dual_objective = solver.getSolution(), -solver.getObjectiveValue()
+    z, beta = np.array(solution.col_value), -np.array(solution.row_dual)
     tol = math.sqrt(1e-9) * 10  # linprog's _check_result; a NaN fails every comparison
-    feasible = (lower - tol <= z).all() and (z <= upper + tol).all() and (np.abs(residual) <= tol).all()
-    if math.isnan(objective) or not feasible:
+    feasible = (lower - tol <= z).all() and (z <= upper + tol).all() and (np.abs(solution.row_value) <= tol).all()
+    gap = abs(float(np.sum(pinball_loss(p, y, x @ beta))) - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective))
+    return beta if feasible and gap and not (basis is not None and solver.getInfo().simplex_iteration_count) else None
+
+
+def _vertex_basis(u, y, p, first, inverse, counts):
+    """The optimal basis of the k = 2 dual at p from an exact vertex search over the distinct rows, or None.
+
+    The best line through row a has the weighted p-quantile of the breakpoints (y_i - y_a) / (u_i - u_a), weights
+    |u_i - u_a| and level p or 1 - p by their sign, as its slope; pivot around the newest basis row until the best
+    line through it is the current one.  None unless a KKT certificate with margins leaves HiGHS no other basis
+    and the basis rows' copies do not interleave, so that which copy HiGHS makes basic cannot reorder them."""
+    v, f, w = u[first], y[first], counts.astype(float)
+    order = np.argsort(f, kind="stable")
+    a, b = order[min(np.searchsorted(np.cumsum(w[order]), p * w.sum()), v.size - 1)], -1  # on the best flat line
+    for _ in range(100):
+        live = np.flatnonzero(v != v[a])
+        c = v[live] - v[a]
+        order, weights = np.argsort((f[live] - f[a]) / c, kind="stable"), w[live] * np.abs(c)
+        level = weights @ np.where(c > 0, p, 1.0 - p)
+        j = live[order[min(np.searchsorted(np.cumsum(weights[order]), level), c.size - 1)]]
+        if j == b:
+            break
+        a, b = j, a
+    else:
         return None
-    return z, np.array(solution.row_dual), objective
-
-
-def _csc(columns: np.ndarray):
-    """CSC arrays of the matrix whose columns are the rows of ``columns``, exact zeros dropped."""
-    which, index = np.nonzero(columns)
-    return np.concatenate(([0], np.cumsum(np.count_nonzero(columns, axis=1)))), index, columns[which, index]
-
-
-def _fit_quantile_primal(x: np.ndarray, y: np.ndarray, probability: float) -> np.ndarray:
-    """Direct split formulation: min p*sum(u) + (1-p)*sum(v), X beta + u - v = y."""
-    n, k = x.shape
-    cost = np.concatenate([np.zeros(k), np.full(n, probability), np.full(n, 1.0 - probability)])
-    start, index, value = _csc(x.T)  # then the columns of I and -I
-    start = np.concatenate([start, start[-1] + np.arange(1, 2 * n + 1)])
-    index = np.concatenate([index, np.arange(n), np.arange(n)])
-    value = np.concatenate([value, np.ones(n), -np.ones(n)])
-    lower, upper = np.concatenate([np.full(k, -np.inf), np.zeros(2 * n)]), np.full(k + 2 * n, np.inf)
-    solved = _solve(_model(cost, start, index, value, y), y, lower, upper)
-    if solved is None:
-        raise QuantileFitError(f"linear program failed at p={probability}: no optimum passed the feasibility check")
-    return solved[0][:k]
+    h, margin = np.array(sorted([a, b], key=first.__getitem__)), 1e-6  # 10x HiGHS's tolerances (1e-7)
+    r = f - f[a] - (f[b] - f[a]) / (v[b] - v[a]) * (v - v[a])
+    psi = w * np.where(r > 0, p, p - 1.0)
+    r[h] = psi[h] = 0.0
+    # the basis rows' summed duals D_h solve X_h' D_h = -sum x_i psi_p(r_i); slack in (0, w_h) keeps them in bounds
+    slack = np.linalg.solve([np.ones(2), v[h]], -np.array([psi.sum(), psi @ v])) - w[h] * (p - 1.0)
+    rows = [np.flatnonzero(inverse == g) for g in h]  # by first copy: unless rows[0] ends first, they interleave
+    uncertified = (np.abs(np.delete(r, h)) <= margin).any() or not ((margin < slack) & (slack < w[h] - margin)).all()
+    if uncertified or rows[0][-1] > rows[1][0]:
+        return None
+    status = np.where(r[inverse] > 0, 2, 0)  # above the line at the upper bound p, below at p - 1
+    for copies, above in zip(rows, np.minimum(slack.astype(int), w[h].astype(int) - 1)):
+        status[copies[0]], status[copies[1 : 1 + above]] = 1, 2  # the first copy basic, the rest keep it in bounds
+    kinds, basis = load_solver().HighsBasisStatus, load_solver().HighsBasis()
+    basis.col_status = np.array([kinds.kLower, kinds.kBasic, kinds.kUpper], dtype=object)[status].tolist()
+    basis.row_status, basis.valid = [kinds.kLower] * 2, True
+    return basis
 
 
 @dataclass(frozen=True)
@@ -212,26 +234,34 @@ def fit_quantile_set(data: RegressionDataset, probabilities) -> QuantileFit:
     s.t.  X beta + u - v = y,  u, v >= 0,  solved in its dual form (n box-bounded
     variables against k equality rows; Koenker & Bassett 1978) with the
     coefficients read off the equality multipliers.  Only the dual's bounds
-    p - 1 <= d_i <= p depend on p, so the dataset's one model serves every p,
-    solved cold each time: a basis kept from the previous p would move the
-    coefficients by a few ulp and make them depend on the order of the set.
-    Strong duality gives a certificate; on a mismatch the primal formulation
-    is solved directly instead, for that probability only.
+    p - 1 <= d_i <= p depend on p, so the dataset's one model serves every p.
+    Each p gets the bits of a cold presolved solve of it alone by one of three
+    routes on an intercept design without zeros: (1) presolve off where no two
+    rows are nearly parallel (their last columns 1e-7 apart), as presolve then
+    reduces nothing and HiGHS solves the original LP just as with presolve off;
+    (2) on a design (1, u) whose repeats are exact (x, y) copies, as in pooled
+    sisters that a rejected MCMC move repeats, a warm start that may not iterate
+    from the basis ``_vertex_basis`` certifies, as the cold solve merges the
+    copies in presolve and ends by solving the original LP from that basis;
+    (3) otherwise, or when a faster route fails, the cold solve.  A basis kept
+    from the previous p would move the coefficients by a few ulp.  Strong
+    duality gives a certificate; a cold solve that fails it raises
+    ``QuantileFitError``.
     """
     probabilities = [float(p) for p in probabilities]
-    for p in probabilities:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"probability must lie in (0, 1), got {p}")
+    if outside := [p for p in probabilities if not 0.0 < p < 1.0]:
+        raise ValueError(f"probability must lie in (0, 1), got {outside[0]}")
     x, y = data.predictors, data.response
-    # dual: max y'd  s.t.  X'd = 0,  p - 1 <= d_i <= p
-    dual, coefficients = _model(-y, *_csc(x), np.zeros(data.k)), {}
+    dual, apart, copies, coefficients = _model(x, y), False, None, {}  # dual: max y'd  s.t.  X'd = 0
+    if (x[:, 0] == 1.0).all() and x.all():  # an intercept design without zeros: its routing data, once
+        values, *found = np.unique(x[:, -1], return_index=True, return_inverse=True, return_counts=True)
+        apart = values.size == data.n and (np.diff(values) > 1e-7 * np.maximum(1.0, np.abs(values[1:]))).all()
+        copies = found if data.k == 2 and 1 < values.size < data.n and (y == y[found[0]][found[1]]).all() else None
     for p in probabilities:
-        solved = _solve(dual, np.zeros(data.k), np.full(data.n, p - 1.0), np.full(data.n, p))
-        if solved is not None:
-            beta, dual_objective = -solved[1], -solved[2]
-            achieved = float(np.sum(pinball_loss(p, y, x @ beta)))
-            if math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective)):
-                coefficients[p] = beta
-                continue
-        coefficients[p] = _fit_quantile_primal(x, y, p)
+        basis = None if copies is None else _vertex_basis(x[:, 1], y, p, *copies)
+        beta = _solve(dual, x, y, p, "off", basis) if apart or basis is not None else None
+        beta = _solve(dual, x, y, p) if beta is None else beta  # else the cold presolved solve
+        if beta is None:
+            raise QuantileFitError(f"linear program failed at p={p}: no optimum passed the duality-gap certificate")
+        coefficients[p] = beta
     return QuantileFit(coefficients=coefficients)

@@ -208,14 +208,12 @@ class TestQuantileFit:
     def test_dual_matches_primal_formulation(self):
         # the dual short cut must return the same loss as the explicit
         # split-variable program it stands in for
-        from ensflow.regress import _fit_quantile_primal
-
         rng = np.random.default_rng(53)
         for _ in range(10):
             data, _ = random_dataset(rng, n=70, k=3)
             for p in (0.05, 0.5, 0.95):
                 fast = fit_quantile(data, p)
-                slow = _fit_quantile_primal(data.predictors, data.response, p)
+                slow = linprog_primal(data.predictors, data.response, p)
                 loss_fast = average_pinball_loss(p, data.response, data.predictors @ fast)
                 loss_slow = average_pinball_loss(p, data.response, data.predictors @ slow)
                 assert loss_fast <= loss_slow + 1e-8 * max(1.0, loss_slow)
@@ -265,15 +263,48 @@ def linprog_primal(x, y, p):
 
 
 def linprog_quantile(x, y, p):
-    """fit_quantile_set at one probability written against linprog: the dual, its certificate, the primal fallback."""
+    """fit_quantile_set at one probability written against linprog: the dual, cold, and its certificate."""
     n, k = x.shape
     result = linprog(-y, A_eq=x.T, b_eq=np.zeros(k), bounds=[(p - 1.0, p)] * n, method="highs")
-    if result.success:
-        beta, dual_objective = -result.eqlin.marginals, -result.fun
-        achieved = float(np.sum(pinball_loss(p, y, x @ beta)))
-        if math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective)):
-            return beta
-    return linprog_primal(x, y, p)
+    assert result.success, (x.shape, p)
+    beta, dual_objective = -result.eqlin.marginals, -result.fun
+    achieved = float(np.sum(pinball_loss(p, y, x @ beta)))
+    assert math.isfinite(achieved) and abs(achieved - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective))
+    return beta
+
+
+def pooled_sisters(rng, m=30, months=40, order=None):
+    """Scheme 5's pooled rows, sister-major: m sisters drawn with repeats, which a rejected MCMC move makes adjacent."""
+    u = rng.gamma(2.0, 20.0, size=(m, months))
+    e = 5.0 * rng.normal(size=(m, months)) + 0.1 * u
+    drawn = np.sort(rng.integers(0, m, size=m)) if order is None else np.asarray(order)
+    return design_matrix(u[drawn].ravel()), e[drawn].ravel()
+
+
+def solve_log(monkeypatch):
+    """Record (presolve, warm, solved, simplex iterations) for every LP solve of ``fit_quantile_set``."""
+    original, log = regress._solve, []
+
+    def solve(solver, x, y, p, presolve="on", basis=None):
+        solved = original(solver, x, y, p, presolve, basis)
+        log.append((presolve, basis is not None, solved is not None, solver.getInfo().simplex_iteration_count))
+        return solved
+
+    monkeypatch.setattr(regress, "_solve", solve)
+    return log
+
+
+def basic_rows(basis):
+    """The rows of X whose dual columns ``basis`` makes basic."""
+    basic = regress.load_solver().HighsBasisStatus.kBasic
+    return [i for i, status in enumerate(basis.col_status) if status == basic]
+
+
+def distinct_u_copies(x, y):
+    """``fit_quantile_set``'s routing data for the warm route: the distinct u with their first rows and counts."""
+    _, first, inverse, counts = np.unique(x[:, 1], return_index=True, return_inverse=True, return_counts=True)
+    assert first.size < x.shape[0] and np.array_equal(y, y[first][inverse])  # repeats are whole-row copies
+    return first, inverse, counts
 
 
 # tiny integer datasets: the small ranges make tied x values and duplicate rows common
@@ -335,13 +366,256 @@ class TestDirectHighsMatchesLinprog:
         for p in (0.005, 0.995):
             assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
 
-    def test_primal_bit_identical(self):
-        from ensflow.regress import _fit_quantile_primal
-
+    def test_primal_oracle_reaches_the_same_loss(self):
+        # the split formulation, solved by linprog, is the independent check of
+        # the dual on zeros and heavy ties too
         rng = np.random.default_rng(71)
         for x, y in self.datasets(rng):
-            for p in (0.005, 0.5, 0.995):
-                assert np.array_equal(_fit_quantile_primal(x, y, p), linprog_primal(x, y, p)), (x.shape, p)
+            fit = fit_quantile_set(RegressionDataset(x, y), (0.005, 0.5, 0.995))
+            for p, beta in fit.coefficients.items():
+                dual, primal = (math.fsum(pinball_loss(p, y, x @ b)) for b in (beta, linprog_primal(x, y, p)))
+                assert dual == pytest.approx(primal, rel=1e-12, abs=1e-12), (x.shape, p)
+
+
+class TestSolverRoutes:
+    """Each route returns the cold presolved solve's coefficients, checked bit for bit against linprog."""
+
+    def test_distinct_rows_solve_with_presolve_off(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        for n, k in ((96, 2), (204, 3)):
+            x = np.column_stack([np.ones(n)] + [rng.gamma(2.0, 1.0, size=n) for _ in range(k - 1)])
+            y = x @ rng.uniform(-3.0, 3.0, size=k) + rng.normal(size=n)
+            log = solve_log(monkeypatch)
+            fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
+            monkeypatch.undo()
+            assert [entry[:3] for entry in log] == [("off", False, True)] * len(DEFAULT_PROBABILITIES)
+            for p in DEFAULT_PROBABILITIES:
+                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (n, p)
+
+    def test_zeros_and_tied_rows_solve_cold_in_any_order(self, monkeypatch):
+        # presolve reduces such duals at some probabilities only (zeros make
+        # singleton columns, equal or nearly equal rows parallel ones), so
+        # presolve stays on whatever the order of the set
+        rng = np.random.default_rng(91)
+        n = 60
+        x = design_matrix(rng.gamma(2.0, 1.0, size=n))
+        y = x @ [0.5, 1.5] + rng.normal(size=n)
+        zeros, tied, near = x.copy(), x.copy(), x.copy()
+        zeros[0, 1] = 0.0  # one zero: the rows stay distinct
+        tied[1, 1] = tied[0, 1]
+        near[1, 1] = tied[0, 1] * (1.0 + 1e-12)
+        probs = DEFAULT_PROBABILITIES
+        for design in (zeros, tied, near):
+            expected = {p: linprog_quantile(design, y, p) for p in probs}
+            for order in (probs, probs[::-1], probs[4:] + probs[:4]):
+                log = solve_log(monkeypatch)
+                fit = fit_quantile_set(RegressionDataset(design, y), order)
+                monkeypatch.undo()
+                assert [entry[:2] for entry in log] == [("on", False)] * len(probs)
+                for p in probs:
+                    assert np.array_equal(fit.coefficients[p], expected[p]), p
+
+    def test_pooled_repeated_sisters_warm_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        warm = 0
+        for _ in range(4):
+            x, y = pooled_sisters(rng)
+            log = solve_log(monkeypatch)
+            fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
+            monkeypatch.undo()
+            # every certified fit ran warm and took no simplex iteration; the rest ran cold
+            assert all(solved and iterations == 0 for _, started, solved, iterations in log if started)
+            assert len(log) == len(DEFAULT_PROBABILITIES)
+            warm += sum(started for _, started, _, _ in log)
+            for p in DEFAULT_PROBABILITIES:
+                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+        assert warm >= 30  # of 40 fits
+
+    def test_integer_rows_with_duplicates(self, monkeypatch):
+        # distinct integer u with integer responses, some rows copied whole:
+        # the warm route's data, full of ties and degenerate vertices
+        rng = np.random.default_rng(101)
+        for _ in range(30):
+            n = int(rng.integers(6, 20))
+            u, y = rng.permutation(np.arange(1.0, n + 1.0)), rng.integers(-5, 6, size=n).astype(float)
+            copied = rng.integers(0, n, size=int(rng.integers(1, n)))
+            x, y = design_matrix(np.concatenate([u, u[copied]])), np.concatenate([y, y[copied]])
+            log = solve_log(monkeypatch)
+            fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
+            monkeypatch.undo()
+            assert all(solved and iterations == 0 for _, started, solved, iterations in log if started)
+            for p in DEFAULT_PROBABILITIES:
+                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (n, p)
+
+    def test_interleaved_copies_take_the_cold_route(self, monkeypatch):
+        # the same rows in two orders: sisters A, A, B, B and A, B, A, B.  In
+        # the second every basis row pair's copies interleave, so HiGHS's
+        # choice of copy could reorder the basic columns: all cold
+        warm = {}
+        for order in ((0, 0, 1, 1), (0, 1, 0, 1)):
+            x, y = pooled_sisters(np.random.default_rng(103), m=2, months=60, order=order)
+            log = solve_log(monkeypatch)
+            fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
+            monkeypatch.undo()
+            warm[order] = [started for _, started, _, _ in log]
+            for p in DEFAULT_PROBABILITIES:
+                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (order, p)
+        assert any(warm[(0, 0, 1, 1)]) and not any(warm[(0, 1, 0, 1)])
+
+    def test_degenerate_vertex_takes_the_cold_route(self, monkeypatch):
+        # eight rows lie exactly on y = u, as many above and below it: the
+        # median line is a vertex with six more zero residuals
+        u = np.concatenate([np.arange(1.0, 9.0), np.arange(1.0, 9.0) + 0.5, np.arange(1.0, 9.0) + 0.25])
+        y = np.concatenate([u[:8], u[8:16] + 3.0, u[16:] - 3.0])
+        x, y = design_matrix(np.concatenate([u, u[:4]])), np.concatenate([y, y[:4]])
+        log = solve_log(monkeypatch)
+        beta = fit_quantile(RegressionDataset(x, y), 0.5)
+        assert np.count_nonzero(np.abs(y - x @ beta) <= 1e-12) > 2 + 4
+        assert [entry[:2] for entry in log] == [("on", False)]
+        assert np.array_equal(beta, linprog_quantile(x, y, 0.5))
+
+    @staticmethod
+    def certified_vertex(x, y, p):
+        """The two basis rows that ``_vertex_basis`` certifies at p, their copy counts and every row's residual."""
+        first, inverse, counts = distinct_u_copies(x, y)
+        basis = regress._vertex_basis(x[:, 1], y, p, first, inverse, counts)
+        basic = basic_rows(basis)
+        return basic, counts[inverse[basic]], y - x @ np.linalg.solve(x[basic], y[basic])
+
+    def test_near_zero_residual_takes_the_cold_route(self, monkeypatch):
+        # a row 1e-8 off the optimal line keeps the vertex optimal, but within
+        # HiGHS's tolerances a cold solve may stop at the neighbouring basis
+        rng = np.random.default_rng(137)
+        for p in (0.1, 0.5, 0.9):
+            x, y = pooled_sisters(rng)
+            basic, _, r = self.certified_vertex(x, y, p)
+            moved = x[:, 1] == x[np.flatnonzero(np.abs(r) > 1.0)[0], 1]  # a row off the line, with its copies
+            y = np.where(moved, y - r + np.copysign(1e-8, r), y)
+            log = solve_log(monkeypatch)
+            beta = fit_quantile(RegressionDataset(x, y), p)
+            monkeypatch.undo()
+            assert [entry[:2] for entry in log] == [("on", False)]
+            assert np.array_equal(beta, linprog_quantile(x, y, p)), p
+
+    def test_kkt_value_at_its_bound_takes_the_cold_route(self, monkeypatch):
+        # a p at which a basis row's summed dual sits 1e-9 inside its bounds:
+        # the vertex stays optimal, but so nearly is its neighbour
+        rng = np.random.default_rng(139)
+        for _ in range(3):
+            x, y = pooled_sisters(rng)
+            basic, weights, r = self.certified_vertex(x, y, 0.5)
+            on_basis = np.isin(x[:, 1], x[basic, 1])
+
+            def slack(p):  # D_h - w_h (p - 1): linear in p, and within (0, w_h) while the vertex is optimal
+                psi = np.where(on_basis, 0.0, np.where(r > 0, p, p - 1.0))
+                return np.linalg.solve(x[basic].T, -(x.T @ psi)) - weights * (p - 1.0)
+
+            # the p interval keeping both slacks 1e-9 inside (0, w_h) holds 0.5; take an end inside (0, 1)
+            low, rate = slack(0.0), slack(1.0) - slack(0.0)
+            ends = np.sort([(1e-9 - low) / rate, (weights - 1e-9 - low) / rate], axis=0)
+            p = float(ends[0].max()) if ends[0].max() > 0.0 else float(ends[1].min())
+            assert 0.0 < p < 0.5 < ends[1].min() or ends[0].max() < 0.5 < p < 1.0
+            assert min(slack(p).min(), (weights - slack(p)).min()) == pytest.approx(1e-9, abs=1e-12)
+            log = solve_log(monkeypatch)
+            beta = fit_quantile(RegressionDataset(x, y), p)
+            monkeypatch.undo()
+            assert [entry[:2] for entry in log] == [("on", False)]
+            assert np.array_equal(beta, linprog_quantile(x, y, p)), p
+
+    def test_warm_run_that_iterates_falls_back(self, monkeypatch):
+        # a basis with every nonbasic bound flipped is not optimal: HiGHS
+        # iterates from it, and the fit is solved cold instead
+        highs = regress.load_solver()
+        flip = {highs.HighsBasisStatus.kLower: highs.HighsBasisStatus.kUpper}
+        flip.update({upper: lower for lower, upper in flip.items()})
+        original = regress._vertex_basis
+
+        def flipped(*args):
+            basis = original(*args)
+            if basis is not None:
+                basis.col_status = [flip.get(status, status) for status in basis.col_status]
+            return basis
+
+        x, y = pooled_sisters(np.random.default_rng(107))
+        monkeypatch.setattr(regress, "_vertex_basis", flipped)
+        log = solve_log(monkeypatch)
+        fit = fit_quantile_set(RegressionDataset(x, y), (0.25, 0.75))
+        assert [entry[1:3] for entry in log] == [(True, False), (False, True)] * 2
+        assert all(iterations > 0 for _, started, _, iterations in log if started)
+        for p in (0.25, 0.75):
+            assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+
+
+class TestVertexSearch:
+    """``_vertex_basis``: the exact k = 2 vertex search and its certificate."""
+
+    def test_certified_loss_matches_linprog(self):
+        rng = np.random.default_rng(109)
+        certified = 0
+        for _ in range(4):
+            x, y = pooled_sisters(rng)
+            for p in DEFAULT_PROBABILITIES:
+                basis = regress._vertex_basis(x[:, 1], y, p, *distinct_u_copies(x, y))
+                if basis is None:
+                    continue
+                certified += 1
+                basic = basic_rows(basis)
+                assert len(basic) == 2
+                line, best = np.linalg.solve(x[basic], y[basic]), linprog_quantile(x, y, p)
+                loss, best = (math.fsum(pinball_loss(p, y, x @ beta)) for beta in (line, best))
+                assert loss == pytest.approx(best, rel=1e-12), p
+        assert certified >= 30  # of 40
+
+    def test_certificate_rejects_tied_responses(self):
+        # rounded responses tie many rows: where the optimal line passes
+        # through a third row, no basis may be certified
+        rng = np.random.default_rng(113)
+        degenerate = 0
+        for _ in range(4):
+            x, e = pooled_sisters(rng, m=6, months=30)
+            y = np.round(e / 10.0)
+            for p in DEFAULT_PROBABILITIES:
+                basis = regress._vertex_basis(x[:, 1], y, p, *distinct_u_copies(x, y))
+                beta = linprog_quantile(x, y, p)
+                if np.unique(x[np.abs(y - x @ beta) <= 1e-9, 1]).size > 2:
+                    degenerate += 1
+                    assert basis is None, p
+        assert degenerate >= 5  # of 40
+
+
+class TestPresolvePremise:
+    """The two facts about HiGHS's presolve that the fast routes rest on, for the scipy installed."""
+
+    @staticmethod
+    def presolve_status(x, y, p):
+        model = regress._model(x, y)
+        n = x.shape[0]
+        model.changeColsBounds(n, np.arange(n, dtype=np.int32), np.full(n, p - 1.0), np.full(n, p))
+        model.presolve()
+        return model.getModelPresolveStatus()
+
+    def test_distinct_rows_are_not_reduced(self):
+        # route 1 turns presolve off once it reduced nothing at one p: it must
+        # reduce nothing at every p, and presolve off must then keep the bits
+        statuses = regress.load_solver().HighsPresolveStatus
+        rng = np.random.default_rng(127)
+        for n, k in ((96, 2), (144, 2), (204, 3)):
+            x = np.column_stack([np.ones(n)] + [rng.gamma(2.0, 1.0, size=n) for _ in range(k - 1)])
+            y = x @ rng.uniform(-3.0, 3.0, size=k) + rng.normal(size=n)
+            model = regress._model(x, y)
+            for p in DEFAULT_PROBABILITIES:
+                status = self.presolve_status(x, y, p)
+                assert status == statuses.kNotReduced, f"scipy {scipy.__version__}: presolve gave {status} at p={p}"
+                cold, off = regress._solve(model, x, y, p), regress._solve(model, x, y, p, "off")
+                assert np.array_equal(cold, off), f"scipy {scipy.__version__}: presolve off moved the fit at p={p}"
+
+    def test_whole_row_copies_are_reduced(self):
+        # route 2 reproduces the solve that ends from a postsolved basis
+        statuses = regress.load_solver().HighsPresolveStatus
+        x, y = pooled_sisters(np.random.default_rng(131))
+        for p in DEFAULT_PROBABILITIES:
+            status = self.presolve_status(x, y, p)
+            assert status == statuses.kReduced, f"scipy {scipy.__version__}: presolve gave {status} at p={p}"
 
 
 class TestMissingSolver:
@@ -364,49 +638,55 @@ class TestQuantileFallback:
         data, _ = random_dataset(np.random.default_rng(73), n=50, k=2)
         return data
 
-    def patch_call(self, monkeypatch, replace, number=1):
-        """Replace the ``number``-th LP solve by ``replace(solved)``; count every call."""
+    def patch_call(self, monkeypatch, replace, number=None):
+        """Replace the ``number``-th LP solve, or every one, by ``replace(solved)``; count every call."""
         original = regress._solve
         calls = []
 
         def solve(*args):
             calls.append(args)
             solved = original(*args)
-            return replace(solved) if len(calls) == number else solved
+            return replace(solved) if number in (None, len(calls)) else solved
 
         monkeypatch.setattr(regress, "_solve", solve)
         return calls
 
-    def test_unsolved_dual_falls_back_to_primal(self, data, monkeypatch):
-        expected = regress._fit_quantile_primal(data.predictors, data.response, 0.3)
+    def test_unsolved_dual_raises(self, data, monkeypatch):
+        # the cold presolved solve is the last route: nothing stands behind it
         calls = self.patch_call(monkeypatch, lambda solved: None)
-        beta = fit_quantile(data, 0.3)
-        assert len(calls) == 2
-        assert calls[1][2].size == data.k + 2 * data.n  # the split formulation's columns
-        assert np.array_equal(beta, expected)
+        with pytest.raises(QuantileFitError, match="p=0.3"):
+            fit_quantile(data, 0.3)
+        assert [call[4:] for call in calls] == [("off", None), ()]
 
-    def test_failed_certificate_falls_back_to_primal(self, data, monkeypatch):
-        expected = regress._fit_quantile_primal(data.predictors, data.response, 0.3)
-        calls = self.patch_call(monkeypatch, lambda solved: (solved[0], solved[1], solved[2] - 1.0))
-        beta = fit_quantile(data, 0.3)
-        assert len(calls) == 2
-        assert np.array_equal(beta, expected)
+    def test_failed_certificate_raises(self, data, monkeypatch):
+        # a duality gap: the achieved loss no longer equals the dual objective
+        monkeypatch.setattr(regress, "pinball_loss", lambda p, y, q: pinball_loss(p, y, q) + 1.0)
+        with pytest.raises(QuantileFitError, match="p=0.3"):
+            fit_quantile(data, 0.3)
 
     def test_fallback_mid_set_leaves_later_probabilities_alone(self, data, monkeypatch):
-        # the dual of the fifth probability fails; its primal is solved on a
-        # model of its own, and the shared dual model carries on unchanged
+        # the fifth probability's presolve-off solve fails; it is solved cold
+        # instead, and the later probabilities go on with presolve off
         probs = DEFAULT_PROBABILITIES
         fresh = {p: fit_quantile(data, p) for p in probs}
-        expected = regress._fit_quantile_primal(data.predictors, data.response, probs[4])
         calls = self.patch_call(monkeypatch, lambda solved: None, number=5)
         fit = fit_quantile_set(data, probs)
         assert len(calls) == len(probs) + 1
-        assert calls[5][2].size == data.k + 2 * data.n  # the primal right after the failed dual
-        assert np.array_equal(fit.coefficients[probs[4]], expected)
-        for p in probs[:4] + probs[5:]:
+        assert [call[4:] for call in calls[4:7]] == [("off", None), (), ("off", None)]
+        for p in probs:
             assert np.array_equal(fit.coefficients[p], fresh[p]), p
 
-    def test_both_formulations_failing_raises(self, data, monkeypatch):
-        monkeypatch.setattr(regress, "_solve", lambda *args: None)
-        with pytest.raises(QuantileFitError, match="p=0.3"):
+    def test_failed_warm_start_falls_back_to_cold(self, monkeypatch):
+        x, y = pooled_sisters(np.random.default_rng(83))
+        data, probs = RegressionDataset(x, y), DEFAULT_PROBABILITIES
+        calls = self.patch_call(monkeypatch, lambda solved: None, number=1)
+        fit = fit_quantile_set(data, probs)
+        assert calls[0][5] is not None and calls[1][4:] == ()  # the warm start failed, then the cold solve
+        for p in probs:
+            assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+
+    def test_model_refused_raises(self, data, monkeypatch):
+        highs = regress.load_solver()
+        monkeypatch.setattr(highs._Highs, "passModel", lambda self, lp: highs.HighsStatus.kError)
+        with pytest.raises(QuantileFitError, match="refused"):
             fit_quantile(data, 0.3)
