@@ -73,7 +73,6 @@ from .gr2m import (
 )
 from .regress import (
     LinearFit,
-    QuantileFit,
     QuantileFitError,
     RankDeficiencyError,
     RegressionDataset,

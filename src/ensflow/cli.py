@@ -35,6 +35,14 @@ _RUN_FLAGS = {
     "iterations": "n_iterations",
     "retain": "retain_per_chain",
 }
+# synth flag -> SyntheticSpec field; a flag that is not given keeps the spec's default
+_SYNTH_FLAGS = {"months": "n_months", "theta1": "theta1", "theta2": "theta2", "noise_ratio": "flow_noise_ratio",
+                "noise_floor": "flow_noise_floor"}
+
+
+def _given(args, flags: dict) -> dict:
+    """The keys of the flags that were given, with their values."""
+    return {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,12 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate synthetic catchments with known truth")
     synth.add_argument("--out", required=True)
     synth.add_argument("--count", type=int, default=1)
-    synth.add_argument("--months", type=int, default=600)
+    synth.add_argument("--months", type=int, default=None)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--theta1", type=float, default=400.0)
-    synth.add_argument("--theta2", type=float, default=0.9)
-    synth.add_argument("--noise-ratio", type=float, default=0.05)
-    synth.add_argument("--noise-floor", type=float, default=0.01)
+    synth.add_argument("--theta1", type=float, default=None)
+    synth.add_argument("--theta2", type=float, default=None)
+    synth.add_argument("--noise-ratio", type=float, default=None)
+    synth.add_argument("--noise-floor", type=float, default=None)
 
     run = sub.add_parser("run", help="calibrate, predict and score a batch of catchments")
     run.add_argument("--config", default=None, help="flat key = value file (defaults apply)")
@@ -102,15 +110,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.count < 1 or args.months < 1:
-        print("count and months must be >= 1", file=sys.stderr)
+    if args.count < 1:
+        print("count must be >= 1", file=sys.stderr)
         return 1
     for index in range(args.count):
         try:
-            spec = SyntheticSpec(
-                theta1=args.theta1, theta2=args.theta2, n_months=args.months, seed=args.seed + index,
-                flow_noise_ratio=args.noise_ratio, flow_noise_floor=args.noise_floor,
-            )
+            spec = SyntheticSpec(seed=args.seed + index, **_given(args, _SYNTH_FLAGS))
             csv_path, meta_path = generate_synthetic(spec, args.out, f"synth{index:03d}")
         except ValueError as exc:
             print(f"synth{index:03d}: {exc}", file=sys.stderr)
@@ -120,7 +125,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    flags = {key: getattr(args, flag) for flag, key in _RUN_FLAGS.items() if getattr(args, flag) is not None}
+    flags = _given(args, _RUN_FLAGS)
     try:
         config = load_config(args.config, **flags) if args.config else ExperimentConfig(**flags)
     except (OSError, ConfigError) as exc:

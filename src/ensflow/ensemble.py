@@ -43,7 +43,7 @@ import numpy as np
 from .calibrate import PosteriorSample
 from .evaluate import INTERVAL_ALPHAS, IntervalPrediction
 from .gr2m import simulate_batch
-from .regress import LinearFit, RegressionDataset, design_matrix, fit_ols, fit_quantile_set
+from .regress import RegressionDataset, design_matrix, fit_ols, fit_quantile_set
 from .timeseries import MonthlySeries, PeriodPartition
 
 # the bounds alpha/2 and 1 - alpha/2 of every scored central interval
@@ -255,19 +255,28 @@ def build_sisters(
     return generate_sisters(PosteriorSample(sample.pairs[:m]), series, split)
 
 
-def _fit_one(kind: str, u: np.ndarray, e: np.ndarray, probabilities: tuple[float, ...]):
-    data = RegressionDataset(design_matrix(u), e)
-    return fit_ols(data) if kind == "linear" else fit_quantile_set(data, probabilities)
+def _lines(kind: str, data: RegressionDataset, probabilities: tuple[float, ...], z: np.ndarray):
+    """One dataset's error quantiles as lines  x @ coefficients[j] + shift[j]: (n_probs, k) and (n_probs,) arrays.
+
+    A pinball-loss fit has its own coefficients per probability and no shift;
+    the linear family shifts the least-squares line by sigma z_p, with ``z``
+    the z_p, which the caller computes once for all its datasets.
+    """
+    if kind == "quantile":
+        return fit_quantile_set(data, probabilities), np.zeros(len(probabilities))
+    fit = fit_ols(data)
+    return np.tile(fit.coefficients, (len(probabilities), 1)), fit.sigma * z
 
 
 def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> TrainedErrorModels:
     """Fit the configured error-model variant on the training errors."""
     kind, probs = config.error_model, config.probabilities
+    z = np.array([_normal_quantile(p) for p in probs])
     u, e = ensemble.training_predictions, ensemble.errors
     chosen, which = None, slice(None)
     if config.variant == 2:
         # pool every sister's rows, sister-major order
-        fits = [_fit_one(kind, u.reshape(-1), e.reshape(-1), probs)]
+        lines = [_lines(kind, RegressionDataset(design_matrix(u.reshape(-1)), e.reshape(-1)), probs, z)]
     else:
         if config.variant == 3:  # the one sister the scheme seed draws
             chosen = int(np.random.default_rng(config.seed).integers(ensemble.m))
@@ -282,11 +291,11 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
         by_sister = {}
         for i in sorted(first):  # in sister order, so a failure names the first sister with those rows
             try:
-                by_sister[i] = _fit_one(kind, u[i], e[i], probs)
+                by_sister[i] = _lines(kind, RegressionDataset(design_matrix(u[i]), e[i]), probs, z)
             except ValueError as exc:
                 raise type(exc)(f"sister {i}: {exc}") from exc
-        fits = [by_sister[i] for i in first]
-    coefficients, shift = _quantile_lines(fits, probs)
+        lines = [by_sister[i] for i in first]
+    coefficients, shift = (np.array(part) for part in zip(*lines))
     return TrainedErrorModels(kind, config.variant, probs, coefficients[which], shift[which], chosen)
 
 
@@ -324,41 +333,19 @@ def _normal_quantile(p: float) -> float:
     return -z if lower else z
 
 
-def _quantile_lines(fits: list, probabilities: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each fit's quantile at each probability as a line  x @ coefficients[i, j] + shift[i, j].
-
-    Returns coefficients (n_fits, n_probs, k) and shift (n_fits, n_probs).
-    The linear family's Gaussian quantile shifts the mean by sigma z_p, each
-    z_p computed once; a pinball-loss fit has its own coefficients per
-    probability and no shift.
-    """
-    if isinstance(fits[0], LinearFit):
-        z = np.array([_normal_quantile(p) for p in probabilities])
-        coefficients = np.array([[fit.coefficients] * len(probabilities) for fit in fits])
-        return coefficients, np.array([[fit.sigma] for fit in fits]) * z
-    coefficients = np.array([[fit.coefficients[p] for p in probabilities] for fit in fits])
-    return coefficients, np.zeros(coefficients.shape[:2])
-
-
-def predict_error_quantiles(
-    models: TrainedErrorModels, ensemble: SisterEnsemble, j: int | None = None
-) -> np.ndarray:
-    """Error quantiles on the test months at ``probabilities[j]``, (m, n3), or at all of them, (m, n_probs, n3).
+def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble, j: int) -> np.ndarray:
+    """Error quantiles on the test months at ``probabilities[j]``, shape (m, n3).
 
     Every error model is a line in the sister's own prediction u, so the
     quantile is  b1 u + b0 + shift, computed for all sisters at once;
-    variants 2 and 3 broadcast their single model.  A run asks for one
-    probability at a time (see ``to_auxiliary``); only inspection asks for
-    them all.
+    variants 2 and 3 broadcast their single model.  Stack the calls over j
+    for every probability.
     """
     n_models = models.coefficients.shape[0]
     if n_models not in (1, ensemble.m):
         raise ValueError(f"{n_models} error models do not match {ensemble.m} sisters")
-    u = ensemble.test_predictions
-    if j is None:
-        j, u = slice(None), u[:, np.newaxis, :]
     # in place, so the only array of the result's size is the result
-    out = models.coefficients[:, j, 1, np.newaxis] * u
+    out = models.coefficients[:, j, 1, np.newaxis] * ensemble.test_predictions
     out += models.coefficients[:, j, 0, np.newaxis]
     out += models.shift[:, j, np.newaxis]
     return out
@@ -411,9 +398,8 @@ def run_basic_scheme(
     data = RegressionDataset(design_matrix(p[rows], e[rows]), y[rows])
     x_test = design_matrix(p[split.t3], e[split.t3])
 
-    fit = fit_ols(data) if model_kind == "linear" else fit_quantile_set(data, probs)
-    coefficients, shift = _quantile_lines([fit], probs)
-    quantiles = [x_test @ beta + s for beta, s in zip(coefficients[0], shift[0])]
+    coefficients, shift = _lines(model_kind, data, probs, np.array([_normal_quantile(p) for p in probs]))
+    quantiles = [x_test @ beta + s for beta, s in zip(coefficients, shift)]
     return CombinedPrediction(probabilities=probs, quantiles=np.array(quantiles))
 
 

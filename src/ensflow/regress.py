@@ -4,9 +4,10 @@ Both fits share one dataset type whose predictor matrix already contains the
 intercept column.  The least-squares fit carries a residual scale so Gaussian
 predictive quantiles can be read off directly; the quantile fit minimises the
 pinball loss, one probability at a time, via the standard linear-programming
-split of the residual into positive and negative parts.  Quantile curves
-fitted independently per probability may cross; crossings are counted
-downstream, never repaired here.
+split of the residual into positive and negative parts, and returns one row of
+coefficients per probability, an (n_probs, k) array.  Quantile curves fitted
+independently per probability may cross; crossings are counted downstream,
+never repaired here.
 
 The quantile program goes straight to HiGHS (scipy's private ``_highspy._core``)
 with ``linprog(method="highs")``'s options and feasibility check: the same
@@ -216,19 +217,11 @@ def _vertex_basis(u, y, p, first, inverse, counts):
     return basis
 
 
-@dataclass(frozen=True)
-class QuantileFit:
-    """Per-probability coefficient vectors."""
+def fit_quantile_set(data: RegressionDataset, probabilities) -> np.ndarray:
+    """Fit each probability independently (curves may cross, by design): an (n_probs, k) array.
 
-    coefficients: dict[float, np.ndarray]
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(self.coefficients)
-
-
-def fit_quantile_set(data: RegressionDataset, probabilities) -> QuantileFit:
-    """Fit each probability independently (curves may cross, by design).
+    Row j holds the coefficients at ``probabilities[j]``, in the caller's
+    order; a repeated probability gets a repeated row.
 
     At probability p the fit is the linear program  min p*sum(u) + (1-p)*sum(v)
     s.t.  X beta + u - v = y,  u, v >= 0,  solved in its dual form (n box-bounded
@@ -252,16 +245,17 @@ def fit_quantile_set(data: RegressionDataset, probabilities) -> QuantileFit:
     if outside := [p for p in probabilities if not 0.0 < p < 1.0]:
         raise ValueError(f"probability must lie in (0, 1), got {outside[0]}")
     x, y = data.predictors, data.response
-    dual, apart, copies, coefficients = _model(x, y), False, None, {}  # dual: max y'd  s.t.  X'd = 0
+    dual, apart, copies = _model(x, y), False, None  # dual: max y'd  s.t.  X'd = 0
+    coefficients = np.empty((len(probabilities), data.k))
     if (x[:, 0] == 1.0).all() and x.all():  # an intercept design without zeros: its routing data, once
         values, *found = np.unique(x[:, -1], return_index=True, return_inverse=True, return_counts=True)
         apart = values.size == data.n and (np.diff(values) > 1e-7 * np.maximum(1.0, np.abs(values[1:]))).all()
         copies = found if data.k == 2 and 1 < values.size < data.n and (y == y[found[0]][found[1]]).all() else None
-    for p in probabilities:
+    for j, p in enumerate(probabilities):
         basis = None if copies is None else _vertex_basis(x[:, 1], y, p, *copies)
         beta = _solve(dual, x, y, p, "off", basis) if apart or basis is not None else None
         beta = _solve(dual, x, y, p) if beta is None else beta  # else the cold presolved solve
         if beta is None:
             raise QuantileFitError(f"linear program failed at p={p}: no optimum passed the duality-gap certificate")
-        coefficients[p] = beta
-    return QuantileFit(coefficients=coefficients)
+        coefficients[j] = beta
+    return coefficients

@@ -148,7 +148,7 @@ def test_criterion_03_quantile_fit_reaches_vertex_oracle():
         y = x @ beta_true + rng.standard_t(df=4, size=n)
         data = RegressionDataset(x, y)
         for p in (0.1, 0.5, 0.9):
-            coefficients = fit_quantile_set(data, (p,)).coefficients[p]
+            coefficients = fit_quantile_set(data, (p,))[0]
             achieved = float(np.mean(pinball_loss(p, y, x @ coefficients)))
             assert achieved <= vertex_oracle(x, y, p) + 1e-6
             residual = y - x @ coefficients

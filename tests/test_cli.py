@@ -28,8 +28,24 @@ class TestSynth:
         assert meta["seed"] == 1 and meta["n_months"] == 24
         assert "synth000" in capsys.readouterr().out
 
+    def test_flags_not_given_keep_the_spec_defaults(self, tmp_path):
+        out, expected = tmp_path / "cli", tmp_path / "spec"
+        assert main(["synth", "--out", str(out), "--count", "2", "--months", "24"]) == 0
+        for i in range(2):
+            generate_synthetic(SyntheticSpec(n_months=24, seed=i), expected, f"synth{i:03d}")
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(path.name for path in expected.iterdir()) and len(written) == 4
+        for name in written:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_bad_count(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path), "--count", "0"]) == 1
+
+    def test_bad_months_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "synthetic"
+        assert main(["synth", "--out", str(out), "--months", "0"]) == 1
+        assert "synth000: n_months must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_spec_refused_before_writing(self, tmp_path, capsys):
         # theta2 = 1e300 overflows the routing store: the flows would read inf and nan

@@ -21,7 +21,6 @@ from ensflow.ensemble import (
     SchemeConfig,
     SisterEnsemble,
     TrainedErrorModels,
-    _fit_one,
     build_sisters,
     combine,
     generate_sisters,
@@ -40,6 +39,7 @@ from ensflow.regress import (
     RegressionDataset,
     design_matrix,
     fit_ols,
+    fit_quantile_set,
 )
 from ensflow.timeseries import MonthlySeries, partition
 
@@ -51,12 +51,13 @@ def gaussian_quantile(fit: LinearFit, x, p):
     return x @ fit.coefficients + fit.sigma * ndtri(p)
 
 
-def quantile_lines(fit, probabilities):
-    """A fit's (n_probs, 2) coefficients and (n_probs,) shift, written out as the oracle of one model's lines."""
-    if isinstance(fit, LinearFit):
-        shift = np.array([fit.sigma * ndtri(p) for p in probabilities])
-        return np.array([fit.coefficients for _ in probabilities]), shift
-    return np.array([fit.coefficients[p] for p in probabilities]), np.zeros(len(probabilities))
+def quantile_lines(kind, u, e, probabilities):
+    """The (n_probs, 2) coefficients and (n_probs,) shift of one model fitted on (u, e), written out as the oracle."""
+    data = RegressionDataset(design_matrix(u), e)
+    if kind == "quantile":
+        return fit_quantile_set(data, probabilities), np.zeros(len(probabilities))
+    fit = fit_ols(data)
+    return np.array([fit.coefficients for _ in probabilities]), np.array([fit.sigma * ndtri(p) for p in probabilities])
 
 
 def pooled_models(probs, coefficients):
@@ -65,8 +66,13 @@ def pooled_models(probs, coefficients):
 
 
 def whole_array_auxiliary(sisters, models):
-    """The (m, n_probs, n3) auxiliary quantiles in one subtraction, probability axis reversed: the oracle."""
-    return sisters.test_predictions[:, None, :] - predict_error_quantiles(models, sisters)[:, ::-1, :]
+    """The (m, n_probs, n3) auxiliary quantiles in one subtraction, probability axis reversed: the oracle.
+
+    Error quantile (i, j, t) is  coefficients[i, j, 1] u[i, t] + coefficients[i, j, 0] + shift[i, j].
+    """
+    u, lines = sisters.test_predictions[:, None, :], models.coefficients[..., None]
+    error_quantiles = lines[:, :, 1] * u + lines[:, :, 0] + models.shift[..., None]
+    return u - error_quantiles[:, ::-1, :]
 
 
 def auxiliary_stack(sisters, models):
@@ -217,12 +223,8 @@ class TestTrainErrorModel:
         assert models.variant == 1 and models.coefficients.shape == (4, 4, 2)
         # each model is the plain least-squares fit on that sister's rows
         for i in range(4):
-            direct = fit_ols(
-                RegressionDataset(
-                    design_matrix(ensemble.training_predictions[i]), ensemble.errors[i]
-                )
-            )
-            coefficients, shift = quantile_lines(direct, models.probabilities)
+            u, e = ensemble.training_predictions[i], ensemble.errors[i]
+            coefficients, shift = quantile_lines("linear", u, e, models.probabilities)
             assert np.array_equal(models.coefficients[i], coefficients)
             assert np.array_equal(models.shift[i], shift)
 
@@ -240,17 +242,16 @@ class TestTrainErrorModel:
         distinct = 5  # {0, 1}, {2, 7}, {3, 4, 5}, {6}, {8}
         for kind in ERROR_MODEL_KINDS:
             config = small_config(variant=1, error_model=kind)
-            direct = [_fit_one(kind, u[i], e[i], config.probabilities) for i in range(9)]
+            direct = [quantile_lines(kind, u[i], e[i], config.probabilities) for i in range(9)]
             fits, solves = [], []
-            monkeypatch.setattr(ensemble_module, "_fit_one", counted(fits, ensemble_module._fit_one))
+            monkeypatch.setattr(ensemble_module, "_lines", counted(fits, ensemble_module._lines))
             monkeypatch.setattr(regress, "_solve", counted(solves, regress._solve))
             models = train_error_model(ensemble, config)
             monkeypatch.undo()
             assert len(fits) == distinct
             assert len(solves) == (distinct * len(config.probabilities) if kind == "quantile" else 0)
             assert models.coefficients.shape == (9, len(config.probabilities), 2)
-            for i, expected in enumerate(direct):
-                coefficients, shift = quantile_lines(expected, config.probabilities)
+            for i, (coefficients, shift) in enumerate(direct):
                 assert np.array_equal(models.coefficients[i], coefficients)
                 assert np.array_equal(models.shift[i], shift)
 
@@ -265,13 +266,8 @@ class TestTrainErrorModel:
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
         models = train_error_model(ensemble, small_config(variant=2, error_model="linear"))
         assert models.coefficients.shape[0] == 1
-        pooled = fit_ols(
-            RegressionDataset(
-                design_matrix(ensemble.training_predictions.reshape(-1)),
-                ensemble.errors.reshape(-1),
-            )
-        )
-        coefficients, shift = quantile_lines(pooled, models.probabilities)
+        u, e = ensemble.training_predictions.reshape(-1), ensemble.errors.reshape(-1)
+        coefficients, shift = quantile_lines("linear", u, e, models.probabilities)
         assert np.array_equal(models.coefficients[0], coefficients)
         assert np.array_equal(models.shift[0], shift)
 
@@ -291,7 +287,7 @@ class TestTrainErrorModel:
         }
         assert len(chosen) >= 2  # the seed genuinely drives the draw
         u, e = ensemble.training_predictions[expected], ensemble.errors[expected]
-        coefficients, shift = quantile_lines(_fit_one("linear", u, e, config.probabilities), config.probabilities)
+        coefficients, shift = quantile_lines("linear", u, e, config.probabilities)
         assert np.array_equal(models.coefficients, coefficients[None])
         assert np.array_equal(models.shift, shift[None])
 
@@ -310,24 +306,25 @@ class TestErrorQuantilesAndAuxiliary:
         ensemble = generate_sisters(posterior(m=2), catchment(), SPLIT)
         config = small_config(variant=2, error_model="linear")
         models = train_error_model(ensemble, config)
-        eq = predict_error_quantiles(models, ensemble)
-        assert eq.shape == (2, 4, 18)
-        fit = _fit_one("linear", ensemble.training_predictions.reshape(-1), ensemble.errors.reshape(-1), ())
-        x = design_matrix(ensemble.test_predictions[1])
-        np.testing.assert_array_equal(eq[1, 0], gaussian_quantile(fit, x, 0.05))
-        np.testing.assert_array_equal(eq[1, 3], gaussian_quantile(fit, x, 0.95))
+        first, last = (predict_error_quantiles(models, ensemble, j) for j in (0, 3))
+        assert first.shape == (2, 18)
+        pooled = RegressionDataset(
+            design_matrix(ensemble.training_predictions.reshape(-1)), ensemble.errors.reshape(-1)
+        )
+        fit, x = fit_ols(pooled), design_matrix(ensemble.test_predictions[1])
+        np.testing.assert_array_equal(first[1], gaussian_quantile(fit, x, 0.05))
+        np.testing.assert_array_equal(last[1], gaussian_quantile(fit, x, 0.95))
 
     def test_per_sister_quantile_lines(self):
         ensemble = generate_sisters(posterior(m=3), catchment(), SPLIT)
         config = small_config(variant=1, error_model="quantile")
         models = train_error_model(ensemble, config)
-        eq = predict_error_quantiles(models, ensemble)
+        eq = [predict_error_quantiles(models, ensemble, j) for j in range(len(config.probabilities))]
         for i in range(3):
-            fit = _fit_one("quantile", ensemble.training_predictions[i], ensemble.errors[i], config.probabilities)
+            data = RegressionDataset(design_matrix(ensemble.training_predictions[i]), ensemble.errors[i])
             x = design_matrix(ensemble.test_predictions[i])
-            for j, p in enumerate(config.probabilities):
-                np.testing.assert_array_equal(eq[i, j], x @ fit.coefficients[p])
-                np.testing.assert_array_equal(predict_error_quantiles(models, ensemble, j)[i], eq[i, j])
+            for j, beta in enumerate(fit_quantile_set(data, config.probabilities)):
+                np.testing.assert_array_equal(eq[j][i], x @ beta)
 
     def test_auxiliary_flips_probability_labels(self):
         # aux at p must equal prediction minus the error quantile at 1 - p
@@ -361,7 +358,7 @@ class TestErrorQuantilesAndAuxiliary:
         with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
             to_auxiliary(ensemble, models, 0)
         with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
-            predict_error_quantiles(models, ensemble)
+            predict_error_quantiles(models, ensemble, 0)
         # the lines must cover every probability, one shift each
         with pytest.raises(ValueError, match=r"need coefficients \(n_models, 2, 2\)"):
             TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 3, 2)), np.zeros((3, 3)))

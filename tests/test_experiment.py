@@ -811,9 +811,10 @@ import scipy.optimize._highspy._core as core
 
 x = np.column_stack([np.ones(12), [0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 3.0, 1.0, 0.0, 2.0, 1.0, 3.0]])
 y = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 0.0, 3.0, 2.0, 1.0, 2.0, 2.0, 4.0])
-fit = fit_quantile_set(RegressionDataset(x, y), (0.1, 0.25, 0.5, 0.75, 0.9))
-dual = {p: linprog(-y, A_eq=x.T, b_eq=np.zeros(2), bounds=[(p - 1.0, p)] * 12, method="highs") for p in fit.coefficients}
-same = [np.array_equal(fit.coefficients[p], -result.eqlin.marginals) for p, result in dual.items()]
+probs = (0.1, 0.25, 0.5, 0.75, 0.9)
+fit = fit_quantile_set(RegressionDataset(x, y), probs)
+dual = [linprog(-y, A_eq=x.T, b_eq=np.zeros(2), bounds=[(p - 1.0, p)] * 12, method="highs") for p in probs]
+same = [np.array_equal(beta, -result.eqlin.marginals) for beta, result in zip(fit, dual)]
 print(json.dumps([packages, core is highs is load_solver(), same]))
 """
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ensflow import regress
-from ensflow.ensemble import DEFAULT_PROBABILITIES, SchemeConfig, _quantile_lines
+from ensflow.ensemble import DEFAULT_PROBABILITIES, SchemeConfig, _lines, _normal_quantile
 from ensflow.regress import (
     QuantileFitError,
     RankDeficiencyError,
@@ -33,17 +33,17 @@ Z_005 = -2.5758293035489004
 
 def fit_quantile(data, p):
     """The coefficients at one probability: ``fit_quantile_set`` at that probability alone."""
-    return fit_quantile_set(data, (p,)).coefficients[p]
+    return fit_quantile_set(data, (p,))[0]
 
 
 def average_pinball_loss(p, observed, predicted):
     return float(np.mean(pinball_loss(p, observed, predicted)))
 
 
-def gaussian_quantile(fit, predictors, p):
+def gaussian_quantile(data, predictors, p):
     """The linear family's predictive quantile x'beta + sigma z_p, as the ensemble computes it."""
-    coefficients, shift = _quantile_lines([fit], (p,))
-    return predictors @ coefficients[0, 0] + shift[0, 0]
+    coefficients, shift = _lines("linear", data, (p,), np.array([_normal_quantile(p)]))
+    return predictors @ coefficients[0] + shift[0]
 
 
 def random_dataset(rng, n=60, k=3, noise=1.0):
@@ -110,19 +110,18 @@ class TestOls:
 
 class TestOlsQuantile:
     def test_known_normal_quantiles(self):
-        fit = fit_ols(
-            RegressionDataset(np.ones((8, 1)), np.array([0.0, 1.0] * 4))
-        )
+        data = RegressionDataset(np.ones((8, 1)), np.array([0.0, 1.0] * 4))
+        fit = fit_ols(data)
         base = float(np.ones(1) @ fit.coefficients)
         for p, z in [(0.975, Z_975), (0.9, Z_900), (0.005, Z_005)]:
-            got = gaussian_quantile(fit, np.ones((1, 1)), p)[0]
+            got = gaussian_quantile(data, np.ones((1, 1)), p)[0]
             assert got == pytest.approx(base + fit.sigma * z, rel=1e-12)
 
     def test_median_is_the_mean_line(self):
         rng = np.random.default_rng(31)
         data, _ = random_dataset(rng)
         fit = fit_ols(data)
-        mid = gaussian_quantile(fit, data.predictors, 0.5)
+        mid = gaussian_quantile(data, data.predictors, 0.5)
         np.testing.assert_allclose(mid, data.predictors @ fit.coefficients, rtol=1e-12)
 
     def test_quantiles_symmetric_about_mean(self):
@@ -131,8 +130,8 @@ class TestOlsQuantile:
         fit = fit_ols(data)
         row = data.predictors[:1]
         center = float((row @ fit.coefficients)[0])
-        lower = gaussian_quantile(fit, row, 0.1)[0]
-        upper = gaussian_quantile(fit, row, 0.9)[0]
+        lower = gaussian_quantile(data, row, 0.1)[0]
+        upper = gaussian_quantile(data, row, 0.9)[0]
         assert lower + upper == pytest.approx(2.0 * center, rel=1e-10)
 
     def test_probability_domain(self):
@@ -228,11 +227,11 @@ class TestQuantileFit:
         data, _ = random_dataset(rng, n=40, k=2)
         probs = (0.1, 0.5, 0.9)
         fit = fit_quantile_set(data, probs)
-        assert fit.probabilities == probs
-        for p in probs:
-            assert np.array_equal(fit.coefficients[p], fit_quantile(data, p))
+        assert fit.shape == (3, 2)
+        for p, beta in zip(probs, fit):
+            assert np.array_equal(beta, fit_quantile(data, p))
         # lower-probability curves sit lower on average
-        fitted = {p: float(np.mean(data.predictors @ fit.coefficients[p])) for p in probs}
+        fitted = {p: float(np.mean(data.predictors @ beta)) for p, beta in zip(probs, fit)}
         assert fitted[0.1] < fitted[0.9]
 
     def test_set_does_not_depend_on_probability_order(self):
@@ -244,11 +243,24 @@ class TestQuantileFit:
             data, _ = random_dataset(rng, n=n, k=k)
             forward = fit_quantile_set(data, probs)
             reverse = fit_quantile_set(data, probs[::-1])
-            assert reverse.probabilities == probs[::-1]
-            for p in probs:
-                single = fit_quantile_set(data, (p,)).coefficients[p]
-                assert np.array_equal(forward.coefficients[p], reverse.coefficients[p]), (n, p)
-                assert np.array_equal(forward.coefficients[p], single), (n, p)
+            for j, p in enumerate(probs):
+                single = fit_quantile_set(data, (p,))[0]
+                assert np.array_equal(forward[j], reverse[-1 - j]), (n, p)
+                assert np.array_equal(forward[j], single), (n, p)
+
+    def test_rows_follow_the_callers_probabilities(self):
+        # row j is the fit at probabilities[j] alone: in a shuffled order, and
+        # with a repeated probability, which gets a repeated row
+        rng = np.random.default_rng(83)
+        probs = [DEFAULT_PROBABILITIES[i] for i in rng.permutation(len(DEFAULT_PROBABILITIES))]
+        probs.insert(3, probs[7])
+        distinct_3, distinct_2 = random_dataset(rng, n=144, k=3)[0], random_dataset(rng, n=96, k=2)[0]
+        for data in (distinct_2, distinct_3, RegressionDataset(*pooled_sisters(rng))):  # the three routes
+            fit = fit_quantile_set(data, probs)
+            assert fit.shape == (len(probs), data.k)
+            for p, beta in zip(probs, fit):
+                assert np.array_equal(beta, fit_quantile(data, p)), (data.n, p)
+            assert np.array_equal(fit[3], fit[8])
 
 
 def linprog_primal(x, y, p):
@@ -324,12 +336,12 @@ class TestQuantileFitProperties:
             return  # a single x value: no line through two points
         data = RegressionDataset(design_matrix(x), y)
         fit = fit_quantile_set(data, DEFAULT_PROBABILITIES)
-        for p in DEFAULT_PROBABILITIES:
+        for p, beta in zip(DEFAULT_PROBABILITIES, fit):
             best = min(
                 math.fsum(pinball_loss(p, y, y[i] + (y[j] - y[i]) / (x[j] - x[i]) * (x - x[i])))
                 for i, j in pairs
             )
-            achieved = math.fsum(pinball_loss(p, y, data.predictors @ fit.coefficients[p]))
+            achieved = math.fsum(pinball_loss(p, y, data.predictors @ beta))
             assert achieved == pytest.approx(best, rel=1e-9, abs=1e-9), p
 
 
@@ -352,8 +364,8 @@ class TestDirectHighsMatchesLinprog:
         rng = np.random.default_rng(61)
         for x, y in self.datasets(rng):
             fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
-            for p in DEFAULT_PROBABILITIES:
-                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (x.shape, p)
+            for p, beta in zip(DEFAULT_PROBABILITIES, fit):
+                assert np.array_equal(beta, linprog_quantile(x, y, p)), (x.shape, p)
 
     def test_pooled_dual_bit_identical(self):
         # scheme 5 pools every sister: 100 sisters x 96 months
@@ -363,8 +375,8 @@ class TestDirectHighsMatchesLinprog:
         x[rng.random(n) < 0.05, 1] = 0.0
         y = x @ [0.3, 0.8] + rng.normal(size=n)
         fit = fit_quantile_set(RegressionDataset(x, y), (0.005, 0.995))
-        for p in (0.005, 0.995):
-            assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+        for p, beta in zip((0.005, 0.995), fit):
+            assert np.array_equal(beta, linprog_quantile(x, y, p)), p
 
     def test_primal_oracle_reaches_the_same_loss(self):
         # the split formulation, solved by linprog, is the independent check of
@@ -372,7 +384,7 @@ class TestDirectHighsMatchesLinprog:
         rng = np.random.default_rng(71)
         for x, y in self.datasets(rng):
             fit = fit_quantile_set(RegressionDataset(x, y), (0.005, 0.5, 0.995))
-            for p, beta in fit.coefficients.items():
+            for p, beta in zip((0.005, 0.5, 0.995), fit):
                 dual, primal = (math.fsum(pinball_loss(p, y, x @ b)) for b in (beta, linprog_primal(x, y, p)))
                 assert dual == pytest.approx(primal, rel=1e-12, abs=1e-12), (x.shape, p)
 
@@ -389,8 +401,8 @@ class TestSolverRoutes:
             fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
             monkeypatch.undo()
             assert [entry[:3] for entry in log] == [("off", False, True)] * len(DEFAULT_PROBABILITIES)
-            for p in DEFAULT_PROBABILITIES:
-                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (n, p)
+            for p, beta in zip(DEFAULT_PROBABILITIES, fit):
+                assert np.array_equal(beta, linprog_quantile(x, y, p)), (n, p)
 
     def test_zeros_and_tied_rows_solve_cold_in_any_order(self, monkeypatch):
         # presolve reduces such duals at some probabilities only (zeros make
@@ -412,8 +424,8 @@ class TestSolverRoutes:
                 fit = fit_quantile_set(RegressionDataset(design, y), order)
                 monkeypatch.undo()
                 assert [entry[:2] for entry in log] == [("on", False)] * len(probs)
-                for p in probs:
-                    assert np.array_equal(fit.coefficients[p], expected[p]), p
+                for p, beta in zip(order, fit):
+                    assert np.array_equal(beta, expected[p]), p
 
     def test_pooled_repeated_sisters_warm_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(97)
@@ -427,8 +439,8 @@ class TestSolverRoutes:
             assert all(solved and iterations == 0 for _, started, solved, iterations in log if started)
             assert len(log) == len(DEFAULT_PROBABILITIES)
             warm += sum(started for _, started, _, _ in log)
-            for p in DEFAULT_PROBABILITIES:
-                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+            for p, beta in zip(DEFAULT_PROBABILITIES, fit):
+                assert np.array_equal(beta, linprog_quantile(x, y, p)), p
         assert warm >= 30  # of 40 fits
 
     def test_integer_rows_with_duplicates(self, monkeypatch):
@@ -444,8 +456,8 @@ class TestSolverRoutes:
             fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
             monkeypatch.undo()
             assert all(solved and iterations == 0 for _, started, solved, iterations in log if started)
-            for p in DEFAULT_PROBABILITIES:
-                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (n, p)
+            for p, beta in zip(DEFAULT_PROBABILITIES, fit):
+                assert np.array_equal(beta, linprog_quantile(x, y, p)), (n, p)
 
     def test_interleaved_copies_take_the_cold_route(self, monkeypatch):
         # the same rows in two orders: sisters A, A, B, B and A, B, A, B.  In
@@ -458,8 +470,8 @@ class TestSolverRoutes:
             fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
             monkeypatch.undo()
             warm[order] = [started for _, started, _, _ in log]
-            for p in DEFAULT_PROBABILITIES:
-                assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), (order, p)
+            for p, beta in zip(DEFAULT_PROBABILITIES, fit):
+                assert np.array_equal(beta, linprog_quantile(x, y, p)), (order, p)
         assert any(warm[(0, 0, 1, 1)]) and not any(warm[(0, 1, 0, 1)])
 
     def test_degenerate_vertex_takes_the_cold_route(self, monkeypatch):
@@ -542,8 +554,8 @@ class TestSolverRoutes:
         fit = fit_quantile_set(RegressionDataset(x, y), (0.25, 0.75))
         assert [entry[1:3] for entry in log] == [(True, False), (False, True)] * 2
         assert all(iterations > 0 for _, started, _, iterations in log if started)
-        for p in (0.25, 0.75):
-            assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+        for p, beta in zip((0.25, 0.75), fit):
+            assert np.array_equal(beta, linprog_quantile(x, y, p)), p
 
 
 class TestVertexSearch:
@@ -673,8 +685,8 @@ class TestQuantileFallback:
         fit = fit_quantile_set(data, probs)
         assert len(calls) == len(probs) + 1
         assert [call[4:] for call in calls[4:7]] == [("off", None), (), ("off", None)]
-        for p in probs:
-            assert np.array_equal(fit.coefficients[p], fresh[p]), p
+        for p, beta in zip(probs, fit):
+            assert np.array_equal(beta, fresh[p]), p
 
     def test_failed_warm_start_falls_back_to_cold(self, monkeypatch):
         x, y = pooled_sisters(np.random.default_rng(83))
@@ -682,8 +694,8 @@ class TestQuantileFallback:
         calls = self.patch_call(monkeypatch, lambda solved: None, number=1)
         fit = fit_quantile_set(data, probs)
         assert calls[0][5] is not None and calls[1][4:] == ()  # the warm start failed, then the cold solve
-        for p in probs:
-            assert np.array_equal(fit.coefficients[p], linprog_quantile(x, y, p)), p
+        for p, beta in zip(probs, fit):
+            assert np.array_equal(beta, linprog_quantile(x, y, p)), p
 
     def test_model_refused_raises(self, data, monkeypatch):
         highs = regress.load_solver()
