@@ -330,9 +330,9 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     """
     if series.n < split.warmup + split.n1:
         raise ValueError("series too short for the warm-up plus calibration months")
-    # lists of floats, converted once: the float kernel is slow on numpy scalars
-    p = np.asarray(series.precipitation, dtype=float).tolist()
-    e = np.asarray(series.potential_evaporation, dtype=float).tolist()
+    # float64 arrays of its own, converted once: the compiled month loop reads them in place
+    p = np.array(series.precipitation, dtype=float)
+    e = np.array(series.potential_evaporation, dtype=float)
     observed = np.asarray(series.streamflow, dtype=float)[split.t1]
 
     def objective(theta1: float, theta2: float) -> float:

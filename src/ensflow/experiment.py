@@ -49,7 +49,7 @@ from .evaluate import (
     write_metrics_csv,
     write_summary_json,
 )
-from .gr2m import simulate_flow
+from .gr2m import load_kernel, simulate_flow
 from .regress import load_solver
 from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_csv
 
@@ -458,6 +458,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
     if set(config.schemes) & set(QUANTILE_SCHEMES):
         load_solver()  # before a pool forks and outside every timer (see ``regress``)
+    load_kernel()  # the same for the compiled month loop: no worker compiles it
     jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
         outcomes = _pool_outcomes(jobs, config.workers)
@@ -558,6 +559,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
             for cid, cal in sorted(result.calibration.items())
         },
         failures=len(result.failures),
+        gr2m_loop="python" if load_kernel() is None else "compiled",
     )
     write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
     write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), _timing_rows(result))

@@ -8,12 +8,19 @@ rainfall and the percolation, is scaled by the water-exchange coefficient
 ``theta2`` (above 1 the catchment imports water from its surroundings, below
 1 it exports), and drains through a quadratic law against a fixed 60 mm
 capacity.  The drained depth is the monthly streamflow in mm.
+
+``simulate_flow`` runs the month loop's C translation (``_gr2m.c``) when
+:func:`load_kernel` builds one with ``_run``'s bits: a compiler buys speed only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +32,10 @@ ROUTING_CAPACITY_MM = 60.0
 # initial states used when the caller does not supply any: a half-full
 # production store and a half-full routing store, washed out by warm-up
 DEFAULT_ROUTING_INIT_MM = 30.0
+
+# the C month loop, compiled without fused multiply-adds and with libm's tanh and pow, as CPython calls them
+KERNEL_SOURCE = Path(__file__).with_name("_gr2m.c")
+KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin")
 
 
 @dataclass(frozen=True)
@@ -62,10 +73,10 @@ def default_initial_state(params: Gr2mParams) -> Gr2mState:
 def _run(theta1, theta2, s, r, p, e, n_months, tanh):
     """The month loop, written once (hot path); returns (S, R, monthly flows Q).
 
-    With ``math.tanh`` it is the scalar kernel behind ``step``, ``simulate``
-    and calibration, on Python floats with ``p`` and ``e`` as lists (numpy
-    scalars make every operation several times slower); with ``np.tanh`` it
-    runs ``simulate_batch`` elementwise across parameter pairs.  It checks
+    With ``math.tanh`` it is the scalar loop of ``step`` and ``simulate_flow``
+    without a compiled loop, on Python floats with ``p`` and ``e`` as lists
+    (numpy scalars make every operation several times slower); with ``np.tanh``
+    it runs ``simulate_batch`` elementwise across parameter pairs.  It checks
     nothing: the divisions rely on theta1 > 0, the domain that ``Gr2mParams``,
     ``simulate_batch`` and the calibration ``ParameterBox`` enforce.
     """
@@ -91,6 +102,47 @@ def _run(theta1, theta2, s, r, p, e, n_months, tanh):
         r = r2 - q
         flows.append(q)
     return s, r, flows
+
+
+@functools.cache
+def load_kernel():
+    """The compiled month loop, or None when it cannot be built or does not give ``_run``'s bits.
+
+    Built on first use into ``__pycache__`` under the sha256 of source and command, via ``os.replace``.
+    """
+    import ctypes, hashlib, shlex, shutil, sysconfig  # on first use only: ``import ensflow`` stays as cheap
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")  # the compiler Python was built with, else cc
+    command = [*(cc if shutil.which(cc[0]) else ["cc"]), *KERNEL_FLAGS]
+    key = hashlib.sha256(KERNEL_SOURCE.read_bytes() + " ".join(command).encode()).hexdigest()[:16]
+    library = KERNEL_SOURCE.parent / "__pycache__" / f"_gr2m.{key}.so"
+    try:
+        if not library.exists():
+            library.parent.mkdir(exist_ok=True)
+            built = f"{library}.{os.getpid()}"
+            subprocess.run([*command, "-o", built, str(KERNEL_SOURCE), "-lm"], check=True, capture_output=True)
+            os.replace(built, library)
+        run = ctypes.CDLL(str(library)).gr2m_run
+    except (OSError, subprocess.SubprocessError):
+        return None
+    doubles = ctypes.POINTER(ctypes.c_double)
+    run.argtypes, run.restype = [ctypes.c_double] * 4 + [doubles] * 2 + [ctypes.c_long] * 2 + [doubles], None
+    buffer = ctypes.c_double.from_buffer  # the cheapest pointer to an array's data; needs a writable one
+
+    def kernel(theta1, theta2, s, r, p, e, warmup, n_keep):
+        p, e, flows = np.ascontiguousarray(p, dtype=float), np.ascontiguousarray(e, dtype=float), np.empty(n_keep)
+        if not (p.flags.writeable and e.flags.writeable):
+            p, e = p.copy(), e.copy()
+        run(theta1, theta2, s, r, buffer(p), buffer(e), warmup, n_keep, buffer(flows))
+        return flows
+
+    # dry months, a huge one and a spread on a grid of the box: catches pow folded to a cube or cube root and FMAs
+    p, e = [0.0, 1e4, *(53 * t % 97 * 3.0 for t in range(46))], [53 * t % 23 * 4.0 for t in range(48)]
+    for theta1, theta2 in [(a, b) for a in (1.0, 300.0, 1500.0, 3000.0) for b in (0.2, 1.0, 5.0)]:
+        expected = np.array(_run(theta1, theta2, 0.5 * theta1, 30.0, p, e, 48, math.tanh)[2][2:])
+        if kernel(theta1, theta2, 0.5 * theta1, 30.0, p, e, 2, 46).tobytes() != expected.tobytes():
+            return None
+    return kernel
 
 
 def step(
@@ -128,15 +180,21 @@ def simulate_flow(
     soil_init: float | None = None,
     routing_init: float = DEFAULT_ROUTING_INIT_MM,
 ) -> np.ndarray:
-    """Run ``warmup + n_keep`` months on Python floats; return the flows after warm-up.
+    """Run ``warmup + n_keep`` months; return the flows after warm-up.
 
-    The scalar entry point of ``simulate``, calibration and synthesis; like ``_run`` it checks nothing.
-    The forcing is two float arrays or two lists of floats; callers that
-    simulate the same forcing many times (calibration) convert it once.
+    The scalar entry point of ``simulate``, calibration and synthesis; it checks only the forcing's length.
+    The forcing is two float arrays or two lists; the compiled loop reads
+    float64 arrays in place, so calibration converts its forcing once.
     """
+    n_months, n_forcing = warmup + n_keep, min(len(precipitation), len(potential_evaporation))
+    if n_forcing < n_months:
+        raise ValueError(f"forcing has {n_forcing} months, warm-up plus kept flows need {n_months}")
     theta1, theta2 = float(theta1), float(theta2)
     s = 0.5 * theta1 if soil_init is None else float(soil_init)
-    p, e, n_months = precipitation, potential_evaporation, warmup + n_keep
+    kernel = load_kernel()
+    if kernel is not None and n_keep > 0 and warmup >= 0:  # from_buffer refuses empty arrays
+        return kernel(theta1, theta2, s, float(routing_init), precipitation, potential_evaporation, warmup, n_keep)
+    p, e = precipitation, potential_evaporation
     if not isinstance(p, list):
         p, e = p[:n_months].tolist(), e[:n_months].tolist()
     _, _, flows = _run(theta1, theta2, s, float(routing_init), p, e, n_months, math.tanh)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensflow import ensemble, experiment
+from ensflow import ensemble, experiment, gr2m
 from ensflow.calibrate import PosteriorSample
 from ensflow.evaluate import MetricsRecord, WisdomRecord
 from ensflow.experiment import (
@@ -750,6 +750,45 @@ class TestRunExperiment:
             run_experiment(small_run_config(tmp_path, workers=0))
 
 
+class TestCompiledMonthLoop:
+    """The compiled month loop changes no report, and no pool worker builds it."""
+
+    SMALL = dict(schemes=("basic-linear", "1", "4"), m=20, n_iterations=100, retain_per_chain=10, max_restarts=0)
+
+    @staticmethod
+    def reports(out: Path):
+        metrics = [line.rsplit(",", 1)[0] for line in (out / "metrics.csv").read_text().splitlines()]  # no seconds
+        summary = json.loads((out / "summary.json").read_text())
+        return (metrics, (out / "wisdom.csv").read_bytes(), (out / "rankings.csv").read_bytes()), summary["gr2m_loop"]
+
+    def test_reports_equal_without_a_compiler(self, tmp_path, request):
+        write_catchments(tmp_path, ["c1", "c2"])
+        loaded = "python" if gr2m.load_kernel() is None else "compiled"
+        assert not run_experiment(small_run_config(tmp_path, **self.SMALL)).failures
+        request.getfixturevalue("no_compiler")
+        assert not run_experiment(small_run_config(tmp_path, output_dir=str(tmp_path / "python"), **self.SMALL)).failures
+        (compiled, compiled_loop), (python, python_loop) = self.reports(tmp_path / "out"), self.reports(tmp_path / "python")
+        assert (compiled_loop, python_loop) == (loaded, "python")
+        assert compiled == python
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the patched source")
+    def test_built_once_before_the_pool_forks(self, tmp_path, monkeypatch, request):
+        write_catchments(tmp_path, ["w1", "w2"])  # simulates, so builds the loop before the cache is emptied
+        empty_cache = request.getfixturevalue("empty_cache")
+        log, real_run = tmp_path / "builds.log", subprocess.run
+
+        def recording_run(args, **kwargs):
+            if str(empty_cache) in args:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return real_run(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        result = run_experiment(small_run_config(tmp_path, workers=2, **self.SMALL))
+        assert not result.failures and set(result.calibration) == {"w1", "w2"}
+        assert log.read_text().split() == [str(os.getpid())]  # one attempt, in this process
+
+
 def highs_modules():
     """The HiGHS extension and the submodules it registers: all of scipy that a run may load."""
     load_solver()
@@ -850,6 +889,10 @@ class TestSolverLoading:
 
     def test_linear_run_never_loads_it(self, tmp_path):
         assert fresh_python(SOLVER_PROBE, str(tmp_path), "basic-linear,1,2,3", "1") == [[], [], [], 0]
+
+    def test_import_builds_no_month_loop(self):
+        code = "import json, ensflow, ensflow.cli; print(json.dumps(ensflow.gr2m.load_kernel.cache_info().currsize))"
+        assert fresh_python(code) == 0
 
     def test_direct_load_is_the_module_scipy_optimize_uses(self):
         assert fresh_python(DIRECT_LOAD_PROBE) == [[], True, [True] * 5]

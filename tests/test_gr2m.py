@@ -7,12 +7,16 @@ quadratic outflow) evaluated once on plain floats, then frozen as literals.
 """
 
 import math
+import shlex
+import shutil
+import sysconfig
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ensflow import gr2m
 from ensflow.calibrate import ChainConfig, ParameterBox, calibration_objective, log_likelihood, run_chains
 from ensflow.gr2m import (
     DEFAULT_ROUTING_INIT_MM,
@@ -310,7 +314,21 @@ def _in_box_pairs(rng, n):
     return [box.sample(rng) for _ in range(n)]
 
 
+def compiler_found() -> bool:
+    """``sysconfig``'s ``CC`` or ``cc`` is on the path: what ``load_kernel`` looks for."""
+    return any(shutil.which(cc) for cc in (shlex.split(sysconfig.get_config_var("CC") or "cc")[0], "cc"))
+
+
 class TestFloatKernelBitExact:
+    """On the compiled month loop; ``TestPythonMonthLoopBitExact`` runs every test again on ``_run``."""
+
+    @pytest.fixture(autouse=True)
+    def month_loop(self):
+        if gr2m.load_kernel() is None:
+            if compiler_found():
+                pytest.fail("a C compiler was found but the compiled month loop did not load")
+            pytest.skip("no C compiler: only the Python month loop runs here")
+
     def test_simulate_flow_matches_oracle(self):
         rng = np.random.default_rng(31)
         p, e = random_forcing(rng, 156)
@@ -361,3 +379,90 @@ class TestFloatKernelBitExact:
             assert np.array_equal(a.log_likelihood, b.log_likelihood)
             assert np.array_equal(a.accepted, b.accepted)
             assert np.array_equal(a.initial, b.initial)
+
+    # the subclass reruns it on the Python loop; derandomized and without a database, nothing is replayed
+    @settings(
+        derandomize=True, database=None, deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
+    @given(
+        theta1=st.floats(*ParameterBox().theta1_range),
+        theta2=st.floats(*ParameterBox().theta2_range),
+        forcing=st.lists(
+            st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e4)), st.one_of(st.just(0.0), st.floats(0.0, 1e4))),
+            min_size=1, max_size=36,
+        ),
+        warmup_share=st.floats(0.0, 1.0),
+    )
+    def test_any_box_pair_and_forcing_matches_oracle(self, theta1, theta2, forcing, warmup_share):
+        # dry months, months of up to 1e4 mm and runs of a single month, on either loop
+        p, e = (np.array(column) for column in zip(*forcing))
+        warmup = min(int(warmup_share * p.size), p.size - 1)
+        expected = _oracle_simulate_flow(theta1, theta2, p.tolist(), e.tolist(), warmup, p.size - warmup)
+        assert simulate_flow(theta1, theta2, p, e, warmup, p.size - warmup).tobytes() == expected.tobytes()
+
+    def test_forcing_shorter_than_the_months_refused(self):
+        # the compiled loop would read past the end of the forcing
+        for p, e in ((np.ones(40), np.ones(41)), ([1.0] * 41, [1.0] * 40)):
+            with pytest.raises(ValueError, match="forcing has 40 months, warm-up plus kept flows need 48"):
+                simulate_flow(300.0, 1.0, p, e, 12, 36)
+        assert simulate_flow(300.0, 1.0, np.ones(40), np.ones(40), 4, 36).shape == (36,)
+
+
+class TestPythonMonthLoopBitExact(TestFloatKernelBitExact):
+    """The same tests on ``_run``, the only loop without a C compiler."""
+
+    @pytest.fixture(autouse=True)
+    def month_loop(self, monkeypatch):
+        monkeypatch.setattr(gr2m, "load_kernel", lambda: None)
+
+
+def assert_simulate_flow_is_the_oracle():
+    rng = np.random.default_rng(35)
+    p, e = random_forcing(rng, 60)
+    for theta1, theta2 in _in_box_pairs(rng, 5):
+        expected = _oracle_simulate_flow(theta1, theta2, p, e, 12, 48)
+        assert simulate_flow(theta1, theta2, p, e, 12, 48).tobytes() == expected.tobytes()
+
+
+class TestCompiledLoopLoading:
+    """Without a compiler, or when the build does not give ``_run``'s bits, the month loop is ``_run``."""
+
+    def test_builds_once_into_the_cache(self, empty_cache):
+        if not compiler_found():
+            pytest.skip("no C compiler")
+        assert gr2m.load_kernel() is not None
+        built = list((empty_cache.parent / "__pycache__").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+        gr2m.load_kernel.cache_clear()
+        mtime = built[0].stat().st_mtime_ns
+        assert gr2m.load_kernel() is not None and built[0].stat().st_mtime_ns == mtime
+        assert_simulate_flow_is_the_oracle()
+
+    @pytest.mark.usefixtures("foreign_cc")
+    def test_falls_back_to_cc(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc")
+        assert gr2m.load_kernel() is not None
+        assert_simulate_flow_is_the_oracle()
+
+    def test_missing_compiler(self, no_compiler):
+        assert gr2m.load_kernel() is None
+        assert list((no_compiler.parent / "__pycache__").iterdir()) == []  # no half-written library
+        assert_simulate_flow_is_the_oracle()
+
+    @pytest.mark.parametrize(
+        "exact, folded",
+        [
+            ("pow(s2 / theta1, 3.0)", "(s2 / theta1) * (s2 / theta1) * (s2 / theta1)"),
+            ("pow(1.0 + pow(s2 / theta1, 3.0), 1.0 / 3.0)", "cbrt(1.0 + pow(s2 / theta1, 3.0))"),
+        ],
+        ids=["cube", "cube-root"],
+    )
+    def test_loop_failing_the_self_check_is_dropped(self, empty_cache, exact, folded):
+        # what a compiler that folds pow would build: close to _run, but not its bits
+        source = empty_cache.read_text()
+        assert exact in source
+        empty_cache.write_text(source.replace(exact, folded))
+        assert gr2m.load_kernel() is None
+        assert_simulate_flow_is_the_oracle()
