@@ -12,7 +12,6 @@ from .calibrate import (
     ChainSet,
     DegenerateChainsError,
     DegenerateFitError,
-    ParameterBox,
     PosteriorSample,
     calibrate_catchment,
     log_likelihood,

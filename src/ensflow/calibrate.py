@@ -1,30 +1,33 @@
 """Bayesian calibration of the water-balance model.
 
-The posterior over (theta1, theta2) combines a flat prior on a rectangular
-parameter box with a power-law likelihood of the sum of squared errors,
+The posterior over (theta1, theta2) combines a flat prior on the fixed box
+[1, 3000] mm x [0.2, 5] (``THETA1_RANGE``, ``THETA2_RANGE``) with a
+power-law likelihood of the sum of squared errors,
 
     log L = -(n/2) * ln(SSE),
 
-sampled by parallel adaptive Metropolis chains with one delayed-rejection
-stage (a DRAM-style sampler): proposals start from a fixed diagonal
-covariance, the covariance is re-estimated from the chain history at a fixed
-cadence once a short non-adaptive burn has passed, and every first-stage
-rejection earns a second, more timid try whose acceptance probability keeps
-the chain reversible.  Convergence across chains is judged by the
-multivariate potential scale reduction factor computed from the
-between-chain and within-chain covariance matrices of the second half of
-each chain.
+sampled by 3 parallel adaptive Metropolis chains with one delayed-rejection
+stage (a DRAM-style sampler, Haario et al. 2006): proposals start from a
+fixed diagonal covariance, the covariance is re-estimated from the chain
+history at a fixed cadence once a short non-adaptive burn has passed, and
+every first-stage rejection earns a second, more timid try whose acceptance
+probability keeps the chain reversible.  The chains agree once the
+multivariate potential scale reduction factor (Brooks & Gelman 1998),
+computed from the between-chain and within-chain covariance matrices of the
+second half of each chain, is below 1.10.  Box, chain count and threshold
+are the paper's design, not settings.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .gr2m import simulate_flow
+from . import gr2m
 from .timeseries import MonthlySeries, PeriodPartition
 
 # proposal-covariance scaling for 2 parameters (Haario-style adaptation)
@@ -39,6 +42,13 @@ _ADAPT_EVERY = 50
 # fewest draws per chain the PSRF estimate accepts (Brooks & Gelman 1998)
 MIN_PSRF_DRAWS = 10
 
+# support of the flat prior, inside the model's domain theta1 > 0, theta2 >= 0
+THETA1_RANGE = (1.0, 3000.0)
+THETA2_RANGE = (0.2, 5.0)
+BOX_LOWER = np.array([THETA1_RANGE[0], THETA2_RANGE[0]])
+BOX_UPPER = np.array([THETA1_RANGE[1], THETA2_RANGE[1]])
+BOX_WIDTHS = BOX_UPPER - BOX_LOWER
+
 
 class DegenerateFitError(ValueError):
     """Zero residual sum of squares; the power-law likelihood is unbounded."""
@@ -49,54 +59,15 @@ class DegenerateChainsError(ValueError):
 
 
 @dataclass(frozen=True)
-class ParameterBox:
-    """Rectangular support of the flat prior."""
-
-    theta1_range: tuple[float, float] = (1.0, 3000.0)
-    theta2_range: tuple[float, float] = (0.2, 5.0)
-
-    def __post_init__(self) -> None:
-        problems = []
-        for name, (lo, hi) in (("theta1", self.theta1_range), ("theta2", self.theta2_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                problems.append(f"{name}_min must be below {name}_max, both finite, got ({lo}, {hi})")
-        # the model's domain (Gr2mParams); the float kernel divides by theta1
-        if not self.theta1_range[0] > 0.0:
-            problems.append(f"theta1_min must be > 0, got {self.theta1_range[0]}")
-        if not self.theta2_range[0] >= 0.0:
-            problems.append(f"theta2_min must be >= 0, got {self.theta2_range[0]}")
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array([self.theta1_range[0], self.theta2_range[0]])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array([self.theta1_range[1], self.theta2_range[1]])
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    def contains(self, point) -> bool:
-        (lo1, hi1), (lo2, hi2) = self.theta1_range, self.theta2_range
-        return bool(lo1 <= point[0] <= hi1 and lo2 <= point[1] <= hi2)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
-
-
-@dataclass(frozen=True)
 class ChainConfig:
-    n_chains: int = 3
+    """Sampler settings; the chain count and the PSRF threshold are the paper's, class constants rather than fields."""
+
+    n_chains: ClassVar[int] = 3
+    psrf_threshold: ClassVar[float] = 1.10
     n_iterations: int = 2000
     retain_per_chain: int = 200
-    psrf_threshold: float = 1.10
     max_restarts: int = 10
     seed: int = 0
-    box: ParameterBox = field(default_factory=ParameterBox)
 
     def __post_init__(self) -> None:
         problems = []
@@ -185,13 +156,13 @@ def _log_gauss_quadform(delta: np.ndarray, cov_inv: np.ndarray) -> float:
 def _run_single_chain(
     objective, config: ChainConfig, rng: np.random.Generator
 ) -> Chain:
-    box = config.box
     n = config.n_iterations
+    (lo1, hi1), (lo2, hi2) = THETA1_RANGE, THETA2_RANGE
 
     # over-dispersed start: uniform draws until the objective is finite
     current = None
     for _ in range(200):
-        candidate = box.sample(rng)
+        candidate = rng.uniform(BOX_LOWER, BOX_UPPER)
         value = float(objective(candidate[0], candidate[1]))
         if math.isfinite(value):
             current, current_ll = candidate, value
@@ -200,7 +171,7 @@ def _run_single_chain(
         raise RuntimeError("no feasible initial point found in the parameter box")
     initial = current.copy()
 
-    cov = np.diag((box.widths / _INITIAL_WIDTH_FRACTION) ** 2)
+    cov = np.diag((BOX_WIDTHS / _INITIAL_WIDTH_FRACTION) ** 2)
     chol = np.linalg.cholesky(cov)
     cov_inv = np.linalg.inv(cov)
 
@@ -211,7 +182,7 @@ def _run_single_chain(
     def posterior(point: np.ndarray) -> float:
         # flat prior on the box: outside it the posterior vanishes
         theta1, theta2 = float(point[0]), float(point[1])
-        if not box.contains((theta1, theta2)):
+        if not (lo1 <= theta1 <= hi1 and lo2 <= theta2 <= hi2):
             return -math.inf
         value = float(objective(theta1, theta2))
         return value if math.isfinite(value) else -math.inf
@@ -251,7 +222,7 @@ def _run_single_chain(
             # initial transient stops inflating the proposal
             tail = params[t // 2 : t + 1]
             sample_cov = np.cov(tail.T, ddof=1)
-            proposal = _ADAPT_SCALE * sample_cov + np.diag(1e-10 * box.widths**2)
+            proposal = _ADAPT_SCALE * sample_cov + np.diag(1e-10 * BOX_WIDTHS**2)
             try:
                 chol = np.linalg.cholesky(proposal)
                 cov_inv = np.linalg.inv(proposal)
@@ -330,13 +301,15 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     """
     if series.n < split.warmup + split.n1:
         raise ValueError("series too short for the warm-up plus calibration months")
-    # float64 arrays of its own, converted once: the compiled month loop reads them in place
+    # converted once: the compiled month loop reads float64 arrays in place, the Python one lists
     p = np.array(series.precipitation, dtype=float)
     e = np.array(series.potential_evaporation, dtype=float)
+    if gr2m.load_kernel() is None:
+        p, e = p.tolist(), e.tolist()
     observed = np.asarray(series.streamflow, dtype=float)[split.t1]
 
     def objective(theta1: float, theta2: float) -> float:
-        predicted = simulate_flow(theta1, theta2, p, e, split.warmup, split.n1)
+        predicted = gr2m.simulate_flow(theta1, theta2, p, e, split.warmup, split.n1)
         return log_likelihood(observed, predicted)
 
     return objective

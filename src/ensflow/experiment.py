@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibrate import CalibrationResult, ChainConfig, ParameterBox, calibrate_catchment
+from .calibrate import CalibrationResult, ChainConfig, calibrate_catchment
 from .ensemble import (
     ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, SchemeResult, build_sisters,
     intervals_from_prediction, member_interval_bounds, run_scheme,
@@ -68,20 +68,17 @@ class ExperimentConfig:
     n2: int = 144  # the test period is whatever each series leaves over
     schemes: tuple[str, ...] = ALL_SCHEMES
     m: int = 600
-    n_chains: int = ChainConfig.n_chains
     n_iterations: int = ChainConfig.n_iterations
     retain_per_chain: int = ChainConfig.retain_per_chain
-    psrf_threshold: float = ChainConfig.psrf_threshold
     max_restarts: int = ChainConfig.max_restarts
-    theta1_min: float = ParameterBox.theta1_range[0]
-    theta1_max: float = ParameterBox.theta1_range[1]
-    theta2_min: float = ParameterBox.theta2_range[0]
-    theta2_max: float = ParameterBox.theta2_range[1]
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
-        """Collect every problem into one ConfigError; partition, box and chain keys are checked by their own types."""
+        """Collect every problem into one ConfigError; partition and chain keys are checked by their own types.
+
+        The prior box, the chain count and the PSRF threshold are not keys: ``calibrate`` fixes them.
+        """
         problems: list[str] = []
         if not self.schemes:
             problems.append("schemes must name at least one scheme")
@@ -96,7 +93,6 @@ class ExperimentConfig:
             problems.append(f"m must be >= 1, got {self.m}")
         for build in (
             lambda: PeriodPartition(self.warmup, self.n1, self.n2, 1),  # the shortest test period
-            lambda: _parameter_box(self),
             lambda: _chain_config(self, seed=self.seed),
         ):
             try:
@@ -104,10 +100,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 problems.append(str(exc))
         needs_sample = any(s not in BASIC_SCHEMES for s in self.schemes)
-        if needs_sample and self.m > self.n_chains * self.retain_per_chain:
+        if needs_sample and self.m > ChainConfig.n_chains * self.retain_per_chain:
             problems.append(
                 f"m={self.m} exceeds retained pairs "
-                f"(n_chains * retain_per_chain = {self.n_chains * self.retain_per_chain})"
+                f"(n_chains * retain_per_chain = {ChainConfig.n_chains * self.retain_per_chain})"
             )
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
@@ -115,12 +111,8 @@ class ExperimentConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _parameter_box(config: ExperimentConfig) -> ParameterBox:
-    return ParameterBox((config.theta1_min, config.theta1_max), (config.theta2_min, config.theta2_max))
-
-
 def _chain_config(config: ExperimentConfig, **overrides) -> ChainConfig:
-    names = ("n_chains", "n_iterations", "retain_per_chain", "psrf_threshold", "max_restarts")
+    names = ("n_iterations", "retain_per_chain", "max_restarts")
     return ChainConfig(**{name: getattr(config, name) for name in names}, **overrides)
 
 
@@ -132,8 +124,6 @@ def parse_ids(text: str) -> tuple[str, ...]:
 def _parse_value(text: str, example):
     if isinstance(example, int):
         return int(text)
-    if isinstance(example, float):
-        return float(text)
     if isinstance(example, tuple):
         return parse_ids(text)
     return text.strip()
@@ -185,12 +175,7 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
                 problems.append(f"{f.name}: {item!r} has blanks at an end or a line break")
             elif isinstance(value, tuple) and ("," in item or not item):
                 problems.append(f"{f.name}: list item {item!r} is empty or holds a comma")
-        if isinstance(value, tuple):
-            text = ",".join(value)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
+        text = ",".join(value) if isinstance(value, tuple) else str(value)
         lines.append(f"{f.name} = {text}")
     if problems:
         raise ConfigError("; ".join(problems))
@@ -405,7 +390,7 @@ def _process_catchment(args: tuple[ExperimentConfig, str]):
         sisters = None
         if any(s not in BASIC_SCHEMES for s in config.schemes):
             stage = "calibrate"
-            chain_config = _chain_config(config, seed=seed, box=_parameter_box(config))
+            chain_config = _chain_config(config, seed=seed)
             calibration = calibrate_catchment(series, split, chain_config)
             stage = "sisters"
             sisters = build_sisters(calibration.sample, series, split, config.m)

@@ -78,7 +78,7 @@ def _run(theta1, theta2, s, r, p, e, n_months, tanh):
     (numpy scalars make every operation several times slower); with ``np.tanh``
     it runs ``simulate_batch`` elementwise across parameter pairs.  It checks
     nothing: the divisions rely on theta1 > 0, the domain that ``Gr2mParams``,
-    ``simulate_batch`` and the calibration ``ParameterBox`` enforce.
+    ``simulate_batch`` and calibration's fixed prior box keep to.
     """
     flows = []
     for t in range(n_months):
@@ -182,17 +182,19 @@ def simulate_flow(
 ) -> np.ndarray:
     """Run ``warmup + n_keep`` months; return the flows after warm-up.
 
-    The scalar entry point of ``simulate``, calibration and synthesis; it checks only the forcing's length.
+    The scalar entry point of ``simulate``, calibration and synthesis; it checks only the month counts.
     The forcing is two float arrays or two lists; the compiled loop reads
-    float64 arrays in place, so calibration converts its forcing once.
+    float64 arrays in place, the Python loop lists, so calibration converts its forcing once.
     """
+    if warmup < 0 or n_keep < 1:
+        raise ValueError(f"need warmup >= 0 and n_keep >= 1, got warmup={warmup}, n_keep={n_keep}")
     n_months, n_forcing = warmup + n_keep, min(len(precipitation), len(potential_evaporation))
     if n_forcing < n_months:
         raise ValueError(f"forcing has {n_forcing} months, warm-up plus kept flows need {n_months}")
     theta1, theta2 = float(theta1), float(theta2)
     s = 0.5 * theta1 if soil_init is None else float(soil_init)
     kernel = load_kernel()
-    if kernel is not None and n_keep > 0 and warmup >= 0:  # from_buffer refuses empty arrays
+    if kernel is not None:
         return kernel(theta1, theta2, s, float(routing_init), precipitation, potential_evaporation, warmup, n_keep)
     p, e = precipitation, potential_evaporation
     if not isinstance(p, list):

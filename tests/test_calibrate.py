@@ -7,12 +7,16 @@ import pytest
 import scipy.linalg
 
 from ensflow.calibrate import (
+    BOX_LOWER,
+    BOX_UPPER,
+    BOX_WIDTHS,
+    THETA1_RANGE,
+    THETA2_RANGE,
     Chain,
     ChainConfig,
     ChainSet,
     DegenerateChainsError,
     DegenerateFitError,
-    ParameterBox,
     calibrate_catchment,
     calibration_objective,
     log_likelihood,
@@ -63,52 +67,43 @@ class TestLogLikelihood:
 
 class TestParameterBox:
     def test_defaults(self):
-        box = ParameterBox()
-        assert box.contains(np.array([400.0, 0.9]))
-        assert not box.contains(np.array([0.5, 0.9]))
-        assert not box.contains(np.array([400.0, 5.1]))
-        np.testing.assert_allclose(box.widths, [2999.0, 4.8])
+        # the flat prior's support is the paper's fixed box, and its widths scale the first proposals
+        assert (THETA1_RANGE, THETA2_RANGE) == ((1.0, 3000.0), (0.2, 5.0))
+        assert BOX_LOWER.tolist() == [1.0, 0.2] and BOX_UPPER.tolist() == [3000.0, 5.0]
+        np.testing.assert_allclose(BOX_WIDTHS, [2999.0, 4.8])
 
     def test_samples_stay_inside(self):
-        box = ParameterBox((10.0, 20.0), (1.0, 2.0))
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            assert box.contains(box.sample(rng))
+        # no start draw, evaluated point or chain state leaves the box
+        target = gaussian_objective(center=(1.0, 5.0), sd=(300.0, 1.0))  # peak in a corner: proposals leave the box
+        evaluated = []
 
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError, match="theta1"):
-            ParameterBox((5.0, 5.0), (0.2, 5.0))
-        with pytest.raises(ValueError, match="theta2"):
-            ParameterBox((1.0, 10.0), (2.0, 1.0))
+        def objective(theta1, theta2):
+            evaluated.append((theta1, theta2))
+            return -math.inf if len(evaluated) <= 5 else target(theta1, theta2)  # refuses the first start draws
 
-    def test_box_outside_model_domain_rejected(self):
-        # the float kernel divides by theta1, and a negative theta2 scores
-        # physically meaningless flows, so the box must stay in Gr2mParams' domain
-        for theta1_range in ((0.0, 10.0), (-5.0, 10.0)):
-            with pytest.raises(ValueError, match="theta1_min must be > 0") as info:
-                ParameterBox(theta1_range, (0.2, 5.0))
-            assert "theta2" not in str(info.value)
-        with pytest.raises(ValueError, match="theta2_min must be >= 0") as info:
-            ParameterBox((1.0, 10.0), (-0.1, 1.0))
-        assert "theta1" not in str(info.value)
-        assert ParameterBox((1e-6, 10.0), (0.0, 1.0)).theta2_range == (0.0, 1.0)
+        chain_set = run_chains(objective, ChainConfig(seed=21, n_iterations=300, retain_per_chain=50))
+        assert chain_set.chains[0].initial.tolist() == list(evaluated[5])
+        states = np.concatenate([np.array(evaluated), *(c.params for c in chain_set.chains)])
+        assert ((BOX_LOWER <= states) & (states <= BOX_UPPER)).all()
+        assert states[:, 0].min() < 10.0 and states[:, 1].max() > 4.99  # the chains did press on the corner
 
 
 class TestChainConfig:
     def test_validation(self):
+        # the chain count and threshold are class constants; a subclass that changes them is checked too
         with pytest.raises(ValueError, match="2 chains"):
-            ChainConfig(n_chains=1)
+            type("OneChain", (ChainConfig,), {"n_chains": 1})()
         with pytest.raises(ValueError, match="retain_per_chain"):
             ChainConfig(n_iterations=100, retain_per_chain=101)
         with pytest.raises(ValueError, match="psrf_threshold"):
-            ChainConfig(psrf_threshold=1.0)
+            type("NoThreshold", (ChainConfig,), {"psrf_threshold": 1.0})()
         with pytest.raises(ValueError, match="max_restarts"):
             ChainConfig(max_restarts=-1)
 
     def test_values_no_run_could_use_rejected(self):
         # a nan threshold is never reached, so every attempt would run and none converge
         with pytest.raises(ValueError, match="psrf_threshold must exceed 1, got nan"):
-            ChainConfig(psrf_threshold=float("nan"))
+            type("NanThreshold", (ChainConfig,), {"psrf_threshold": float("nan")})()
         # numpy's SeedSequence takes non-negative integers only
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ChainConfig(seed=-1)
@@ -286,10 +281,9 @@ class TestCalibrateCatchment:
     def test_non_convergence_is_flagged_not_fatal(self):
         series = synthetic_series(seed=3)
         split = partition(84, 12, 48, 12)
-        config = ChainConfig(
-            seed=6, n_iterations=40, retain_per_chain=10, psrf_threshold=1.000001, max_restarts=0
-        )
+        config = ChainConfig(seed=6, n_iterations=40, retain_per_chain=10, max_restarts=0)
         result = calibrate_catchment(series, split, config)
+        assert result.psrf > ChainConfig.psrf_threshold
         assert not result.converged
         assert result.restarts_used == 0
         assert result.sample.m == 30

@@ -166,7 +166,13 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "line", ["retention = informal-head", "include_warmup_in_basic = false", "clamp_nonnegative = true", "n3 = 0"]
+        "line",
+        [
+            "retention = informal-head", "include_warmup_in_basic = false", "clamp_nonnegative = true", "n3 = 0",
+            # the paper's sampler design, fixed in calibrate
+            "n_chains = 3", "psrf_threshold = 1.1", "theta1_min = 1.0", "theta1_max = 3000.0", "theta2_min = 0.2",
+            "theta2_max = 5.0",
+        ],
     )
     def test_removed_switch_rejected_before_any_catchment(self, tmp_path, capsys, line):
         args = self.run_args(tmp_path, make_data(tmp_path))

@@ -62,15 +62,9 @@ class TestConfigFile:
             n2=12,
             schemes=("1", "basic-linear"),
             m=90,
-            n_chains=4,
             n_iterations=300,
             retain_per_chain=50,
-            psrf_threshold=1.05,
             max_restarts=3,
-            theta1_min=2.5,
-            theta1_max=2500.0,
-            theta2_min=0.1 + 0.2,  # needs all 17 digits of its repr
-            theta2_max=4.5,
             seed=7,
             workers=2,
         )
@@ -151,19 +145,12 @@ class TestConfigFile:
         assert any("warmup" in p for p in problems)
         assert any("unknown scheme" in p for p in problems)
         assert any("m must be >= 1" in p for p in problems)
-        # box and chain settings are checked by their constructors, which
-        # still report every problem and name the keys to edit
+        # chain settings are checked by their constructor, which still
+        # reports every problem and names the keys to edit
         with pytest.raises(ConfigError) as excinfo:
-            ExperimentConfig(
-                theta1_min=5.0, theta1_max=5.0, theta2_min=2.0, theta2_max=1.0, n_chains=1, psrf_threshold=1.0
-            )
+            ExperimentConfig(n_iterations=18, retain_per_chain=10, max_restarts=-1)
         text = str(excinfo.value)
-        for expected in (
-            "theta1_min must be below theta1_max",
-            "theta2_min must be below theta2_max",
-            "n_chains must be >= 2",
-            "psrf_threshold must exceed 1",
-        ):
+        for expected in ("n_iterations must be >= 19", "max_restarts must be >= 0"):
             assert expected in text, expected
 
     def test_m_capped_by_retained_pairs(self):
@@ -172,18 +159,14 @@ class TestConfigFile:
         # basic-only runs never draw parameter pairs, so the cap does not apply
         assert ExperimentConfig(schemes=("basic-linear",), m=601).m == 601
 
-    def test_parameter_box_checked(self):
-        for bad, expected in (
-            (dict(theta1_min=0.0), "theta1_min must be > 0"),
-            (dict(theta1_min=-5.0), "theta1_min must be > 0"),
-            (dict(theta2_min=-0.1), "theta2_min must be >= 0"),
-            (dict(theta1_min=10.0, theta1_max=5.0), "theta1_min must be below theta1_max"),
-        ):
-            with pytest.raises(ConfigError) as excinfo:
-                ExperimentConfig(**bad)
-            # exactly one problem: the bound this value breaks
-            assert [expected in p for p in str(excinfo.value).split("; ")] == [True], bad
-        assert ExperimentConfig(theta2_min=0.0).theta2_min == 0.0
+    def test_sampler_design_keys_are_unknown(self, tmp_path):
+        # the prior box, the chain count and the PSRF threshold are the paper's design, not settings
+        keys = ("n_chains", "psrf_threshold", "theta1_min", "theta1_max", "theta2_min", "theta2_max")
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 7\n" + "".join(f"{key} = 2\n" for key in keys))
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).split("; ") == [f"line {i}: unknown key {key!r}" for i, key in enumerate(keys, 2)]
 
     def test_removed_switches_are_unknown_keys(self, tmp_path):
         # retention, basic warm-up and clamping are fixed behaviour, not settings
@@ -214,18 +197,16 @@ class TestConfigFile:
 
     def test_bad_value_names_its_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("seed = 1\nm = zero\npsrf_threshold = high\n")
+        path.write_text("seed = 1\nm = zero\nmax_restarts = 1.5\n")
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert str(excinfo.value).split("; ") == [
             "line 2: m: invalid literal for int() with base 10: 'zero'",
-            "line 3: psrf_threshold: could not convert string to float: 'high'",
+            "line 3: max_restarts: invalid literal for int() with base 10: '1.5'",
         ]
 
     def test_values_that_break_every_catchment_rejected(self):
-        # a nan threshold is never reached, and numpy seeds must be non-negative
-        with pytest.raises(ConfigError, match="psrf_threshold must exceed 1, got nan"):
-            ExperimentConfig(psrf_threshold=float("nan"))
+        # numpy seeds must be non-negative
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             ExperimentConfig(seed=-1)
 
@@ -234,7 +215,10 @@ class TestConfigFile:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = next(p for p in readme.split("\n\n") if "Keys mirror `ExperimentConfig`" in p)
         assert [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in paragraph] == []
-        removed = ("n3", "retention", "include_warmup_in_basic", "clamp_nonnegative", "probabilities")
+        removed = (
+            "n3", "retention", "include_warmup_in_basic", "clamp_nonnegative", "probabilities",
+            "n_chains", "psrf_threshold", "theta1_min", "theta1_max", "theta2_min", "theta2_max",
+        )
         assert [key for key in removed if f"`{key}`" in paragraph] == []
 
     @pytest.mark.parametrize("name", ["catchments", "schemes"])

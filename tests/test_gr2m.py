@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ensflow import gr2m
-from ensflow.calibrate import ChainConfig, ParameterBox, calibration_objective, log_likelihood, run_chains
+from ensflow.calibrate import (
+    BOX_LOWER, BOX_UPPER, THETA1_RANGE, THETA2_RANGE, ChainConfig, calibration_objective, log_likelihood, run_chains,
+)
 from ensflow.gr2m import (
     DEFAULT_ROUTING_INIT_MM,
     ROUTING_CAPACITY_MM,
@@ -309,9 +311,8 @@ def _oracle_simulate_batch(t1, t2, p, e, split):
 
 
 def _in_box_pairs(rng, n):
-    # np.float64 parameters, as the sampler draws them from the default box
-    box = ParameterBox()
-    return [box.sample(rng) for _ in range(n)]
+    # np.float64 parameters, as the sampler draws them from the prior box
+    return [rng.uniform(BOX_LOWER, BOX_UPPER) for _ in range(n)]
 
 
 def compiler_found() -> bool:
@@ -386,8 +387,8 @@ class TestFloatKernelBitExact:
         suppress_health_check=[HealthCheck.differing_executors],
     )
     @given(
-        theta1=st.floats(*ParameterBox().theta1_range),
-        theta2=st.floats(*ParameterBox().theta2_range),
+        theta1=st.floats(*THETA1_RANGE),
+        theta2=st.floats(*THETA2_RANGE),
         forcing=st.lists(
             st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e4)), st.one_of(st.just(0.0), st.floats(0.0, 1e4))),
             min_size=1, max_size=36,
@@ -407,6 +408,14 @@ class TestFloatKernelBitExact:
             with pytest.raises(ValueError, match="forcing has 40 months, warm-up plus kept flows need 48"):
                 simulate_flow(300.0, 1.0, p, e, 12, 36)
         assert simulate_flow(300.0, 1.0, np.ones(40), np.ones(40), 4, 36).shape == (36,)
+
+    def test_negative_warmup_or_no_kept_month_refused(self):
+        # either would make both loops return another number of flows than n_keep
+        for p, e in ((np.ones(40), np.ones(40)), ([1.0] * 40, [1.0] * 40)):
+            for warmup, n_keep in ((-2, 5), (0, 0), (4, -1)):
+                with pytest.raises(ValueError, match=f"got warmup={warmup}, n_keep={n_keep}$"):
+                    simulate_flow(300.0, 1.0, p, e, warmup, n_keep)
+            assert simulate_flow(300.0, 1.0, p, e, 0, 1).shape == (1,)
 
 
 class TestPythonMonthLoopBitExact(TestFloatKernelBitExact):
