@@ -34,6 +34,7 @@ from .ensemble import (
     predict_error_quantiles,
     run_basic_scheme,
     run_scheme,
+    sister_mean,
     to_auxiliary,
     train_error_model,
 )
@@ -65,6 +66,7 @@ from .gr2m import (
     Gr2mParams,
     Gr2mState,
     default_initial_state,
+    month_loop,
     simulate,
     simulate_batch,
     simulate_flow,

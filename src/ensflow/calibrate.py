@@ -71,8 +71,6 @@ class ChainConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.n_chains < 2:
-            problems.append(f"n_chains must be >= 2 (need at least 2 chains), got {self.n_chains}")
         # calibrate_catchment's psrf keeps the second half of each chain
         min_iterations = 2 * MIN_PSRF_DRAWS - 1
         if self.n_iterations < min_iterations:
@@ -82,8 +80,6 @@ class ChainConfig:
             )
         if not 1 <= self.retain_per_chain <= self.n_iterations:
             problems.append(f"retain_per_chain must lie in 1..{self.n_iterations}, got {self.retain_per_chain}")
-        if not self.psrf_threshold > 1.0:  # nan too: no estimate is below it
-            problems.append(f"psrf_threshold must exceed 1, got {self.psrf_threshold}")
         if self.max_restarts < 0:
             problems.append(f"max_restarts must be >= 0, got {self.max_restarts}")
         if self.seed < 0:  # numpy's SeedSequence takes non-negative integers only
@@ -137,15 +133,20 @@ def log_likelihood(observed: np.ndarray, predicted: np.ndarray) -> float:
     u = np.asarray(predicted, dtype=float)
     if y.shape != u.shape or y.ndim != 1 or y.size < 1:
         raise ValueError(f"need equal-length 1-d arrays, got {y.shape} and {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("prediction series contains non-finite values")
     if not np.isfinite(y).all():
         raise ValueError("observation series contains non-finite values")
-    residuals = y - u
+    return _log_likelihood(y - u, u)
+
+
+def _log_likelihood(residuals: np.ndarray, predicted: np.ndarray) -> float:
+    """-(n/2) ln(SSE) of finite observations minus ``predicted``; a non-finite prediction raises ValueError."""
     sse = float(residuals @ residuals)
+    # a finite prediction leaves the SSE finite unless it overflows, so only then is the prediction checked
+    if not math.isfinite(sse) and not np.isfinite(predicted).all():
+        raise ValueError("prediction series contains non-finite values")
     if sse == 0.0:
         raise DegenerateFitError("zero residual sum of squares")
-    return -0.5 * y.size * math.log(sse)
+    return -0.5 * residuals.size * math.log(sse)
 
 
 def _log_gauss_quadform(delta: np.ndarray, cov_inv: np.ndarray) -> float:
@@ -160,20 +161,20 @@ def _run_single_chain(
     (lo1, hi1), (lo2, hi2) = THETA1_RANGE, THETA2_RANGE
 
     # over-dispersed start: uniform draws until the objective is finite
-    current = None
     for _ in range(200):
-        candidate = rng.uniform(BOX_LOWER, BOX_UPPER)
-        value = float(objective(candidate[0], candidate[1]))
-        if math.isfinite(value):
-            current, current_ll = candidate, value
+        current = rng.uniform(BOX_LOWER, BOX_UPPER)
+        current_ll = float(objective(current[0], current[1]))
+        if math.isfinite(current_ll):
             break
-    if current is None:
+    else:
         raise RuntimeError("no feasible initial point found in the parameter box")
     initial = current.copy()
 
     cov = np.diag((BOX_WIDTHS / _INITIAL_WIDTH_FRACTION) ** 2)
     chol = np.linalg.cholesky(cov)
+    timid = chol / _DR_SHRINK  # the delayed-rejection proposal's factor, remade whenever chol is
     cov_inv = np.linalg.inv(cov)
+    normal, uniform = rng.standard_normal, rng.random
 
     params = np.empty((n, 2))
     lls = np.empty(n)
@@ -181,23 +182,23 @@ def _run_single_chain(
 
     def posterior(point: np.ndarray) -> float:
         # flat prior on the box: outside it the posterior vanishes
-        theta1, theta2 = float(point[0]), float(point[1])
+        theta1, theta2 = point.tolist()
         if not (lo1 <= theta1 <= hi1 and lo2 <= theta2 <= hi2):
             return -math.inf
         value = float(objective(theta1, theta2))
         return value if math.isfinite(value) else -math.inf
 
     for t in range(n):
-        first = current + chol @ rng.standard_normal(2)
+        first = current + chol @ normal(2)
         ll_first = posterior(first)
         log_alpha1 = min(0.0, ll_first - current_ll)
-        if math.log(rng.random()) < log_alpha1:
+        if math.log(uniform()) < log_alpha1:
             current, current_ll = first, ll_first
             accepted[t] = True
         else:
             # delayed rejection: bolder move failed, try a timid one; the
             # acceptance ratio below keeps the composite kernel reversible
-            second = current + (chol / _DR_SHRINK) @ rng.standard_normal(2)
+            second = current + timid @ normal(2)
             ll_second = posterior(second)
             if ll_second > -math.inf:
                 log_alpha1_rev = min(0.0, ll_first - ll_second)
@@ -211,7 +212,7 @@ def _run_single_chain(
                     + _log_gauss_quadform(first - current, cov_inv)
                     + _log1m_exp(log_alpha1)
                 )
-                if math.log(rng.random()) < min(0.0, log_num - log_den):
+                if math.log(uniform()) < min(0.0, log_num - log_den):
                     current, current_ll = second, ll_second
                     accepted[t] = True
         params[t] = current
@@ -225,6 +226,7 @@ def _run_single_chain(
             proposal = _ADAPT_SCALE * sample_cov + np.diag(1e-10 * BOX_WIDTHS**2)
             try:
                 chol = np.linalg.cholesky(proposal)
+                timid = chol / _DR_SHRINK
                 cov_inv = np.linalg.inv(proposal)
             except np.linalg.LinAlgError:
                 pass  # keep the previous proposal if the history is degenerate
@@ -297,20 +299,22 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     """Log-likelihood of (theta1, theta2) against the calibration months.
 
     The model is warmed up over the warm-up months and compared with
-    observed flow over the calibration period only.
+    observed flow over the calibration period only.  The observed months are
+    checked, and the month loop bound to the forcing, once, when the
+    objective is made; a call runs the loop and the SSE and nothing else.
     """
     if series.n < split.warmup + split.n1:
         raise ValueError("series too short for the warm-up plus calibration months")
-    # converted once: the compiled month loop reads float64 arrays in place, the Python one lists
-    p = np.array(series.precipitation, dtype=float)
-    e = np.array(series.potential_evaporation, dtype=float)
-    if gr2m.load_kernel() is None:
-        p, e = p.tolist(), e.tolist()
     observed = np.asarray(series.streamflow, dtype=float)[split.t1]
+    if not np.isfinite(observed).all():
+        raise ValueError("observation series contains non-finite values")
+    loop = gr2m.month_loop(series.precipitation, series.potential_evaporation, split.warmup, split.n1)
+    residuals = np.empty(split.n1)
 
     def objective(theta1: float, theta2: float) -> float:
-        predicted = gr2m.simulate_flow(theta1, theta2, p, e, split.warmup, split.n1)
-        return log_likelihood(observed, predicted)
+        theta1 = float(theta1)
+        predicted = loop(theta1, float(theta2), 0.5 * theta1, gr2m.DEFAULT_ROUTING_INIT_MM)
+        return _log_likelihood(np.subtract(observed, predicted, out=residuals), predicted)
 
     return objective
 

@@ -363,14 +363,16 @@ def to_auxiliary(ensemble: SisterEnsemble, models: TrainedErrorModels, j: int) -
     return np.subtract(ensemble.test_predictions, error_quantile, out=error_quantile)
 
 
+def sister_mean(aux: np.ndarray) -> np.ndarray:
+    """Step 6 at one probability: the mean of (m, n3) auxiliary quantiles over the sisters, per month."""
+    # numpy sums a lone column pairwise but a wider array row by row, in
+    # the order of the (m, n_probs, n3) mean: keep that order when n3 = 1
+    return aux.mean(axis=0) if aux.shape[1] > 1 else np.add.accumulate(aux[:, 0])[-1:] / aux.shape[0]
+
+
 def combine(ensemble: SisterEnsemble, models: TrainedErrorModels) -> CombinedPrediction:
     """Step 6: the arithmetic mean over sisters at each (probability, month), one probability at a time."""
-    means = []
-    for j in range(len(models.probabilities)):
-        aux = to_auxiliary(ensemble, models, j)
-        # numpy sums a lone column pairwise but a wider array row by row, in
-        # the order of the (m, n_probs, n3) mean: keep that order when n3 = 1
-        means.append(aux.mean(axis=0) if ensemble.n3 > 1 else np.add.accumulate(aux[:, 0])[-1:] / ensemble.m)
+    means = [sister_mean(to_auxiliary(ensemble, models, j)) for j in range(len(models.probabilities))]
     return CombinedPrediction(probabilities=models.probabilities, quantiles=np.array(means))
 
 
@@ -406,7 +408,7 @@ def run_basic_scheme(
 @dataclass(frozen=True)
 class SchemeResult:
     scheme: str
-    prediction: CombinedPrediction
+    prediction: CombinedPrediction | None  # None when a numbered scheme left step 6 to its caller
     models: TrainedErrorModels | None
     elapsed_seconds: float
 
@@ -417,6 +419,7 @@ def run_scheme(
     split: PeriodPartition,
     config: SchemeConfig | None = None,
     sisters: SisterEnsemble | None = None,
+    combined: bool = True,
 ) -> SchemeResult:
     """Dispatch one scheme id and time it.
 
@@ -425,6 +428,8 @@ def run_scheme(
     ``build_sisters`` makes once per catchment, outside the elapsed time.  A
     numbered scheme's result keeps its error models, from which
     ``member_interval_bounds`` makes any level's member bounds on demand.
+    With ``combined`` false a numbered scheme stops after step 3, for a
+    caller that averages those bounds itself (``sister_mean``).
     """
     if config is None:
         config = SchemeConfig()
@@ -437,7 +442,7 @@ def run_scheme(
             raise ValueError(f"scheme {scheme} runs on sisters: make them with build_sisters first")
         variant, kind = SCHEME_DEFS[scheme]
         models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
-        prediction = combine(sisters, models)
+        prediction = combine(sisters, models) if combined else None
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
     return SchemeResult(scheme, prediction, models, elapsed_seconds=time.perf_counter() - t_start)

@@ -20,6 +20,7 @@ import calendar
 import datetime as dt
 import json
 import math
+import time
 import zlib
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -33,10 +34,11 @@ import numpy as np
 from .calibrate import CalibrationResult, ChainConfig, calibrate_catchment
 from .ensemble import (
     ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, SchemeResult, build_sisters,
-    intervals_from_prediction, member_interval_bounds, run_scheme,
+    intervals_from_prediction, member_interval_bounds, run_scheme, sister_mean,
 )
 from .evaluate import (
     INTERVAL_ALPHAS,
+    IntervalPrediction,
     MetricsRecord,
     WisdomRecord,
     average_interval_score,
@@ -353,22 +355,29 @@ def discover_catchments(config: ExperimentConfig) -> list[str]:
 def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test):
     """Run one scheme and score its five levels: (metrics records, wisdom rows).
 
-    A numbered scheme's member bounds are made level by level, and each
-    level's two (m, n3) arrays are freed before the next level's are made.
+    A numbered scheme takes one pass per level: the level's two (m, n3) member-bound arrays are made
+    once, their sister means are the combined interval, and the members are scored from the same two
+    arrays.  Its seconds add that averaging to ``run_scheme``'s fit, as ``combine`` would, not the scoring.
     """
-    result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
-    records: list[MetricsRecord] = []
-    wisdom_rows: list[WisdomRow] = []
-    for alpha, pred in intervals_from_prediction(result.prediction, INTERVAL_ALPHAS).items():
-        records.append(
-            MetricsRecord(
-                cid, result.scheme, alpha, coverage_probability(pred, observed_test), average_width(pred),
-                average_interval_score(pred, observed_test), crossing_count(pred), result.elapsed_seconds,
-            )
-        )
-        if result.models is not None:
+    result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
+    seconds, wisdom_rows, intervals = result.elapsed_seconds, [], []
+    if result.models is None:
+        intervals += intervals_from_prediction(result.prediction, INTERVAL_ALPHAS).values()
+    else:
+        for alpha in INTERVAL_ALPHAS:
+            start = time.perf_counter()
             lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
-            wisdom_rows.append(WisdomRow(cid, result.scheme, wisdom_metrics(lowers, uppers, pred, observed_test)))
+            intervals.append(IntervalPrediction(alpha, sister_mean(lowers), sister_mean(uppers)))
+            seconds += time.perf_counter() - start
+            record = wisdom_metrics(lowers, uppers, intervals[-1], observed_test)
+            wisdom_rows.append(WisdomRow(cid, result.scheme, record))
+    records = [
+        MetricsRecord(
+            cid, result.scheme, pred.alpha, coverage_probability(pred, observed_test), average_width(pred),
+            average_interval_score(pred, observed_test), crossing_count(pred), seconds,
+        )
+        for pred in intervals
+    ]
     return records, wisdom_rows
 
 

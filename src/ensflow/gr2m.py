@@ -9,8 +9,9 @@ rainfall and the percolation, is scaled by the water-exchange coefficient
 1 it exports), and drains through a quadratic law against a fixed 60 mm
 capacity.  The drained depth is the monthly streamflow in mm.
 
-``simulate_flow`` runs the month loop's C translation (``_gr2m.c``) when
-:func:`load_kernel` builds one with ``_run``'s bits: a compiler buys speed only.
+``month_loop``, and through it ``simulate_flow``, runs the month loop's C
+translation (``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s
+bits: a compiler buys speed only.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def default_initial_state(params: Gr2mParams) -> Gr2mState:
 def _run(theta1, theta2, s, r, p, e, n_months, tanh):
     """The month loop, written once (hot path); returns (S, R, monthly flows Q).
 
-    With ``math.tanh`` it is the scalar loop of ``step`` and ``simulate_flow``
+    With ``math.tanh`` it is the scalar loop of ``step`` and ``month_loop``
     without a compiled loop, on Python floats with ``p`` and ``e`` as lists
     (numpy scalars make every operation several times slower); with ``np.tanh``
     it runs ``simulate_batch`` elementwise across parameter pairs.  It checks
@@ -106,7 +107,7 @@ def _run(theta1, theta2, s, r, p, e, n_months, tanh):
 
 @functools.cache
 def load_kernel():
-    """The compiled month loop, or None when it cannot be built or does not give ``_run``'s bits.
+    """``month_loop``'s binder for the compiled loop, or None when it cannot be built or does not give ``_run``'s bits.
 
     Built on first use into ``__pycache__`` under the sha256 of source and command, via ``os.replace``.
     """
@@ -129,20 +130,26 @@ def load_kernel():
     run.argtypes, run.restype = [ctypes.c_double] * 4 + [doubles] * 2 + [ctypes.c_long] * 2 + [doubles], None
     buffer = ctypes.c_double.from_buffer  # the cheapest pointer to an array's data; needs a writable one
 
-    def kernel(theta1, theta2, s, r, p, e, warmup, n_keep):
+    def bind(p, e, warmup, n_keep):
         p, e, flows = np.ascontiguousarray(p, dtype=float), np.ascontiguousarray(e, dtype=float), np.empty(n_keep)
         if not (p.flags.writeable and e.flags.writeable):
             p, e = p.copy(), e.copy()
-        run(theta1, theta2, s, r, buffer(p), buffer(e), warmup, n_keep, buffer(flows))
-        return flows
+        pointers = (buffer(p), buffer(e), warmup, n_keep, buffer(flows))  # each keeps its array alive
+
+        def loop(theta1, theta2, s, r):
+            run(theta1, theta2, s, r, *pointers)
+            return flows
+
+        return loop
 
     # dry months, a huge one and a spread on a grid of the box: catches pow folded to a cube or cube root and FMAs
     p, e = [0.0, 1e4, *(53 * t % 97 * 3.0 for t in range(46))], [53 * t % 23 * 4.0 for t in range(48)]
+    loop = bind(p, e, 2, 46)
     for theta1, theta2 in [(a, b) for a in (1.0, 300.0, 1500.0, 3000.0) for b in (0.2, 1.0, 5.0)]:
         expected = np.array(_run(theta1, theta2, 0.5 * theta1, 30.0, p, e, 48, math.tanh)[2][2:])
-        if kernel(theta1, theta2, 0.5 * theta1, 30.0, p, e, 2, 46).tobytes() != expected.tobytes():
+        if loop(theta1, theta2, 0.5 * theta1, 30.0).tobytes() != expected.tobytes():
             return None
-    return kernel
+    return bind
 
 
 def step(
@@ -170,6 +177,27 @@ def step(
     return Gr2mState(soil=s, routing=r), q
 
 
+def month_loop(precipitation, potential_evaporation, warmup: int, n_keep: int):
+    """The month loop bound to one forcing: ``loop(theta1, theta2, soil, routing)`` gives the kept flows.
+
+    It runs ``warmup + n_keep`` months and keeps the flows after warm-up; the month counts are checked
+    once, here.  The forcing is two float arrays or two lists: the compiled loop binds them as float64
+    arrays, with one output array that every call overwrites, and the Python loop converts them to lists.
+    """
+    if warmup < 0 or n_keep < 1:
+        raise ValueError(f"need warmup >= 0 and n_keep >= 1, got warmup={warmup}, n_keep={n_keep}")
+    n_months, n_forcing = warmup + n_keep, min(len(precipitation), len(potential_evaporation))
+    if n_forcing < n_months:
+        raise ValueError(f"forcing has {n_forcing} months, warm-up plus kept flows need {n_months}")
+    bind = load_kernel()
+    if bind is not None:
+        return bind(precipitation, potential_evaporation, warmup, n_keep)
+    p, e = precipitation, potential_evaporation
+    if not isinstance(p, list):
+        p, e = p[:n_months].tolist(), e[:n_months].tolist()
+    return lambda theta1, theta2, s, r: np.array(_run(theta1, theta2, s, r, p, e, n_months, math.tanh)[2][warmup:])
+
+
 def simulate_flow(
     theta1: float,
     theta2: float,
@@ -180,27 +208,13 @@ def simulate_flow(
     soil_init: float | None = None,
     routing_init: float = DEFAULT_ROUTING_INIT_MM,
 ) -> np.ndarray:
-    """Run ``warmup + n_keep`` months; return the flows after warm-up.
+    """The flows after warm-up of ``warmup + n_keep`` months, a new array: one call of a new ``month_loop``.
 
-    The scalar entry point of ``simulate``, calibration and synthesis; it checks only the month counts.
-    The forcing is two float arrays or two lists; the compiled loop reads
-    float64 arrays in place, the Python loop lists, so calibration converts its forcing once.
+    The scalar entry point of ``simulate`` and synthesis; calibration binds its ``month_loop`` once.
     """
-    if warmup < 0 or n_keep < 1:
-        raise ValueError(f"need warmup >= 0 and n_keep >= 1, got warmup={warmup}, n_keep={n_keep}")
-    n_months, n_forcing = warmup + n_keep, min(len(precipitation), len(potential_evaporation))
-    if n_forcing < n_months:
-        raise ValueError(f"forcing has {n_forcing} months, warm-up plus kept flows need {n_months}")
+    loop = month_loop(precipitation, potential_evaporation, warmup, n_keep)
     theta1, theta2 = float(theta1), float(theta2)
-    s = 0.5 * theta1 if soil_init is None else float(soil_init)
-    kernel = load_kernel()
-    if kernel is not None:
-        return kernel(theta1, theta2, s, float(routing_init), precipitation, potential_evaporation, warmup, n_keep)
-    p, e = precipitation, potential_evaporation
-    if not isinstance(p, list):
-        p, e = p[:n_months].tolist(), e[:n_months].tolist()
-    _, _, flows = _run(theta1, theta2, s, float(routing_init), p, e, n_months, math.tanh)
-    return np.array(flows[warmup:])
+    return loop(theta1, theta2, 0.5 * theta1 if soil_init is None else float(soil_init), float(routing_init))
 
 
 def simulate(

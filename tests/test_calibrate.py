@@ -1,11 +1,14 @@
 """Sampler, convergence diagnostic and posterior retention behaviour."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from ensflow import gr2m
 from ensflow.calibrate import (
     BOX_LOWER,
     BOX_UPPER,
@@ -89,21 +92,20 @@ class TestParameterBox:
 
 
 class TestChainConfig:
+    def test_chain_count_and_threshold_are_the_papers(self):
+        # class constants, not fields, yet readable on an instance as the benchmark's tracer reads them
+        assert ChainConfig.n_chains == 3 and ChainConfig.psrf_threshold == 1.10
+        config = ChainConfig(seed=1)
+        assert (config.n_chains, config.psrf_threshold) == (3, 1.10)
+        assert "n_chains" not in {f.name for f in dataclasses.fields(ChainConfig)}
+
     def test_validation(self):
-        # the chain count and threshold are class constants; a subclass that changes them is checked too
-        with pytest.raises(ValueError, match="2 chains"):
-            type("OneChain", (ChainConfig,), {"n_chains": 1})()
         with pytest.raises(ValueError, match="retain_per_chain"):
             ChainConfig(n_iterations=100, retain_per_chain=101)
-        with pytest.raises(ValueError, match="psrf_threshold"):
-            type("NoThreshold", (ChainConfig,), {"psrf_threshold": 1.0})()
         with pytest.raises(ValueError, match="max_restarts"):
             ChainConfig(max_restarts=-1)
 
     def test_values_no_run_could_use_rejected(self):
-        # a nan threshold is never reached, so every attempt would run and none converge
-        with pytest.raises(ValueError, match="psrf_threshold must exceed 1, got nan"):
-            type("NanThreshold", (ChainConfig,), {"psrf_threshold": float("nan")})()
         # numpy's SeedSequence takes non-negative integers only
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ChainConfig(seed=-1)
@@ -212,6 +214,17 @@ def gaussian_objective(center=(500.0, 2.0), sd=(50.0, 0.3)):
 
 
 class TestRunChains:
+    def test_seeded_chains_pinned(self):
+        # every state and log-likelihood of a seeded run, byte for byte as the sampler gave them before its
+        # loop was tightened; it stops before the first adaptation, whose np.cov and Cholesky factor take
+        # their last bits from the host's BLAS kernel
+        chain_set = run_chains(gaussian_objective(), ChainConfig(seed=21, n_iterations=199, retain_per_chain=50))
+        digest = hashlib.sha256()
+        for chain in chain_set.chains:
+            digest.update(chain.params.tobytes())
+            digest.update(chain.log_likelihood.tobytes())
+        assert digest.hexdigest() == "dedf5783f081eaa83eeb97c2d3bd32f5467217b6105824c8a81a83e469161798"
+
     def test_deterministic_for_fixed_seed(self):
         config = ChainConfig(seed=5, n_iterations=300, retain_per_chain=50)
         a = run_chains(gaussian_objective(), config)
@@ -312,6 +325,28 @@ class TestCalibrationObjective:
         split = partition(84, 12, 48, 12)
         with pytest.raises(ValueError, match="too short"):
             calibration_objective(series, split)
+
+    def test_observations_checked_when_made(self):
+        series = synthetic_series(seed=8)
+        flow = series.streamflow.copy()
+        flow[20] = np.nan
+        bad = MonthlySeries(series.origin, series.precipitation, series.potential_evaporation, flow)
+        with pytest.raises(ValueError, match="observation series contains non-finite values"):
+            calibration_objective(bad, partition(84, 12, 48, 12))
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    def test_each_call_is_the_likelihood_of_a_fresh_simulation(self, compiled, monkeypatch):
+        # the bound loop's one output array is reused; each call still scores only its own flows
+        if not compiled:
+            monkeypatch.setattr(gr2m, "load_kernel", lambda: None)
+        series, split = synthetic_series(seed=9), partition(84, 12, 48, 12)
+        objective = calibration_objective(series, split)
+        for theta1, theta2 in ((350.0, 1.1), (900.0, 0.5), (350.0, 1.1)):
+            predicted = simulate(Gr2mParams(theta1, theta2), series.precipitation, series.potential_evaporation, split)
+            assert objective(theta1, theta2) == log_likelihood(series.streamflow[split.t1], predicted[: split.n1])
+        # an overflowing routing store makes the flows nan: still a ValueError, as from log_likelihood
+        with pytest.raises(ValueError, match="prediction series contains non-finite values"):
+            objective(400.0, 1e300)
 
 
 def dump_chains(chain_set, path):

@@ -24,6 +24,7 @@ from ensflow.evaluate import (
     write_metrics_csv,
     write_summary_json,
 )
+from ensflow.evaluate import _exact_sums, _interval_scores
 
 
 def interval(alpha, lower, upper):
@@ -183,6 +184,89 @@ class TestWisdomMetrics:
         scores = [average_interval_score(interval(0.05, lo, up), y) for lo, up in zip(lowers, uppers)]
         assert record.aais_in == math.fsum(scores) / 5
         assert record.improvements == tuple((s - record.ais_out) / s for s in scores)
+
+
+def where_scores(alpha, lower, upper, y):
+    """The interval score as first written, with np.where: the oracle of ``_interval_scores``' bits."""
+    penalty = 2.0 / alpha
+    return (
+        (upper - lower)
+        + penalty * np.where(y < lower, lower - y, 0.0)
+        + penalty * np.where(y > upper, y - upper, 0.0)
+    )
+
+
+def fsum_columns(terms):
+    return np.array([math.fsum(column) for column in terms.T.tolist()])
+
+
+class TestExactSums:
+    """``_exact_sums`` gives ``math.fsum``'s bits, through the certified tree or through fsum itself."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(1, 48), k=st.integers(16, 40), data=st.data())
+    def test_equals_fsum_on_adversarial_columns(self, n, k, data):
+        element = st.one_of(
+            st.floats(-1e300, 1e300),  # a dynamic range of 1e300, subnormals included
+            st.floats(-1e4, 1e4),
+            # zeros of both signs, and terms whose sums fall exactly half an ulp between two floats
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.0**-53, -(2.0**-53), 2.0**-1074, 2.0**53, -(2.0**53)]),
+        )
+        terms = data.draw(arrays(float, (n, k), elements=element))
+        # cancellation: chosen columns end with the negated first terms, so most of them sums away
+        cancel = data.draw(arrays(bool, k))
+        terms[n - n // 2 :, cancel] = -terms[: n // 2, cancel]
+        assert _exact_sums(terms).tobytes() == fsum_columns(terms).tobytes()
+
+    def test_uncertified_column_falls_back_to_fsum(self, monkeypatch):
+        # magnitudes over many binades leave no other sum near a tie between two floats
+        terms = np.random.default_rng(5).lognormal(0.0, 8.0, size=(6, 20))
+        # 1 + 2^-53 lies half an ulp above 1: no certificate separates it from a tie, fsum rounds it to even
+        terms[:, 7] = [1.0, 2.0**-53, 0.0, 0.0, 0.0, 0.0]
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(values) or fsum(values))
+        sums = _exact_sums(terms)
+        assert calls == [terms[:, 7].tolist()]
+        assert sums[7] == 1.0
+        monkeypatch.undo()
+        assert sums.tobytes() == fsum_columns(terms).tobytes()
+
+    def test_zero_sums_and_few_columns_take_fsum(self):
+        # a zero sum is never certified (fsum's is +0.0), and fewer than 16 columns skip the tree
+        terms = np.zeros((4, 20))
+        terms[:, 3] = [-0.0, -0.0, -0.0, -0.0]
+        terms[:, 4] = [1e300, -1e300, 5.0, -5.0]
+        assert _exact_sums(terms).tobytes() == np.zeros(20).tobytes()
+        assert _exact_sums(terms[:, :3]).tobytes() == np.zeros(3).tobytes()
+        assert float(_exact_sums(np.array([0.1, 0.2, 0.3]))) == math.fsum([0.1, 0.2, 0.3])
+
+
+class TestScoresInOnePass:
+    def test_scores_equal_the_where_formula_at_the_bounds(self):
+        # every (lower, upper, y) from signed zeros and a few values: y on a bound, crossed bounds, -0.0
+        values = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
+        lower, upper, y = (grid.ravel() for grid in np.meshgrid(values, values, values, indexing="ij"))
+        # members as rows against one observation series: every (lower, upper) pair in each column
+        pairs = np.array([(lo, up) for lo in values for up in values])
+        lowers, uppers = (np.repeat(pairs[:, i : i + 1], values.size, axis=1) for i in (0, 1))
+        for alpha in INTERVAL_ALPHAS:
+            assert _interval_scores(alpha, lower, upper, y).tobytes() == where_scores(alpha, lower, upper, y).tobytes()
+            expected = where_scores(alpha, lowers, uppers, values)
+            assert _interval_scores(alpha, lowers, uppers, values).tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(m=st.integers(16, 40), n=st.integers(1, 30), alpha=st.sampled_from(INTERVAL_ALPHAS), data=st.data())
+    def test_member_scores_are_fsum_means_of_the_where_formula(self, m, n, alpha, data):
+        # crossed bounds give negative widths: member sums of mixed signs, through the tree
+        value = st.floats(-1e4, 1e4)
+        lowers, uppers = (data.draw(arrays(float, (m, n), elements=value)) for _ in range(2))
+        y = data.draw(arrays(float, n, elements=st.one_of(value, st.sampled_from([0.0, -0.0]))))
+        record = wisdom_metrics(lowers, uppers, interval(alpha, lowers.mean(axis=0), uppers.mean(axis=0)), y)
+        scores = [math.fsum(row) / n for row in where_scores(alpha, lowers, uppers, y).tolist()]
+        assert record.aais_in == math.fsum(scores) / m
+        assert record.excluded == tuple(i for i, score in enumerate(scores) if score == 0.0)
+        kept = [(got, score) for got, score in zip(record.improvements, scores) if score != 0.0]
+        assert [got for got, _ in kept] == [(score - record.ais_out) / score for _, score in kept]
 
 
 class TestRankSchemes:
