@@ -357,12 +357,14 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
 
     A numbered scheme takes one pass per level: the level's two (m, n3) member-bound arrays are made
     once, their sister means are the combined interval, and the members are scored from the same two
-    arrays.  Its seconds add that averaging to ``run_scheme``'s fit, as ``combine`` would, not the scoring.
+    arrays, whose wisdom record's ``ais_out`` is the level's score.  Its seconds add that averaging to
+    ``run_scheme``'s fit, as ``combine`` would, not the scoring.
     """
     result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
     seconds, wisdom_rows, intervals = result.elapsed_seconds, [], []
     if result.models is None:
         intervals += intervals_from_prediction(result.prediction, INTERVAL_ALPHAS).values()
+        scores = [average_interval_score(pred, observed_test) for pred in intervals]
     else:
         for alpha in INTERVAL_ALPHAS:
             start = time.perf_counter()
@@ -371,12 +373,13 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
             seconds += time.perf_counter() - start
             record = wisdom_metrics(lowers, uppers, intervals[-1], observed_test)
             wisdom_rows.append(WisdomRow(cid, result.scheme, record))
+        scores = [row.record.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
     records = [
         MetricsRecord(
-            cid, result.scheme, pred.alpha, coverage_probability(pred, observed_test), average_width(pred),
-            average_interval_score(pred, observed_test), crossing_count(pred), seconds,
+            cid, result.scheme, pred.alpha, coverage_probability(pred, observed_test), average_width(pred), score,
+            crossing_count(pred), seconds,
         )
-        for pred in intervals
+        for pred, score in zip(intervals, scores)
     ]
     return records, wisdom_rows
 

@@ -13,8 +13,9 @@ The quantile program goes straight to HiGHS (scipy's private ``_highspy._core``)
 with ``linprog(method="highs")``'s options and feasibility check: the same
 coefficients bit for bit, without linprog's overhead, about ¾ of a program
 this small.  The linprog oracle tests in ``tests/test_regress.py`` pin it.
-A dataset's fits share one model on one HiGHS instance; each probability takes
-one of three routes that keep HiGHS's bits (see :func:`fit_quantile_set`).
+Fits run on one HiGHS instance per process, a dataset's fits on one model;
+each probability takes one of three routes that keep HiGHS's bits (see
+:func:`fit_quantile_set`).
 
 A run loads no scipy Python package, only HiGHS's compiled extension:
 ``import scipy.optimize`` costs about 0.5 s and 45 MB that every forked
@@ -26,6 +27,7 @@ as the oracle of this module, ``calibrate.psrf`` and ``ensemble``'s quantile.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -133,8 +135,22 @@ def load_solver():
     return sys.modules[SOLVER]
 
 
+@functools.cache
+def _instance():
+    """This process's one HiGHS instance, with the options linprog(method="highs") sets; every other is a default."""
+    highs, solver = load_solver(), load_solver()._Highs()
+    options = dict(highs_debug_level=int(highs.kHighsDebugLevelNone), log_to_console=False, output_flag=False,
+                   simplex_strategy=int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+    if highs.HighsStatus.kError in [solver.setOptionValue(option, setting) for option, setting in options.items()]:
+        raise QuantileFitError("HiGHS refused linprog's options")
+    return solver
+
+
 def _model(x: np.ndarray, y: np.ndarray):
-    """A new HiGHS instance with linprog's options holding the quantile dual  min -y'd  s.t.  X'd = 0."""
+    """The process's HiGHS instance, presolve on, given the quantile dual  min -y'd  s.t.  X'd = 0  to hold.
+
+    HiGHS keeps about 0.7 kB a row of its last model until the instance goes, so a dataset of more than 1 000 rows
+    keeps the instance to itself: it goes when the fit ends, and the next fit makes a new one."""
     highs, (n, k) = load_solver(), x.shape
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -146,15 +162,11 @@ def _model(x: np.ndarray, y: np.ndarray):
     lp.a_matrix_.index_, lp.a_matrix_.value_ = index.tolist(), x[which, index].tolist()
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = -y, np.zeros(n), np.zeros(n)
     lp.row_lower_ = lp.row_upper_ = np.zeros(k)
-    solver = highs._Highs()
-    # the options linprog(method="highs") sets; every other HiGHS option keeps its default
-    options = dict(
-        presolve="on", highs_debug_level=int(highs.kHighsDebugLevelNone), log_to_console=False, output_flag=False,
-        simplex_strategy=int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-    )
-    statuses = [solver.setOptionValue(option, setting) for option, setting in options.items()]
-    if highs.HighsStatus.kError in statuses + [solver.passModel(lp)]:
-        raise QuantileFitError("HiGHS refused the linear program or linprog's options")
+    solver = _instance()
+    if n > 1000:  # pooled sisters: 86 400 rows at paper size
+        _instance.cache_clear()
+    if highs.HighsStatus.kError in (solver.setOptionValue("presolve", "on"), solver.passModel(lp)):
+        raise QuantileFitError("HiGHS refused the linear program")
     return solver
 
 
@@ -162,37 +174,61 @@ def _solve(solver, x, y, p, presolve="on", basis=None):
     """The dual's coefficients at p, solved cold with ``presolve`` on or off or warm from an optimal ``basis``; None
     for a failed run, a warm run that iterates, or a failed feasibility check or duality-gap certificate."""
     highs, n = load_solver(), x.shape[0]
-    lower, upper = np.full(n, p - 1.0), np.full(n, p)
     statuses = [solver.setOptionValue("presolve", presolve)]
-    statuses.append(solver.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper))
+    statuses.append(solver.changeColsBounds(n, np.arange(n, dtype=np.int32), np.full(n, p - 1.0), np.full(n, p)))
     # clearSolver drops the last solve's basis: a warm start from it would move the coefficients by a few ulp
     statuses += [solver.clearSolver() if basis is None else solver.setBasis(basis), solver.run()]
     if highs.HighsStatus.kError in statuses or solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
         return None
     solution, dual_objective = solver.getSolution(), -solver.getObjectiveValue()
-    z, beta = np.array(solution.col_value), -np.array(solution.row_dual)
-    tol = math.sqrt(1e-9) * 10  # linprog's _check_result; a NaN fails every comparison
-    feasible = (lower - tol <= z).all() and (z <= upper + tol).all() and (np.abs(solution.row_value) <= tol).all()
-    gap = abs(float(np.sum(pinball_loss(p, y, x @ beta))) - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective))
+    z, beta = np.fromiter(solution.col_value, float, n), -np.array(solution.row_dual, dtype=float)
+    tol = math.sqrt(1e-9) * 10  # linprog's _check_result: bounds and rows within tol; a NaN fails every comparison
+    feasible = z.min() >= p - 1.0 - tol and z.max() <= p + tol and all(abs(v) <= tol for v in solution.row_value)
+    r = y - x @ beta  # the achieved pinball loss is sum max(p r, (p - 1) r)
+    gap = abs(float(np.maximum(p * r, (p - 1.0) * r).sum()) - dual_objective) <= 1e-7 * max(1.0, abs(dual_objective))
     return beta if feasible and gap and not (basis is not None and solver.getInfo().simplex_iteration_count) else None
 
 
-def _vertex_basis(u, y, p, first, inverse, counts):
+def _pick(keys, weights, level):
+    """``order[min(searchsorted(cumsum(weights[order]), level), size - 1)]`` with ``order = argsort(keys, "stable")``.
+
+    Past 4096 keys, by selection: the sorted keys of a strided sample bracket the level's key, and a stable sort
+    of the keys between the brackets, which masks keep in index order, picks.  Any float sum of these m <= n
+    nonnegative weights is within m u W of its exact value (u = 2^-53, W their sum), so where both sums around
+    the pick are more than 4 n u W from the level, they pick what the sort's cumsum picks; else the sort decides."""
+    if keys.size > 4096:
+        step, total = keys.size // 4096, weights.sum()  # a sample of 4096 to 8191 keys
+        sample = np.argsort(keys[::step])
+        reached = np.cumsum(weights[::step][sample]) * (total / weights[::step].sum())
+        low, high = keys[::step][sample[np.clip(np.searchsorted(reached, level) + [-64, 64], 0, sample.size - 1)]]
+        kept = np.flatnonzero((low <= keys) & (keys <= high))
+        kept = kept[np.argsort(keys[kept], kind="stable")]
+        ends = weights @ (keys < low) + np.cumsum(np.append(0.0, weights[kept]))
+        i = int(np.searchsorted(ends, level))
+        if 0 < i < ends.size and (np.abs(ends[i - 1 : i + 1] - level) > keys.size * 2.0**-51 * total).all():
+            return kept[i - 1]
+    order = np.argsort(keys, kind="stable")
+    return order[min(np.searchsorted(np.cumsum(weights[order]), level), keys.size - 1)]
+
+
+def _vertex_basis(u, y, p, first, inverse, counts, slope=0.0):
     """The optimal basis of the k = 2 dual at p from an exact vertex search over the distinct rows, or None.
 
-    The best line through row a has the weighted p-quantile of the breakpoints (y_i - y_a) / (u_i - u_a), weights
+    ``first``, ``inverse`` and ``counts`` are ``np.unique(u)``'s, so the distinct rows are in increasing u.  The
+    best line through row a has the weighted p-quantile of the breakpoints (y_i - y_a) / (u_i - u_a), weights
     |u_i - u_a| and level p or 1 - p by their sign, as its slope; pivot around the newest basis row until the best
-    line through it is the current one.  None unless a KKT certificate with margins leaves HiGHS no other basis
-    and the basis rows' copies do not interleave, so that which copy HiGHS makes basic cannot reorder them."""
+    line through it is the current one.  The pivots start on the best line of the given ``slope``, such as another
+    probability's fit's, or else on the best flat line.  None unless a KKT certificate with margins
+    leaves HiGHS no other basis and the basis rows' copies do not interleave, so that which copy HiGHS makes basic
+    cannot reorder them: a certified vertex is the unique optimum, whatever row the search started at."""
     v, f, w = u[first], y[first], counts.astype(float)
-    order = np.argsort(f, kind="stable")
-    a, b = order[min(np.searchsorted(np.cumsum(w[order]), p * w.sum()), v.size - 1)], -1  # on the best flat line
+    a, b = _pick(f - slope * v, w, p * w.sum()), -1
     for _ in range(100):
-        live = np.flatnonzero(v != v[a])
-        c = v[live] - v[a]
-        order, weights = np.argsort((f[live] - f[a]) / c, kind="stable"), w[live] * np.abs(c)
-        level = weights @ np.where(c > 0, p, 1.0 - p)
-        j = live[order[min(np.searchsorted(np.cumsum(weights[order]), level), c.size - 1)]]
+        c = v - v[a]
+        with np.errstate(invalid="ignore"):
+            keys, weights = (f - f[a]) / c, w * np.abs(c)
+        keys[a] = -np.inf  # with weight 0: no pick stops at row a itself
+        j = _pick(keys, weights, p * weights[a + 1 :].sum() + (1.0 - p) * weights[:a].sum())
         if j == b:
             break
         a, b = j, a
@@ -235,11 +271,12 @@ def fit_quantile_set(data: RegressionDataset, probabilities) -> np.ndarray:
     (2) on a design (1, u) whose repeats are exact (x, y) copies, as in pooled
     sisters that a rejected MCMC move repeats, a warm start that may not iterate
     from the basis ``_vertex_basis`` certifies, as the cold solve merges the
-    copies in presolve and ends by solving the original LP from that basis;
-    (3) otherwise, or when a faster route fails, the cold solve.  A basis kept
-    from the previous p would move the coefficients by a few ulp.  Strong
-    duality gives a certificate; a cold solve that fails it raises
-    ``QuantileFitError``.
+    copies in presolve and ends by solving the original LP from that basis (its
+    search starts at the previous p's slope, which moves the path, not the
+    certified vertex); (3) otherwise, or when a faster route fails, the cold
+    solve.  A basis kept from the previous p would move the coefficients by a
+    few ulp.  Strong duality gives a certificate; a cold solve that fails it
+    raises ``QuantileFitError``.
     """
     probabilities = [float(p) for p in probabilities]
     if outside := [p for p in probabilities if not 0.0 < p < 1.0]:
@@ -252,7 +289,8 @@ def fit_quantile_set(data: RegressionDataset, probabilities) -> np.ndarray:
         apart = values.size == data.n and (np.diff(values) > 1e-7 * np.maximum(1.0, np.abs(values[1:]))).all()
         copies = found if data.k == 2 and 1 < values.size < data.n and (y == y[found[0]][found[1]]).all() else None
     for j, p in enumerate(probabilities):
-        basis = None if copies is None else _vertex_basis(x[:, 1], y, p, *copies)
+        slope = coefficients[j - 1, 1] if j else 0.0  # the last fit's: p's vertex is near the best line of that slope
+        basis = None if copies is None else _vertex_basis(x[:, 1], y, p, *copies, slope)
         beta = _solve(dual, x, y, p, "off", basis) if apart or basis is not None else None
         beta = _solve(dual, x, y, p) if beta is None else beta  # else the cold presolved solve
         if beta is None:

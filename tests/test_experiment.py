@@ -506,6 +506,27 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak - baseline < 8 * m * split.n3 * 8
 
+    def test_numbered_levels_take_their_score_from_the_wisdom_record(self, monkeypatch):
+        # a numbered level's metrics score is its wisdom record's ais_out, the same function of the same
+        # interval and observations, so _score_scheme does not compute it a second time; basic schemes have
+        # no wisdom record and call average_interval_score once a level
+        m, series = 40, synthesize_monthly(SyntheticSpec(n_months=120, seed=12))[0]
+        split = partition(120, 6, 6, 6)
+        rng = np.random.default_rng(13)
+        pairs = np.column_stack([400.0 + 25.0 * rng.standard_normal(m), 0.9 + 0.02 * rng.standard_normal(m)])
+        sisters = ensemble.build_sisters(PosteriorSample(pairs), series, split, m)
+        calls = []
+        score = experiment.average_interval_score
+        monkeypatch.setattr(experiment, "average_interval_score", lambda *args: calls.append(args) or score(*args))
+        for scheme, expected_calls in (("1", 0), ("5", 0), ("basic-linear", 5)):
+            calls.clear()
+            args = ("c", scheme, series, split, ensemble.SchemeConfig(), sisters, series.streamflow[split.t3])
+            records, wisdom_rows = experiment._score_scheme(*args)
+            assert len(calls) == expected_calls, scheme
+            if wisdom_rows:
+                assert [r.score for r in records] == [row.record.ais_out for row in wisdom_rows]
+                assert [r.alpha for r in records] == [row.record.alpha for row in wisdom_rows]
+
     def test_rerun_is_reproducible(self, tmp_path):
         write_catchments(tmp_path, ["north"])
         first = run_experiment(small_run_config(tmp_path))

@@ -293,6 +293,11 @@ def pooled_sisters(rng, m=30, months=40, order=None):
     return design_matrix(u[drawn].ravel()), e[drawn].ravel()
 
 
+def pooled_dataset(rng):
+    """Pooled sisters small enough that the fit keeps the shared HiGHS instance."""
+    return RegressionDataset(*pooled_sisters(rng, m=20, months=40))
+
+
 def solve_log(monkeypatch):
     """Record (presolve, warm, solved, simplex iterations) for every LP solve of ``fit_quantile_set``."""
     original, log = regress._solve, []
@@ -595,6 +600,125 @@ class TestVertexSearch:
         assert degenerate >= 5  # of 40
 
 
+class TestSearchBySelection:
+    """The warm start and the selection change the vertex search's path, never what it certifies or picks."""
+
+    def test_warm_and_flat_starts_certify_one_basis(self):
+        # pooled sisters with repeats (duplicate rows) and rounded responses (ties): at every probability, the
+        # search from the previous probability's slope and the search from the flat line certify the same basis
+        certified = []
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+        @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12), months=st.integers(6, 40),
+               unit=st.sampled_from([None, 1.0, 10.0]))
+        def check(seed, m, months, unit):
+            x, e = pooled_sisters(np.random.default_rng(seed), m=m, months=months)
+            y = e if unit is None else np.round(e / unit)
+            if np.unique(x[:, 1]).size == x.shape[0]:
+                return  # no sister repeated: the warm route does not apply
+            copies = distinct_u_copies(x, y)
+            fit = fit_quantile_set(RegressionDataset(x, y), DEFAULT_PROBABILITIES)
+            for previous, p in zip(fit, DEFAULT_PROBABILITIES[1:]):
+                flat = regress._vertex_basis(x[:, 1], y, p, *copies)
+                warm = regress._vertex_basis(x[:, 1], y, p, *copies, previous[1])
+                if flat is not None and warm is not None:
+                    certified.append(p)
+                    assert warm.col_status == flat.col_status, (seed, p)
+
+        check()
+        assert len(certified) >= 100
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4097, 20000),
+           weighting=st.sampled_from(["counts", "spread", "wide"]), tied=st.booleans(), hole=st.booleans(),
+           at=st.floats(0.0, 1.0), level_kind=st.sampled_from(["fraction", "partial sum", "below", "above"]))
+    def test_selection_picks_what_the_sort_picks(self, seed, n, weighting, tied, hole, at, level_kind):
+        # past 4096 keys the pick is selected, not sorted: it must be the sort's pick
+        # order[min(searchsorted(cumsum(weights[order]), level), n - 1)], also on levels that sit on a partial
+        # sum or one ulp beside it, where another order of summation rounds to the other side
+        rng = np.random.default_rng(seed)
+        keys = np.round(rng.normal(size=n), 1) if tied else rng.normal(size=n)
+        weights = {
+            "counts": rng.integers(1, 4, size=n).astype(float),
+            "spread": rng.random(n) * np.abs(keys),
+            "wide": 10.0 ** rng.uniform(-12.0, 12.0, size=n),
+        }[weighting]
+        if hole:  # as the search passes the pivot row: key -inf, weight 0
+            keys[n // 2], weights[n // 2] = -np.inf, 0.0
+        order = np.argsort(keys, kind="stable")
+        cumulative = np.cumsum(weights[order])
+        level = at * weights.sum() if level_kind == "fraction" else cumulative[int(at * (n - 1))]
+        if level_kind in ("below", "above"):
+            level = np.nextafter(level, -np.inf if level_kind == "below" else np.inf)
+        if not level > 0.0:
+            return  # the search's levels are positive
+        expected = order[min(np.searchsorted(cumulative, level), n - 1)]
+        assert regress._pick(keys, weights, level) == expected
+
+
+class TestSharedInstance:
+    """Every fit runs on the process's one HiGHS instance: whatever ran on it before moves no coefficient."""
+
+    @staticmethod
+    def targets():
+        rng = np.random.default_rng(149)
+        distinct = random_dataset(rng, n=96, k=2)[0]
+        tied = design_matrix(rng.gamma(2.0, 1.0, size=60))
+        tied[1, 1] = tied[0, 1]
+        return distinct, RegressionDataset(tied, tied @ [0.5, 1.5] + rng.normal(size=60)), pooled_dataset(rng)
+
+    def check_after(self, before):
+        """Each target fitted on a fresh instance, then on the shared one right after ``before()``, against linprog."""
+        for data in self.targets():
+            regress._instance.cache_clear()
+            fresh = fit_quantile_set(data, DEFAULT_PROBABILITIES)
+            solver = regress._instance()
+            before()
+            assert regress._instance() is solver  # no fit above dropped it
+            shared = fit_quantile_set(data, DEFAULT_PROBABILITIES)
+            assert shared.tobytes() == fresh.tobytes()
+            for p, beta in zip(DEFAULT_PROBABILITIES, shared):
+                assert np.array_equal(beta, linprog_quantile(data.predictors, data.response, p)), (data.n, p)
+
+    @staticmethod
+    def logged_fit(data):
+        """Fit ``data`` on the shared instance; the log of its LP solves (see ``solve_log``)."""
+        with pytest.MonkeyPatch.context() as patch:
+            log = solve_log(patch)
+            fit_quantile_set(data, DEFAULT_PROBABILITIES)
+        return log
+
+    def test_after_the_cold_route(self):
+        # the tied-rows design of TestSolverRoutes: every probability solved cold with presolve on
+        tied = self.targets()[1]
+
+        def cold_fit():
+            assert {entry[:2] for entry in self.logged_fit(tied)} == {("on", False)}
+
+        self.check_after(cold_fit)
+
+    def test_after_a_pooled_warm_start(self):
+        pooled = pooled_dataset(np.random.default_rng(151))
+
+        def warm_fit():
+            assert any(started and solved for _, started, solved, _ in self.logged_fit(pooled))
+
+        self.check_after(warm_fit)
+
+    def test_after_a_failed_solve(self):
+        # a fit whose first certificate fails part-way: HiGHS solved, the duality gap was forged, the fit raised
+        highs, data = regress.load_solver(), random_dataset(np.random.default_rng(157), n=50, k=2)[0]
+        objective = highs._Highs.getObjectiveValue
+
+        def failing_fit():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(highs._Highs, "getObjectiveValue", lambda solver: objective(solver) + 1.0)
+                with pytest.raises(QuantileFitError, match="p=0.005"):
+                    fit_quantile_set(data, DEFAULT_PROBABILITIES)
+
+        self.check_after(failing_fit)
+
+
 class TestPresolvePremise:
     """The two facts about HiGHS's presolve that the fast routes rest on, for the scipy installed."""
 
@@ -672,7 +796,8 @@ class TestQuantileFallback:
 
     def test_failed_certificate_raises(self, data, monkeypatch):
         # a duality gap: the achieved loss no longer equals the dual objective
-        monkeypatch.setattr(regress, "pinball_loss", lambda p, y, q: pinball_loss(p, y, q) + 1.0)
+        objective = regress.load_solver()._Highs.getObjectiveValue
+        monkeypatch.setattr(regress.load_solver()._Highs, "getObjectiveValue", lambda solver: objective(solver) + 1.0)
         with pytest.raises(QuantileFitError, match="p=0.3"):
             fit_quantile(data, 0.3)
 
