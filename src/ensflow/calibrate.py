@@ -1,21 +1,21 @@
 """Bayesian calibration of the water-balance model.
 
-The posterior over (theta1, theta2) combines a flat prior on the fixed box
-[1, 3000] mm x [0.2, 5] (``THETA1_RANGE``, ``THETA2_RANGE``) with a
-power-law likelihood of the sum of squared errors,
+The posterior over (theta1, theta2) combines a flat prior on the fixed box [1, 3000] mm x [0.2, 5]
+(``THETA1_RANGE``, ``THETA2_RANGE``) with a power-law likelihood of the sum of squared errors,
 
     log L = -(n/2) * ln(SSE),
 
-sampled by 3 parallel adaptive Metropolis chains with one delayed-rejection
-stage (a DRAM-style sampler, Haario et al. 2006): proposals start from a
-fixed diagonal covariance, the covariance is re-estimated from the chain
-history at a fixed cadence once a short non-adaptive burn has passed, and
-every first-stage rejection earns a second, more timid try whose acceptance
-probability keeps the chain reversible.  The chains agree once the
-multivariate potential scale reduction factor (Brooks & Gelman 1998),
-computed from the between-chain and within-chain covariance matrices of the
-second half of each chain, is below 1.10.  Box, chain count and threshold
-are the paper's design, not settings.
+sampled by 3 parallel adaptive Metropolis chains with one delayed-rejection stage (a DRAM-style sampler,
+Haario et al. 2006): proposals start from a fixed diagonal covariance, the covariance is re-estimated from
+the chain history at a fixed cadence once a short non-adaptive burn has passed, and every first-stage
+rejection earns a second, more timid try whose acceptance probability keeps the chain reversible.  The
+chains agree once the multivariate potential scale reduction factor (Brooks & Gelman 1998), computed from
+the between-chain and within-chain covariance matrices of the second half of each chain, is below 1.10.
+Box, chain count and threshold are the paper's design, not settings.
+
+Where ``gr2m.load_kernel`` builds it, the iterations between two adaptations (the first 200, then 50 at a
+time) run as one call of ``_gr2m.c``'s DRAM block, which draws through numpy's own generator code and
+multiplies through numpy's OpenBLAS with matmul's arguments: each chain keeps the Python sampler's bytes.
 """
 
 from __future__ import annotations
@@ -154,9 +154,8 @@ def _log_gauss_quadform(delta: np.ndarray, cov_inv: np.ndarray) -> float:
     return -0.5 * float(delta @ cov_inv @ delta)
 
 
-def _run_single_chain(
-    objective, config: ChainConfig, rng: np.random.Generator
-) -> Chain:
+def _run_single_chain(objective, config: ChainConfig, rng: np.random.Generator, block=None) -> Chain | None:
+    """One chain; ``block``, a compiled sampler, runs the iterations between adaptations, None where Python raises."""
     n = config.n_iterations
     (lo1, hi1), (lo2, hi2) = THETA1_RANGE, THETA2_RANGE
 
@@ -175,6 +174,7 @@ def _run_single_chain(
     timid = chol / _DR_SHRINK  # the delayed-rejection proposal's factor, remade whenever chol is
     cov_inv = np.linalg.inv(cov)
     normal, uniform = rng.standard_normal, rng.random
+    state = np.array([*current, current_ll])  # the compiled block's (theta1, theta2, log-likelihood)
 
     params = np.empty((n, 2))
     lls = np.empty(n)
@@ -188,40 +188,38 @@ def _run_single_chain(
         value = float(objective(theta1, theta2))
         return value if math.isfinite(value) else -math.inf
 
-    for t in range(n):
-        first = current + chol @ normal(2)
-        ll_first = posterior(first)
-        log_alpha1 = min(0.0, ll_first - current_ll)
-        if math.log(uniform()) < log_alpha1:
-            current, current_ll = first, ll_first
-            accepted[t] = True
-        else:
-            # delayed rejection: bolder move failed, try a timid one; the
-            # acceptance ratio below keeps the composite kernel reversible
-            second = current + timid @ normal(2)
-            ll_second = posterior(second)
-            if ll_second > -math.inf:
-                log_alpha1_rev = min(0.0, ll_first - ll_second)
-                log_num = (
-                    ll_second
-                    + _log_gauss_quadform(first - second, cov_inv)
-                    + _log1m_exp(log_alpha1_rev)
-                )
-                log_den = (
-                    current_ll
-                    + _log_gauss_quadform(first - current, cov_inv)
-                    + _log1m_exp(log_alpha1)
-                )
-                if math.log(uniform()) < min(0.0, log_num - log_den):
-                    current, current_ll = second, ll_second
-                    accepted[t] = True
-        params[t] = current
-        lls[t] = current_ll
+    def log_uniform() -> float:  # a draw of 0.0 is log 0 = -inf, so it accepts where alpha > 0
+        return math.log(u) if (u := uniform()) > 0.0 else -math.inf
 
-        if t + 1 >= _ADAPT_START and (t + 1) % _ADAPT_EVERY == 0:
-            # estimate from the recent half of the chain so the wide
-            # initial transient stops inflating the proposal
-            tail = params[t // 2 : t + 1]
+    stops = [*range(_ADAPT_START, n, _ADAPT_EVERY), n]  # adapt after each stop but the last
+    for start, stop in zip([0, *stops], stops):
+        arrays = (chol, timid, cov_inv, state, params, lls, accepted)
+        if block and block(rng.bit_generator.ctypes.bit_generator, *(a.ctypes.data for a in arrays), start, stop):
+            return None
+        for t in range(start, stop) if block is None else ():
+            first = current + chol @ normal(2)
+            ll_first = posterior(first)
+            log_alpha1 = min(0.0, ll_first - current_ll)
+            if log_uniform() < log_alpha1:
+                current, current_ll = first, ll_first
+                accepted[t] = True
+            else:
+                # delayed rejection: the bold move failed, try a timid one, with a ratio keeping the kernel reversible
+                second = current + timid @ normal(2)
+                ll_second = posterior(second)
+                if ll_second > -math.inf:
+                    log_alpha1_rev = min(0.0, ll_first - ll_second)
+                    log_num = ll_second + _log_gauss_quadform(first - second, cov_inv) + _log1m_exp(log_alpha1_rev)
+                    log_den = current_ll + _log_gauss_quadform(first - current, cov_inv) + _log1m_exp(log_alpha1)
+                    if log_uniform() < min(0.0, log_num - log_den):
+                        current, current_ll = second, ll_second
+                        accepted[t] = True
+            params[t] = current
+            lls[t] = current_ll
+
+        if stop < n:
+            # estimate from the recent half of the chain so the wide initial transient stops inflating the proposal
+            tail = params[(stop - 1) // 2 : stop]
             sample_cov = np.cov(tail.T, ddof=1)
             proposal = _ADAPT_SCALE * sample_cov + np.diag(1e-10 * BOX_WIDTHS**2)
             try:
@@ -246,13 +244,15 @@ def run_chains(objective, config: ChainConfig) -> ChainSet:
 
     ``objective(theta1, theta2)`` must return the log-likelihood; non-finite
     values are treated as impossible (rejected).  Chains are deterministic
-    functions of ``config.seed``.
+    functions of ``config.seed``; an objective's compiled ``chain_block`` runs
+    them, and a chain it stops runs again in Python and raises what it raises.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    chains = tuple(
-        _run_single_chain(objective, config, np.random.default_rng(seed)) for seed in seeds
-    )
-    return ChainSet(chains=chains)
+
+    def chain(seed, block=getattr(objective, "chain_block", None)):
+        return _run_single_chain(objective, config, np.random.default_rng(seed), block)
+
+    return ChainSet(chains=tuple(chain(seed) or chain(seed, None) for seed in seeds))
 
 
 def psrf(chains) -> float:
@@ -305,18 +305,36 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     """
     if series.n < split.warmup + split.n1:
         raise ValueError("series too short for the warm-up plus calibration months")
-    observed = np.asarray(series.streamflow, dtype=float)[split.t1]
+    observed = np.ascontiguousarray(series.streamflow, dtype=float)[split.t1]
     if not np.isfinite(observed).all():
         raise ValueError("observation series contains non-finite values")
     loop = gr2m.month_loop(series.precipitation, series.potential_evaporation, split.warmup, split.n1)
-    residuals = np.empty(split.n1)
+    return _objective(observed, loop)
+
+
+def _objective(observed: np.ndarray, loop):
+    """-(n/2) ln(SSE) of ``loop``'s flows; a compiled loop's sampler is bound to the same arrays as ``chain_block``."""
+    residuals = np.empty(observed.size)
 
     def objective(theta1: float, theta2: float) -> float:
         theta1 = float(theta1)
         predicted = loop(theta1, float(theta2), 0.5 * theta1, gr2m.DEFAULT_ROUTING_INIT_MM)
         return _log_likelihood(np.subtract(observed, predicted, out=residuals), predicted)
 
+    if hasattr(loop, "chain_block"):  # the block reads observed and writes residuals, both kept alive by objective
+        bound = (*(a.ctypes.data for a in (observed, residuals, BOX_LOWER, BOX_UPPER)), gr2m.DEFAULT_ROUTING_INIT_MM)
+        objective.chain_block = lambda *block: loop.chain_block(*bound, *block)
     return objective
+
+
+def sampler_matches(loop, observed: np.ndarray) -> bool:
+    """``gr2m.load_kernel``'s self-check: ``loop``'s sampler gives the Python sampler's chain, byte for byte."""
+    objective, config = _objective(observed, loop), ChainConfig(n_iterations=300)
+    compiled = _run_single_chain(objective, config, np.random.default_rng(1), objective.chain_block)
+    python = _run_single_chain(objective, config, np.random.default_rng(1))
+    if compiled is None:  # stopped early: on this series only a wrong block does
+        return False
+    return all(a.tobytes() == b.tobytes() for a, b in zip(vars(compiled).values(), vars(python).values()))
 
 
 @dataclass(frozen=True)

@@ -557,6 +557,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
         },
         failures=len(result.failures),
         gr2m_loop="python" if load_kernel() is None else "compiled",
+        sampler="compiled" if getattr(load_kernel(), "sampler", None) else "python",
     )
     write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
     write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), _timing_rows(result))

@@ -9,9 +9,9 @@ rainfall and the percolation, is scaled by the water-exchange coefficient
 1 it exports), and drains through a quadratic law against a fixed 60 mm
 capacity.  The drained depth is the monthly streamflow in mm.
 
-``month_loop``, and through it ``simulate_flow``, runs the month loop's C
-translation (``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s
-bits: a compiler buys speed only.
+``month_loop``, and through it ``simulate_flow``, runs the month loop's C translation (``_gr2m.c``)
+when :func:`load_kernel` builds one with ``_run``'s bits; its loop also carries the calibration
+sampler's DRAM block, accepted only with the Python sampler's bytes: a compiler buys speed only.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ DEFAULT_ROUTING_INIT_MM = 30.0
 # the C month loop, compiled without fused multiply-adds and with libm's tanh and pow, as CPython calls them
 KERNEL_SOURCE = Path(__file__).with_name("_gr2m.c")
 KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin")
+# the sampler block links numpy's generator code and its OpenBLAS, so it draws and multiplies as numpy does
+NUMPY_RANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+NUMPY_BLAS = Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas64_*.so"
 
 
 @dataclass(frozen=True)
@@ -109,25 +112,34 @@ def _run(theta1, theta2, s, r, p, e, n_months, tanh):
 def load_kernel():
     """``month_loop``'s binder for the compiled loop, or None when it cannot be built or does not give ``_run``'s bits.
 
-    Built on first use into ``__pycache__`` under the sha256 of source and command, via ``os.replace``.
+    Built on first use into ``__pycache__`` under the sha256 of source and command, via ``os.replace``, with the
+    DRAM block where it links and loads; ``bind.sampler`` is the block if it gives the Python sampler's bytes.
     """
     import ctypes, hashlib, shlex, shutil, sysconfig  # on first use only: ``import ensflow`` stays as cheap
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")  # the compiler Python was built with, else cc
     command = [*(cc if shutil.which(cc[0]) else ["cc"]), *KERNEL_FLAGS]
-    key = hashlib.sha256(KERNEL_SOURCE.read_bytes() + " ".join(command).encode()).hexdigest()[:16]
-    library = KERNEL_SOURCE.parent / "__pycache__" / f"_gr2m.{key}.so"
-    try:
-        if not library.exists():
-            library.parent.mkdir(exist_ok=True)
-            built = f"{library}.{os.getpid()}"
-            subprocess.run([*command, "-o", built, str(KERNEL_SOURCE), "-lm"], check=True, capture_output=True)
-            os.replace(built, library)
-        run = ctypes.CDLL(str(library)).gr2m_run
-    except (OSError, subprocess.SubprocessError):
+    blas = map(str, NUMPY_BLAS.parent.glob(NUMPY_BLAS.name))  # none found: the library does not load
+    for extra in (["-DENSFLOW_SAMPLER", f"-I{np.get_include()}", str(NUMPY_RANDOM), *blas, "-lm"], ["-lm"]):
+        key = hashlib.sha256(KERNEL_SOURCE.read_bytes() + " ".join(command + extra).encode()).hexdigest()[:16]
+        library = KERNEL_SOURCE.parent / "__pycache__" / f"_gr2m.{key}.so"
+        try:
+            if not library.exists():
+                library.parent.mkdir(exist_ok=True)
+                built = f"{library}.{os.getpid()}"
+                subprocess.run([*command, "-o", built, str(KERNEL_SOURCE), *extra], check=True, capture_output=True)
+                os.replace(built, library)
+            lib = ctypes.CDLL(str(library))
+            break
+        except (OSError, subprocess.SubprocessError):
+            pass
+    else:
         return None
-    doubles = ctypes.POINTER(ctypes.c_double)
-    run.argtypes, run.restype = [ctypes.c_double] * 4 + [doubles] * 2 + [ctypes.c_long] * 2 + [doubles], None
+    doubles, pointer, long = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long
+    run, sampler = lib.gr2m_run, getattr(lib, "dram_block", None)
+    run.argtypes, run.restype = [ctypes.c_double] * 4 + [doubles] * 2 + [long] * 2 + [doubles], None
+    if sampler is not None:  # the month loop's arguments, then calibrate's, then one block's
+        sampler.argtypes = [*run.argtypes[4:], *[pointer] * 4, ctypes.c_double, *[pointer] * 8, long, long]
     buffer = ctypes.c_double.from_buffer  # the cheapest pointer to an array's data; needs a writable one
 
     def bind(p, e, warmup, n_keep):
@@ -140,15 +152,22 @@ def load_kernel():
             run(theta1, theta2, s, r, *pointers)
             return flows
 
+        if bind.sampler is not None:  # calibrate binds the rest of the objective: observed months, box, stores
+            loop.chain_block = functools.partial(bind.sampler, *pointers)
         return loop
 
     # dry months, a huge one and a spread on a grid of the box: catches pow folded to a cube or cube root and FMAs
     p, e = [0.0, 1e4, *(53 * t % 97 * 3.0 for t in range(46))], [53 * t % 23 * 4.0 for t in range(48)]
+    bind.sampler = sampler
     loop = bind(p, e, 2, 46)
     for theta1, theta2 in [(a, b) for a in (1.0, 300.0, 1500.0, 3000.0) for b in (0.2, 1.0, 5.0)]:
         expected = np.array(_run(theta1, theta2, 0.5 * theta1, 30.0, p, e, 48, math.tanh)[2][2:])
         if loop(theta1, theta2, 0.5 * theta1, 30.0).tobytes() != expected.tobytes():
             return None
+    if sampler is not None:  # observed: the flows at (3000, 5) with errors, so the chain keeps near the box's edges
+        from .calibrate import sampler_matches  # the Python sampler is the oracle (calibrate imports this module)
+
+        bind.sampler = sampler if sampler_matches(loop, expected * (1.0 + np.arange(46) % 7 * 0.1)) else None
     return bind
 
 

@@ -2,13 +2,18 @@
 
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ensflow import gr2m
+from ensflow import calibrate, gr2m
 from ensflow.calibrate import (
     BOX_LOWER,
     BOX_UPPER,
@@ -20,6 +25,7 @@ from ensflow.calibrate import (
     ChainSet,
     DegenerateChainsError,
     DegenerateFitError,
+    _run_single_chain,
     calibrate_catchment,
     calibration_objective,
     log_likelihood,
@@ -257,6 +263,248 @@ class TestRunChains:
         assert 0.5 < tail[:, 0].std() / sd[0] < 2.0
         assert 0.5 < tail[:, 1].std() / sd[1] < 2.0
 
+
+class ZeroUniforms:
+    """A Generator whose draws on [0, 1) are all exactly 0.0, as a real one's are with probability 2**-53 each."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+    def random(self):
+        return 0.0
+
+
+class TestUniformDrawOfZero:
+    def test_accepts_exactly_where_alpha_is_positive(self):
+        # log 0 = -inf is below every log-acceptance probability but -inf: each proposal inside the box is
+        # accepted, whichever stage made it, and an iteration whose two proposals both miss the box is not
+        calls = []
+
+        def objective(theta1, theta2):
+            calls.append((float(theta1), float(theta2)))
+            return -0.5 * (((theta1 - 2950.0) / 40.0) ** 2 + ((theta2 - 4.9) / 0.1) ** 2)
+
+        chain = _run_single_chain(objective, ChainConfig(n_iterations=300), ZeroUniforms(8))
+        assert calls[0] == tuple(chain.initial)  # the first start draw is finite
+        moves = calls[1:]
+        assert 0 < len(moves) == chain.accepted.sum() < chain.accepted.size
+        assert [tuple(p) for p in chain.params[chain.accepted]] == moves
+
+
+def python_only(objective):
+    """``objective`` without its ``chain_block``: ``run_chains`` runs it on the Python sampler."""
+    return lambda theta1, theta2: objective(theta1, theta2)
+
+
+def chain_bytes(chain):
+    return [getattr(chain, name).tobytes() for name in ("params", "log_likelihood", "accepted", "initial")]
+
+
+def compiled_and_python(objective, config):
+    """The chains of ``config`` on the compiled block, none of them stopped early, and on the Python sampler."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
+    compiled = [_run_single_chain(objective, config, np.random.default_rng(s), objective.chain_block) for s in seeds]
+    assert None not in compiled  # every iteration ran in the block
+    assert [chain_bytes(c) for c in run_chains(objective, config).chains] == [chain_bytes(c) for c in compiled]
+    return compiled, run_chains(python_only(objective), config).chains
+
+
+class CountingGenerator:
+    """A Generator that counts its normal pairs: the Python sampler draws one per proposal."""
+
+    def __init__(self, seed):
+        self.rng, self.proposals = np.random.default_rng(seed), 0
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+    def standard_normal(self, size):
+        self.proposals += 1
+        return self.rng.standard_normal(size)
+
+    def random(self):
+        return self.rng.random()
+
+
+def python_branches(objective, config, monkeypatch):
+    """What the Python sampler's first chain of ``config`` met, counted after its start point was found."""
+    rng = CountingGenerator(np.random.SeedSequence(config.seed).spawn(config.n_chains)[0])
+    values, ratios = [], []
+
+    def counted(theta1, theta2):
+        value = objective(theta1, theta2)
+        if rng.proposals:
+            values.append(value)
+        return value
+
+    real = calibrate._log1m_exp
+    with monkeypatch.context() as patch:  # called twice for each delayed-rejection ratio
+        patch.setattr(calibrate, "_log1m_exp", lambda log_p: ratios.append(log_p) or real(log_p))
+        chain = _run_single_chain(counted, config, rng)
+    n = config.n_iterations
+    first_accepted = n - (rng.proposals - n)  # each first-stage rejection draws a second proposal
+    second_accepted = int(chain.accepted.sum()) - first_accepted
+    return {
+        "outside the box": rng.proposals - len(values),
+        "-inf objective": sum(value == -math.inf for value in values),
+        "delayed rejection accepted": second_accepted,
+        "delayed rejection ratio rejected": len(ratios) // 2 - second_accepted,
+    }
+
+
+def skip_without_compiled_sampler():
+    kernel = gr2m.load_kernel()
+    if kernel is None or kernel.sampler is None:
+        numpy_libraries = gr2m.NUMPY_RANDOM.exists() and any(gr2m.NUMPY_BLAS.parent.glob(gr2m.NUMPY_BLAS.name))
+        if kernel is not None and numpy_libraries:
+            pytest.fail("the month loop compiled and numpy's libraries are there, but the sampler did not load")
+        pytest.skip("no compiled sampler: no C compiler, or no libnpyrandom.a or OpenBLAS in numpy")
+
+
+def edge_series():
+    """Observed flows near the box's corner (3000, 5): proposals leave the box and delayed rejections run."""
+    t = np.arange(84)
+    p = 80.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * t / 12.0))
+    e = 60.0 * (1.0 + 0.6 * np.sin(2.0 * np.pi * t / 12.0 + np.pi))
+    flows = gr2m.simulate_flow(2900.0, 4.8, p, e, 0, 84)
+    return MonthlySeries((1950, 1), p, e, flows * (1.0 + 0.05 * np.sin(t))), partition(84, 12, 48, 12)
+
+
+def overflow_series():
+    """One month of 1e152 mm: below theta2 ~ 2.5 the SSE overflows, so the objective is -inf inside the box."""
+    rng = np.random.default_rng(3)
+    p, e = rng.uniform(0.0, 100.0, 84), rng.uniform(0.0, 80.0, 84)
+    p[40] = 1e152
+    q = np.zeros(84)
+    q[40] = 1.34e154 + 2.5e152  # the flow is about theta2 * 1e152 that month, and 1.34e154 squared overflows
+    return MonthlySeries((1950, 1), p, e, q), partition(84, 12, 48, 12)
+
+
+def interior_series():
+    return synthetic_series(seed=1), partition(84, 12, 48, 12)
+
+
+class TestCompiledSampler:
+    """The compiled block gives the Python sampler's chains, byte for byte, and stops where Python raises."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        skip_without_compiled_sampler()
+
+    @pytest.mark.parametrize(
+        "case, branches",
+        [
+            (edge_series, ("outside the box", "delayed rejection accepted", "delayed rejection ratio rejected")),
+            (overflow_series, ("-inf objective", "delayed rejection accepted", "delayed rejection ratio rejected")),
+            (interior_series, ("delayed rejection accepted", "delayed rejection ratio rejected")),
+        ],
+        ids=["box-edge", "overflow", "interior"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")  # numpy's SSE overflows
+    def test_chains_equal_on_both_paths(self, case, branches, monkeypatch):
+        series, split = case()
+        config = ChainConfig(seed=3, n_iterations=500, retain_per_chain=50)  # adapts at 200, 250, ..., 450
+        objective = calibration_objective(series, split)
+        compiled, python = compiled_and_python(objective, config)
+        assert [chain_bytes(c) for c in compiled] == [chain_bytes(c) for c in python]
+        met = python_branches(objective, config, monkeypatch)
+        assert all(met[branch] > 0 for branch in branches), met
+
+    def test_chains_equal_when_an_adaptation_fails(self, monkeypatch):
+        # a singular proposal keeps the previous factor; a failed inverse keeps the previous inverse alone
+        failed = []
+
+        def flaky(real, bit):
+            def call(matrix):  # fails on adapted matrices whose lowest mantissa bits say so: the same on both paths
+                if matrix[0, 1] != 0.0 and matrix.tobytes()[0] >> bit & 1:
+                    failed.append(real.__name__)
+                    raise np.linalg.LinAlgError("forced")
+                return real(matrix)
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "cholesky", flaky(np.linalg.cholesky, 0))
+        monkeypatch.setattr(np.linalg, "inv", flaky(np.linalg.inv, 1))
+        objective = calibration_objective(*interior_series())
+        compiled, python = compiled_and_python(objective, ChainConfig(seed=4, n_iterations=600))
+        assert [chain_bytes(c) for c in compiled] == [chain_bytes(c) for c in python]
+        assert {"cholesky", "inv"} <= set(failed)
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("zero-sse", "zero residual sum of squares"),
+            ("non-finite-prediction", "prediction series contains non-finite values"),
+        ],
+    )
+    def test_block_stops_where_python_raises(self, case, error):
+        if case == "zero-sse":
+            # no rain and an emptied soil: below theta2 ~ 0.4 the kept flows square to 0, as the observed ones do
+            p, e, q = np.zeros(200), np.full(200, 1e4), np.zeros(200)
+            split, seed = partition(200, 160, 20, 10), 0
+        else:
+            # one month of 9e153 mm: past theta2 ~ 1.5 that month's routing store squares past the largest double
+            rng = np.random.default_rng(0)
+            p, e, q = rng.uniform(0.0, 100.0, 84), rng.uniform(0.0, 80.0, 84), np.zeros(84)
+            p[40] = 9e153
+            split, seed = partition(84, 12, 48, 12), 1
+            q[split.t1] = gr2m.simulate_flow(500.0, 1.0, p, e, 12, 48) * 1.01
+        objective = calibration_objective(MonthlySeries((1950, 1), p, e, q), split)
+        config = ChainConfig(seed=seed, n_iterations=400)
+        first = np.random.SeedSequence(seed).spawn(config.n_chains)[0]
+        # the start point is finite, so the first chain stops inside the block, and is run again in Python
+        assert math.isfinite(objective(*np.random.default_rng(first).uniform(BOX_LOWER, BOX_UPPER)))
+        assert _run_single_chain(objective, config, np.random.default_rng(first), objective.chain_block) is None
+        for candidate in (objective, python_only(objective)):
+            with pytest.raises(ValueError, match=error):
+                run_chains(candidate, config)
+
+    def test_chains_equal_on_every_blas_kernel(self):
+        # one process per OpenBLAS kernel, one after another; within each, both paths give the same bytes
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+
+        needs = {"": (), "Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
+        env = dict(os.environ, PYTHONPATH=str(Path(calibrate.__file__).parents[1]))
+        ran = []
+        for kernel, features in needs.items():
+            if not all(cpu.get(feature) for feature in features):
+                continue
+            env["OPENBLAS_CORETYPE"] = kernel
+            command = [sys.executable, "-c", KERNEL_PROBE]
+            done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            corename, equal = json.loads(done.stdout.splitlines()[-1])
+            assert equal and kernel.lower() in corename.lower(), (kernel, corename)
+            ran.append(corename)
+        assert ran
+
+
+KERNEL_PROBE = """
+import ctypes, json
+import numpy as np
+from ensflow import gr2m
+from ensflow.calibrate import ChainConfig, calibration_objective, run_chains
+from ensflow.timeseries import MonthlySeries, partition
+
+assert gr2m.load_kernel().sampler is not None
+t = np.arange(84)
+p, e = 80.0 * (1.0 + 0.5 * np.sin(t / 2.0)), 60.0 * (1.0 + 0.6 * np.cos(t / 2.0))
+q = gr2m.simulate_flow(500.0, 0.8, p, e, 0, 84) * (1.0 + 0.1 * np.sin(t))
+objective = calibration_objective(MonthlySeries((1950, 1), p, e, q), partition(84, 12, 48, 12))
+config = ChainConfig(seed=2, n_iterations=400)
+chains = [run_chains(f, config).chains for f in (objective, lambda theta1, theta2: objective(theta1, theta2))]
+blas = ctypes.CDLL(str(next(gr2m.NUMPY_BLAS.parent.glob(gr2m.NUMPY_BLAS.name))))
+blas.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+fields = ("params", "log_likelihood", "accepted", "initial")
+compiled, python = [[getattr(c, f).tobytes() for c in s for f in fields] for s in chains]
+print(json.dumps([blas.scipy_openblas_get_corename64_().decode(), compiled == python]))
+"""
 
 class TestCalibrateCatchment:
     def test_recovers_known_parameters(self):

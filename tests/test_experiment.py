@@ -756,25 +756,47 @@ class TestRunExperiment:
 
 
 class TestCompiledMonthLoop:
-    """The compiled month loop changes no report, and no pool worker builds it."""
+    """The compiled month loop and sampler change no report, and no pool worker builds them."""
 
-    SMALL = dict(schemes=("basic-linear", "1", "4"), m=20, n_iterations=100, retain_per_chain=10, max_restarts=0)
+    # 260 iterations: the sampler adapts its proposal once
+    SMALL = dict(schemes=("basic-linear", "1", "4"), m=20, n_iterations=260, retain_per_chain=10, max_restarts=0)
 
     @staticmethod
     def reports(out: Path):
         metrics = [line.rsplit(",", 1)[0] for line in (out / "metrics.csv").read_text().splitlines()]  # no seconds
         summary = json.loads((out / "summary.json").read_text())
-        return (metrics, (out / "wisdom.csv").read_bytes(), (out / "rankings.csv").read_bytes()), summary["gr2m_loop"]
+        reports = (metrics, (out / "wisdom.csv").read_bytes(), (out / "rankings.csv").read_bytes())
+        return reports, (summary["gr2m_loop"], summary["sampler"])
+
+    def paths_and_reports(self, tmp_path, switch):
+        """The (loop, sampler) and reports of a run as loaded, then of a run after ``switch()``."""
+        write_catchments(tmp_path, ["c1", "c2"])
+        kernel = gr2m.load_kernel()
+        loaded = ("python" if kernel is None else "compiled", "compiled" if getattr(kernel, "sampler", None) else "python")
+        assert not run_experiment(small_run_config(tmp_path, **self.SMALL)).failures
+        switch()
+        assert not run_experiment(small_run_config(tmp_path, output_dir=str(tmp_path / "python"), **self.SMALL)).failures
+        (compiled, compiled_paths), (python, python_paths) = self.reports(tmp_path / "out"), self.reports(tmp_path / "python")
+        assert compiled == python
+        return loaded, compiled_paths, python_paths
 
     def test_reports_equal_without_a_compiler(self, tmp_path, request):
-        write_catchments(tmp_path, ["c1", "c2"])
-        loaded = "python" if gr2m.load_kernel() is None else "compiled"
-        assert not run_experiment(small_run_config(tmp_path, **self.SMALL)).failures
-        request.getfixturevalue("no_compiler")
-        assert not run_experiment(small_run_config(tmp_path, output_dir=str(tmp_path / "python"), **self.SMALL)).failures
-        (compiled, compiled_loop), (python, python_loop) = self.reports(tmp_path / "out"), self.reports(tmp_path / "python")
-        assert (compiled_loop, python_loop) == (loaded, "python")
-        assert compiled == python
+        loaded, compiled, python = self.paths_and_reports(tmp_path, lambda: request.getfixturevalue("no_compiler"))
+        assert (compiled, python) == (loaded, ("python", "python"))
+
+    @pytest.mark.parametrize("case", ["no-numpy-random", "no-numpy-blas", "failing-self-check"])
+    def test_reports_equal_on_the_python_sampler(self, tmp_path, request, monkeypatch, case):
+        def switch():
+            source = request.getfixturevalue("empty_cache")
+            if case == "no-numpy-random":
+                monkeypatch.setattr(gr2m, "NUMPY_RANDOM", source.parent / "libnpyrandom.a")
+            elif case == "no-numpy-blas":
+                monkeypatch.setattr(gr2m, "NUMPY_BLAS", source.parent / "libscipy_openblas64_*.so")
+            else:  # delayed-rejection proposals as wide as first-stage ones
+                source.write_text(source.read_text().replace("propose(rng, timid,", "propose(rng, chol,"))
+
+        loaded, compiled, python = self.paths_and_reports(tmp_path, switch)
+        assert (compiled, python) == (loaded, (loaded[0], "python"))
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the patched source")
     def test_built_once_before_the_pool_forks(self, tmp_path, monkeypatch, request):

@@ -475,3 +475,52 @@ class TestCompiledLoopLoading:
         empty_cache.write_text(source.replace(exact, folded))
         assert gr2m.load_kernel() is None
         assert_simulate_flow_is_the_oracle()
+
+
+def assert_month_loop_without_sampler():
+    kernel = gr2m.load_kernel()
+    assert kernel is not None and kernel.sampler is None
+    assert_simulate_flow_is_the_oracle()
+    series = MonthlySeries((1950, 1), *random_forcing(np.random.default_rng(36), 60), np.ones(60))
+    objective = calibration_objective(series, partition(60, 12, 36, 6))
+    assert not hasattr(objective, "chain_block")  # so run_chains takes the Python sampler
+
+
+class TestCompiledSamplerLoading:
+    """Where numpy's generator code or OpenBLAS cannot be linked, or the block fails its self-check, the month loop
+    stays compiled and the Python sampler runs."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, empty_cache):
+        if not compiler_found():
+            pytest.skip("no C compiler")
+        return empty_cache
+
+    def test_builds_with_the_sampler(self):
+        assert gr2m.load_kernel().sampler is not None
+
+    def test_without_numpy_random(self, builds, monkeypatch):
+        monkeypatch.setattr(gr2m, "NUMPY_RANDOM", builds.parent / "libnpyrandom.a")  # no such file: the link fails
+        assert_month_loop_without_sampler()
+
+    def test_without_numpy_blas(self, builds, monkeypatch):
+        monkeypatch.setattr(gr2m, "NUMPY_BLAS", builds.parent / "libscipy_openblas64_*.so")  # none: it does not load
+        assert_month_loop_without_sampler()
+        assert len(list((builds.parent / "__pycache__").iterdir())) == 2  # the sampler's library, and the loop's
+
+    @pytest.mark.parametrize(
+        "exact, wrong",
+        [
+            ("theta2 <= o->upper[1]", "theta2 <= 2.0 * o->upper[1]"),
+            ("propose(rng, timid, current, second)", "propose(rng, chol, current, second)"),
+            ("current_ll + log_gauss_quadform(first, current, cov_inv)", "current_ll"),
+            ("-0.5 * o->n_keep * log(sse)", "-0.5 * o->n_keep * (log2(sse) * 0.6931471805599453)"),
+        ],
+        ids=["box", "timid-proposal", "forward-density", "log-through-log2"],
+    )
+    def test_sampler_failing_the_self_check_is_dropped(self, builds, exact, wrong):
+        # the self-check's chain leaves the box at theta2 = 5, makes delayed-rejection moves and adapts twice
+        source = builds.read_text()
+        assert exact in source
+        builds.write_text(source.replace(exact, wrong))
+        assert_month_loop_without_sampler()
