@@ -35,8 +35,8 @@ void gr2m_run(double theta1, double theta2, double s, double r, const double *p,
    statement per Python expression in the same order.  The normals and uniforms come from numpy's own
    generator code on the Generator's bitgen, the 2x2 products and the SSE from numpy's OpenBLAS with the
    arguments numpy's matmul passes, and calibrate's objective is gr2m_run, so every chain keeps its bits.
-   Returns 1, with the chain unfinished, where the Python sampler raises: a zero SSE, a non-finite
-   prediction, or math.log1p(-1.0); gr2m.load_kernel links libnpyrandom.a and numpy's OpenBLAS. */
+   Returns 1 where calibrate._log_likelihood raises (a zero SSE, a non-finite prediction), with the point in
+   state[0..1], where calibrate then raises it; gr2m.load_kernel links libnpyrandom.a and numpy's OpenBLAS. */
 #include <stdbool.h>
 #include <numpy/random/bitgen.h>
 
@@ -98,17 +98,13 @@ static double log_gauss_quadform(const double *a, const double *b, const double 
     return -0.5 * dot(2, row, delta);
 }
 
-/* _log1m_exp; 1 where math.log1p raises (its result is infinite) */
-static int log1m_exp(double log_p, double *out)
+/* _log1m_exp: its limit -inf where exp(log_p) rounds to 1 */
+static double log1m_exp(double log_p)
 {
-    if (log_p >= 0.0)
-        *out = -INFINITY;
-    else if (log_p > -37.0) {
-        *out = log1p(-exp(log_p));
-        return isinf(*out);
-    } else
-        *out = 0.0;
-    return 0;
+    if (!(log_p > -37.0))
+        return 0.0;
+    double p = exp(log_p);
+    return p < 1.0 ? log1p(-p) : -INFINITY;
 }
 
 /* a proposal: current + factor @ two standard normals */
@@ -134,38 +130,29 @@ int dram_block(const double *p, const double *e, long warmup, long n_keep, doubl
     double current[2] = {state[0], state[1]}, current_ll = state[2];
     for (long t = start; t < stop; t++) {
         double first[2], second[2], ll_first, ll_second;
-        bool moved = false;
         propose(rng, chol, current, first);
         if (posterior(&o, first, &ll_first))
-            return 1;
+            return state[0] = first[0], state[1] = first[1], 1;
         double log_alpha1 = min0(ll_first - current_ll);
         if (log_uniform(rng) < log_alpha1) {
             current[0] = first[0], current[1] = first[1], current_ll = ll_first;
-            moved = true;
+            accepted[t] = true;
         } else {
             propose(rng, timid, current, second);
             if (posterior(&o, second, &ll_second))
-                return 1;
+                return state[0] = second[0], state[1] = second[1], 1;
             if (ll_second > -INFINITY) {
-                double log_alpha1_rev = min0(ll_first - ll_second), rev, fwd;
-                double log_num = ll_second + log_gauss_quadform(first, second, cov_inv);
-                if (log1m_exp(log_alpha1_rev, &rev))
-                    return 1;
-                log_num = log_num + rev;
-                double log_den = current_ll + log_gauss_quadform(first, current, cov_inv);
-                if (log1m_exp(log_alpha1, &fwd))
-                    return 1;
-                log_den = log_den + fwd;
+                double log_alpha1_rev = min0(ll_first - ll_second);
+                double log_num = ll_second + log_gauss_quadform(first, second, cov_inv) + log1m_exp(log_alpha1_rev);
+                double log_den = current_ll + log_gauss_quadform(first, current, cov_inv) + log1m_exp(log_alpha1);
                 if (log_uniform(rng) < min0(log_num - log_den)) {
                     current[0] = second[0], current[1] = second[1], current_ll = ll_second;
-                    moved = true;
+                    accepted[t] = true;
                 }
             }
         }
-        params[2 * t] = current[0];
-        params[2 * t + 1] = current[1];
+        params[2 * t] = current[0], params[2 * t + 1] = current[1];
         lls[t] = current_ll;
-        accepted[t] = moved;
     }
     state[0] = current[0], state[1] = current[1], state[2] = current_ll;
     return 0;

@@ -16,6 +16,7 @@ Box, chain count and threshold are the paper's design, not settings.
 Where ``gr2m.load_kernel`` builds it, the iterations between two adaptations (the first 200, then 50 at a
 time) run as one call of ``_gr2m.c``'s DRAM block, which draws through numpy's own generator code and
 multiplies through numpy's OpenBLAS with matmul's arguments: each chain keeps the Python sampler's bytes.
+The block stops only where the objective raises, and the chain then raises that error at the same point.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def _log_gauss_quadform(delta: np.ndarray, cov_inv: np.ndarray) -> float:
     return -0.5 * float(delta @ cov_inv @ delta)
 
 
-def _run_single_chain(objective, config: ChainConfig, rng: np.random.Generator, block=None) -> Chain | None:
-    """One chain; ``block``, a compiled sampler, runs the iterations between adaptations, None where Python raises."""
+def _run_single_chain(objective, config: ChainConfig, rng: np.random.Generator, block=None) -> Chain:
+    """One chain; ``block``, a compiled sampler, runs the iterations between adaptations."""
     n = config.n_iterations
     (lo1, hi1), (lo2, hi2) = THETA1_RANGE, THETA2_RANGE
 
@@ -195,7 +196,8 @@ def _run_single_chain(objective, config: ChainConfig, rng: np.random.Generator, 
     for start, stop in zip([0, *stops], stops):
         arrays = (chol, timid, cov_inv, state, params, lls, accepted)
         if block and block(rng.bit_generator.ctypes.bit_generator, *(a.ctypes.data for a in arrays), start, stop):
-            return None
+            objective(state[0], state[1])  # the block stopped where this raises the Python sampler's error
+            raise RuntimeError(f"the compiled sampler stopped at {state[:2]}, where the objective does not raise")
         for t in range(start, stop) if block is None else ():
             first = current + chol @ normal(2)
             ll_first = posterior(first)
@@ -233,10 +235,11 @@ def _run_single_chain(objective, config: ChainConfig, rng: np.random.Generator, 
 
 
 def _log1m_exp(log_p: float) -> float:
-    """log(1 - exp(log_p)) for log_p < 0; -inf when log_p == 0."""
-    if log_p >= 0.0:
-        return -math.inf
-    return math.log1p(-math.exp(log_p)) if log_p > -37.0 else 0.0
+    """log(1 - exp(log_p)) for log_p <= 0; its limit -inf where exp(log_p) rounds to 1."""
+    if log_p > -37.0:
+        p = math.exp(log_p)
+        return math.log1p(-p) if p < 1.0 else -math.inf
+    return 0.0
 
 
 def run_chains(objective, config: ChainConfig) -> ChainSet:
@@ -244,15 +247,12 @@ def run_chains(objective, config: ChainConfig) -> ChainSet:
 
     ``objective(theta1, theta2)`` must return the log-likelihood; non-finite
     values are treated as impossible (rejected).  Chains are deterministic
-    functions of ``config.seed``; an objective's compiled ``chain_block`` runs
-    them, and a chain it stops runs again in Python and raises what it raises.
+    functions of ``config.seed``, and an objective's compiled ``chain_block``
+    runs them with the Python sampler's bytes and raises where it raises.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
-
-    def chain(seed, block=getattr(objective, "chain_block", None)):
-        return _run_single_chain(objective, config, np.random.default_rng(seed), block)
-
-    return ChainSet(chains=tuple(chain(seed) or chain(seed, None) for seed in seeds))
+    block = getattr(objective, "chain_block", None)
+    return ChainSet(chains=tuple(_run_single_chain(objective, config, np.random.default_rng(s), block) for s in seeds))
 
 
 def psrf(chains) -> float:
@@ -330,9 +330,10 @@ def _objective(observed: np.ndarray, loop):
 def sampler_matches(loop, observed: np.ndarray) -> bool:
     """``gr2m.load_kernel``'s self-check: ``loop``'s sampler gives the Python sampler's chain, byte for byte."""
     objective, config = _objective(observed, loop), ChainConfig(n_iterations=300)
-    compiled = _run_single_chain(objective, config, np.random.default_rng(1), objective.chain_block)
     python = _run_single_chain(objective, config, np.random.default_rng(1))
-    if compiled is None:  # stopped early: on this series only a wrong block does
+    try:
+        compiled = _run_single_chain(objective, config, np.random.default_rng(1), objective.chain_block)
+    except (ValueError, RuntimeError):  # the Python chain runs through this series, so only a wrong block raises
         return False
     return all(a.tobytes() == b.tobytes() for a, b in zip(vars(compiled).values(), vars(python).values()))
 
@@ -367,10 +368,8 @@ def calibrate_catchment(
 
     t_start = time.perf_counter()
     best: tuple[float, ChainSet] | None = None
-    attempts = 0
     converged = False
     for attempt in range(config.max_restarts + 1):
-        attempts = attempt + 1
         attempt_config = replace(config, seed=config.seed + 1_000_003 * attempt)
         chain_set = run_chains(objective, attempt_config)
         try:
@@ -390,7 +389,7 @@ def calibrate_catchment(
         sample=PosteriorSample(pairs),
         psrf=estimate,
         converged=converged,
-        restarts_used=attempts - 1,
+        restarts_used=attempt,
         elapsed_seconds=time.perf_counter() - t_start,
     )
 

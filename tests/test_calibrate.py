@@ -264,6 +264,23 @@ class TestRunChains:
         assert 0.5 < tail[:, 1].std() / sd[1] < 2.0
 
 
+class TestLog1mExp:
+    @pytest.mark.parametrize("log_p", [-1e-17, -5e-17])
+    def test_limit_where_exp_rounds_to_one(self, log_p):
+        # log(1 - p) tends to -inf as p tends to 1, where math.log1p(-1.0) raises
+        assert math.exp(log_p) == 1.0
+        assert calibrate._log1m_exp(log_p) == -math.inf
+
+    @pytest.mark.parametrize("log_p", [-1.1e-16, -2.3e-16, -1e-15])
+    def test_bits_kept_where_exp_is_below_one(self, log_p):
+        assert math.exp(log_p) < 1.0
+        assert calibrate._log1m_exp(log_p).hex() == math.log1p(-math.exp(log_p)).hex()
+
+    def test_ends_kept(self):
+        assert calibrate._log1m_exp(0.0) == -math.inf
+        assert calibrate._log1m_exp(-40.0).hex() == (0.0).hex()
+
+
 class ZeroUniforms:
     """A Generator whose draws on [0, 1) are all exactly 0.0, as a real one's are with probability 2**-53 each."""
 
@@ -307,10 +324,9 @@ def chain_bytes(chain):
 
 
 def compiled_and_python(objective, config):
-    """The chains of ``config`` on the compiled block, none of them stopped early, and on the Python sampler."""
+    """The chains of ``config`` on the compiled block and on the Python sampler."""
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
     compiled = [_run_single_chain(objective, config, np.random.default_rng(s), objective.chain_block) for s in seeds]
-    assert None not in compiled  # every iteration ran in the block
     assert [chain_bytes(c) for c in run_chains(objective, config).chains] == [chain_bytes(c) for c in compiled]
     return compiled, run_chains(python_only(objective), config).chains
 
@@ -390,6 +406,21 @@ def interior_series():
     return synthetic_series(seed=1), partition(84, 12, 48, 12)
 
 
+class TestStoppedBlock:
+    """A block that stops where the objective does not raise is wrong; no compiler needed, as no block runs."""
+
+    def test_stop_at_a_finite_point_raises(self):
+        config, rng = ChainConfig(n_iterations=300), np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match="compiled sampler stopped"):
+            _run_single_chain(gaussian_objective(), config, rng, lambda *block: 1)
+
+    def test_self_check_counts_a_raise_as_a_mismatch(self):
+        series, split = interior_series()
+        loop = gr2m.month_loop(series.precipitation, series.potential_evaporation, split.warmup, split.n1)
+        loop.chain_block = lambda *block: 1
+        assert not calibrate.sampler_matches(loop, np.ascontiguousarray(series.streamflow, dtype=float)[split.t1])
+
+
 class TestCompiledSampler:
     """The compiled block gives the Python sampler's chains, byte for byte, and stops where Python raises."""
 
@@ -458,12 +489,24 @@ class TestCompiledSampler:
         objective = calibration_objective(MonthlySeries((1950, 1), p, e, q), split)
         config = ChainConfig(seed=seed, n_iterations=400)
         first = np.random.SeedSequence(seed).spawn(config.n_chains)[0]
-        # the start point is finite, so the first chain stops inside the block, and is run again in Python
+        # the start point is finite, so the first chain stops inside the block
         assert math.isfinite(objective(*np.random.default_rng(first).uniform(BOX_LOWER, BOX_UPPER)))
-        assert _run_single_chain(objective, config, np.random.default_rng(first), objective.chain_block) is None
-        for candidate in (objective, python_only(objective)):
-            with pytest.raises(ValueError, match=error):
-                run_chains(candidate, config)
+        with pytest.raises(ValueError) as compiled:
+            _run_single_chain(objective, config, np.random.default_rng(first), objective.chain_block)
+        with pytest.raises(ValueError) as python:
+            run_chains(python_only(objective), config)
+        assert type(compiled.value) is type(python.value)
+        assert str(compiled.value) == str(python.value) == error
+        calls = []
+
+        def counted(theta1, theta2):
+            calls.append((theta1, theta2))
+            return objective(theta1, theta2)
+
+        counted.chain_block = objective.chain_block
+        with pytest.raises(type(python.value), match=f"^{error}$"):
+            run_chains(counted, config)
+        assert len(calls) == 2  # the start point, then the point the block stopped at: no chain runs again
 
     def test_chains_equal_on_every_blas_kernel(self):
         # one process per OpenBLAS kernel, one after another; within each, both paths give the same bytes

@@ -9,6 +9,7 @@ quadratic outflow) evaluated once on plain floats, then frozen as literals.
 import math
 import shlex
 import shutil
+import subprocess
 import sysconfig
 
 import numpy as np
@@ -318,6 +319,18 @@ def _in_box_pairs(rng, n):
 def compiler_found() -> bool:
     """``sysconfig``'s ``CC`` or ``cc`` is on the path: what ``load_kernel`` looks for."""
     return any(shutil.which(cc) for cc in (shlex.split(sysconfig.get_config_var("CC") or "cc")[0], "cc"))
+
+
+@pytest.mark.parametrize("extra", [[], ["-DENSFLOW_SAMPLER", f"-I{np.get_include()}"]], ids=["month-loop", "sampler"])
+def test_kernel_source_compiles_without_warnings(extra):
+    # load_kernel's compiler and flags, with -Wall and -Wextra as errors: a variable or function left unused fails
+    if not compiler_found():
+        pytest.skip("no C compiler")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    checks = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror"]
+    command = [*(cc if shutil.which(cc[0]) else ["cc"]), *gr2m.KERNEL_FLAGS, *checks, *extra, str(gr2m.KERNEL_SOURCE)]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestFloatKernelBitExact:
