@@ -63,11 +63,7 @@ from .experiment import (
 )
 from .gr2m import (
     ROUTING_CAPACITY_MM,
-    Gr2mParams,
-    Gr2mState,
-    default_initial_state,
     month_loop,
-    simulate,
     simulate_batch,
     simulate_flow,
     step,

@@ -9,8 +9,11 @@ rainfall and the percolation, is scaled by the water-exchange coefficient
 1 it exports), and drains through a quadratic law against a fixed 60 mm
 capacity.  The drained depth is the monthly streamflow in mm.
 
-``month_loop``, and through it ``simulate_flow``, runs the month loop's C translation (``_gr2m.c``)
-when :func:`load_kernel` builds one with ``_run``'s bits; its loop also carries the calibration
+Four entry points, all on plain floats: ``step`` (one month from given stores), ``month_loop`` (the loop bound to
+one forcing, for calibration), ``simulate_flow`` (one pair from the default stores) and ``simulate_batch`` (many
+pairs at once).  Each checks its parameters with ``_check_parameters`` and its forcing with ``_forcing``, so the
+Python loop and the compiled one refuse the same input.  ``month_loop`` runs the month loop's C translation
+(``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s bits; its loop also carries the calibration
 sampler's DRAM block, accepted only with the Python sampler's bytes: a compiler buys speed only.
 """
 
@@ -20,7 +23,6 @@ import functools
 import math
 import os
 import subprocess
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,8 @@ from .timeseries import PeriodPartition
 # outflow capacity of the routing store, mm; fixed by the model definition
 ROUTING_CAPACITY_MM = 60.0
 
-# initial states used when the caller does not supply any: a half-full
-# production store and a half-full routing store, washed out by warm-up
+# the initial routing store of ``simulate_flow`` and ``simulate_batch``, half full, as their production store
+# (0.5 * theta1) is; warm-up washes both out
 DEFAULT_ROUTING_INIT_MM = 30.0
 
 # the C month loop, compiled without fused multiply-adds and with libm's tanh and pow, as CPython calls them
@@ -42,36 +44,27 @@ NUMPY_RANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 NUMPY_BLAS = Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas64_*.so"
 
 
-@dataclass(frozen=True)
-class Gr2mParams:
-    """Model parameters.
+def _check_parameters(theta1, theta2) -> None:
+    """The parameter rule of every entry point, on scalars or arrays: theta1 finite and > 0, theta2 finite and >= 0.
 
-    theta1 : capacity of the production store, mm, strictly positive.
-    theta2 : water-exchange coefficient, >= 0 (0 shuts the outlet entirely
-             and is only useful as a degenerate check; calibration keeps it
-             well inside (0, 5]).
+    theta2 = 0 shuts the outlet and is only useful as a degenerate check; calibration keeps it inside [0.2, 5].
     """
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta1) and self.theta1 > 0.0):
-            raise ValueError(f"theta1 must be finite and > 0, got {self.theta1}")
-        if not (math.isfinite(self.theta2) and self.theta2 >= 0.0):
-            raise ValueError(f"theta2 must be finite and >= 0, got {self.theta2}")
+    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+    if not (np.isfinite(t1) & (t1 > 0.0)).all():
+        raise ValueError(f"theta1 must be finite and > 0, got {theta1}")
+    if not (np.isfinite(t2) & (t2 >= 0.0)).all():
+        raise ValueError(f"theta2 must be finite and >= 0, got {theta2}")
 
 
-@dataclass(frozen=True)
-class Gr2mState:
-    """Store levels carried between months: soil store S and routing store R, mm."""
-
-    soil: float
-    routing: float
-
-
-def default_initial_state(params: Gr2mParams) -> Gr2mState:
-    return Gr2mState(soil=0.5 * params.theta1, routing=DEFAULT_ROUTING_INIT_MM)
+def _forcing(precipitation, potential_evaporation, n_months: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forcing rule of every entry point: two 1-d float64 arrays, each covering ``n_months``."""
+    p = np.ascontiguousarray(precipitation, dtype=float)
+    e = np.ascontiguousarray(potential_evaporation, dtype=float)
+    if p.ndim != 1 or e.ndim != 1:
+        raise ValueError(f"forcing must be 1-d, got shapes {p.shape} and {e.shape}")
+    if min(p.size, e.size) < n_months:
+        raise ValueError(f"forcing has {min(p.size, e.size)} months, warm-up plus kept flows need {n_months}")
+    return p, e
 
 
 def _run(theta1, theta2, s, r, p, e, n_months, tanh):
@@ -81,8 +74,8 @@ def _run(theta1, theta2, s, r, p, e, n_months, tanh):
     without a compiled loop, on Python floats with ``p`` and ``e`` as lists
     (numpy scalars make every operation several times slower); with ``np.tanh``
     it runs ``simulate_batch`` elementwise across parameter pairs.  It checks
-    nothing: the divisions rely on theta1 > 0, the domain that ``Gr2mParams``,
-    ``simulate_batch`` and calibration's fixed prior box keep to.
+    nothing: the divisions rely on theta1 > 0, which ``_check_parameters``
+    keeps at every entry point and calibration's prior box on the bound loop.
     """
     flows = []
     for t in range(n_months):
@@ -171,94 +164,57 @@ def load_kernel():
     return bind
 
 
-def step(
-    state: Gr2mState, params: Gr2mParams, precipitation: float, potential_evaporation: float
-) -> tuple[Gr2mState, float]:
-    """Advance the model one month; returns the new state and streamflow Q (mm).
+def step(theta1, theta2, soil, routing, precipitation, potential_evaporation) -> tuple[float, float, float]:
+    """Advance the model one month from stores ``soil`` and ``routing``; returns (soil, routing, flow Q), all mm.
 
-    Inputs must be finite and non-negative and the incoming state must
-    satisfy 0 <= S <= theta1 and R >= 0.  The update keeps those bounds:
-    the tanh exchanges map the soil store back into [0, theta1] and the
-    outflow never exceeds the routing store content.
+    Inputs must be finite and non-negative and the incoming stores must
+    satisfy 0 <= soil <= theta1 and routing >= 0.  The update keeps those
+    bounds: the tanh exchanges map the soil store back into [0, theta1] and
+    the outflow never exceeds the routing store content.
     """
-    for name, value in (
-        ("precipitation", precipitation),
-        ("potential_evaporation", potential_evaporation),
-    ):
+    _check_parameters(theta1, theta2)
+    for name, value in (("precipitation", precipitation), ("potential_evaporation", potential_evaporation)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    if not (math.isfinite(state.soil) and 0.0 <= state.soil <= params.theta1):
-        raise ValueError(f"soil store {state.soil} outside [0, {params.theta1}]")
-    if not (math.isfinite(state.routing) and state.routing >= 0.0):
-        raise ValueError(f"routing store must be >= 0, got {state.routing}")
+    if not (math.isfinite(soil) and 0.0 <= soil <= theta1):
+        raise ValueError(f"soil store {soil} outside [0, {theta1}]")
+    if not (math.isfinite(routing) and routing >= 0.0):
+        raise ValueError(f"routing store must be >= 0, got {routing}")
     p, e = (precipitation,), (potential_evaporation,)
-    s, r, (q,) = _run(params.theta1, params.theta2, state.soil, state.routing, p, e, 1, math.tanh)
-    return Gr2mState(soil=s, routing=r), q
+    soil, routing, (flow,) = _run(theta1, theta2, soil, routing, p, e, 1, math.tanh)
+    return soil, routing, flow
 
 
 def month_loop(precipitation, potential_evaporation, warmup: int, n_keep: int):
     """The month loop bound to one forcing: ``loop(theta1, theta2, soil, routing)`` gives the kept flows.
 
-    It runs ``warmup + n_keep`` months and keeps the flows after warm-up; the month counts are checked
-    once, here.  The forcing is two float arrays or two lists: the compiled loop binds them as float64
-    arrays, with one output array that every call overwrites, and the Python loop converts them to lists.
+    It runs ``warmup + n_keep`` months and keeps the flows after warm-up; the month counts and the forcing
+    are checked once, here, and the parameters not at all (calibration's prior box keeps them in the domain).
+    The compiled loop binds the forcing with one output array that every call overwrites; the Python loop
+    takes it as lists of floats.
     """
     if warmup < 0 or n_keep < 1:
         raise ValueError(f"need warmup >= 0 and n_keep >= 1, got warmup={warmup}, n_keep={n_keep}")
-    n_months, n_forcing = warmup + n_keep, min(len(precipitation), len(potential_evaporation))
-    if n_forcing < n_months:
-        raise ValueError(f"forcing has {n_forcing} months, warm-up plus kept flows need {n_months}")
+    n_months = warmup + n_keep
+    p, e = _forcing(precipitation, potential_evaporation, n_months)
     bind = load_kernel()
     if bind is not None:
-        return bind(precipitation, potential_evaporation, warmup, n_keep)
-    p, e = precipitation, potential_evaporation
-    if not isinstance(p, list):
-        p, e = p[:n_months].tolist(), e[:n_months].tolist()
+        return bind(p, e, warmup, n_keep)
+    p, e = p[:n_months].tolist(), e[:n_months].tolist()
     return lambda theta1, theta2, s, r: np.array(_run(theta1, theta2, s, r, p, e, n_months, math.tanh)[2][warmup:])
 
 
 def simulate_flow(
-    theta1: float,
-    theta2: float,
-    precipitation,
-    potential_evaporation,
-    warmup: int,
-    n_keep: int,
-    soil_init: float | None = None,
-    routing_init: float = DEFAULT_ROUTING_INIT_MM,
+    theta1: float, theta2: float, precipitation, potential_evaporation, warmup: int, n_keep: int
 ) -> np.ndarray:
-    """The flows after warm-up of ``warmup + n_keep`` months, a new array: one call of a new ``month_loop``.
+    """The flows after warm-up of ``warmup + n_keep`` months from the default stores, a new array.
 
-    The scalar entry point of ``simulate`` and synthesis; calibration binds its ``month_loop`` once.
+    One call of a new ``month_loop``; other initial stores go through ``month_loop(...)(theta1, theta2, s, r)``.
     """
-    loop = month_loop(precipitation, potential_evaporation, warmup, n_keep)
+    _check_parameters(theta1, theta2)
     theta1, theta2 = float(theta1), float(theta2)
-    return loop(theta1, theta2, 0.5 * theta1 if soil_init is None else float(soil_init), float(routing_init))
-
-
-def simulate(
-    params: Gr2mParams,
-    precipitation: np.ndarray,
-    potential_evaporation: np.ndarray,
-    split: PeriodPartition,
-    initial: Gr2mState | None = None,
-) -> np.ndarray:
-    """Streamflow over everything after warm-up (length n1 + n2 + n3).
-
-    ``precipitation`` and ``potential_evaporation`` must both cover at least
-    ``split.n_total`` months; warm-up months drive the stores but produce no
-    output.
-    """
-    p = np.ascontiguousarray(precipitation, dtype=float)
-    e = np.ascontiguousarray(potential_evaporation, dtype=float)
-    if p.ndim != 1 or e.ndim != 1 or p.size != e.size:
-        raise ValueError("forcing series must be 1-d and equally long")
-    if split.n_total > p.size:
-        raise ValueError(f"partition needs {split.n_total} months, forcing has {p.size}")
-    if initial is None:
-        initial = default_initial_state(params)
-    n_keep = split.n_total - split.warmup
-    return simulate_flow(params.theta1, params.theta2, p, e, split.warmup, n_keep, initial.soil, initial.routing)
+    loop = month_loop(precipitation, potential_evaporation, warmup, n_keep)
+    return loop(theta1, theta2, 0.5 * theta1, DEFAULT_ROUTING_INIT_MM)
 
 
 def simulate_batch(
@@ -277,13 +233,8 @@ def simulate_batch(
     t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     if t1.shape != t2.shape or t1.ndim != 1:
         raise ValueError("theta1 and theta2 must be 1-d arrays of equal length")
-    if np.any(t1 <= 0.0) or np.any(t2 < 0.0) or not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-        raise ValueError("parameter pairs must satisfy theta1 > 0 and theta2 >= 0")
-    p = np.asarray(precipitation, dtype=float)
-    e = np.asarray(potential_evaporation, dtype=float)
-    if split.n_total > p.size or p.size != e.size:
-        raise ValueError("forcing does not cover the partition")
-
+    _check_parameters(t1, t2)
+    p, e = _forcing(precipitation, potential_evaporation, split.n_total)
     r = np.full(t1.shape, DEFAULT_ROUTING_INIT_MM)
     _, _, flows = _run(t1, t2, 0.5 * t1, r, p, e, split.n_total, np.tanh)
     return np.stack(flows[split.warmup :], axis=1)

@@ -32,7 +32,7 @@ from ensflow.calibrate import (
     psrf,
     run_chains,
 )
-from ensflow.gr2m import Gr2mParams, simulate
+from ensflow.gr2m import simulate_flow
 from ensflow.timeseries import MonthlySeries, partition, write_csv
 
 
@@ -40,8 +40,7 @@ def synthetic_series(n=84, noise_sd=0.5, seed=0, theta1=400.0, theta2=0.9):
     t = np.arange(n)
     p = 80.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * t / 12.0))
     e = 60.0 * (1.0 + 0.6 * np.sin(2.0 * np.pi * t / 12.0 + np.pi))
-    full = partition(n, 0, n - 2, 1)
-    truth = simulate(Gr2mParams(theta1, theta2), p, e, full)
+    truth = simulate_flow(theta1, theta2, p, e, 0, n)
     rng = np.random.default_rng(seed)
     observed = np.maximum(truth + noise_sd * rng.standard_normal(n), 0.0)
     return MonthlySeries((1950, 1), p, e, observed)
@@ -421,6 +420,13 @@ class TestStoppedBlock:
         assert not calibrate.sampler_matches(loop, np.ascontiguousarray(series.streamflow, dtype=float)[split.t1])
 
 
+# where the block stops, and the Python objective's error there; test_gr2m reruns them under the sanitizers
+STOP_CASES = [
+    ("zero-sse", "zero residual sum of squares"),
+    ("non-finite-prediction", "prediction series contains non-finite values"),
+]
+
+
 class TestCompiledSampler:
     """The compiled block gives the Python sampler's chains, byte for byte, and stops where Python raises."""
 
@@ -467,13 +473,7 @@ class TestCompiledSampler:
         assert [chain_bytes(c) for c in compiled] == [chain_bytes(c) for c in python]
         assert {"cholesky", "inv"} <= set(failed)
 
-    @pytest.mark.parametrize(
-        "case, error",
-        [
-            ("zero-sse", "zero residual sum of squares"),
-            ("non-finite-prediction", "prediction series contains non-finite values"),
-        ],
-    )
+    @pytest.mark.parametrize("case, error", STOP_CASES)
     def test_block_stops_where_python_raises(self, case, error):
         if case == "zero-sse":
             # no rain and an emptied soil: below theta2 ~ 0.4 the kept flows square to 0, as the observed ones do
@@ -598,8 +598,9 @@ class TestCalibrationObjective:
         series = synthetic_series(seed=5)
         split = partition(84, 12, 48, 12)
         objective = calibration_objective(series, split)
-        params = Gr2mParams(350.0, 1.1)
-        predicted = simulate(params, series.precipitation, series.potential_evaporation, split)
+        predicted = simulate_flow(
+            350.0, 1.1, series.precipitation, series.potential_evaporation, split.warmup, split.n_total - split.warmup
+        )
         expected = log_likelihood(series.streamflow[split.t1], predicted[: split.n1])
         assert objective(350.0, 1.1) == pytest.approx(expected, rel=1e-12)
 
@@ -633,7 +634,8 @@ class TestCalibrationObjective:
         series, split = synthetic_series(seed=9), partition(84, 12, 48, 12)
         objective = calibration_objective(series, split)
         for theta1, theta2 in ((350.0, 1.1), (900.0, 0.5), (350.0, 1.1)):
-            predicted = simulate(Gr2mParams(theta1, theta2), series.precipitation, series.potential_evaporation, split)
+            p, e = series.precipitation, series.potential_evaporation
+            predicted = simulate_flow(theta1, theta2, p, e, split.warmup, split.n_total - split.warmup)
             assert objective(theta1, theta2) == log_likelihood(series.streamflow[split.t1], predicted[: split.n1])
         # an overflowing routing store makes the flows nan: still a ValueError, as from log_likelihood
         with pytest.raises(ValueError, match="prediction series contains non-finite values"):

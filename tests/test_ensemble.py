@@ -32,7 +32,7 @@ from ensflow.ensemble import (
     to_auxiliary,
     train_error_model,
 )
-from ensflow.gr2m import Gr2mParams, simulate
+from ensflow.gr2m import simulate_flow
 from ensflow.regress import (
     LinearFit,
     RankDeficiencyError,
@@ -85,7 +85,7 @@ def catchment():
     # independent wobble keeps the two forcing series linearly independent
     p = 80.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * t / 12.0)) * np.exp(0.2 * rng.standard_normal(60))
     e = 60.0 * (1.0 + 0.6 * np.sin(2.0 * np.pi * t / 12.0 + np.pi)) * np.exp(0.2 * rng.standard_normal(60))
-    truth = simulate(Gr2mParams(400.0, 0.9), p, e, partition(60, 0, 58, 1))
+    truth = simulate_flow(400.0, 0.9, p, e, 0, 60)
     observed = np.maximum(truth + 1.5 * rng.standard_normal(60), 0.0)
     return MonthlySeries((1960, 1), p, e, observed)
 
@@ -176,11 +176,12 @@ class TestSisterEnsemble:
         assert ensemble.predictions.shape == (3, 36)
         assert ensemble.errors.shape == (3, 18)
         for i in range(3):
-            full = simulate(
-                Gr2mParams(*sample.pairs[i]),
+            full = simulate_flow(
+                *sample.pairs[i],
                 series.precipitation,
                 series.potential_evaporation,
-                SPLIT,
+                SPLIT.warmup,
+                SPLIT.n_total - SPLIT.warmup,
             )
             np.testing.assert_allclose(ensemble.predictions[i], full[18:], rtol=1e-12)
 

@@ -39,7 +39,7 @@ from ensflow.experiment import (
     save_config,
     synthesize_monthly,
 )
-from ensflow.gr2m import Gr2mParams, simulate
+from ensflow.gr2m import simulate_flow
 from ensflow.regress import SOLVER, load_solver
 from ensflow.timeseries import load_catchment, partition
 
@@ -249,12 +249,7 @@ class TestSyntheticCatchments:
         )
         series, truth = synthesize_monthly(spec)
         np.testing.assert_array_equal(series.streamflow, truth)
-        direct = simulate(
-            Gr2mParams(spec.theta1, spec.theta2),
-            series.precipitation,
-            series.potential_evaporation,
-            partition(48, 0, 46, 1),
-        )
+        direct = simulate_flow(spec.theta1, spec.theta2, series.precipitation, series.potential_evaporation, 0, 48)
         np.testing.assert_allclose(truth, direct, rtol=1e-12)
 
     def test_deterministic_in_seed(self):

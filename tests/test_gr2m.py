@@ -7,10 +7,14 @@ quadratic outflow) evaluated once on plain floats, then frozen as literals.
 """
 
 import math
+import os
+import re
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,17 +25,7 @@ from ensflow import gr2m
 from ensflow.calibrate import (
     BOX_LOWER, BOX_UPPER, THETA1_RANGE, THETA2_RANGE, ChainConfig, calibration_objective, log_likelihood, run_chains,
 )
-from ensflow.gr2m import (
-    DEFAULT_ROUTING_INIT_MM,
-    ROUTING_CAPACITY_MM,
-    Gr2mParams,
-    Gr2mState,
-    simulate_flow,
-    default_initial_state,
-    simulate,
-    simulate_batch,
-    step,
-)
+from ensflow.gr2m import DEFAULT_ROUTING_INIT_MM, ROUTING_CAPACITY_MM, simulate_batch, simulate_flow, step
 from ensflow.timeseries import MonthlySeries, partition
 
 # frozen oracle: theta1=300, theta2=1, S=150, R=30, P=100, E=50
@@ -59,11 +53,9 @@ def random_forcing(rng, n):
 
 class TestSingleStep:
     def test_frozen_oracle(self):
-        params = Gr2mParams(ORACLE_IN["theta1"], ORACLE_IN["theta2"])
-        state = Gr2mState(ORACLE_IN["soil"], ORACLE_IN["routing"])
-        new, q = step(state, params, ORACLE_IN["p"], ORACLE_IN["e"])
-        close(new.soil, ORACLE_SOIL)
-        close(new.routing, ORACLE_ROUTING)
+        soil, routing, q = step(*ORACLE_IN.values())
+        close(soil, ORACLE_SOIL)
+        close(routing, ORACLE_ROUTING)
         close(q, ORACLE_Q)
 
     def test_oracle_internal_stages(self):
@@ -99,15 +91,15 @@ class TestSingleStep:
             psi = math.tanh(e / t1)
             s2 = s1 * (1.0 - psi) / (1.0 + psi * (1.0 - s1 / t1))
             evaporated = s1 - s2
-            new, q = step(Gr2mState(s, r), Gr2mParams(t1, 1.0), p, e)
+            soil, routing, q = step(t1, 1.0, s, r, p, e)
             inflow = s + r + p
-            outflow = new.soil + new.routing + q + evaporated
+            outflow = soil + routing + q + evaporated
             assert abs(inflow - outflow) <= 1e-9 * max(1.0, inflow)
 
     def test_outlet_shut_at_zero_exchange(self):
-        new, q = step(Gr2mState(150.0, 30.0), Gr2mParams(300.0, 0.0), 100.0, 50.0)
+        _, routing, q = step(300.0, 0.0, 150.0, 30.0, 100.0, 50.0)
         assert q == 0.0
-        assert new.routing == 0.0
+        assert routing == 0.0
 
     def test_flow_increases_with_exchange_coefficient(self):
         rng = np.random.default_rng(3)
@@ -116,21 +108,20 @@ class TestSingleStep:
             r = rng.uniform(0.0, 120.0)
             p, e = rng.uniform(0.0, 300.0), rng.uniform(0.0, 120.0)
             flows = [
-                step(Gr2mState(s, r), Gr2mParams(300.0, t2), p, e)[1]
+                step(300.0, t2, s, r, p, e)[2]
                 for t2 in (0.5, 0.9, 1.3, 2.0)
             ]
             assert all(a < b for a, b in zip(flows, flows[1:]))
 
     def test_state_bounds_preserved(self):
         rng = np.random.default_rng(11)
-        params = Gr2mParams(180.0, 1.1)
-        state = default_initial_state(params)
+        soil, routing = 90.0, DEFAULT_ROUTING_INIT_MM
         for _ in range(500):
             p = float(rng.gamma(2.0, 40.0))
             e = float(rng.uniform(0.0, 120.0))
-            state, q = step(state, params, p, e)
-            assert 0.0 <= state.soil <= params.theta1
-            assert state.routing >= 0.0
+            soil, routing, q = step(180.0, 1.1, soil, routing, p, e)
+            assert 0.0 <= soil <= 180.0
+            assert routing >= 0.0
             assert q >= 0.0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -141,39 +132,27 @@ class TestSingleStep:
     )
     def test_stores_and_flows_stay_in_bounds(self, theta1, theta2, forcing):
         # any parameters in the calibration box and any forcing in [0, 1e4] mm
-        params = Gr2mParams(theta1, theta2)
-        state = default_initial_state(params)
+        soil, routing = 0.5 * theta1, DEFAULT_ROUTING_INIT_MM
         for p, e in forcing:
-            state, q = step(state, params, p, e)
-            assert 0.0 <= state.soil <= theta1
-            assert 0.0 <= state.routing < math.inf
+            soil, routing, q = step(theta1, theta2, soil, routing, p, e)
+            assert 0.0 <= soil <= theta1
+            assert 0.0 <= routing < math.inf
             assert 0.0 <= q < math.inf
 
     def test_input_validation(self):
-        params = Gr2mParams(300.0, 1.0)
-        ok = Gr2mState(10.0, 10.0)
         with pytest.raises(ValueError, match="precipitation"):
-            step(ok, params, -1.0, 10.0)
+            step(300.0, 1.0, 10.0, 10.0, -1.0, 10.0)
         with pytest.raises(ValueError, match="potential_evaporation"):
-            step(ok, params, 1.0, math.nan)
+            step(300.0, 1.0, 10.0, 10.0, 1.0, math.nan)
         with pytest.raises(ValueError, match="soil store"):
-            step(Gr2mState(301.0, 10.0), params, 1.0, 1.0)
+            step(300.0, 1.0, 301.0, 10.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="routing store"):
-            step(Gr2mState(10.0, -0.1), params, 1.0, 1.0)
+            step(300.0, 1.0, 10.0, -0.1, 1.0, 1.0)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="theta1"):
-            Gr2mParams(0.0, 1.0)
-        with pytest.raises(ValueError, match="theta1"):
-            Gr2mParams(math.inf, 1.0)
-        with pytest.raises(ValueError, match="theta2"):
-            Gr2mParams(100.0, -0.1)
-        assert Gr2mParams(100.0, 0.0).theta2 == 0.0
-
-    def test_default_initial_state(self):
-        state = default_initial_state(Gr2mParams(500.0, 1.0))
-        assert state.soil == 250.0
-        assert state.routing == DEFAULT_ROUTING_INIT_MM
+        # the domain's edges are in it: the bad values are refused in TestFloatKernelBitExact, on both loops
+        assert step(100.0, 0.0, 50.0, 30.0, 1.0, 1.0)[2] == 0.0
+        assert step(5e-324, 1.0, 0.0, 30.0, 1.0, 1.0)[0] == 0.0
 
     def test_routing_capacity_constant(self):
         assert ROUTING_CAPACITY_MM == 60.0
@@ -183,13 +162,11 @@ class TestSimulate:
     def test_matches_manual_stepping(self):
         rng = np.random.default_rng(5)
         p, e = random_forcing(rng, 36)
-        split = partition(36, 6, 10, 10)
-        params = Gr2mParams(420.0, 0.85)
-        flows = simulate(params, p, e, split)
-        state = default_initial_state(params)
+        flows = simulate_flow(420.0, 0.85, p, e, 6, 30)
+        soil, routing = 210.0, DEFAULT_ROUTING_INIT_MM
         manual = []
         for t in range(36):
-            state, q = step(state, params, p[t], e[t])
+            soil, routing, q = step(420.0, 0.85, soil, routing, p[t], e[t])
             if t >= 6:
                 manual.append(q)
         assert flows.shape == (30,)
@@ -199,33 +176,20 @@ class TestSimulate:
         # flows up to month t never depend on forcing after month t
         rng = np.random.default_rng(9)
         p, e = random_forcing(rng, 48)
-        split = partition(48, 0, 16, 16)
-        params = Gr2mParams(300.0, 1.0)
-        base = simulate(params, p, e, split)
+        base = simulate_flow(300.0, 1.0, p, e, 0, 48)
         p2 = p.copy()
         p2[24:] += 100.0
-        changed = simulate(params, p2, e, split)
+        changed = simulate_flow(300.0, 1.0, p2, e, 0, 48)
         assert np.array_equal(base[:24], changed[:24])
         assert not np.array_equal(base[24:], changed[24:])
 
     def test_warmup_washes_out_initial_state(self):
         rng = np.random.default_rng(13)
         p, e = random_forcing(rng, 160)
-        split = partition(160, 120, 20, 10)
-        params = Gr2mParams(350.0, 0.95)
-        dry = simulate(params, p, e, split, initial=Gr2mState(0.0, 0.0))
-        wet = simulate(params, p, e, split, initial=Gr2mState(350.0, 120.0))
+        # a new loop for each: the compiled one overwrites its output array on every call
+        dry = gr2m.month_loop(p, e, 120, 40)(350.0, 0.95, 0.0, 0.0)
+        wet = gr2m.month_loop(p, e, 120, 40)(350.0, 0.95, 350.0, 120.0)
         np.testing.assert_allclose(dry, wet, rtol=1e-6)
-
-    def test_forcing_shorter_than_partition(self):
-        split = partition(48, 0, 16, 16)
-        with pytest.raises(ValueError, match="partition needs"):
-            simulate(Gr2mParams(300.0, 1.0), np.ones(40), np.ones(40), split)
-
-    def test_mismatched_forcing_lengths(self):
-        split = partition(12, 0, 4, 4)
-        with pytest.raises(ValueError, match="1-d and equally long"):
-            simulate(Gr2mParams(300.0, 1.0), np.ones(12), np.ones(13), split)
 
 
 class TestSimulateBatch:
@@ -240,20 +204,21 @@ class TestSimulateBatch:
         batch = simulate_batch(t1, t2, p, e, split)
         assert batch.shape == (7, 48)
         for i in range(7):
-            row = simulate(Gr2mParams(t1[i], t2[i]), p, e, split)
+            row = simulate_flow(t1[i], t2[i], p, e, split.warmup, split.n_total - split.warmup)
             np.testing.assert_allclose(batch[i], row, rtol=1e-12, err_msg=f"pair {i}")
 
     def test_rejects_bad_pairs(self):
         split = partition(12, 0, 4, 4)
-        with pytest.raises(ValueError, match="theta1 > 0"):
+        with pytest.raises(ValueError, match="^theta1 must be finite and > 0"):
             simulate_batch(np.array([100.0, 0.0]), np.array([1.0, 1.0]), np.ones(12), np.ones(12), split)
         with pytest.raises(ValueError, match="equal length"):
             simulate_batch(np.ones(3), np.ones(2), np.ones(12), np.ones(12), split)
 
     def test_rejects_short_forcing(self):
         split = partition(12, 0, 4, 4)
-        with pytest.raises(ValueError, match="does not cover"):
+        with pytest.raises(ValueError, match="^forcing has 6 months, warm-up plus kept flows need 12$"):
             simulate_batch(np.ones(2), np.ones(2), np.ones(6), np.ones(6), split)
+        assert simulate_batch(np.ones(2), np.ones(2), np.ones(13), np.ones(12), split).shape == (2, 12)
 
 
 # Bit-exactness oracle: the per-month loop on ndarray forcing and np.float64
@@ -316,9 +281,14 @@ def _in_box_pairs(rng, n):
     return [rng.uniform(BOX_LOWER, BOX_UPPER) for _ in range(n)]
 
 
+def compiler() -> list[str]:
+    """The compiler command ``load_kernel`` runs: ``sysconfig``'s ``CC`` if it is on the path, else ``cc``."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return cc if shutil.which(cc[0]) else ["cc"]
+
+
 def compiler_found() -> bool:
-    """``sysconfig``'s ``CC`` or ``cc`` is on the path: what ``load_kernel`` looks for."""
-    return any(shutil.which(cc) for cc in (shlex.split(sysconfig.get_config_var("CC") or "cc")[0], "cc"))
+    return shutil.which(compiler()[0]) is not None
 
 
 @pytest.mark.parametrize("extra", [[], ["-DENSFLOW_SAMPLER", f"-I{np.get_include()}"]], ids=["month-loop", "sampler"])
@@ -326,11 +296,49 @@ def test_kernel_source_compiles_without_warnings(extra):
     # load_kernel's compiler and flags, with -Wall and -Wextra as errors: a variable or function left unused fails
     if not compiler_found():
         pytest.skip("no C compiler")
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     checks = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror"]
-    command = [*(cc if shutil.which(cc[0]) else ["cc"]), *gr2m.KERNEL_FLAGS, *checks, *extra, str(gr2m.KERNEL_SOURCE)]
+    command = [*compiler(), *gr2m.KERNEL_FLAGS, *checks, *extra, str(gr2m.KERNEL_SOURCE)]
     done = subprocess.run(command, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# load_kernel builds argv[1] with the sanitizers; its self-checks run the month loop and a chain on the block
+SANITIZED_RUN = """
+import sys
+from pathlib import Path
+
+from ensflow import gr2m
+from ensflow.calibrate import ChainConfig, calibrate_catchment
+
+gr2m.KERNEL_SOURCE = Path(sys.argv[1])
+gr2m.KERNEL_FLAGS += ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
+assert gr2m.load_kernel().sampler is not None
+sys.path.insert(0, sys.argv[2])
+from test_calibrate import STOP_CASES, TestCompiledSampler, interior_series
+
+for case, error in STOP_CASES:
+    TestCompiledSampler().test_block_stops_where_python_raises(case, error)
+result = calibrate_catchment(*interior_series(), ChainConfig(seed=0, n_iterations=400, retain_per_chain=100))
+print("ran", result.sample.m)
+"""
+
+
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    # AddressSanitizer and UBSan in one fresh interpreter: any report aborts it
+    if not compiler_found():
+        pytest.skip("no C compiler")
+    found = subprocess.run([*compiler(), "-print-file-name=libasan.so"], capture_output=True, text=True)
+    libasan = found.stdout.strip()
+    if not Path(libasan).is_absolute():  # the compiler echoes the bare name when it has no such library
+        pytest.skip("the compiler has no libasan")
+    source = tmp_path / "_gr2m.c"
+    shutil.copy(gr2m.KERNEL_SOURCE, source)
+    package = Path(gr2m.__file__).parents[1]
+    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0", PYTHONPATH=str(package))
+    command = [sys.executable, "-c", SANITIZED_RUN, str(source), str(Path(__file__).parent)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout.split() == ["ran", "300"], done.stderr
+    assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr, done.stderr
 
 
 class TestFloatKernelBitExact:
@@ -357,9 +365,10 @@ class TestFloatKernelBitExact:
         rng = np.random.default_rng(32)
         p, e = random_forcing(rng, 60)
         for theta1, theta2 in _in_box_pairs(rng, 10):
+            # simulate_flow starts from the default stores; any others go through month_loop
             soil, routing = theta1 * rng.uniform(), rng.uniform(0.0, 100.0)
             expected = _oracle_simulate_flow(theta1, theta2, p, e, 0, 60, soil, routing)
-            got = simulate_flow(theta1, theta2, p, e, 0, 60, soil_init=soil, routing_init=routing)
+            got = gr2m.month_loop(p, e, 0, 60)(float(theta1), float(theta2), float(soil), float(routing))
             assert np.array_equal(got, expected)
 
     def test_simulate_batch_matches_oracle(self):
@@ -429,6 +438,40 @@ class TestFloatKernelBitExact:
                 with pytest.raises(ValueError, match=f"got warmup={warmup}, n_keep={n_keep}$"):
                     simulate_flow(300.0, 1.0, p, e, warmup, n_keep)
             assert simulate_flow(300.0, 1.0, p, e, 0, 1).shape == (1,)
+
+    @pytest.mark.parametrize(
+        "theta1, theta2",
+        [(0.0, 1.0), (-5.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (300.0, -0.1), (300.0, math.inf),
+         (300.0, math.nan)],
+    )
+    def test_parameters_outside_the_domain_refused(self, theta1, theta2):
+        # unchecked, the compiled loop gives nan flows at theta1 = 0 and -5 where the Python loop raises
+        # ZeroDivisionError or gives complex flows, and both give small positive flows at theta2 = -0.1
+        p, e = np.ones(24), np.ones(24)
+        message = "^theta1 must be finite and > 0, got " if theta2 == 1.0 else "^theta2 must be finite and >= 0, got "
+        calls = (
+            lambda: step(theta1, theta2, 0.0, 30.0, 1.0, 1.0),
+            lambda: simulate_flow(theta1, theta2, p, e, 12, 12),
+            lambda: simulate_batch(np.array([300.0, theta1]), np.array([1.0, theta2]), p, e, partition(24, 12, 4, 4)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("e_shape", [(12, 2), (24,)], ids=["both-2-d", "precipitation-2-d"])
+    def test_two_dimensional_forcing_refused(self, e_shape):
+        # unchecked, the compiled loop read a (12, 2) forcing as its 24 flattened values, the Python loop raised
+        # TypeError, and simulate_batch returned one row per pair and column
+        p, e = np.ones((12, 2)), np.ones(e_shape)
+        message = re.escape(f"forcing must be 1-d, got shapes (12, 2) and {e_shape}")
+        calls = (
+            lambda: gr2m.month_loop(p, e, 4, 8),
+            lambda: simulate_flow(300.0, 1.0, p, e, 4, 8),
+            lambda: simulate_batch(np.array([300.0]), np.array([1.0]), p, e, partition(12, 4, 3, 3)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
 
 class TestPythonMonthLoopBitExact(TestFloatKernelBitExact):

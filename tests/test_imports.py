@@ -1,4 +1,5 @@
-"""No module of ``ensflow`` imports a name it does not use, and the package reads every private name it defines.
+"""No module of ``ensflow`` imports a name it does not use, the package reads every private name it defines, and no
+module imports another module's private name or reads one as an attribute.
 
 No linter is installed to say so.
 """
@@ -74,3 +75,46 @@ def test_detects_an_unread_private_name():
 
 def test_package_reads_every_private_name():
     assert unread_private_names({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_names_across_modules(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private name that a module imports from another ``ensflow`` module or reads off one."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        modules = set()  # the names this module binds to ensflow modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "ensflow"):
+                if node.module in (None, "ensflow"):  # ``from . import gr2m``: each name is a module
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                found += [f"{module}: {alias.name}" for alias in node.names if is_private(alias.name)]
+            elif isinstance(node, ast.Import):
+                names = [alias for alias in node.names if alias.name.split(".")[0] == "ensflow"]
+                modules.update(alias.asname or alias.name.split(".")[0] for alias in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and is_private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    found.append(f"{module}: {node.attr}")
+    return found
+
+
+def test_detects_a_private_name_across_modules():
+    sources = {
+        "a": "from .gr2m import _run, step\nfrom . import gr2m as g\nimport numpy as np\ng._forcing()\ng.step()\nnp._x\n",
+        "b": "import ensflow.gr2m\nfrom ensflow import calibrate\nensflow.gr2m._run()\ncalibrate._log1m_exp()\n",
+        "c": "def f():\n    from .calibrate import _log1m_exp, __doc__\n_z = 1\n_z\n",
+    }
+    assert private_names_across_modules(sources) == [
+        "a: _run", "a: _forcing", "b: _run", "b: _log1m_exp", "c: _log1m_exp",
+    ]
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert private_names_across_modules({path.stem: path.read_text() for path in PACKAGE}) == []
