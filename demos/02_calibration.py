@@ -9,6 +9,8 @@ chain becomes the posterior parameter sample.
 Runs in roughly ten seconds.
 """
 
+import time
+
 import numpy as np
 
 from ensflow.calibrate import ChainConfig, calibrate_catchment
@@ -22,7 +24,9 @@ series, _ = synthesize_monthly(spec)
 split = partition(180, 12, 144, 12)
 
 config = ChainConfig(seed=3)
+start = time.perf_counter()
 result = calibrate_catchment(series, split, config)
+seconds = time.perf_counter() - start
 
 print(f"converged: {result.converged}  (PSRF {result.psrf:.4f}, threshold 1.10)")
 print(f"restarts used: {result.restarts_used}")
@@ -30,7 +34,7 @@ print(
     f"retained parameter pairs: {result.sample.m} "
     f"(the last {config.retain_per_chain} states of each of {config.n_chains} chains)"
 )
-print(f"wall time: {result.elapsed_seconds:.1f} s\n")
+print(f"wall time: {seconds:.1f} s\n")
 
 pairs = result.sample.pairs
 for j, (name, truth) in enumerate(zip(("theta1", "theta2"), TRUTH)):

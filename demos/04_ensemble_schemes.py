@@ -6,13 +6,16 @@ Each sister contributes its own predictive quantiles; averaging same-
 probability quantiles across sisters gives the delivered prediction. The two
 "basic" schemes skip the water-balance model entirely and regress observed
 flow straight on the forcing, which shows what the hydrological model adds.
-The 50 sisters are simulated once and shared by the six numbered schemes, so
-the seconds column covers each scheme's own error models and averaging.
+The 50 sisters are simulated once and shared by the six numbered schemes; the
+seconds column times each scheme's ``run_scheme`` call, which fits its error
+models, predicts and averages, and leaves out the sisters and the scoring.
 
 Prints coverage (CP), average width (AW) and average interval score (AIS) of
 the central 95% interval over the test months. Lower AIS is better; CP should
 sit near 0.95.
 """
+
+import time
 
 import numpy as np
 
@@ -35,13 +38,15 @@ observed = np.asarray(series.streamflow)[split.t3]
 print(f"test window: {observed.size} months, observed mean {observed.mean():.1f} mm\n")
 print(f"{'scheme':>14} {'CP95':>6} {'AW':>8} {'AIS':>8} {'seconds':>8}")
 for scheme in ALL_SCHEMES:
+    start = time.perf_counter()
     result = run_scheme(scheme, series, split, sisters=sisters)
+    seconds = time.perf_counter() - start
     pred95 = intervals_from_prediction(result.prediction)[0.05]
     print(
         f"{scheme:>14} {coverage_probability(pred95, observed):>6.3f}"
         f" {average_width(pred95):>8.2f}"
         f" {average_interval_score(pred95, observed):>8.2f}"
-        f" {result.elapsed_seconds:>8.2f}"
+        f" {seconds:>8.2f}"
     )
 
 print("\nnumbered schemes carry per-sister intervals too; the basic schemes do not")

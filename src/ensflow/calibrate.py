@@ -22,7 +22,6 @@ The block stops only where the objective raises, and the chain then raises that 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -345,7 +344,6 @@ class CalibrationResult:
     psrf: float
     converged: bool
     restarts_used: int
-    elapsed_seconds: float
 
 
 def calibrate_catchment(
@@ -366,7 +364,6 @@ def calibrate_catchment(
         config = ChainConfig()
     objective = calibration_objective(series, split)
 
-    t_start = time.perf_counter()
     best: tuple[float, ChainSet] | None = None
     converged = False
     for attempt in range(config.max_restarts + 1):
@@ -390,6 +387,5 @@ def calibrate_catchment(
         psrf=estimate,
         converged=converged,
         restarts_used=attempt,
-        elapsed_seconds=time.perf_counter() - t_start,
     )
 

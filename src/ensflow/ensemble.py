@@ -35,7 +35,6 @@ regress observed flow on the forcing over every pre-test month.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -410,7 +409,6 @@ class SchemeResult:
     scheme: str
     prediction: CombinedPrediction | None  # None when a numbered scheme left step 6 to its caller
     models: TrainedErrorModels | None
-    elapsed_seconds: float
 
 
 def run_scheme(
@@ -421,19 +419,18 @@ def run_scheme(
     sisters: SisterEnsemble | None = None,
     combined: bool = True,
 ) -> SchemeResult:
-    """Dispatch one scheme id and time it.
+    """Dispatch one scheme id.
 
     Numbered schemes override the config's variant and regression family
     (that is what the number means) and run steps 3-6 on ``sisters``, which
-    ``build_sisters`` makes once per catchment, outside the elapsed time.  A
-    numbered scheme's result keeps its error models, from which
-    ``member_interval_bounds`` makes any level's member bounds on demand.
+    ``build_sisters`` makes once per catchment.  A numbered scheme's result
+    keeps its error models, from which ``member_interval_bounds`` makes any
+    level's member bounds on demand.
     With ``combined`` false a numbered scheme stops after step 3, for a
     caller that averages those bounds itself (``sister_mean``).
     """
     if config is None:
         config = SchemeConfig()
-    t_start = time.perf_counter()
     models = None
     if scheme in BASIC_SCHEMES:
         prediction = run_basic_scheme(scheme.removeprefix("basic-"), series, split, config.probabilities)
@@ -445,4 +442,4 @@ def run_scheme(
         prediction = combine(sisters, models) if combined else None
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
-    return SchemeResult(scheme, prediction, models, elapsed_seconds=time.perf_counter() - t_start)
+    return SchemeResult(scheme, prediction, models)

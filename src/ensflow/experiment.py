@@ -24,16 +24,16 @@ import time
 import zlib
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .calibrate import CalibrationResult, ChainConfig, calibrate_catchment
+from .calibrate import ChainConfig, calibrate_catchment
 from .ensemble import (
-    ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, SchemeResult, build_sisters,
+    ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, build_sisters,
     intervals_from_prediction, member_interval_bounds, run_scheme, sister_mean,
 )
 from .evaluate import (
@@ -312,6 +312,7 @@ class CatchmentFailure:
     catchment: str
     stage: str
     message: str
+    timing: tuple[tuple[str, float], ...] = ()  # every stage entered, the failing one timed up to its raise
 
 
 @dataclass(frozen=True)
@@ -327,7 +328,7 @@ class CalibrationRecord(NamedTuple):
     psrf: float
     converged: bool
     restarts: int
-    seconds: float
+    seconds: float  # the catchment's ``calibrate`` stage
 
 
 @dataclass
@@ -336,7 +337,18 @@ class ExperimentResult:
     wisdom: list[WisdomRow]
     failures: list[CatchmentFailure]
     calibration: dict[str, CalibrationRecord]
+    timing: list[tuple[str, str, float]]  # (catchment, stage, seconds) for every stage entered, in run order
     exit_code: int
+
+
+class CatchmentResult(NamedTuple):
+    """The rows of one scored catchment, with its stage timing as ``(stage, seconds)`` pairs in run order."""
+
+    catchment: str
+    records: list[MetricsRecord]
+    wisdom: list[WisdomRow]
+    calibration: CalibrationRecord | None
+    timing: list[tuple[str, float]]
 
 
 def _catchment_seed(global_seed: int, catchment_id: str) -> int:
@@ -353,75 +365,74 @@ def discover_catchments(config: ExperimentConfig) -> list[str]:
 
 
 def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test):
-    """Run one scheme and score its five levels: (metrics records, wisdom rows).
+    """Run one scheme and score its five levels: ((alpha, coverage, width, score, crossings) per level, wisdom rows).
 
     A numbered scheme takes one pass per level: the level's two (m, n3) member-bound arrays are made
     once, their sister means are the combined interval, and the members are scored from the same two
-    arrays, whose wisdom record's ``ais_out`` is the level's score.  Its seconds add that averaging to
-    ``run_scheme``'s fit, as ``combine`` would, not the scoring.
+    arrays, whose wisdom record's ``ais_out`` is the level's score.
     """
-    result: SchemeResult = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
-    seconds, wisdom_rows, intervals = result.elapsed_seconds, [], []
+    result = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
+    wisdom_rows, intervals = [], []
     if result.models is None:
         intervals += intervals_from_prediction(result.prediction, INTERVAL_ALPHAS).values()
         scores = [average_interval_score(pred, observed_test) for pred in intervals]
     else:
         for alpha in INTERVAL_ALPHAS:
-            start = time.perf_counter()
             lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
             intervals.append(IntervalPrediction(alpha, sister_mean(lowers), sister_mean(uppers)))
-            seconds += time.perf_counter() - start
             record = wisdom_metrics(lowers, uppers, intervals[-1], observed_test)
             wisdom_rows.append(WisdomRow(cid, result.scheme, record))
         scores = [row.record.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
-    records = [
-        MetricsRecord(
-            cid, result.scheme, pred.alpha, coverage_probability(pred, observed_test), average_width(pred), score,
-            crossing_count(pred), seconds,
-        )
+    levels = [
+        (pred.alpha, coverage_probability(pred, observed_test), average_width(pred), score, crossing_count(pred))
         for pred, score in zip(intervals, scores)
     ]
-    return records, wisdom_rows
+    return levels, wisdom_rows
+
+
+@contextmanager
+def _stage(timing: list, label: str):
+    """Append ``(label, seconds)`` to ``timing`` when the stage ends, by a raise too: the last label names a failure."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timing.append((label, time.perf_counter() - start))
 
 
 def _process_catchment(args: tuple[ExperimentConfig, str]):
-    """Everything for one catchment; returns rows or a failure record.
+    """Everything for one catchment, in stages; returns its rows or a failure record, each with its stage timing.
 
-    Any exception becomes a ``CatchmentFailure`` with the stage it came from,
-    its type and its message, so one bad catchment never ends the batch.
+    The stages are ``ingest`` (reading and partitioning the record), ``calibrate`` and ``sisters`` (for numbered
+    schemes only), then each scheme under its own id: its fit, prediction, averaging and scoring.  Any exception
+    becomes a ``CatchmentFailure`` with the stage it came from, its type and its message, so one bad catchment
+    never ends the batch.
     """
     config, cid = args
-    stage = "ingest"
+    timing: list[tuple[str, float]] = []
+    records, wisdom_rows, calibration, sisters = [], [], None, None
     try:
-        series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
-        stage = "partition"
-        split = partition(series.n, config.warmup, config.n1, config.n2)
-
-        seed = _catchment_seed(config.seed, cid)
-        calibration: CalibrationResult | None = None
-        sisters = None
+        with _stage(timing, "ingest"):
+            series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
+            split = partition(series.n, config.warmup, config.n1, config.n2)
+            observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
+            scheme_config = SchemeConfig(seed=_catchment_seed(config.seed, cid))
         if any(s not in BASIC_SCHEMES for s in config.schemes):
-            stage = "calibrate"
-            chain_config = _chain_config(config, seed=seed)
-            calibration = calibrate_catchment(series, split, chain_config)
-            stage = "sisters"
-            sisters = build_sisters(calibration.sample, series, split, config.m)
-
-        scheme_config = SchemeConfig(seed=seed)
-        observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
-        records: list[MetricsRecord] = []
-        wisdom_rows: list[WisdomRow] = []
+            with _stage(timing, "calibrate"):
+                calibration = calibrate_catchment(series, split, _chain_config(config, seed=scheme_config.seed))
+            with _stage(timing, "sisters"):
+                sisters = build_sisters(calibration.sample, series, split, config.m)
         for scheme in config.schemes:
-            stage = f"scheme {scheme}"
-            scored = _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test)
-            records += scored[0]
-            wisdom_rows += scored[1]
+            with _stage(timing, scheme):
+                levels, rows = _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test)
+            records += [MetricsRecord(cid, scheme, *level, timing[-1][1]) for level in levels]
+            wisdom_rows += rows
     except Exception as exc:
-        return CatchmentFailure(cid, stage, f"{type(exc).__name__}: {exc}")
+        return CatchmentFailure(cid, timing[-1][0], f"{type(exc).__name__}: {exc}", tuple(timing))
     cal_info = None if calibration is None else CalibrationRecord(
-        calibration.psrf, calibration.converged, calibration.restarts_used, calibration.elapsed_seconds
+        calibration.psrf, calibration.converged, calibration.restarts_used, dict(timing)["calibrate"]
     )
-    return cid, records, wisdom_rows, cal_info
+    return CatchmentResult(cid, records, wisdom_rows, cal_info, timing)
 
 
 def _worker_outcome(cid: str, future: Future):
@@ -454,7 +465,7 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Process every catchment, score every scheme, write the report files."""
     if set(config.schemes) & set(QUANTILE_SCHEMES):
-        load_solver()  # before a pool forks and outside every timer (see ``regress``)
+        load_solver()  # before a pool forks and outside every stage (see ``regress``)
     load_kernel()  # the same for the compiled month loop: no worker compiles it
     jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
@@ -464,10 +475,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     failures = [outcome for outcome in outcomes if isinstance(outcome, CatchmentFailure)]
     scored = [outcome for outcome in outcomes if not isinstance(outcome, CatchmentFailure)]
-    records = [record for _, recs, _, _ in scored for record in recs]
-    wisdom_rows = [row for _, _, rows, _ in scored for row in rows]
-    calibration = {cid: cal_info for cid, _, _, cal_info in scored if cal_info is not None}
-    result = ExperimentResult(records, wisdom_rows, failures, calibration, exit_code=0 if records else 2)
+    records = [record for outcome in scored for record in outcome.records]
+    wisdom_rows = [row for outcome in scored for row in outcome.wisdom]
+    calibration = {outcome.catchment: outcome.calibration for outcome in scored if outcome.calibration is not None}
+    timing = [(outcome.catchment, *stage) for outcome in outcomes for stage in outcome.timing]
+    result = ExperimentResult(records, wisdom_rows, failures, calibration, timing, exit_code=0 if records else 2)
     emit_reports(result, config.output_dir)
     return result
 
@@ -505,17 +517,6 @@ def _wisdom_rows(wisdom: list[WisdomRow]):
             row.catchment, row.scheme, rec.alpha, rec.ais_out, rec.aais_in, rec.relative_difference,
             *ri, len(rec.improvements), len(rec.excluded),
         )
-
-
-def _timing_rows(result: ExperimentResult):
-    """Seconds per (catchment, scheme) as first recorded, then calibration seconds per calibrated catchment."""
-    seen = set()
-    for r in result.records:
-        if (r.catchment, r.scheme) not in seen:
-            seen.add((r.catchment, r.scheme))
-            yield r.catchment, r.scheme, r.seconds
-    for cid, cal in sorted(result.calibration.items()):
-        yield cid, "calibration", cal.seconds
 
 
 WISDOM_FIELDS = (
@@ -560,7 +561,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
         sampler="compiled" if getattr(load_kernel(), "sampler", None) else "python",
     )
     write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
-    write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), _timing_rows(result))
+    write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), result.timing)
     if result.failures:
         failure_rows = ((f.catchment, f.stage, f.message) for f in result.failures)
         write_csv(out / "failures.csv", ("catchment", "stage", "message"), failure_rows)

@@ -57,13 +57,17 @@ def _check_parameters(theta1, theta2) -> None:
 
 
 def _forcing(precipitation, potential_evaporation, n_months: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forcing rule of every entry point: two 1-d float64 arrays, each covering ``n_months``."""
+    """The forcing rule of every entry point: two 1-d float64 arrays, finite and >= 0 in the ``n_months`` they cover."""
     p = np.ascontiguousarray(precipitation, dtype=float)
     e = np.ascontiguousarray(potential_evaporation, dtype=float)
     if p.ndim != 1 or e.ndim != 1:
         raise ValueError(f"forcing must be 1-d, got shapes {p.shape} and {e.shape}")
     if min(p.size, e.size) < n_months:
         raise ValueError(f"forcing has {min(p.size, e.size)} months, warm-up plus kept flows need {n_months}")
+    for name, values in (("precipitation", p[:n_months]), ("potential_evaporation", e[:n_months])):
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+        if bad.size:
+            raise ValueError(f"{name} must be finite and >= 0, got {values[bad[0]]} in month {bad[0] + 1}")
     return p, e
 
 

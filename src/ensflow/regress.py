@@ -21,7 +21,7 @@ A run loads no scipy Python package, only HiGHS's compiled extension:
 ``import scipy.optimize`` costs about 0.5 s and 45 MB that every forked
 worker would inherit.  :func:`load_solver`, the only place that names HiGHS,
 loads the extension from its file; ``run_experiment`` calls it before a pool
-forks, so workers inherit it and no timer includes it.  The tests keep scipy
+forks, so workers inherit it and no stage's time includes it.  The tests keep scipy
 as the oracle of this module, ``calibrate.psrf`` and ``ensemble``'s quantile.
 """
 

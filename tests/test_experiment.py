@@ -516,11 +516,11 @@ class TestRunExperiment:
         for scheme, expected_calls in (("1", 0), ("5", 0), ("basic-linear", 5)):
             calls.clear()
             args = ("c", scheme, series, split, ensemble.SchemeConfig(), sisters, series.streamflow[split.t3])
-            records, wisdom_rows = experiment._score_scheme(*args)
+            levels, wisdom_rows = experiment._score_scheme(*args)  # (alpha, coverage, width, score, crossings)
             assert len(calls) == expected_calls, scheme
             if wisdom_rows:
-                assert [r.score for r in records] == [row.record.ais_out for row in wisdom_rows]
-                assert [r.alpha for r in records] == [row.record.alpha for row in wisdom_rows]
+                assert [level[3] for level in levels] == [row.record.ais_out for row in wisdom_rows]
+                assert [level[0] for level in levels] == [row.record.alpha for row in wisdom_rows]
 
     def test_rerun_is_reproducible(self, tmp_path):
         write_catchments(tmp_path, ["north"])
@@ -675,9 +675,46 @@ class TestRunExperiment:
         assert np.isfinite(psrf) and restarts == 0 and seconds > 0.0
         assert result.calibration["east"].psrf == psrf
         timing = (tmp_path / "out" / "timing.csv").read_text()
-        assert "calibration" in timing
+        assert "\neast,calibrate," in timing
         wisdom_lines = (tmp_path / "out" / "wisdom.csv").read_text().splitlines()
         assert len(wisdom_lines) == 6
+
+    def test_timing_has_one_row_per_stage_entered(self, tmp_path, monkeypatch):
+        # one clock names and times every stage: a catchment's timing rows are its stages in run order, a failed
+        # catchment's included, and its failure names the stage of its last row
+        loaded, original_load, original_sisters = [], experiment.load_catchment, experiment.build_sisters
+
+        def load(path):
+            loaded.append(Path(path).stem)
+            return original_load(path)
+
+        def build_sisters(*args):
+            if loaded[-1] == "south":
+                raise FloatingPointError("no sisters")
+            return original_sisters(*args)
+
+        monkeypatch.setattr(experiment, "load_catchment", load)
+        monkeypatch.setattr(experiment, "build_sisters", build_sisters)
+        write_catchments(tmp_path, ["north", "south"])
+        config = small_run_config(
+            tmp_path, schemes=ensemble.ALL_SCHEMES, m=20, n_iterations=100, retain_per_chain=10, max_restarts=0
+        )
+        result = run_experiment(config)
+        out = tmp_path / "out"
+        assert [(f.catchment, f.stage) for f in result.failures] == [("south", "sisters")]
+        assert "south,sisters,FloatingPointError: no sisters" in (out / "failures.csv").read_text()
+        rows = [line.split(",") for line in (out / "timing.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [
+            *(["north", stage] for stage in ("ingest", "calibrate", "sisters", *ensemble.ALL_SCHEMES)),
+            *(["south", stage] for stage in ("ingest", "calibrate", "sisters")),
+        ]
+        seconds = {(cid, stage): float(value) for cid, stage, value in rows}
+        assert all(value > 0.0 for value in seconds.values())
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["calibration"]["north"]["seconds"] == seconds["north", "calibrate"]
+        assert list(summary["calibration"]) == ["north"]
+        assert len(result.records) == 5 * len(ensemble.ALL_SCHEMES)
+        assert all(r.seconds == seconds[r.catchment, r.scheme] for r in result.records)
 
     def test_results_do_not_depend_on_batch_composition(self, tmp_path):
         write_catchments(tmp_path, ["pair_a", "pair_b"])
@@ -933,9 +970,14 @@ def hand_built_result():
         WisdomRow("c1", "1", WisdomRecord(0.05, 17.25, 20.0, 0.125, (0.25, nan, 0.5), (1,))),
         WisdomRow("c2", "1", WisdomRecord(0.2, 4.0, 4.0, 0.0, (nan, nan), (0, 1))),
     ]
-    failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2')]
+    failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2', (("ingest", 0.0625),))]
     calibration = {"c1": CalibrationRecord(1.05, True, 0, 2.5)}
-    return ExperimentResult(records, wisdom, failures, calibration, exit_code=0)
+    timing = [
+        ("c1", "ingest", 0.5), ("c1", "calibrate", 2.5), ("c1", "sisters", 0.75), ("c1", "1", 1.5),
+        ("c1", "basic-linear", 0.25), ("c2", "ingest", 0.375), ("c2", "1", 2.0), ("c2", "basic-linear", 0.125),
+        ("c3", "ingest", 0.0625),
+    ]
+    return ExperimentResult(records, wisdom, failures, calibration, timing, exit_code=0)
 
 
 def crlf(*lines):
@@ -968,11 +1010,15 @@ class TestReportFiles:
             ),
             "timing.csv": crlf(
                 "catchment,scheme,seconds",
+                "c1,ingest,0.5",
+                "c1,calibrate,2.5",
+                "c1,sisters,0.75",
                 "c1,1,1.5",
                 "c1,basic-linear,0.25",
+                "c2,ingest,0.375",
                 "c2,1,2.0",
                 "c2,basic-linear,0.125",
-                "c1,calibration,2.5",
+                "c3,ingest,0.0625",
             ),
             "failures.csv": crlf(
                 "catchment,stage,message",

@@ -458,6 +458,29 @@ class TestFloatKernelBitExact:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    @pytest.mark.parametrize("bad", [-500.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("variable", ["precipitation", "potential_evaporation"])
+    def test_negative_or_non_finite_forcing_refused(self, variable, bad):
+        # unchecked, p = -500 mm in month 4 of p = 50, e = 40 mm months gave a flow of -392.9 mm that month on
+        # both loops, and a nan month gave nan flows from then on; step refuses such a month
+        forcing = {"precipitation": np.full(24, 50.0), "potential_evaporation": np.full(24, 40.0)}
+        forcing[variable][3] = bad
+        p, e = forcing["precipitation"], forcing["potential_evaporation"]
+        calls = (
+            lambda: gr2m.month_loop(p, e, 4, 8),
+            lambda: simulate_flow(300.0, 1.0, p, e, 4, 8),
+            lambda: simulate_batch(np.array([300.0]), np.array([1.0]), p, e, partition(24, 4, 4, 4)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{variable} must be finite and >= 0, got {bad} in month 4$"):
+                call()
+        with pytest.raises(ValueError, match=f"^{variable} must be finite and >= 0, got {bad}$"):
+            step(300.0, 1.0, 150.0, 30.0, *([bad, 40.0] if variable == "precipitation" else [50.0, bad]))
+        # a month past the ones run is not read, so it is not refused
+        forcing[variable][3], forcing[variable][20] = 50.0 if variable == "precipitation" else 40.0, bad
+        clean = _oracle_simulate_flow(300.0, 1.0, [50.0] * 12, [40.0] * 12, 4, 8)
+        assert simulate_flow(300.0, 1.0, p, e, 4, 8).tobytes() == clean.tobytes()
+
     @pytest.mark.parametrize("e_shape", [(12, 2), (24,)], ids=["both-2-d", "precipitation-2-d"])
     def test_two_dimensional_forcing_refused(self, e_shape):
         # unchecked, the compiled loop read a (12, 2) forcing as its 24 flattened values, the Python loop raised
