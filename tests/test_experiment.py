@@ -433,10 +433,15 @@ class TestRunExperiment:
             assert (out / name).exists()
         assert not (out / "failures.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
-        # basic schemes calibrate nothing, so no catchment has a calibration entry or timing row
+        # basic schemes calibrate nothing, so no catchment has a calibration entry or enters
+        # the calibrate or sisters stage: its timing rows are ingest and the two schemes
         assert summary["calibration"] == {} and result.calibration == {}
         assert summary["failures"] == 0
-        assert "calibration" not in (out / "timing.csv").read_text()
+        stages = {}
+        for line in (out / "timing.csv").read_text().splitlines()[1:]:
+            catchment, stage, _ = line.split(",")
+            stages.setdefault(catchment, []).append(stage)
+        assert stages == {cid: ["ingest", "basic-linear", "basic-quantile"] for cid in ("north", "south")}
         ranking_lines = (out / "rankings.csv").read_text().splitlines()
         # header + 5 levels x 2 catchments x 2 schemes
         assert len(ranking_lines) == 21
