@@ -1,13 +1,13 @@
-/* The month loop of gr2m._run with math.tanh, one statement per Python line
-   in the same order, so that every IEEE operation matches CPython's.  libm's
-   tanh and pow are the functions math.tanh and float ** call; gr2m.load_kernel
-   compiles with -fno-builtin and -ffp-contract=off, so the compiler neither
-   folds nor fuses them.  Writes the flows of months warmup .. warmup+n_keep-1. */
+/* The month loop of gr2m._run with math.tanh, one statement per Python line in the same order, so that every
+   IEEE operation matches CPython's.  libm's tanh and pow are the functions math.tanh and float ** call;
+   gr2m.load_kernel compiles with -fno-builtin and -ffp-contract=off, so the compiler neither folds nor fuses
+   them.  Starts from gr2m's default stores, 0.5 * theta1 and DEFAULT_ROUTING_INIT_MM (30 mm), and writes the
+   flows of months warmup .. warmup+n_keep-1. */
 #include <math.h>
 
-void gr2m_run(double theta1, double theta2, double s, double r, const double *p, const double *e,
-              long warmup, long n_keep, double *flows)
+void gr2m_run(double theta1, double theta2, const double *p, const double *e, long warmup, long n_keep, double *flows)
 {
+    double s = 0.5 * theta1, r = 30.0;
     for (long t = 0; t < warmup + n_keep; t++) {
         double pt = p[t];
         /* 1. rainfall uptake into the soil store; the rest is excess rainfall p1 */
@@ -52,7 +52,7 @@ struct objective {
     long warmup, n_keep;
     double *flows;
     const double *observed, *lower, *upper;
-    double *residuals, routing;
+    double *residuals;
 };
 
 /* Python's min(0.0, x) */
@@ -75,7 +75,7 @@ static int posterior(const struct objective *o, const double *theta, double *ll)
         *ll = -INFINITY;
         return 0;
     }
-    gr2m_run(theta1, theta2, 0.5 * theta1, o->routing, o->p, o->e, o->warmup, o->n_keep, o->flows);
+    gr2m_run(theta1, theta2, o->p, o->e, o->warmup, o->n_keep, o->flows);
     for (long i = 0; i < o->n_keep; i++)
         o->residuals[i] = o->observed[i] - o->flows[i];
     double sse = dot(o->n_keep, o->residuals, o->residuals);
@@ -122,11 +122,11 @@ static void propose(bitgen_t *rng, const double *factor, const double *current, 
 static double log_uniform(bitgen_t *rng) { return log(rng->next_double(rng->state)); }
 
 int dram_block(const double *p, const double *e, long warmup, long n_keep, double *flows, const double *observed,
-               double *residuals, const double *lower, const double *upper, double routing, bitgen_t *rng,
-               const double *chol, const double *timid, const double *cov_inv, double *state, double *params,
-               double *lls, bool *accepted, long start, long stop)
+               double *residuals, const double *lower, const double *upper, bitgen_t *rng, const double *chol,
+               const double *timid, const double *cov_inv, double *state, double *params, double *lls,
+               bool *accepted, long start, long stop)
 {
-    const struct objective o = {p, e, warmup, n_keep, flows, observed, lower, upper, residuals, routing};
+    const struct objective o = {p, e, warmup, n_keep, flows, observed, lower, upper, residuals};
     double current[2] = {state[0], state[1]}, current_ll = state[2];
     for (long t = start; t < stop; t++) {
         double first[2], second[2], ll_first, ll_second;

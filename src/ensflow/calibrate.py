@@ -316,12 +316,11 @@ def _objective(observed: np.ndarray, loop):
     residuals = np.empty(observed.size)
 
     def objective(theta1: float, theta2: float) -> float:
-        theta1 = float(theta1)
-        predicted = loop(theta1, float(theta2), 0.5 * theta1, gr2m.DEFAULT_ROUTING_INIT_MM)
+        predicted = loop(float(theta1), float(theta2))
         return _log_likelihood(np.subtract(observed, predicted, out=residuals), predicted)
 
     if hasattr(loop, "chain_block"):  # the block reads observed and writes residuals, both kept alive by objective
-        bound = (*(a.ctypes.data for a in (observed, residuals, BOX_LOWER, BOX_UPPER)), gr2m.DEFAULT_ROUTING_INIT_MM)
+        bound = tuple(a.ctypes.data for a in (observed, residuals, BOX_LOWER, BOX_UPPER))
         objective.chain_block = lambda *block: loop.chain_block(*bound, *block)
     return objective
 

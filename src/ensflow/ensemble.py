@@ -204,12 +204,10 @@ def _probability_index(probabilities: tuple[float, ...], p: float) -> int:
     raise ValueError(f"probability {p} not in the delivered set {probabilities}")
 
 
-def intervals_from_prediction(
-    pred: CombinedPrediction, alphas=INTERVAL_ALPHAS
-) -> dict[float, IntervalPrediction]:
-    """Pair off quantiles into central intervals, keyed by alpha."""
+def intervals_from_prediction(pred: CombinedPrediction) -> dict[float, IntervalPrediction]:
+    """Pair off quantiles into the central intervals of ``INTERVAL_ALPHAS``, keyed by alpha."""
     out: dict[float, IntervalPrediction] = {}
-    for alpha in alphas:
+    for alpha in INTERVAL_ALPHAS:
         lo = _probability_index(pred.probabilities, alpha / 2.0)
         hi = _probability_index(pred.probabilities, 1.0 - alpha / 2.0)
         out[alpha] = IntervalPrediction(alpha, pred.quantiles[lo], pred.quantiles[hi])

@@ -256,8 +256,17 @@ def _metrics_record(row: list[str]) -> MetricsRecord:
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
-    """Read a metrics file; a wrong header, a bad row or a non-finite number raises ``ValueError``."""
-    return list(read_csv(path, METRICS_FIELDS, _metrics_record))
+    """Read a metrics file; a wrong header, a bad row, a non-finite number or a repeated cell raises ``ValueError``."""
+    cells = set()
+
+    def parse(row: list[str]) -> MetricsRecord:
+        record = _metrics_record(row)
+        if (cell := (record.catchment, record.scheme, record.alpha)) in cells:
+            raise ValueError(f"repeated (catchment, scheme, alpha) cell {','.join(row[:3])}")
+        cells.add(cell)
+        return record
+
+    return list(read_csv(path, METRICS_FIELDS, parse))
 
 
 def _level_label(alpha: float) -> str:

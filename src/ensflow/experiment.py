@@ -374,7 +374,7 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
     result = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
     wisdom_rows, intervals = [], []
     if result.models is None:
-        intervals += intervals_from_prediction(result.prediction, INTERVAL_ALPHAS).values()
+        intervals += intervals_from_prediction(result.prediction).values()
         scores = [average_interval_score(pred, observed_test) for pred in intervals]
     else:
         for alpha in INTERVAL_ALPHAS:

@@ -10,11 +10,12 @@ rainfall and the percolation, is scaled by the water-exchange coefficient
 capacity.  The drained depth is the monthly streamflow in mm.
 
 Four entry points, all on plain floats: ``step`` (one month from given stores), ``month_loop`` (the loop bound to
-one forcing, for calibration), ``simulate_flow`` (one pair from the default stores) and ``simulate_batch`` (many
-pairs at once).  Each checks its parameters with ``_check_parameters`` and its forcing with ``_forcing``, so the
-Python loop and the compiled one refuse the same input.  ``month_loop`` runs the month loop's C translation
-(``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s bits; its loop also carries the calibration
-sampler's DRAM block, accepted only with the Python sampler's bytes: a compiler buys speed only.
+one forcing, for calibration), ``simulate_flow`` (one pair) and ``simulate_batch`` (many pairs at once); all but
+``step`` start from the default stores, 0.5 * theta1 and ``DEFAULT_ROUTING_INIT_MM``.  Each checks its parameters
+with ``_check_parameters`` and its forcing with ``_forcing``, so the Python loop and the compiled one refuse the
+same input.  ``month_loop`` runs the month loop's C translation (``_gr2m.c``) when :func:`load_kernel` builds one
+with ``_run``'s bits; its loop also carries the calibration sampler's DRAM block, accepted only with the Python
+sampler's bytes: a compiler buys speed only.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .timeseries import PeriodPartition
 # outflow capacity of the routing store, mm; fixed by the model definition
 ROUTING_CAPACITY_MM = 60.0
 
-# the initial routing store of ``simulate_flow`` and ``simulate_batch``, half full, as their production store
-# (0.5 * theta1) is; warm-up washes both out
+# every simulation starts with the routing store half full, as its production store (0.5 * theta1) is; warm-up
+# washes both out, and only ``step`` takes other stores
 DEFAULT_ROUTING_INIT_MM = 30.0
 
 # the C month loop, compiled without fused multiply-adds and with libm's tanh and pow, as CPython calls them
@@ -134,9 +135,9 @@ def load_kernel():
         return None
     doubles, pointer, long = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long
     run, sampler = lib.gr2m_run, getattr(lib, "dram_block", None)
-    run.argtypes, run.restype = [ctypes.c_double] * 4 + [doubles] * 2 + [long] * 2 + [doubles], None
+    run.argtypes, run.restype = [ctypes.c_double] * 2 + [doubles] * 2 + [long] * 2 + [doubles], None
     if sampler is not None:  # the month loop's arguments, then calibrate's, then one block's
-        sampler.argtypes = [*run.argtypes[4:], *[pointer] * 4, ctypes.c_double, *[pointer] * 8, long, long]
+        sampler.argtypes = [*run.argtypes[2:], *[pointer] * 12, long, long]
     buffer = ctypes.c_double.from_buffer  # the cheapest pointer to an array's data; needs a writable one
 
     def bind(p, e, warmup, n_keep):
@@ -145,21 +146,22 @@ def load_kernel():
             p, e = p.copy(), e.copy()
         pointers = (buffer(p), buffer(e), warmup, n_keep, buffer(flows))  # each keeps its array alive
 
-        def loop(theta1, theta2, s, r):
-            run(theta1, theta2, s, r, *pointers)
+        def loop(theta1, theta2):
+            run(theta1, theta2, *pointers)
             return flows
 
-        if bind.sampler is not None:  # calibrate binds the rest of the objective: observed months, box, stores
+        if bind.sampler is not None:  # calibrate binds the rest of the objective: observed months and box
             loop.chain_block = functools.partial(bind.sampler, *pointers)
         return loop
 
-    # dry months, a huge one and a spread on a grid of the box: catches pow folded to a cube or cube root and FMAs
+    # dry months, a huge one and a spread on a grid of the box: catches pow folded to a cube or cube root, FMAs
+    # and other starting stores
     p, e = [0.0, 1e4, *(53 * t % 97 * 3.0 for t in range(46))], [53 * t % 23 * 4.0 for t in range(48)]
     bind.sampler = sampler
     loop = bind(p, e, 2, 46)
     for theta1, theta2 in [(a, b) for a in (1.0, 300.0, 1500.0, 3000.0) for b in (0.2, 1.0, 5.0)]:
-        expected = np.array(_run(theta1, theta2, 0.5 * theta1, 30.0, p, e, 48, math.tanh)[2][2:])
-        if loop(theta1, theta2, 0.5 * theta1, 30.0).tobytes() != expected.tobytes():
+        expected = np.array(_run(theta1, theta2, 0.5 * theta1, DEFAULT_ROUTING_INIT_MM, p, e, 48, math.tanh)[2][2:])
+        if loop(theta1, theta2).tobytes() != expected.tobytes():
             return None
     if sampler is not None:  # observed: the flows at (3000, 5) with errors, so the chain keeps near the box's edges
         from .calibrate import sampler_matches  # the Python sampler is the oracle (calibrate imports this module)
@@ -177,20 +179,17 @@ def step(theta1, theta2, soil, routing, precipitation, potential_evaporation) ->
     the outflow never exceeds the routing store content.
     """
     _check_parameters(theta1, theta2)
-    for name, value in (("precipitation", precipitation), ("potential_evaporation", potential_evaporation)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    p, e = _forcing((precipitation,), (potential_evaporation,), 1)
     if not (math.isfinite(soil) and 0.0 <= soil <= theta1):
         raise ValueError(f"soil store {soil} outside [0, {theta1}]")
     if not (math.isfinite(routing) and routing >= 0.0):
         raise ValueError(f"routing store must be >= 0, got {routing}")
-    p, e = (precipitation,), (potential_evaporation,)
-    soil, routing, (flow,) = _run(theta1, theta2, soil, routing, p, e, 1, math.tanh)
+    soil, routing, (flow,) = _run(theta1, theta2, soil, routing, p.tolist(), e.tolist(), 1, math.tanh)
     return soil, routing, flow
 
 
 def month_loop(precipitation, potential_evaporation, warmup: int, n_keep: int):
-    """The month loop bound to one forcing: ``loop(theta1, theta2, soil, routing)`` gives the kept flows.
+    """The month loop bound to one forcing: ``loop(theta1, theta2)`` gives the kept flows from the default stores.
 
     It runs ``warmup + n_keep`` months and keeps the flows after warm-up; the month counts and the forcing
     are checked once, here, and the parameters not at all (calibration's prior box keeps them in the domain).
@@ -205,20 +204,17 @@ def month_loop(precipitation, potential_evaporation, warmup: int, n_keep: int):
     if bind is not None:
         return bind(p, e, warmup, n_keep)
     p, e = p[:n_months].tolist(), e[:n_months].tolist()
-    return lambda theta1, theta2, s, r: np.array(_run(theta1, theta2, s, r, p, e, n_months, math.tanh)[2][warmup:])
+    return lambda theta1, theta2: np.array(
+        _run(theta1, theta2, 0.5 * theta1, DEFAULT_ROUTING_INIT_MM, p, e, n_months, math.tanh)[2][warmup:]
+    )
 
 
 def simulate_flow(
     theta1: float, theta2: float, precipitation, potential_evaporation, warmup: int, n_keep: int
 ) -> np.ndarray:
-    """The flows after warm-up of ``warmup + n_keep`` months from the default stores, a new array.
-
-    One call of a new ``month_loop``; other initial stores go through ``month_loop(...)(theta1, theta2, s, r)``.
-    """
+    """The flows after warm-up of ``warmup + n_keep`` months from the default stores: a new ``month_loop``'s."""
     _check_parameters(theta1, theta2)
-    theta1, theta2 = float(theta1), float(theta2)
-    loop = month_loop(precipitation, potential_evaporation, warmup, n_keep)
-    return loop(theta1, theta2, 0.5 * theta1, DEFAULT_ROUTING_INIT_MM)
+    return month_loop(precipitation, potential_evaporation, warmup, n_keep)(float(theta1), float(theta2))
 
 
 def simulate_batch(

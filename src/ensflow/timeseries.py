@@ -172,18 +172,16 @@ def _day_fault(date: dt.date, expected_day: int, values: tuple[float | None, ...
             return f"bad {name} value {value!r} on {date}"
 
 
-def load_catchment(path: str | Path, span: tuple[int, int] | None = None) -> MonthlySeries:
-    """Read a daily CSV once and sum its days to calendar-month totals over ``span`` (inclusive years).
+def load_catchment(path: str | Path) -> MonthlySeries:
+    """Read a daily CSV once and sum its days to calendar-month totals over its whole calendar years.
 
-    The default span is the longest run of whole calendar years between the
-    file's first and last dates.  Dates must increase strictly through the
-    file, every day of the span must be present with no missing, negative or
-    non-finite value, and no month's total may overflow; the first violation
-    is reported with its date or month.  A month's total is one ``math.fsum``
-    of its days, exactly rounded whatever their order.
+    The months read are those of the longest run of whole calendar years
+    between the file's first and last dates.  Dates must increase strictly
+    through the file, every day of those years must be present with no
+    missing, negative or non-finite value, and no month's total may overflow;
+    the first violation is reported with its date or month.  A month's total
+    is one ``math.fsum`` of its days, exactly rounded whatever their order.
     """
-    if span is not None and span[1] < span[0]:
-        raise ValueError(f"span end {span[1]} before start {span[0]}")
     # (year, month) -> [first fault or None, precipitation days, evaporation days, streamflow days]
     months: dict[tuple[int, int], list] = defaultdict(lambda: [None, [], [], []])
     first = last = disorder = None
@@ -208,18 +206,16 @@ def load_catchment(path: str | Path, span: tuple[int, int] | None = None) -> Mon
         month[2].append(e)
         month[3].append(q)
 
-    if span is None:
-        if first is None:
-            raise ValueError("empty daily record")
-        start = first.year if (first.month, first.day) == (1, 1) else first.year + 1
-        end = last.year if (last.month, last.day) == (12, 31) else last.year - 1
-        if end < start:
-            raise ValueError(f"no complete calendar year between {first} and {last}")
-        span = (start, end)
+    if first is None:
+        raise ValueError("empty daily record")
+    start = first.year if (first.month, first.day) == (1, 1) else first.year + 1
+    end = last.year if (last.month, last.day) == (12, 31) else last.year - 1
+    if end < start:
+        raise ValueError(f"no complete calendar year between {first} and {last}")
     if disorder:
         raise ValueError(disorder)
     totals: tuple[list[float], ...] = ([], [], [])
-    for year in range(span[0], span[1] + 1):
+    for year in range(start, end + 1):
         for number in range(1, 13):
             # a month without rows is a month whose first day is missing
             fault, *columns = months.get((year, number), (None, [], [], []))
@@ -232,4 +228,4 @@ def load_catchment(path: str | Path, span: tuple[int, int] | None = None) -> Mon
                     column.append(math.fsum(days))
                 except OverflowError:
                     raise ValueError(f"{name} total overflows in {year}-{number:02d}") from None
-    return MonthlySeries((span[0], 1), *(np.array(column) for column in totals))
+    return MonthlySeries((start, 1), *(np.array(column) for column in totals))

@@ -297,6 +297,20 @@ class TestReport:
         assert "cannot read metrics" in err and "metrics.csv:2: could not convert string to float: 'abc'" in err
         assert not out.exists()
 
+    def test_repeated_cell_named_by_its_line(self, tmp_path, capsys):
+        # unchecked, a repeat reads as a second catchment: n_catchments 2 and score_mean 2.5 for the one cell
+        path = tmp_path / "metrics.csv"
+        path.write_text(
+            "catchment,scheme,alpha,coverage,width,score,crossings,seconds\n"
+            "c,1,0.05,0.9,1.0,2.0,0,1.5\nc,1,0.1,0.9,1.0,2.0,0,1.5\nc,1,0.050,0.9,1.0,3.0,0,1.5\n"
+        )
+        out = tmp_path / "re"
+        assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read metrics" in err
+        assert "metrics.csv:4: repeated (catchment, scheme, alpha) cell c,1,0.050" in err
+        assert not out.exists()
+
 
 class TestArgumentHandling:
     def test_missing_verb(self, capsys):

@@ -438,9 +438,11 @@ class TestIntervalExtraction:
         np.testing.assert_array_equal(intervals[0.20].upper, quantiles[5])
 
     def test_missing_probability_rejected(self):
-        pred = CombinedPrediction(probabilities=(0.25, 0.75), quantiles=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="not in the delivered set"):
-            intervals_from_prediction(pred, alphas=(0.05,))
+        # every default level but the 95 % one
+        probabilities = tuple(p for p in DEFAULT_PROBABILITIES if p not in (0.025, 0.975))
+        pred = CombinedPrediction(probabilities=probabilities, quantiles=np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="^probability 0.025 not in the delivered set"):
+            intervals_from_prediction(pred)
 
     def test_member_bounds(self):
         # error quantile j at probs[j]: the 90% bounds are u - 3 and u - 0

@@ -320,6 +320,17 @@ class TestMetricsIo:
         write_metrics_csv(records, path)
         assert read_metrics_csv(path) == records
 
+    def test_repeated_cell_rejected(self, tmp_path):
+        # one (catchment, scheme, alpha) cell is one row; another scheme or level of it is not a repeat
+        records = [self.record(), self.record(scheme="6"), self.record(alpha=0.1), self.record(score=3.0)]
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(records, path)
+        with pytest.raises(ValueError) as excinfo:
+            read_metrics_csv(path)
+        assert str(excinfo.value) == f"{path}:5: repeated (catchment, scheme, alpha) cell c01,5,0.05"
+        write_metrics_csv(records[:3], path)
+        assert read_metrics_csv(path) == records[:3]
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

@@ -185,10 +185,10 @@ class TestSimulate:
 
     def test_warmup_washes_out_initial_state(self):
         rng = np.random.default_rng(13)
-        p, e = random_forcing(rng, 160)
-        # a new loop for each: the compiled one overwrites its output array on every call
-        dry = gr2m.month_loop(p, e, 120, 40)(350.0, 0.95, 0.0, 0.0)
-        wet = gr2m.month_loop(p, e, 120, 40)(350.0, 0.95, 350.0, 120.0)
+        p, e = (column.tolist() for column in random_forcing(rng, 160))
+        # only _run starts from any stores; every entry point but step starts from the default ones
+        dry = gr2m._run(350.0, 0.95, 0.0, 0.0, p, e, 160, math.tanh)[2][120:]
+        wet = gr2m._run(350.0, 0.95, 350.0, 120.0, p, e, 160, math.tanh)[2][120:]
         np.testing.assert_allclose(dry, wet, rtol=1e-6)
 
 
@@ -247,12 +247,9 @@ def _oracle_step_values(theta1, theta2, s, r, p, e, tanh=math.tanh):
     return s_new, r2 - q, q
 
 
-def _oracle_simulate_flow(
-    theta1, theta2, precipitation, potential_evaporation, warmup, n_keep, soil_init=None,
-    routing_init=DEFAULT_ROUTING_INIT_MM,
-):
-    s = 0.5 * theta1 if soil_init is None else soil_init
-    r = routing_init
+def _oracle_simulate_flow(theta1, theta2, precipitation, potential_evaporation, warmup, n_keep):
+    s = 0.5 * theta1
+    r = DEFAULT_ROUTING_INIT_MM
     p = precipitation
     e = potential_evaporation
     out = np.empty(n_keep)
@@ -361,15 +358,16 @@ class TestFloatKernelBitExact:
                 simulate_flow(float(theta1), float(theta2), p.tolist(), e.tolist(), 12, 144), expected
             )
 
-    def test_simulate_flow_with_initial_state_matches_oracle(self):
+    def test_month_loop_starts_from_the_default_stores(self):
+        # the compiled loop sets its stores itself; _run is given gr2m's
         rng = np.random.default_rng(32)
         p, e = random_forcing(rng, 60)
+        loop = gr2m.month_loop(p, e, 6, 54)
         for theta1, theta2 in _in_box_pairs(rng, 10):
-            # simulate_flow starts from the default stores; any others go through month_loop
-            soil, routing = theta1 * rng.uniform(), rng.uniform(0.0, 100.0)
-            expected = _oracle_simulate_flow(theta1, theta2, p, e, 0, 60, soil, routing)
-            got = gr2m.month_loop(p, e, 0, 60)(float(theta1), float(theta2), float(soil), float(routing))
-            assert np.array_equal(got, expected)
+            theta1, theta2 = float(theta1), float(theta2)
+            stores = (0.5 * theta1, DEFAULT_ROUTING_INIT_MM)
+            _, _, flows = gr2m._run(theta1, theta2, *stores, p.tolist(), e.tolist(), 60, math.tanh)
+            assert loop(theta1, theta2).tobytes() == np.array(flows[6:]).tobytes()
 
     def test_simulate_batch_matches_oracle(self):
         rng = np.random.default_rng(33)
@@ -474,7 +472,7 @@ class TestFloatKernelBitExact:
         for call in calls:
             with pytest.raises(ValueError, match=f"^{variable} must be finite and >= 0, got {bad} in month 4$"):
                 call()
-        with pytest.raises(ValueError, match=f"^{variable} must be finite and >= 0, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^{variable} must be finite and >= 0, got {bad} in month 1$"):
             step(300.0, 1.0, 150.0, 30.0, *([bad, 40.0] if variable == "precipitation" else [50.0, bad]))
         # a month past the ones run is not read, so it is not refused
         forcing[variable][3], forcing[variable][20] = 50.0 if variable == "precipitation" else 40.0, bad

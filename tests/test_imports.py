@@ -118,3 +118,22 @@ def test_detects_a_private_name_across_modules():
 
 def test_no_module_reads_another_modules_private_name():
     assert private_names_across_modules({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def names_read(source: str) -> set[str]:
+    """The names ``source`` reads, takes as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_only_gr2m_reads_the_default_routing_store():
+    # every simulation starts from gr2m's own stores, so no other module names one
+    readers = [path.stem for path in PACKAGE if "DEFAULT_ROUTING_INIT_MM" in names_read(path.read_text())]
+    assert readers == ["gr2m"]

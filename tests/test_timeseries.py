@@ -41,9 +41,9 @@ def write_daily(path, rows):
     return path
 
 
-def load_rows(tmp_path, rows, span=(1990, 1990)):
+def load_rows(tmp_path, rows):
     """Monthly totals of ``rows`` through a daily CSV, as a run ingests them."""
-    return load_catchment(write_daily(tmp_path / "c.csv", rows), span)
+    return load_catchment(write_daily(tmp_path / "c.csv", rows))
 
 
 def daily_parse(row):
@@ -185,7 +185,7 @@ class TestDailyCsv:
 
 class TestInferSpan:
     def test_exact_years(self, tmp_path):
-        assert load_rows(tmp_path, daily_year(1990), span=None).origin == (1990, 1)
+        assert load_rows(tmp_path, daily_year(1990)).origin == (1990, 1)
 
     def test_partial_edges_trimmed_to_full_years(self, tmp_path):
         rows = (
@@ -193,16 +193,16 @@ class TestInferSpan:
             + daily_year(1990)
             + [(dt.date(1991, 1, 1), 1, 1, 1)]
         )
-        series = load_rows(tmp_path, rows, span=None)
+        series = load_rows(tmp_path, rows)
         assert (series.origin, series.n) == ((1990, 1), 12)
 
     def test_no_full_year(self, tmp_path):
         with pytest.raises(ValueError, match="no complete calendar year"):
-            load_rows(tmp_path, [(dt.date(1990, 3, 1), 1, 1, 1)], span=None)
+            load_rows(tmp_path, [(dt.date(1990, 3, 1), 1, 1, 1)])
 
     def test_empty(self, tmp_path):
         with pytest.raises(ValueError, match="empty daily record"):
-            load_rows(tmp_path, [], span=None)
+            load_rows(tmp_path, [])
 
 
 class TestAggregation:
@@ -216,7 +216,7 @@ class TestAggregation:
         assert series.streamflow[0] == pytest.approx(15.5)
 
     def test_leap_february(self, tmp_path):
-        series = load_rows(tmp_path, daily_year(1992, p=1.0), span=(1992, 1992))
+        series = load_rows(tmp_path, daily_year(1992, p=1.0))
         assert series.precipitation[1] == pytest.approx(29.0)
 
     def test_missing_day_reported(self, tmp_path):
@@ -268,12 +268,6 @@ class TestLoadCatchment:
         series = load_catchment(path)
         assert series.n == 24
         assert series.origin == (1990, 1)
-
-    def test_load_with_explicit_span(self, tmp_path):
-        path = write_daily(tmp_path / "c.csv", daily_year(1990) + daily_year(1991))
-        series = load_catchment(path, span=(1991, 1991))
-        assert series.n == 12
-        assert series.origin == (1991, 1)
 
 
 # deterministic and bounded, so tier-1 stays reproducible and quick
@@ -381,17 +375,15 @@ def aggregate_daily_to_monthly(records: list[DailyRecord], span: tuple[int, int]
     )
 
 
-def record_based_load(path, span=None) -> MonthlySeries:
+def record_based_load(path) -> MonthlySeries:
     records = list(read_csv(path, CSV_HEADER, _daily_record))
-    if span is None:
-        span = infer_span(records)
-    return aggregate_daily_to_monthly(records, span)
+    return aggregate_daily_to_monthly(records, infer_span(records))
 
 
-def outcome(load, path, span):
+def outcome(load, path):
     """The monthly totals ``load`` gives, or its message."""
     try:
-        series = load(path, span)
+        series = load(path)
     except ValueError as exc:
         return str(exc)
     return series.origin, [getattr(series, name) for name in VARIABLES]
@@ -405,16 +397,13 @@ class TestIngestProperties:
         seed=st.integers(0, 2**32 - 1),
         head=st.integers(0, 45),  # days cut from the start and end: partial edge months
         tail=st.integers(0, 45),
-        span=st.none() | st.tuples(st.integers(-1, 3), st.integers(0, 2)),  # years after start_year
     )
-    def test_totals_and_messages_equal_the_record_based_path(self, start_year, n_months, seed, head, tail, span):
-        if span is not None:
-            span = (start_year + span[0], start_year + span[0] + span[1])
+    def test_totals_and_messages_equal_the_record_based_path(self, start_year, n_months, seed, head, tail):
         with tempfile.TemporaryDirectory() as scratch:
             path, _ = generate_synthetic(SyntheticSpec(n_months=n_months, seed=seed, start_year=start_year), scratch)
             lines = path.read_text().splitlines(keepends=True)
             path.write_text("".join(lines[:1] + lines[1 + head : max(1 + head, len(lines) - tail)]))
-            expected, got = outcome(record_based_load, path, span), outcome(load_catchment, path, span)
+            expected, got = outcome(record_based_load, path), outcome(load_catchment, path)
         if isinstance(expected, str):
             assert got == expected
         else:
