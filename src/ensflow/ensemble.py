@@ -229,15 +229,15 @@ def generate_sisters(
     """Simulate every retained parameter pair and collect training errors."""
     if series.n < split.n_total:
         raise ValueError(f"series has {series.n} months, partition needs {split.n_total}")
-    simulated = simulate_batch(
+    # the calibration months join the warm-up: only the error-training and test months are kept
+    predictions = simulate_batch(
         sample.pairs[:, 0],
         sample.pairs[:, 1],
         series.precipitation,
         series.potential_evaporation,
-        split,
+        split.warmup + split.n1,
+        split.n2 + split.n3,
     )
-    # keep the error-training and test months, drop the calibration months
-    predictions = simulated[:, split.n1 :]
     observed_training = np.asarray(series.streamflow, dtype=float)[split.t2]
     errors = predictions[:, : split.n2] - observed_training[np.newaxis, :]
     return SisterEnsemble(predictions=predictions, errors=errors)

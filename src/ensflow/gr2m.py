@@ -11,11 +11,12 @@ capacity.  The drained depth is the monthly streamflow in mm.
 
 Four entry points, all on plain floats: ``step`` (one month from given stores), ``month_loop`` (the loop bound to
 one forcing, for calibration), ``simulate_flow`` (one pair) and ``simulate_batch`` (many pairs at once); all but
-``step`` start from the default stores, 0.5 * theta1 and ``DEFAULT_ROUTING_INIT_MM``.  Each checks its parameters
-with ``_check_parameters`` and its forcing with ``_forcing``, so the Python loop and the compiled one refuse the
-same input.  ``month_loop`` runs the month loop's C translation (``_gr2m.c``) when :func:`load_kernel` builds one
-with ``_run``'s bits; its loop also carries the calibration sampler's DRAM block, accepted only with the Python
-sampler's bytes: a compiler buys speed only.
+``step`` start from the default stores, 0.5 * theta1 and ``DEFAULT_ROUTING_INIT_MM``, and run ``warmup + n_keep``
+months to keep the last ``n_keep`` flows.  Each checks its parameters with ``_check_parameters`` and its forcing and
+month counts with ``_forcing``, so the Python loop and the compiled one refuse the same input.  ``month_loop`` runs
+the month loop's C translation (``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s bits; its loop also
+carries the calibration sampler's DRAM block, accepted only with the Python sampler's bytes: a compiler buys speed
+only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import subprocess
 from pathlib import Path
 
 import numpy as np
-
-from .timeseries import PeriodPartition
 
 # outflow capacity of the routing store, mm; fixed by the model definition
 ROUTING_CAPACITY_MM = 60.0
@@ -57,8 +56,13 @@ def _check_parameters(theta1, theta2) -> None:
         raise ValueError(f"theta2 must be finite and >= 0, got {theta2}")
 
 
-def _forcing(precipitation, potential_evaporation, n_months: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forcing rule of every entry point: two 1-d float64 arrays, finite and >= 0 in the ``n_months`` they cover."""
+def _forcing(precipitation, potential_evaporation, warmup: int, n_keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forcing rule of every entry point: ``warmup >= 0`` and ``n_keep >= 1`` months of two 1-d float64 arrays,
+    finite and >= 0 in the months they cover.
+    """
+    if warmup < 0 or n_keep < 1:
+        raise ValueError(f"need warmup >= 0 and n_keep >= 1, got warmup={warmup}, n_keep={n_keep}")
+    n_months = warmup + n_keep
     p = np.ascontiguousarray(precipitation, dtype=float)
     e = np.ascontiguousarray(potential_evaporation, dtype=float)
     if p.ndim != 1 or e.ndim != 1:
@@ -112,15 +116,18 @@ def load_kernel():
 
     Built on first use into ``__pycache__`` under the sha256 of source and command, via ``os.replace``, with the
     DRAM block where it links and loads; ``bind.sampler`` is the block if it gives the Python sampler's bytes.
+    Once one loads, every other ``_gr2m.*.so`` there, which neither of this source's two commands names, is deleted.
     """
-    import ctypes, hashlib, shlex, shutil, sysconfig  # on first use only: ``import ensflow`` stays as cheap
+    import contextlib, ctypes, hashlib, shlex, shutil, sysconfig  # on first use only: ``import ensflow`` stays as cheap
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")  # the compiler Python was built with, else cc
     command = [*(cc if shutil.which(cc[0]) else ["cc"]), *KERNEL_FLAGS]
     blas = map(str, NUMPY_BLAS.parent.glob(NUMPY_BLAS.name))  # none found: the library does not load
+    builds = {}  # library -> the extra arguments that build it, with the sampler first
     for extra in (["-DENSFLOW_SAMPLER", f"-I{np.get_include()}", str(NUMPY_RANDOM), *blas, "-lm"], ["-lm"]):
         key = hashlib.sha256(KERNEL_SOURCE.read_bytes() + " ".join(command + extra).encode()).hexdigest()[:16]
-        library = KERNEL_SOURCE.parent / "__pycache__" / f"_gr2m.{key}.so"
+        builds[KERNEL_SOURCE.parent / "__pycache__" / f"_gr2m.{key}.so"] = extra
+    for library, extra in builds.items():
         try:
             if not library.exists():
                 library.parent.mkdir(exist_ok=True)
@@ -133,6 +140,9 @@ def load_kernel():
             pass
     else:
         return None
+    for stale in set(library.parent.glob("_gr2m.*.so")) - builds.keys():  # built from another source or command
+        with contextlib.suppress(OSError):  # deleted by another process, or in a directory this one may not write
+            stale.unlink()
     doubles, pointer, long = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long
     run, sampler = lib.gr2m_run, getattr(lib, "dram_block", None)
     run.argtypes, run.restype = [ctypes.c_double] * 2 + [doubles] * 2 + [long] * 2 + [doubles], None
@@ -179,7 +189,7 @@ def step(theta1, theta2, soil, routing, precipitation, potential_evaporation) ->
     the outflow never exceeds the routing store content.
     """
     _check_parameters(theta1, theta2)
-    p, e = _forcing((precipitation,), (potential_evaporation,), 1)
+    p, e = _forcing((precipitation,), (potential_evaporation,), 0, 1)
     if not (math.isfinite(soil) and 0.0 <= soil <= theta1):
         raise ValueError(f"soil store {soil} outside [0, {theta1}]")
     if not (math.isfinite(routing) and routing >= 0.0):
@@ -196,13 +206,11 @@ def month_loop(precipitation, potential_evaporation, warmup: int, n_keep: int):
     The compiled loop binds the forcing with one output array that every call overwrites; the Python loop
     takes it as lists of floats.
     """
-    if warmup < 0 or n_keep < 1:
-        raise ValueError(f"need warmup >= 0 and n_keep >= 1, got warmup={warmup}, n_keep={n_keep}")
-    n_months = warmup + n_keep
-    p, e = _forcing(precipitation, potential_evaporation, n_months)
+    p, e = _forcing(precipitation, potential_evaporation, warmup, n_keep)
     bind = load_kernel()
     if bind is not None:
         return bind(p, e, warmup, n_keep)
+    n_months = warmup + n_keep
     p, e = p[:n_months].tolist(), e[:n_months].tolist()
     return lambda theta1, theta2: np.array(
         _run(theta1, theta2, 0.5 * theta1, DEFAULT_ROUTING_INIT_MM, p, e, n_months, math.tanh)[2][warmup:]
@@ -217,24 +225,18 @@ def simulate_flow(
     return month_loop(precipitation, potential_evaporation, warmup, n_keep)(float(theta1), float(theta2))
 
 
-def simulate_batch(
-    theta1: np.ndarray,
-    theta2: np.ndarray,
-    precipitation: np.ndarray,
-    potential_evaporation: np.ndarray,
-    split: PeriodPartition,
-) -> np.ndarray:
-    """Simulate many parameter pairs at once; row i belongs to pair i.
+def simulate_batch(theta1, theta2, precipitation, potential_evaporation, warmup: int, n_keep: int) -> np.ndarray:
+    """The flows after warm-up of ``warmup + n_keep`` months for many pairs at once: row i is pair i's.
 
-    Vectorised across parameter pairs, one time step at a time, with the
-    default initial states.  Output shape is (n_pairs, n1 + n2 + n3).
+    Vectorised across parameter pairs, one month at a time, from the default stores; the output has shape
+    (n_pairs, n_keep).
     """
     t1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     if t1.shape != t2.shape or t1.ndim != 1:
         raise ValueError("theta1 and theta2 must be 1-d arrays of equal length")
     _check_parameters(t1, t2)
-    p, e = _forcing(precipitation, potential_evaporation, split.n_total)
+    p, e = _forcing(precipitation, potential_evaporation, warmup, n_keep)
     r = np.full(t1.shape, DEFAULT_ROUTING_INIT_MM)
-    _, _, flows = _run(t1, t2, 0.5 * t1, r, p, e, split.n_total, np.tanh)
-    return np.stack(flows[split.warmup :], axis=1)
+    _, _, flows = _run(t1, t2, 0.5 * t1, r, p, e, warmup + n_keep, np.tanh)
+    return np.stack(flows[warmup:], axis=1)

@@ -2,18 +2,18 @@
 
 Daily records come in as one CSV per catchment with columns
 ``date,precip_mm,pet_mm,flow_mm`` (ISO dates, empty field = missing value).
-Everything downstream of ingestion works on calendar-month totals in mm.
+:func:`load_catchment` sums a file to calendar-month totals in mm in one walk
+over the calendar, holding only the current month's days, and everything
+downstream of ingestion works on those totals.
 :func:`write_csv` and :func:`read_csv` hold the CSV format that this file and
 every report file share.
 """
 
 from __future__ import annotations
 
-import calendar
 import csv
 import datetime as dt
 import math
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,71 +161,65 @@ def _daily_row(row: list[str]) -> tuple:
         return dt.date.fromisoformat(row[0]), *values
 
 
-def _day_fault(date: dt.date, expected_day: int, values: tuple[float | None, ...]) -> str:
-    """A faulty day's first fault in date order: a missing earlier day in its month, then a missing or bad value."""
-    if date.day != expected_day:
-        return f"no daily record for {date.replace(day=expected_day)}"
-    for name, value in zip(VARIABLES, values):
-        if value is None:
-            return f"missing {name} on {date}"
-        if not 0.0 <= value < math.inf:  # negative, infinite or NaN
-            return f"bad {name} value {value!r} on {date}"
-
-
 def load_catchment(path: str | Path) -> MonthlySeries:
-    """Read a daily CSV once and sum its days to calendar-month totals over its whole calendar years.
+    """Read a daily CSV in one walk over the calendar and sum its days to calendar-month totals over its whole years.
 
     The months read are those of the longest run of whole calendar years
     between the file's first and last dates.  Dates must increase strictly
-    through the file, every day of those years must be present with no
-    missing, negative or non-finite value, and no month's total may overflow;
-    the first violation is reported with its date or month.  A month's total
-    is one ``math.fsum`` of its days, exactly rounded whatever their order.
+    through the file.  From 1 January of the first whole year the walk
+    expects each day in turn and keeps only the current month's days; a
+    month's total is one ``math.fsum`` of its days, exactly rounded whatever
+    their order, taken when the month ends.  The first fault in date order (a
+    missing day, a missing, negative or non-finite value, or a month's total
+    that overflows) is reported with its date or month if it lies in the
+    whole years; faults in the trimmed partial years are not reported.
     """
-    # (year, month) -> [first fault or None, precipitation days, evaporation days, streamflow days]
-    months: dict[tuple[int, int], list] = defaultdict(lambda: [None, [], [], []])
-    first = last = disorder = None
-    inf = math.inf
+    days: tuple[list[float], ...] = ([], [], [])  # the current month's
+    totals: tuple[list[float], ...] = ([], [], [])
+    precipitation, evaporation, streamflow = days
+    first = last = disorder = fault = None  # fault: (its year, its message)
+    inf, one_day = math.inf, dt.timedelta(days=1)
     for date, p, e, q in read_csv(path, CSV_HEADER, _daily_row):
         if last is None:
-            first = date
+            first, start = date, date.year if (date.month, date.day) == (1, 1) else date.year + 1
+            expected = dt.date(start, 1, 1)
         elif date <= last:
             disorder = disorder or f"daily dates must be strictly increasing, broken at {date}"
         last = date
-        if disorder:
-            continue  # reported below; the rest of the file is still parsed
-        month = months[date.year, date.month]
+        if disorder or fault or date < expected:
+            continue  # the rest of the file is still parsed: a bad row anywhere is reported first
+        if date != expected:
+            fault = expected.year, f"no daily record for {expected}"
+            continue
         try:
             clean = 0.0 <= p < inf and 0.0 <= e < inf and 0.0 <= q < inf
         except TypeError:  # a missing value
             clean = False
-        # while it has no fault, the month holds days 1, 2, ... without a gap
-        if month[0] is None and (not clean or date.day != len(month[1]) + 1):
-            month[0] = _day_fault(date, len(month[1]) + 1, (p, e, q))
-        month[1].append(p)
-        month[2].append(e)
-        month[3].append(q)
+        if not clean:
+            name, value = next((n, v) for n, v in zip(VARIABLES, (p, e, q)) if v is None or not 0.0 <= v < inf)
+            fault = date.year, f"missing {name} on {date}" if value is None else f"bad {name} value {value!r} on {date}"
+            continue
+        precipitation.append(p)
+        evaporation.append(e)
+        streamflow.append(q)
+        expected = date + one_day
+        if expected.day == 1:  # the month is whole
+            for name, month, column in zip(VARIABLES, days, totals):
+                try:
+                    column.append(math.fsum(month))
+                except OverflowError:
+                    fault = date.year, f"{name} total overflows in {date.year}-{date.month:02d}"
+                    break
+                month.clear()
 
     if first is None:
         raise ValueError("empty daily record")
-    start = first.year if (first.month, first.day) == (1, 1) else first.year + 1
     end = last.year if (last.month, last.day) == (12, 31) else last.year - 1
     if end < start:
         raise ValueError(f"no complete calendar year between {first} and {last}")
     if disorder:
         raise ValueError(disorder)
-    totals: tuple[list[float], ...] = ([], [], [])
-    for year in range(start, end + 1):
-        for number in range(1, 13):
-            # a month without rows is a month whose first day is missing
-            fault, *columns = months.get((year, number), (None, [], [], []))
-            if fault is None and len(columns[0]) < calendar.monthrange(year, number)[1]:
-                fault = f"no daily record for {dt.date(year, number, len(columns[0]) + 1)}"
-            if fault is not None:
-                raise ValueError(fault)
-            for name, days, column in zip(VARIABLES, columns, totals):
-                try:
-                    column.append(math.fsum(days))
-                except OverflowError:
-                    raise ValueError(f"{name} total overflows in {year}-{number:02d}") from None
-    return MonthlySeries((start, 1), *(np.array(column) for column in totals))
+    if fault and fault[0] <= end:
+        raise ValueError(fault[1])
+    n_months = 12 * (end - start + 1)  # the walk may have summed months of the trimmed last year
+    return MonthlySeries((start, 1), *(np.array(column[:n_months]) for column in totals))

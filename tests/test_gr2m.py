@@ -198,27 +198,24 @@ class TestSimulateBatch:
         # last-ulp difference between the scalar and the vectorised tanh
         rng = np.random.default_rng(21)
         p, e = random_forcing(rng, 60)
-        split = partition(60, 12, 24, 12)
         t1 = rng.uniform(50.0, 1500.0, size=7)
         t2 = rng.uniform(0.3, 2.5, size=7)
-        batch = simulate_batch(t1, t2, p, e, split)
+        batch = simulate_batch(t1, t2, p, e, 12, 48)
         assert batch.shape == (7, 48)
         for i in range(7):
-            row = simulate_flow(t1[i], t2[i], p, e, split.warmup, split.n_total - split.warmup)
+            row = simulate_flow(t1[i], t2[i], p, e, 12, 48)
             np.testing.assert_allclose(batch[i], row, rtol=1e-12, err_msg=f"pair {i}")
 
     def test_rejects_bad_pairs(self):
-        split = partition(12, 0, 4, 4)
         with pytest.raises(ValueError, match="^theta1 must be finite and > 0"):
-            simulate_batch(np.array([100.0, 0.0]), np.array([1.0, 1.0]), np.ones(12), np.ones(12), split)
+            simulate_batch(np.array([100.0, 0.0]), np.array([1.0, 1.0]), np.ones(12), np.ones(12), 0, 12)
         with pytest.raises(ValueError, match="equal length"):
-            simulate_batch(np.ones(3), np.ones(2), np.ones(12), np.ones(12), split)
+            simulate_batch(np.ones(3), np.ones(2), np.ones(12), np.ones(12), 0, 12)
 
     def test_rejects_short_forcing(self):
-        split = partition(12, 0, 4, 4)
         with pytest.raises(ValueError, match="^forcing has 6 months, warm-up plus kept flows need 12$"):
-            simulate_batch(np.ones(2), np.ones(2), np.ones(6), np.ones(6), split)
-        assert simulate_batch(np.ones(2), np.ones(2), np.ones(13), np.ones(12), split).shape == (2, 12)
+            simulate_batch(np.ones(2), np.ones(2), np.ones(6), np.ones(6), 0, 12)
+        assert simulate_batch(np.ones(2), np.ones(2), np.ones(13), np.ones(12), 0, 12).shape == (2, 12)
 
 
 # Bit-exactness oracle: the per-month loop on ndarray forcing and np.float64
@@ -261,15 +258,14 @@ def _oracle_simulate_flow(theta1, theta2, precipitation, potential_evaporation, 
     return out
 
 
-def _oracle_simulate_batch(t1, t2, p, e, split):
+def _oracle_simulate_batch(t1, t2, p, e, warmup, n_keep):
     s = 0.5 * t1
     r = np.full(t1.shape, DEFAULT_ROUTING_INIT_MM)
-    n_keep = split.n_total - split.warmup
     out = np.empty((t1.size, n_keep))
-    for t in range(split.n_total):
+    for t in range(warmup + n_keep):
         s, r, q = _oracle_step_values(t1, t2, s, r, p[t], e[t], np.tanh)
-        if t >= split.warmup:
-            out[:, t - split.warmup] = q
+        if t >= warmup:
+            out[:, t - warmup] = q
     return out
 
 
@@ -372,11 +368,10 @@ class TestFloatKernelBitExact:
     def test_simulate_batch_matches_oracle(self):
         rng = np.random.default_rng(33)
         p, e = random_forcing(rng, 72)
-        split = partition(72, 12, 24, 24)
         t1, t2 = np.array(_in_box_pairs(rng, 25)).T
-        got = simulate_batch(t1, t2, p, e, split)
+        got = simulate_batch(t1, t2, p, e, 12, 60)
         assert got.flags.c_contiguous
-        assert np.array_equal(got, _oracle_simulate_batch(t1, t2, p, e, split))
+        assert np.array_equal(got, _oracle_simulate_batch(t1, t2, p, e, 12, 60))
 
     def test_seeded_chains_match_oracle_objective(self):
         rng = np.random.default_rng(34)
@@ -430,12 +425,14 @@ class TestFloatKernelBitExact:
         assert simulate_flow(300.0, 1.0, np.ones(40), np.ones(40), 4, 36).shape == (36,)
 
     def test_negative_warmup_or_no_kept_month_refused(self):
-        # either would make both loops return another number of flows than n_keep
+        # either would make both loops and simulate_batch return another number of flows than n_keep
         for p, e in ((np.ones(40), np.ones(40)), ([1.0] * 40, [1.0] * 40)):
             for warmup, n_keep in ((-2, 5), (0, 0), (4, -1)):
-                with pytest.raises(ValueError, match=f"got warmup={warmup}, n_keep={n_keep}$"):
-                    simulate_flow(300.0, 1.0, p, e, warmup, n_keep)
+                for call in (simulate_flow, simulate_batch):
+                    with pytest.raises(ValueError, match=f"got warmup={warmup}, n_keep={n_keep}$"):
+                        call(300.0, 1.0, p, e, warmup, n_keep)
             assert simulate_flow(300.0, 1.0, p, e, 0, 1).shape == (1,)
+            assert simulate_batch(300.0, 1.0, p, e, 0, 1).shape == (1, 1)
 
     @pytest.mark.parametrize(
         "theta1, theta2",
@@ -450,7 +447,7 @@ class TestFloatKernelBitExact:
         calls = (
             lambda: step(theta1, theta2, 0.0, 30.0, 1.0, 1.0),
             lambda: simulate_flow(theta1, theta2, p, e, 12, 12),
-            lambda: simulate_batch(np.array([300.0, theta1]), np.array([1.0, theta2]), p, e, partition(24, 12, 4, 4)),
+            lambda: simulate_batch(np.array([300.0, theta1]), np.array([1.0, theta2]), p, e, 12, 12),
         )
         for call in calls:
             with pytest.raises(ValueError, match=message):
@@ -467,7 +464,7 @@ class TestFloatKernelBitExact:
         calls = (
             lambda: gr2m.month_loop(p, e, 4, 8),
             lambda: simulate_flow(300.0, 1.0, p, e, 4, 8),
-            lambda: simulate_batch(np.array([300.0]), np.array([1.0]), p, e, partition(24, 4, 4, 4)),
+            lambda: simulate_batch(np.array([300.0]), np.array([1.0]), p, e, 4, 8),
         )
         for call in calls:
             with pytest.raises(ValueError, match=f"^{variable} must be finite and >= 0, got {bad} in month 4$"):
@@ -488,7 +485,7 @@ class TestFloatKernelBitExact:
         calls = (
             lambda: gr2m.month_loop(p, e, 4, 8),
             lambda: simulate_flow(300.0, 1.0, p, e, 4, 8),
-            lambda: simulate_batch(np.array([300.0]), np.array([1.0]), p, e, partition(12, 4, 3, 3)),
+            lambda: simulate_batch(np.array([300.0]), np.array([1.0]), p, e, 4, 8),
         )
         for call in calls:
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -584,6 +581,21 @@ class TestCompiledSamplerLoading:
         monkeypatch.setattr(gr2m, "NUMPY_BLAS", builds.parent / "libscipy_openblas64_*.so")  # none: it does not load
         assert_month_loop_without_sampler()
         assert len(list((builds.parent / "__pycache__").iterdir())) == 2  # the sampler's library, and the loop's
+
+    def test_stale_library_deleted(self, builds):
+        # once the current library loads, one built from an older source goes; the current one is not rebuilt,
+        # and another process's build in progress (``.so.<pid>``) stays
+        gr2m.load_kernel()
+        cache = builds.parent / "__pycache__"
+        (current,) = cache.glob("_gr2m.*.so")
+        built = current.stat().st_mtime_ns
+        stale, building = cache / "_gr2m.0123456789abcdef.so", cache / "_gr2m.0123456789abcdef.so.99"
+        stale.write_bytes(current.read_bytes())
+        building.write_bytes(b"")
+        gr2m.load_kernel.cache_clear()
+        assert gr2m.load_kernel().sampler is not None
+        assert list(cache.glob("_gr2m.*.so")) == [current] and current.stat().st_mtime_ns == built
+        assert building.exists()
 
     @pytest.mark.parametrize(
         "exact, wrong",

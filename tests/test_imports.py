@@ -1,5 +1,6 @@
-"""No module of ``ensflow`` imports a name it does not use, the package reads every private name it defines, and no
-module imports another module's private name or reads one as an attribute.
+"""No module of ``ensflow`` imports a name it does not use, the package reads every private name it defines, no
+module imports another module's private name or reads one as an attribute, and ``timeseries`` and ``gr2m`` import no
+other module when they load.
 
 No linter is installed to say so.
 """
@@ -137,3 +138,34 @@ def test_only_gr2m_reads_the_default_routing_store():
     # every simulation starts from gr2m's own stores, so no other module names one
     readers = [path.stem for path in PACKAGE if "DEFAULT_ROUTING_INIT_MM" in names_read(path.read_text())]
     assert readers == ["gr2m"]
+
+
+def module_level_imports(source: str) -> list[str]:
+    """The ``ensflow`` modules that ``source`` imports when it runs, not in a function body, in order."""
+    found = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop(0)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "ensflow"):
+            found += [node.module] if node.module not in (None, "ensflow") else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "ensflow"]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes[:0] = ast.iter_child_nodes(node)
+    return found
+
+
+def test_detects_a_module_level_import():
+    source = (
+        "import numpy\nfrom .timeseries import x\nif True:\n    import ensflow.gr2m\nfrom . import calibrate\n"
+        "class A:\n    from ensflow import evaluate as ev\ndef f():\n    from .calibrate import y\n"
+    )
+    assert module_level_imports(source) == ["timeseries", "ensflow.gr2m", "calibrate", "evaluate"]
+
+
+@pytest.mark.parametrize("module", ["timeseries", "gr2m"])
+def test_ingest_and_model_import_no_other_module(module):
+    # the model stands on plain floats and month counts, ingest on the CSV alone; gr2m's load_kernel imports
+    # calibrate in its body, for its sampler's oracle
+    path = Path(ensflow.__file__).with_name(f"{module}.py")
+    assert module_level_imports(path.read_text()) == []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensflow.experiment import SyntheticSpec, generate_synthetic
@@ -389,6 +389,32 @@ def outcome(load, path):
     return series.origin, [getattr(series, name) for name in VARIABLES]
 
 
+# a fault drawn on top of the head and tail cuts, at a drawn row and field of the daily file
+FAULTS = ("none", "drop", "blank", "-1", "nan", "inf", "swap", "overflow")
+
+
+def with_fault(rows: list[list[str]], fault: str, at: int, field: int) -> list[list[str]]:
+    """``rows`` (the fields of each daily row) with ``fault`` at row ``at`` modulo their number.
+
+    ``drop`` deletes the row, ``swap`` swaps it with the next, ``blank``, ``-1``, ``nan`` and ``inf`` write into its
+    ``field``, and ``overflow`` writes 1e308 into ``field`` and every later field of the row and the next, so
+    two days can overflow their month's total in one or more columns.
+    """
+    if not rows or fault == "none":
+        return rows
+    i = at % len(rows)
+    if fault == "drop":
+        del rows[i]
+    elif fault == "swap":
+        rows[i : i + 2] = rows[i : i + 2][::-1]
+    elif fault == "overflow":
+        for row in rows[i : i + 2]:
+            row[field:] = ["1e308"] * (len(row) - field)
+    else:
+        rows[i][field] = "" if fault == "blank" else fault
+    return rows
+
+
 class TestIngestProperties:
     @PROPERTY
     @given(
@@ -397,12 +423,29 @@ class TestIngestProperties:
         seed=st.integers(0, 2**32 - 1),
         head=st.integers(0, 45),  # days cut from the start and end: partial edge months
         tail=st.integers(0, 45),
+        fault=st.sampled_from(FAULTS),
+        at=st.integers(0, 2**16),
+        field=st.integers(1, 3),
     )
-    def test_totals_and_messages_equal_the_record_based_path(self, start_year, n_months, seed, head, tail):
+    # a nan on 11 January 1990 or 11 January 1992, in a trimmed edge year, is not reported: 1991 or 1990-1991 load
+    @example(start_year=1990, n_months=30, seed=0, head=10, tail=0, fault="nan", at=0, field=2)
+    @example(start_year=1990, n_months=30, seed=0, head=0, tail=0, fault="nan", at=740, field=2)
+    # evaporation and streamflow both overflow in February 1990: evaporation, the first in VARIABLES, is reported
+    @example(start_year=1990, n_months=24, seed=0, head=0, tail=0, fault="overflow", at=40, field=2)
+    # the few drawn examples that reach a fault in the whole years miss these: the last day of the whole years
+    # dropped, a blank field, and an infinite streamflow on the last day of the file
+    @example(start_year=1990, n_months=30, seed=0, head=0, tail=0, fault="drop", at=729, field=1)
+    @example(start_year=1990, n_months=24, seed=0, head=0, tail=0, fault="blank", at=400, field=3)
+    @example(start_year=1990, n_months=24, seed=0, head=0, tail=0, fault="inf", at=729, field=3)
+    def test_totals_and_messages_equal_the_record_based_path(
+        self, start_year, n_months, seed, head, tail, fault, at, field
+    ):
         with tempfile.TemporaryDirectory() as scratch:
             path, _ = generate_synthetic(SyntheticSpec(n_months=n_months, seed=seed, start_year=start_year), scratch)
-            lines = path.read_text().splitlines(keepends=True)
-            path.write_text("".join(lines[:1] + lines[1 + head : max(1 + head, len(lines) - tail)]))
+            header, *lines = path.read_text().splitlines()
+            rows = [line.split(",") for line in lines[head : max(head, len(lines) - tail)]]
+            rows = with_fault(rows, fault, at, field)
+            path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
             expected, got = outcome(record_based_load, path), outcome(load_catchment, path)
         if isinstance(expected, str):
             assert got == expected
