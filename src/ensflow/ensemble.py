@@ -226,9 +226,7 @@ def member_interval_bounds(
 def generate_sisters(
     sample: PosteriorSample, series: MonthlySeries, split: PeriodPartition
 ) -> SisterEnsemble:
-    """Simulate every retained parameter pair and collect training errors."""
-    if series.n < split.n_total:
-        raise ValueError(f"series has {series.n} months, partition needs {split.n_total}")
+    """Simulate every retained parameter pair and collect training errors; ``simulate_batch`` refuses a short series."""
     # the calibration months join the warm-up: only the error-training and test months are kept
     predictions = simulate_batch(
         sample.pairs[:, 0],

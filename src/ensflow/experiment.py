@@ -16,8 +16,6 @@ results of the remaining ones.
 
 from __future__ import annotations
 
-import calendar
-import datetime as dt
 import json
 import math
 import time
@@ -53,7 +51,7 @@ from .evaluate import (
 )
 from .gr2m import load_kernel, simulate_flow
 from .regress import load_solver
-from .timeseries import CSV_HEADER, VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_csv
+from .timeseries import VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_csv, write_daily
 
 
 class ConfigError(ValueError):
@@ -252,28 +250,6 @@ def synthesize_monthly(spec: SyntheticSpec) -> tuple[MonthlySeries, np.ndarray]:
     return series, truth
 
 
-def _daily_rows(series: MonthlySeries):
-    """Daily CSV rows: each monthly total spread uniformly over its days, the repeated value formatted once.
-
-    The last day takes the closure residual so the daily values sum back to
-    the monthly total as closely as floating point allows.
-    """
-    year, month = series.origin
-    columns = [getattr(series, name).tolist() for name in VARIABLES]
-    for t in range(series.n):
-        days = calendar.monthrange(year, month)[1]
-        prefix = dt.date(year, month, 1).isoformat()[:-2]
-        per_day, last_day = [], []
-        for values in columns:
-            daily = values[t] / days
-            per_day.append(repr(daily))
-            last_day.append(repr(max(values[t] - math.fsum([daily] * (days - 1)), 0.0)))
-        for day in range(1, days):
-            yield (f"{prefix}{day:02d}", *per_day)
-        yield (f"{prefix}{days}", *last_day)
-        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
-
-
 def generate_synthetic(
     spec: SyntheticSpec, out_dir: str | Path, catchment_id: str = "synthetic"
 ) -> tuple[Path, Path]:
@@ -287,7 +263,7 @@ def generate_synthetic(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{catchment_id}.csv"
-    write_csv(csv_path, CSV_HEADER, _daily_rows(series))
+    write_daily(csv_path, series)
     meta_path = out / f"{catchment_id}.meta.json"
     meta = {
         "catchment": catchment_id,

@@ -4,13 +4,16 @@ Daily records come in as one CSV per catchment with columns
 ``date,precip_mm,pet_mm,flow_mm`` (ISO dates, empty field = missing value).
 :func:`load_catchment` sums a file to calendar-month totals in mm in one walk
 over the calendar, holding only the current month's days, and everything
-downstream of ingestion works on those totals.
+downstream of ingestion works on those totals; :func:`write_daily`, its
+inverse, spreads each total over its month's days and writes the file one
+month at a time, with the bytes :func:`write_csv` would give it.
 :func:`write_csv` and :func:`read_csv` hold the CSV format that this file and
 every report file share.
 """
 
 from __future__ import annotations
 
+import calendar
 import csv
 import datetime as dt
 import math
@@ -23,6 +26,8 @@ import numpy as np
 VARIABLES = ("precipitation", "potential_evaporation", "streamflow")
 
 CSV_HEADER = ("date", "precip_mm", "pet_mm", "flow_mm")
+
+_DAYS = tuple(f"{day:02d}" for day in range(1, 32))
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,27 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_daily(path: str | Path, series: MonthlySeries) -> None:
+    """Write ``series`` as a daily CSV, each monthly total spread evenly over its days, one month per string.
+
+    Each day gets ``total / days`` and the last day the closure ``max(total - daily * (days - 1), 0.0)``, so the
+    days sum back to the total as closely as floating point allows (the product is correctly rounded, as the sum
+    of the ``days - 1`` equal values would be).  A row is ``date,p,e,q`` with floats as ``repr``: the bytes of
+    :func:`write_csv` given ``CSV_HEADER`` and one row per day.
+    """
+    year, month = series.origin
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for totals in zip(*(getattr(series, name).tolist() for name in VARIABLES)):
+            days = calendar.monthrange(year, month)[1]
+            prefix = dt.date(year, month, 1).isoformat()[:-2]
+            daily = [total / days for total in totals]
+            tail = ",%r,%r,%r\r\n" % tuple(daily)  # the first days - 1 rows share it
+            closure = ",%r,%r,%r\r\n" % tuple(max(total - d * (days - 1), 0.0) for total, d in zip(totals, daily))
+            fh.write("".join([prefix + day + tail for day in _DAYS[: days - 1]]) + prefix + _DAYS[days - 1] + closure)
+            year, month = (year + 1, 1) if month == 12 else (year, month + 1)
 
 
 def read_csv(path: str | Path, header: tuple[str, ...], parse: Callable[[list[str]], object]) -> Iterator:

@@ -213,7 +213,7 @@ class TestSisterEnsemble:
             series.potential_evaporation[:50],
             series.streamflow[:50],
         )
-        with pytest.raises(ValueError, match="partition needs"):
+        with pytest.raises(ValueError, match="^forcing has 50 months, warm-up plus kept flows need 60$"):
             generate_sisters(posterior(), short, SPLIT)
 
 

@@ -1,6 +1,6 @@
 """No module of ``ensflow`` imports a name it does not use, the package reads every private name it defines, no
-module imports another module's private name or reads one as an attribute, and ``timeseries`` and ``gr2m`` import no
-other module when they load.
+module imports another module's private name or reads one as an attribute, ``timeseries`` and ``gr2m`` import no
+other module when they load, and only ``timeseries`` imports ``csv``.
 
 No linter is installed to say so.
 """
@@ -138,6 +138,27 @@ def test_only_gr2m_reads_the_default_routing_store():
     # every simulation starts from gr2m's own stores, so no other module names one
     readers = [path.stem for path in PACKAGE if "DEFAULT_ROUTING_INIT_MM" in names_read(path.read_text())]
     assert readers == ["gr2m"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules outside ``ensflow`` that ``source`` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_detects_an_imported_module():
+    source = "import os.path, csv as c\ndef f():\n    from json import dumps\nfrom . import gr2m\nfrom .timeseries import x\n"
+    assert imported_modules(source) == {"os", "csv", "json"}
+
+
+def test_only_timeseries_imports_csv():
+    # the CSV format is decided once, in timeseries, for the daily files and every report file
+    assert [path.stem for path in PACKAGE if "csv" in imported_modules(path.read_text())] == ["timeseries"]
 
 
 def module_level_imports(source: str) -> list[str]:

@@ -23,6 +23,7 @@ from ensflow.timeseries import (
     partition,
     read_csv,
     write_csv,
+    write_daily,
 )
 
 
@@ -36,14 +37,14 @@ def daily_year(year=1990, p=2.0, e=1.0, q=0.5):
     return rows
 
 
-def write_daily(path, rows):
+def write_records(path, rows):
     write_csv(path, CSV_HEADER, ((date.isoformat(), *values) for date, *values in rows))
     return path
 
 
 def load_rows(tmp_path, rows):
     """Monthly totals of ``rows`` through a daily CSV, as a run ingests them."""
-    return load_catchment(write_daily(tmp_path / "c.csv", rows))
+    return load_catchment(write_records(tmp_path / "c.csv", rows))
 
 
 def daily_parse(row):
@@ -152,7 +153,7 @@ class TestDailyCsv:
     def test_round_trip(self, tmp_path):
         rows = daily_year()
         rows[5] = (rows[5][0], None, 1.0, 0.5)
-        path = write_daily(tmp_path / "c1.csv", rows)
+        path = write_records(tmp_path / "c1.csv", rows)
         assert list(read_csv(path, CSV_HEADER, daily_parse)) == rows
 
     def test_header_enforced(self, tmp_path):
@@ -179,7 +180,7 @@ class TestDailyCsv:
     def test_values_survive_exactly(self, tmp_path):
         # repr round-trip keeps full float precision
         value = 1.2345678901234567
-        path = write_daily(tmp_path / "c1.csv", [(dt.date(2000, 1, 1), value, 0.0, 0.0)])
+        path = write_records(tmp_path / "c1.csv", [(dt.date(2000, 1, 1), value, 0.0, 0.0)])
         assert next(read_csv(path, CSV_HEADER, daily_parse))[1] == value
 
 
@@ -264,7 +265,7 @@ class TestAggregation:
 
 class TestLoadCatchment:
     def test_load_with_inferred_span(self, tmp_path):
-        path = write_daily(tmp_path / "c.csv", daily_year(1990) + daily_year(1991))
+        path = write_records(tmp_path / "c.csv", daily_year(1990) + daily_year(1991))
         series = load_catchment(path)
         assert series.n == 24
         assert series.origin == (1990, 1)
@@ -299,6 +300,59 @@ class TestCsvProperties:
                     assert float(text).hex() == float(cell).hex()
                 else:
                     assert text == cell
+
+
+# The per-day writer that write_daily replaced, kept verbatim as the oracle of its bytes.
+
+
+def per_day_rows(series: MonthlySeries):
+    """Daily CSV rows: each monthly total spread uniformly over its days, the repeated value formatted once.
+
+    The last day takes the closure residual so the daily values sum back to
+    the monthly total as closely as floating point allows.
+    """
+    year, month = series.origin
+    columns = [getattr(series, name).tolist() for name in VARIABLES]
+    for t in range(series.n):
+        days = calendar.monthrange(year, month)[1]
+        prefix = dt.date(year, month, 1).isoformat()[:-2]
+        per_day, last_day = [], []
+        for values in columns:
+            daily = values[t] / days
+            per_day.append(repr(daily))
+            last_day.append(repr(max(values[t] - math.fsum([daily] * (days - 1)), 0.0)))
+        for day in range(1, days):
+            yield (f"{prefix}{day:02d}", *per_day)
+        yield (f"{prefix}{days}", *last_day)
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+
+
+# zero, subnormals, totals whose repr takes an exponent, totals up to 1e300, and negative ones, whose last day the
+# clamp sets to 0.0; -0.0 aside, where the oracle's fsum of -0.0s is 0.0 and leaves "-0.0" on the last day, not "0.0"
+TOTAL = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-07, 1e16, 1e300, -1.0]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(-1e300, 1e300).filter(lambda total: math.copysign(1.0, total) == 1.0 or total != 0.0),
+)
+FEBRUARIES = st.sampled_from([(1900, 2), (2000, 2), (2004, 2)])  # 1900 is no leap year, 2000 and 2004 are
+
+
+class TestDailyWriter:
+    @PROPERTY
+    @given(
+        origin=FEBRUARIES | st.tuples(st.integers(1, 9998), st.integers(1, 12)),
+        totals=st.lists(st.tuples(TOTAL, TOTAL, TOTAL), min_size=1, max_size=14),
+    )
+    @example(origin=(1900, 2), totals=[(0.0, 5e-324, 1e300)])
+    @example(origin=(2000, 2), totals=[(1e-07, 1e16, -3.0)])
+    @example(origin=(2004, 2), totals=[(1.0, 0.1, 2.5e-320)] * 13)
+    def test_bytes_equal_the_per_day_writer(self, origin, totals):
+        series = MonthlySeries(origin, *np.array(totals).T)
+        with tempfile.TemporaryDirectory() as scratch:
+            expected, got = Path(scratch) / "rows.csv", Path(scratch) / "months.csv"
+            write_csv(expected, CSV_HEADER, per_day_rows(series))
+            write_daily(got, series)
+            assert got.read_bytes() == expected.read_bytes()
 
 
 # The record-based ingest that load_catchment replaced, kept verbatim as the oracle of its monthly totals and messages.
