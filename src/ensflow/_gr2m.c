@@ -2,7 +2,8 @@
    IEEE operation matches CPython's.  libm's tanh and pow are the functions math.tanh and float ** call;
    gr2m.load_kernel compiles with -fno-builtin and -ffp-contract=off, so the compiler neither folds nor fuses
    them.  Starts from gr2m's default stores, 0.5 * theta1 and DEFAULT_ROUTING_INIT_MM (30 mm), and writes the
-   flows of months warmup .. warmup+n_keep-1. */
+   flows of months warmup .. warmup+n_keep-1.  Then a numbered level's scoring pass and, with -DENSFLOW_SAMPLER,
+   the sampler block, each with the bits of its Python path. */
 #include <math.h>
 
 void gr2m_run(double theta1, double theta2, const double *p, const double *e, long warmup, long n_keep, double *flows)
@@ -28,6 +29,54 @@ void gr2m_run(double theta1, double theta2, const double *p, const double *e, lo
         if (t >= warmup)
             flows[t - warmup] = q;
     }
+}
+
+/* One numbered-scheme level in one pass over the (m, n) test predictions u, row i at u + i * stride.  Member i's
+   bounds are u - ((b1 u + b0) + shift), as ensemble.to_auxiliary forms them, from (b0, b1, shift) at lines[0..2]
+   (lower) and lines[3..5] (upper), lines advancing by step a member; their column sums run in row order from +0,
+   a lone column's from -0, as numpy's do in ensemble.sister_mean.  sums[i] is math.fsum of member i's interval
+   scores (evaluate._interval_scores): CPython's partials, n + 1 at most, and its half-way correction.  Returns 1
+   where a running sum is not finite, as is any score of a non-finite bound (IntervalPrediction refuses the rest). */
+int score_level(long m, long n, long stride, long step, double penalty, const double *u, const double *lines,
+                const double *y, double *lower, double *upper, double *sums, double *partials)
+{
+    for (long k = 0; k < n; k++)
+        lower[k] = upper[k] = n > 1 ? 0.0 : -0.0;
+    for (long i = 0; i < m; i++, u += stride, lines += step) {
+        long used = 0;
+        for (long k = 0; k < n; k++) {
+            double lo = u[k] - ((lines[1] * u[k] + lines[0]) + lines[2]);
+            double up = u[k] - ((lines[4] * u[k] + lines[3]) + lines[5]);
+            double below = lo - y[k], above = y[k] - up, x = (up - lo) + (below > 0.0 ? below : 0.0) * penalty;
+            x += (above > 0.0 ? above : 0.0) * penalty;
+            lower[k] += lo, upper[k] += up;
+            long kept = 0;
+            for (long j = 0; j < used; j++) {
+                double p = partials[j], t = x;
+                if (__builtin_fabs(x) < __builtin_fabs(p)) /* not libm's fabs, a call under -fno-builtin */
+                    x = p, p = t;
+                double hi = x + p, lo_part = p - (hi - x);
+                if (lo_part != 0.0)
+                    partials[kept++] = lo_part;
+                x = hi;
+            }
+            used = kept;
+            if (!isfinite(x))
+                return 1;
+            if (x != 0.0)
+                partials[used++] = x;
+        }
+        double hi = used > 0 ? partials[--used] : 0.0, lo_part = 0.0;
+        while (used > 0 && lo_part == 0.0) {
+            double x = hi, p = partials[--used];
+            hi = x + p, lo_part = p - (hi - x);
+        }
+        double twice = lo_part * 2.0, next = used > 0 ? partials[used - 1] : 0.0;
+        if (((lo_part < 0.0 && next < 0.0) || (lo_part > 0.0 && next > 0.0)) && (hi + twice) - hi == twice)
+            hi += twice;
+        sums[i] = hi;
+    }
+    return 0;
 }
 
 #ifdef ENSFLOW_SAMPLER

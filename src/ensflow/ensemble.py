@@ -214,13 +214,16 @@ def intervals_from_prediction(pred: CombinedPrediction) -> dict[float, IntervalP
     return out
 
 
-def member_interval_bounds(
-    ensemble: SisterEnsemble, models: TrainedErrorModels, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sister central-interval bounds at one level: two (m, n3) arrays, made on demand by ``to_auxiliary``."""
+def member_interval_bounds(ensemble: SisterEnsemble, models: TrainedErrorModels, alpha: float, lines: bool = False):
+    """Per-sister central-interval bounds at one level: two (m, n3) arrays, made on demand by ``to_auxiliary``.
+
+    With ``lines``, the (n_models, 2, 3) error-quantile lines (b0, b1, shift) of the lower and upper bound
+    instead, for a pass that forms the bounds itself (``_gr2m.c``'s ``score_level``).
+    """
     lo = _probability_index(models.probabilities, alpha / 2.0)
     hi = _probability_index(models.probabilities, 1.0 - alpha / 2.0)
-    return to_auxiliary(ensemble, models, lo), to_auxiliary(ensemble, models, hi)
+    bounds = to_auxiliary(ensemble, models, lo, lines), to_auxiliary(ensemble, models, hi, lines)
+    return np.stack(bounds, axis=1) if lines else bounds
 
 
 def generate_sisters(
@@ -328,17 +331,22 @@ def _normal_quantile(p: float) -> float:
     return -z if lower else z
 
 
-def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble, j: int) -> np.ndarray:
+def predict_error_quantiles(
+    models: TrainedErrorModels, ensemble: SisterEnsemble, j: int, lines: bool = False
+) -> np.ndarray:
     """Error quantiles on the test months at ``probabilities[j]``, shape (m, n3).
 
     Every error model is a line in the sister's own prediction u, so the
     quantile is  b1 u + b0 + shift, computed for all sisters at once;
     variants 2 and 3 broadcast their single model.  Stack the calls over j
-    for every probability.
+    for every probability.  With ``lines``, the (n_models, 3) lines
+    (b0, b1, shift) themselves, checked against the sisters alike.
     """
     n_models = models.coefficients.shape[0]
     if n_models not in (1, ensemble.m):
         raise ValueError(f"{n_models} error models do not match {ensemble.m} sisters")
+    if lines:
+        return np.column_stack([models.coefficients[:, j], models.shift[:, j]])
     # in place, so the only array of the result's size is the result
     out = models.coefficients[:, j, 1, np.newaxis] * ensemble.test_predictions
     out += models.coefficients[:, j, 0, np.newaxis]
@@ -346,16 +354,16 @@ def predict_error_quantiles(models: TrainedErrorModels, ensemble: SisterEnsemble
     return out
 
 
-def to_auxiliary(ensemble: SisterEnsemble, models: TrainedErrorModels, j: int) -> np.ndarray:
+def to_auxiliary(ensemble: SisterEnsemble, models: TrainedErrorModels, j: int, lines: bool = False) -> np.ndarray:
     """Steps 4-5 at ``probabilities[j]``: every sister's auxiliary quantiles, shape (m, n3).
 
     aux quantile at probability p = prediction - error quantile at 1 - p;
     in a sorted symmetric probability set 1 - p is ``probabilities[-1 - j]``.
     The difference overwrites the error quantiles, so a call makes one
-    (m, n3) array.
+    (m, n3) array.  With ``lines``, the error-quantile lines it subtracts.
     """
-    error_quantile = predict_error_quantiles(models, ensemble, len(models.probabilities) - 1 - j)
-    return np.subtract(ensemble.test_predictions, error_quantile, out=error_quantile)
+    error_quantile = predict_error_quantiles(models, ensemble, len(models.probabilities) - 1 - j, lines)
+    return error_quantile if lines else np.subtract(ensemble.test_predictions, error_quantile, out=error_quantile)
 
 
 def sister_mean(aux: np.ndarray) -> np.ndarray:
@@ -420,8 +428,8 @@ def run_scheme(
     Numbered schemes override the config's variant and regression family
     (that is what the number means) and run steps 3-6 on ``sisters``, which
     ``build_sisters`` makes once per catchment.  A numbered scheme's result
-    keeps its error models, from which ``member_interval_bounds`` makes any
-    level's member bounds on demand.
+    keeps its error models, from which ``member_interval_bounds`` makes a
+    level's bounds, or their lines for the compiled scoring pass.
     With ``combined`` false a numbered scheme stops after step 3, for a
     caller that averages those bounds itself (``sister_mean``).
     """

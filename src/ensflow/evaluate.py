@@ -12,10 +12,10 @@ is better.  Relative improvements compare two prediction systems by their
 average interval scores; the crowd comparison relates a combined prediction
 to the individual ensemble members it was averaged from.
 
-All averages use exactly-rounded summation so any batch order gives the same
-result: ``math.fsum``'s bits, though the member sums of a wide array come from
-an error-free TwoSum tree over all members at once, certified member by
-member, and only uncertified members are summed by ``math.fsum``.
+All averages use exactly-rounded summation, ``math.fsum``'s bits, so any
+batch order gives the same result.  A batch run scores a numbered scheme's
+members with these bits in ``_gr2m.c``'s ``score_level`` where it builds, and
+either way builds their record through :func:`wisdom_record`.
 """
 
 from __future__ import annotations
@@ -84,53 +84,7 @@ def coverage_probability(pred: IntervalPrediction, observed) -> float:
 
 
 def average_width(pred: IntervalPrediction) -> float:
-    return float(_exact_sums(pred.upper - pred.lower)) / pred.n
-
-
-_TREE_MIN_SUMS = 16  # fewer go straight to math.fsum: the tree's dozen numpy calls per level cost more
-
-
-def _exact_sums(terms: np.ndarray) -> np.ndarray:
-    """Exactly rounded sums down axis 0 of an (n, k) or (n,) array: ``math.fsum``'s bits, column by column.
-
-    A pairwise tree of Knuth's TwoSum (s = fl(a + b), e = a + b - s exactly) adds the first half of the
-    rows to the second, a contiguous block per level for all columns at once, and leaves each column as
-    a float s and n - 1 exact errors:  sum x = s + sum e.  Their sum c and the sum a of their magnitudes
-    take at most D <= 2n roundings along any path, so (Higham 2002, sec. 4.2)  |c - sum e| <= g_D sum|e|
-    <= g_D a / (1 - g_D) <= F a,  with g_D = Du / (1 - Du), u = 2^-53 and F = 2^(bit_length(n) - 51) >= 4nu.
-    TwoSum gives r = fl(s + c) and t = s + c - r exactly, so |sum x - r| <= |t| + F a.  With h half the
-    smaller gap from r to a neighbour (0 when that underflows), fl(|t| + F a) < h implies |t| + F a < h,
-    as rounding is monotone, with room, as all three are multiples of 2^-1074, for the less than 2^-1075
-    that an underflowing F a loses: sum x lies strictly inside r's rounding interval, so r is the correctly
-    rounded sum, fsum's (fsum raises OverflowError instead where a running partial overflows).  A zero r
-    (h = 0) or an overflow (nan) is never certified, and every uncertified column is summed by fsum.
-    Rump, Ogita & Oishi (2008, "Accurate floating-point summation, part II") certify NearSum alike.
-    """
-    columns = terms.reshape(terms.shape[0], -1)
-    (n, k), level = columns.shape, columns
-    r, certified = np.empty(k), np.zeros(k, dtype=bool)
-    if k >= _TREE_MIN_SUMS:
-        c, a = np.zeros(k), np.zeros(k)
-        while level.shape[0] > 1:  # three (n/2, k) temporaries at most
-            half = level.shape[0] // 2
-            x, y, s = level[:half], level[half : 2 * half], np.empty((level.shape[0] - half, k))
-            s[half:] = level[2 * half :]  # an odd row waits for the next level
-            yy = np.subtract(np.add(x, y, out=s[:half]), x)
-            e = np.subtract(s[:half], yy)
-            np.subtract(x, e, out=e)
-            e += np.subtract(y, yy, out=yy)  # (x - (s - yy)) + (y - yy)
-            c += e.sum(axis=0)
-            a += np.abs(e, out=e).sum(axis=0)
-            level = s
-        s = level[0]
-        r = s + c
-        cc = r - s
-        t = np.abs((s - (r - cc)) + (c - cc))
-        h = np.minimum(np.abs(np.spacing(r)), np.abs(r - np.nextafter(r, 0.0))) / 2.0
-        certified = t + a * 2.0 ** (n.bit_length() - 51) < h  # false for nan
-    for j in np.flatnonzero(~certified):
-        r[j] = math.fsum(columns[:, j].tolist())
-    return r.reshape(terms.shape[1:])
+    return math.fsum((pred.upper - pred.lower).tolist()) / pred.n
 
 
 def _interval_scores(alpha: float, lower, upper, y) -> np.ndarray:
@@ -153,7 +107,7 @@ def _interval_scores(alpha: float, lower, upper, y) -> np.ndarray:
 def average_interval_score(pred: IntervalPrediction, observed) -> float:
     """Mean interval score; lower is better, misses cost 2/alpha per mm."""
     y = _check_observations(pred, observed)
-    return float(_exact_sums(_interval_scores(pred.alpha, pred.lower, pred.upper, y))) / pred.n
+    return math.fsum(_interval_scores(pred.alpha, pred.lower, pred.upper, y).tolist()) / pred.n
 
 
 def crossing_count(pred: IntervalPrediction) -> int:
@@ -196,11 +150,13 @@ def wisdom_metrics(member_lowers, member_uppers, combined: IntervalPrediction, o
     if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
         raise ValueError("member interval bounds contain non-finite values")
     y = _check_observations(combined, observed)
+    scores = _interval_scores(combined.alpha, lowers, uppers, y).tolist()  # (m, n): one row per member
+    return wisdom_record(combined, y, [math.fsum(row) / combined.n for row in scores])
 
-    ais_out = average_interval_score(combined, y)
-    # scored as (n, m): each member's sum runs down a column, so the tree adds contiguous rows
-    scores = np.ascontiguousarray(_interval_scores(combined.alpha, lowers, uppers, y).T)
-    member_scores = (_exact_sums(scores) / combined.n).tolist()
+
+def wisdom_record(combined: IntervalPrediction, observed, member_scores: list[float]) -> WisdomRecord:
+    """The crowd comparison at ``combined``'s level from the members' average interval scores."""
+    ais_out = average_interval_score(combined, observed)
     aais_in = math.fsum(member_scores) / len(member_scores)
     # a member scoring exactly zero has no relative improvement
     improvements = tuple(float("nan") if score == 0.0 else (score - ais_out) / score for score in member_scores)
@@ -269,31 +225,17 @@ def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
     return list(read_csv(path, METRICS_FIELDS, parse))
 
 
-def _level_label(alpha: float) -> str:
-    return f"{(1.0 - alpha) * 100:g}"
-
-
 def summarize(records) -> dict:
-    """Mean and median of each score per (scheme, level) across catchments."""
-    cells: dict[tuple[str, float], dict[str, list[float]]] = {}
+    """Mean and median of each score per (scheme, level) across catchments; a level is labelled by its percent."""
+    cells: dict[tuple[str, float], list[MetricsRecord]] = {}
     for r in records:
-        cell = cells.setdefault((r.scheme, r.alpha), {"coverage": [], "width": [], "score": []})
-        cell["coverage"].append(r.coverage)
-        cell["width"].append(r.width)
-        cell["score"].append(r.score)
+        cells.setdefault((r.scheme, r.alpha), []).append(r)
     out: dict = {}
     for (scheme, alpha), cell in sorted(cells.items()):
-        level = _level_label(alpha)
-        block = out.setdefault(scheme, {})
-        block[level] = {
-            "n_catchments": len(cell["score"]),
-            "coverage_mean": math.fsum(cell["coverage"]) / len(cell["coverage"]),
-            "coverage_median": float(np.median(cell["coverage"])),
-            "width_mean": math.fsum(cell["width"]) / len(cell["width"]),
-            "width_median": float(np.median(cell["width"])),
-            "score_mean": math.fsum(cell["score"]) / len(cell["score"]),
-            "score_median": float(np.median(cell["score"])),
-        }
+        block = out.setdefault(scheme, {})[f"{(1.0 - alpha) * 100:g}"] = {"n_catchments": len(cell)}
+        for name in ("coverage", "width", "score"):
+            values = [getattr(r, name) for r in cell]
+            block |= {f"{name}_mean": math.fsum(values) / len(values), f"{name}_median": float(np.median(values))}
     return out
 
 

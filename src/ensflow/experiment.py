@@ -31,7 +31,7 @@ import numpy as np
 
 from .calibrate import ChainConfig, calibrate_catchment
 from .ensemble import (
-    ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, build_sisters,
+    ALL_SCHEMES, BASIC_SCHEMES, QUANTILE_SCHEMES, SchemeConfig, SisterEnsemble, TrainedErrorModels, build_sisters,
     intervals_from_prediction, member_interval_bounds, run_scheme, sister_mean,
 )
 from .evaluate import (
@@ -46,6 +46,7 @@ from .evaluate import (
     rank_schemes,
     summarize,
     wisdom_metrics,
+    wisdom_record,
     write_metrics_csv,
     write_summary_json,
 )
@@ -340,12 +341,38 @@ def discover_catchments(config: ExperimentConfig) -> list[str]:
     return sorted(p.stem for p in Path(config.input_dir).glob("*.csv"))
 
 
+def _score_level(sisters, models, alpha, observed, score_level):
+    """One numbered level's combined interval and wisdom record: from ``score_level``, the compiled pass, where it
+    is given and reports no non-finite sum; else from the level's two (m, n3) member-bound arrays, made once."""
+    lines = score_level and member_interval_bounds(sisters, models, alpha, lines=True)
+    scored = score_level and score_level(sisters.test_predictions, lines, observed, alpha)
+    if scored:
+        combined = IntervalPrediction(alpha, scored[0] / sisters.m, scored[1] / sisters.m)
+        return combined, wisdom_record(combined, observed, (scored[2] / combined.n).tolist())
+    lowers, uppers = member_interval_bounds(sisters, models, alpha)
+    combined = IntervalPrediction(alpha, sister_mean(lowers), sister_mean(uppers))
+    return combined, wisdom_metrics(lowers, uppers, combined, observed)
+
+
+def level_matches(score_level) -> bool:
+    """Whether ``score_level`` gives ``_score_level`` the Python path's bytes on strided sisters, with a model each
+    and with one shared: crossed bounds, misses, -0.0 bounds, sums that need fsum's partials and its rounding."""
+    u = np.array([[-0.0, 2.0**51, 0.75, 2.0**-62, 0.5], [-0.0, 1e16, 1.0, 1e-16, 3.0], [-0.0, 0.1, -0.5, 2**-53, 0.3]])
+    lines = np.array([[[0.0] * 3] * 2, [[-0.7, 0.9, 0.7], [0.1, 0.3, -0.1]], [[-2.5, -0.5, 2.5], [1.5, 0.5, -1.5]]])
+    for n3, n_models in ((5, 3), (1, 1)):
+        sisters = SisterEnsemble(np.hstack([u[:, :1], u[:, :n3]]), u[:, :1])
+        models = TrainedErrorModels("linear", 1, (0.25, 0.75), lines[:n_models, :, :2], lines[:n_models, :, 2])
+        results = [_score_level(sisters, models, 0.5, np.zeros(n3), kernel) for kernel in (score_level, None)]
+        if len({(c.lower.tobytes(), c.upper.tobytes(), repr(record)) for c, record in results}) > 1:
+            return False
+    return True
+
+
 def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test):
     """Run one scheme and score its five levels: ((alpha, coverage, width, score, crossings) per level, wisdom rows).
 
-    A numbered scheme takes one pass per level: the level's two (m, n3) member-bound arrays are made
-    once, their sister means are the combined interval, and the members are scored from the same two
-    arrays, whose wisdom record's ``ais_out`` is the level's score.
+    A numbered scheme takes one pass per level (``_score_level``), whose wisdom record's ``ais_out`` is the level's
+    score.
     """
     result = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
     wisdom_rows, intervals = [], []
@@ -353,10 +380,10 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
         intervals += intervals_from_prediction(result.prediction).values()
         scores = [average_interval_score(pred, observed_test) for pred in intervals]
     else:
+        score_level = getattr(load_kernel(), "score_level", None)
         for alpha in INTERVAL_ALPHAS:
-            lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
-            intervals.append(IntervalPrediction(alpha, sister_mean(lowers), sister_mean(uppers)))
-            record = wisdom_metrics(lowers, uppers, intervals[-1], observed_test)
+            combined, record = _score_level(sisters, result.models, alpha, observed_test, score_level)
+            intervals.append(combined)
             wisdom_rows.append(WisdomRow(cid, result.scheme, record))
         scores = [row.record.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
     levels = [
@@ -535,6 +562,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
         failures=len(result.failures),
         gr2m_loop="python" if load_kernel() is None else "compiled",
         sampler="compiled" if getattr(load_kernel(), "sampler", None) else "python",
+        scoring="compiled" if getattr(load_kernel(), "score_level", None) else "python",
     )
     write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
     write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), result.timing)

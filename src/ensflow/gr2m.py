@@ -14,9 +14,9 @@ one forcing, for calibration), ``simulate_flow`` (one pair) and ``simulate_batch
 ``step`` start from the default stores, 0.5 * theta1 and ``DEFAULT_ROUTING_INIT_MM``, and run ``warmup + n_keep``
 months to keep the last ``n_keep`` flows.  Each checks its parameters with ``_check_parameters`` and its forcing and
 month counts with ``_forcing``, so the Python loop and the compiled one refuse the same input.  ``month_loop`` runs
-the month loop's C translation (``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s bits; its loop also
-carries the calibration sampler's DRAM block, accepted only with the Python sampler's bytes: a compiler buys speed
-only.
+the month loop's C translation (``_gr2m.c``) when :func:`load_kernel` builds one with ``_run``'s bits; its library
+also carries the calibration sampler's DRAM block and a numbered-scheme level's scoring pass, each accepted only
+with its Python path's bytes: a compiler buys speed only.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def load_kernel():
     """``month_loop``'s binder for the compiled loop, or None when it cannot be built or does not give ``_run``'s bits.
 
     Built on first use into ``__pycache__`` under the sha256 of source and command, via ``os.replace``, with the
-    DRAM block where it links and loads; ``bind.sampler`` is the block if it gives the Python sampler's bytes.
-    Once one loads, every other ``_gr2m.*.so`` there, which neither of this source's two commands names, is deleted.
+    DRAM block where it links and loads; ``bind.sampler`` is the block if it gives the Python sampler's bytes, and
+    ``bind.score_level`` the scoring pass (both builds have it) if it gives ``experiment``'s Python path's.  Once one
+    loads, every other ``_gr2m.*.so`` there, which neither of this source's two commands names, is deleted.
     """
     import contextlib, ctypes, hashlib, shlex, shutil, sysconfig  # on first use only: ``import ensflow`` stays as cheap
 
@@ -144,8 +145,9 @@ def load_kernel():
         with contextlib.suppress(OSError):  # deleted by another process, or in a directory this one may not write
             stale.unlink()
     doubles, pointer, long = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long
-    run, sampler = lib.gr2m_run, getattr(lib, "dram_block", None)
+    run, sampler, score = lib.gr2m_run, getattr(lib, "dram_block", None), lib.score_level
     run.argtypes, run.restype = [ctypes.c_double] * 2 + [doubles] * 2 + [long] * 2 + [doubles], None
+    score.argtypes = [long] * 4 + [ctypes.c_double] + [pointer] * 7
     if sampler is not None:  # the month loop's arguments, then calibrate's, then one block's
         sampler.argtypes = [*run.argtypes[2:], *[pointer] * 12, long, long]
     buffer = ctypes.c_double.from_buffer  # the cheapest pointer to an array's data; needs a writable one
@@ -164,6 +166,16 @@ def load_kernel():
             loop.chain_block = functools.partial(bind.sampler, *pointers)
         return loop
 
+    def score_level(u, lines, y, alpha):
+        """``score_level`` on (m, n3) predictions, (1 or m, 2, 3) lines and n3 observations: the bounds' column sums
+        and the member sums, or None where a sum is not finite or the lines or observations do not fit."""
+        u = u if u.dtype == float and u.strides[1] == 8 and u.strides[0] % 8 == 0 else np.ascontiguousarray(u, float)
+        (m, n), lines, y = u.shape, np.ascontiguousarray(lines, dtype=float), np.ascontiguousarray(y, dtype=float)
+        out = np.empty(n), np.empty(n), np.empty(m), np.empty(n + 1)  # lower, upper, sums and fsum's partials
+        arrays = (array.ctypes for array in (u, lines, y, *out))
+        if lines.shape[1:] == (2, 3) and len(lines) in (1, m) and y.shape == (n,):
+            return None if score(m, n, u.strides[0] // 8, 6 * (len(lines) > 1), 2.0 / alpha, *arrays) else out[:3]
+
     # dry months, a huge one and a spread on a grid of the box: catches pow folded to a cube or cube root, FMAs
     # and other starting stores
     p, e = [0.0, 1e4, *(53 * t % 97 * 3.0 for t in range(46))], [53 * t % 23 * 4.0 for t in range(48)]
@@ -177,6 +189,9 @@ def load_kernel():
         from .calibrate import sampler_matches  # the Python sampler is the oracle (calibrate imports this module)
 
         bind.sampler = sampler if sampler_matches(loop, expected * (1.0 + np.arange(46) % 7 * 0.1)) else None
+    from .experiment import level_matches  # the Python scoring path is the oracle (experiment imports this module)
+
+    bind.score_level = score_level if level_matches(score_level) else None
     return bind
 
 

@@ -9,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ensflow import gr2m
+from ensflow.ensemble import (
+    DEFAULT_PROBABILITIES, SisterEnsemble, TrainedErrorModels, member_interval_bounds, sister_mean,
+)
 from ensflow.evaluate import (
     INTERVAL_ALPHAS,
     IntervalPrediction,
@@ -24,7 +28,9 @@ from ensflow.evaluate import (
     write_metrics_csv,
     write_summary_json,
 )
-from ensflow.evaluate import _exact_sums, _interval_scores
+from ensflow.evaluate import _interval_scores
+from ensflow.experiment import _score_level
+from test_gr2m import compiler_found
 
 
 def interval(alpha, lower, upper):
@@ -196,49 +202,118 @@ def where_scores(alpha, lower, upper, y):
     )
 
 
-def fsum_columns(terms):
-    return np.array([math.fsum(column) for column in terms.T.tolist()])
+def python_level(sisters, models, alpha, y):
+    """The Python path's combined bounds and member sums: ``sister_mean`` of the member bounds, and ``math.fsum`` of
+    each member's row of ``_interval_scores`` (which may raise)."""
+    lowers, uppers = member_interval_bounds(sisters, models, alpha)
+    sums = [math.fsum(row) for row in _interval_scores(alpha, lowers, uppers, y).tolist()]
+    return sister_mean(lowers), sister_mean(uppers), np.array(sums)
 
 
-class TestExactSums:
-    """``_exact_sums`` gives ``math.fsum``'s bits, through the certified tree or through fsum itself."""
+def level_outcome(sisters, models, alpha, y, score_level):
+    """``_score_level``'s combined bounds and record as bytes and repr, or its error as failures.csv words it."""
+    try:
+        combined, record = _score_level(sisters, models, alpha, y, score_level)
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return combined.lower.tobytes(), combined.upper.tobytes(), repr(record)
+
+
+# zeros of both signs, terms whose sums fall exactly half an ulp between two floats, and a dynamic range of 1e300
+ADVERSARIAL = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1e4, 1e4),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.0**-53, -(2.0**-53), 2.0**-1074, 2.0**53, -(2.0**53)]),
+)
+
+
+class TestCompiledLevel:
+    """``_gr2m.c``'s ``score_level`` gives the Python path's bytes, and where it reports, the Python path's error."""
+
+    @pytest.fixture(autouse=True)
+    def score_level(self):
+        self.score_level = getattr(gr2m.load_kernel(), "score_level", None)
+        if self.score_level is None:
+            if compiler_found():
+                pytest.fail("a C compiler was found but the compiled scoring pass did not load")
+            pytest.skip("no C compiler: only the Python scoring path runs here")
+
+    def check(self, predictions, coefficients, shift, y, alpha, probabilities=DEFAULT_PROBABILITIES):
+        """Test months after two training months, so each member's row is strided; returns the level's outcome."""
+        sisters = SisterEnsemble(predictions, predictions[:, :2])
+        models = TrainedErrorModels("linear", 1, probabilities, coefficients, shift)
+        try:
+            lines = member_interval_bounds(sisters, models, alpha, lines=True)
+        except ValueError:  # models that do not fit the sisters: the kernel is not called
+            got = None
+        else:
+            got = self.score_level(sisters.test_predictions, lines, y, alpha)
+        with np.errstate(all="ignore"):
+            try:
+                expected = python_level(sisters, models, alpha, y)
+            except (ValueError, OverflowError):  # fsum's intermediate overflow, or inf - inf
+                expected = None
+        if expected is None or not np.isfinite(expected[2]).all():
+            assert got is None
+        else:
+            lower, upper, sums = got
+            assert [(lower / sisters.m).tobytes(), (upper / sisters.m).tobytes()] == [e.tobytes() for e in expected[:2]]
+            assert sums.tobytes() == expected[2].tobytes()
+        with np.errstate(all="ignore"):
+            outcome = level_outcome(sisters, models, alpha, y, self.score_level)
+            assert outcome == level_outcome(sisters, models, alpha, y, None)
+        return outcome
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(n=st.integers(1, 48), k=st.integers(16, 40), data=st.data())
-    def test_equals_fsum_on_adversarial_columns(self, n, k, data):
-        element = st.one_of(
-            st.floats(-1e300, 1e300),  # a dynamic range of 1e300, subnormals included
-            st.floats(-1e4, 1e4),
-            # zeros of both signs, and terms whose sums fall exactly half an ulp between two floats
-            st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.0**-53, -(2.0**-53), 2.0**-1074, 2.0**53, -(2.0**53)]),
-        )
-        terms = data.draw(arrays(float, (n, k), elements=element))
-        # cancellation: chosen columns end with the negated first terms, so most of them sums away
-        cancel = data.draw(arrays(bool, k))
-        terms[n - n // 2 :, cancel] = -terms[: n // 2, cancel]
-        assert _exact_sums(terms).tobytes() == fsum_columns(terms).tobytes()
+    @given(
+        m=st.integers(1, 12), n3=st.integers(1, 9), shared=st.booleans(), alpha=st.sampled_from(INTERVAL_ALPHAS),
+        data=st.data(),
+    )
+    def test_equals_the_python_path(self, m, n3, shared, alpha, data):
+        # n3 = 1 is sister_mean's accumulate; one model broadcast, or one per sister; any bounds, crossed ones too
+        n_models = 1 if shared else m
+        slope = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0]))
+        predictions = data.draw(arrays(float, (m, n3 + 2), elements=ADVERSARIAL))
+        coefficients = data.draw(arrays(float, (n_models, 10, 2), elements=slope))
+        shift = data.draw(arrays(float, (n_models, 10), elements=ADVERSARIAL))
+        y = data.draw(arrays(float, n3, elements=ADVERSARIAL))
+        self.check(predictions, coefficients, shift, y, alpha)
 
-    def test_uncertified_column_falls_back_to_fsum(self, monkeypatch):
-        # magnitudes over many binades leave no other sum near a tie between two floats
-        terms = np.random.default_rng(5).lognormal(0.0, 8.0, size=(6, 20))
-        # 1 + 2^-53 lies half an ulp above 1: no certificate separates it from a tie, fsum rounds it to even
-        terms[:, 7] = [1.0, 2.0**-53, 0.0, 0.0, 0.0, 0.0]
-        fsum, calls = math.fsum, []
-        monkeypatch.setattr(math, "fsum", lambda values: calls.append(values) or fsum(values))
-        sums = _exact_sums(terms)
-        assert calls == [terms[:, 7].tolist()]
-        assert sums[7] == 1.0
-        monkeypatch.undo()
-        assert sums.tobytes() == fsum_columns(terms).tobytes()
+    @pytest.mark.parametrize("n_models", [1, 20])
+    def test_adversarial_rows(self, n_models):
+        # members of zero width on y = 0 at alpha 0.5 score 4 |u|: each member's row sums the terms as given
+        rng = np.random.default_rng(5)
+        lognormal = rng.lognormal(0.0, 8.0, size=(20, 6))  # magnitudes over many binades
+        lognormal[7] = [1.0, 2.0**-53, 0.0, 0.0, 0.0, 0.0]  # 1 + 2^-53 lies half an ulp above 1: fsum rounds to even
+        # 2^53 + 3 rounds up, leaving a negative partial that must absorb 2^-60 before 2 lands on a tie
+        lognormal[8] = [2.0**51, 0.75, 2.0**-62, 0.5, 0.0, 0.0]
+        zeros = np.zeros((20, 4))
+        zeros[3], zeros[4] = 1.0, [1e300, -1e300, 5.0, -5.0]  # a sum across a dynamic range
+        zeros[:, 0] = -0.0  # a column of -0.0 bounds: +0.0 as a wide mean, -0.0 as a lone column's
+        for terms in (lognormal, zeros, zeros[:, :1]):
+            lines = np.zeros((n_models, 2, 2)), np.zeros((n_models, 2))
+            self.check(np.hstack([np.ones((20, 2)), terms]), *lines, np.zeros(terms.shape[1]), 0.5, (0.25, 0.75))
 
-    def test_zero_sums_and_few_columns_take_fsum(self):
-        # a zero sum is never certified (fsum's is +0.0), and fewer than 16 columns skip the tree
-        terms = np.zeros((4, 20))
-        terms[:, 3] = [-0.0, -0.0, -0.0, -0.0]
-        terms[:, 4] = [1e300, -1e300, 5.0, -5.0]
-        assert _exact_sums(terms).tobytes() == np.zeros(20).tobytes()
-        assert _exact_sums(terms[:, :3]).tobytes() == np.zeros(3).tobytes()
-        assert float(_exact_sums(np.array([0.1, 0.2, 0.3]))) == math.fsum([0.1, 0.2, 0.3])
+    def test_overflowing_member_sum_raises_the_python_error(self):
+        # two members whose means cancel: the combined interval scores 0, each member's sum overflows in fsum
+        predictions = np.array([[0.0, 0.0, 4e307, 4e307], [0.0, 0.0, -4e307, -4e307]])
+        outcome = self.check(predictions, np.zeros((1, 2, 2)), np.zeros((1, 2)), np.zeros(2), 0.5, (0.25, 0.75))
+        assert outcome == "OverflowError: intermediate overflow in fsum"
+
+    def test_misfit_models_or_observations_raise_the_python_errors(self):
+        # the kernel is not called: two models for three sisters, three observations for two test months
+        predictions, probabilities = np.ones((3, 4)), (0.25, 0.75)
+        outcome = self.check(predictions, np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2), 0.5, probabilities)
+        assert outcome == "ValueError: 2 error models do not match 3 sisters"
+        outcome = self.check(predictions, np.zeros((1, 2, 2)), np.zeros((1, 2)), np.zeros(3), 0.5, probabilities)
+        assert outcome == "ValueError: observations (3,) do not match interval length (2,)"
+
+    def test_non_finite_bound_raises_the_python_error(self):
+        # slope -1: the bound is 2u, which overflows at u = 1e308
+        predictions = np.array([[0.0, 0.0, 1e308, 1.0], [0.0, 0.0, 1.0, 1.0]])
+        coefficients = np.array([[[0.0, -1.0], [0.0, 0.0]]])
+        outcome = self.check(predictions, coefficients, np.zeros((1, 2)), np.zeros(2), 0.5, (0.25, 0.75))
+        assert outcome == "ValueError: interval bounds contain non-finite values"
 
 
 class TestScoresInOnePass:

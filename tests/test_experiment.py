@@ -793,7 +793,7 @@ class TestRunExperiment:
 
 
 class TestCompiledMonthLoop:
-    """The compiled month loop and sampler change no report, and no pool worker builds them."""
+    """The compiled month loop, sampler and scoring pass change no report, and no pool worker builds them."""
 
     # 260 iterations: the sampler adapts its proposal once
     SMALL = dict(schemes=("basic-linear", "1", "4"), m=20, n_iterations=260, retain_per_chain=10, max_restarts=0)
@@ -803,13 +803,14 @@ class TestCompiledMonthLoop:
         metrics = [line.rsplit(",", 1)[0] for line in (out / "metrics.csv").read_text().splitlines()]  # no seconds
         summary = json.loads((out / "summary.json").read_text())
         reports = (metrics, (out / "wisdom.csv").read_bytes(), (out / "rankings.csv").read_bytes())
-        return reports, (summary["gr2m_loop"], summary["sampler"])
+        return reports, (summary["gr2m_loop"], summary["sampler"], summary["scoring"])
 
     def paths_and_reports(self, tmp_path, switch):
-        """The (loop, sampler) and reports of a run as loaded, then of a run after ``switch()``."""
+        """The (loop, sampler, scoring) and reports of a run as loaded, then of a run after ``switch()``."""
         write_catchments(tmp_path, ["c1", "c2"])
         kernel = gr2m.load_kernel()
-        loaded = ("python" if kernel is None else "compiled", "compiled" if getattr(kernel, "sampler", None) else "python")
+        compiled = lambda name: "compiled" if getattr(kernel, name, None) else "python"
+        loaded = ("python" if kernel is None else "compiled", compiled("sampler"), compiled("score_level"))
         assert not run_experiment(small_run_config(tmp_path, **self.SMALL)).failures
         switch()
         assert not run_experiment(small_run_config(tmp_path, output_dir=str(tmp_path / "python"), **self.SMALL)).failures
@@ -819,7 +820,7 @@ class TestCompiledMonthLoop:
 
     def test_reports_equal_without_a_compiler(self, tmp_path, request):
         loaded, compiled, python = self.paths_and_reports(tmp_path, lambda: request.getfixturevalue("no_compiler"))
-        assert (compiled, python) == (loaded, ("python", "python"))
+        assert (compiled, python) == (loaded, ("python", "python", "python"))
 
     @pytest.mark.parametrize("case", ["no-numpy-random", "no-numpy-blas", "failing-self-check"])
     def test_reports_equal_on_the_python_sampler(self, tmp_path, request, monkeypatch, case):
@@ -833,7 +834,16 @@ class TestCompiledMonthLoop:
                 source.write_text(source.read_text().replace("propose(rng, timid,", "propose(rng, chol,"))
 
         loaded, compiled, python = self.paths_and_reports(tmp_path, switch)
-        assert (compiled, python) == (loaded, (loaded[0], "python"))
+        assert (compiled, python) == (loaded, (loaded[0], "python", loaded[2]))
+
+    def test_reports_equal_on_the_python_scoring(self, tmp_path, request):
+        def switch():  # lower and upper bounds swapped: the scoring pass fails its self-check
+            source = request.getfixturevalue("empty_cache")
+            swapped = source.read_text().replace("lower[k] += lo, upper[k] += up;", "lower[k] += up, upper[k] += lo;")
+            source.write_text(swapped)
+
+        loaded, compiled, python = self.paths_and_reports(tmp_path, switch)
+        assert (compiled, python) == (loaded, (loaded[0], loaded[1], "python"))
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the patched source")
     def test_built_once_before_the_pool_forks(self, tmp_path, monkeypatch, request):

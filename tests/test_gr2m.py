@@ -295,22 +295,36 @@ def test_kernel_source_compiles_without_warnings(extra):
     assert done.returncode == 0, done.stderr
 
 
-# load_kernel builds argv[1] with the sanitizers; its self-checks run the month loop and a chain on the block
+# load_kernel builds argv[1] with the sanitizers; its self-checks run the month loop, a chain on the block and a
+# small level through the scoring pass, which then scores a paper-size level, strided, with one model and with 600
 SANITIZED_RUN = """
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ensflow import gr2m
 from ensflow.calibrate import ChainConfig, calibrate_catchment
+from ensflow.ensemble import DEFAULT_PROBABILITIES, SisterEnsemble, TrainedErrorModels
+from ensflow.experiment import _score_level
 
 gr2m.KERNEL_SOURCE = Path(sys.argv[1])
 gr2m.KERNEL_FLAGS += ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
-assert gr2m.load_kernel().sampler is not None
+kernel = gr2m.load_kernel()
+assert kernel.sampler is not None and kernel.score_level is not None
 sys.path.insert(0, sys.argv[2])
 from test_calibrate import STOP_CASES, TestCompiledSampler, interior_series
 
 for case, error in STOP_CASES:
     TestCompiledSampler().test_block_stops_where_python_raises(case, error)
+rng = np.random.default_rng(0)
+predictions = rng.uniform(0.0, 300.0, (600, 444))
+sisters = SisterEnsemble(predictions, predictions[:, :144])
+for n_models in (1, 600):
+    lines = rng.normal(0.0, 0.3, (n_models, 10, 2)), rng.normal(0.0, 5.0, (n_models, 10))
+    models = TrainedErrorModels("linear", 1, DEFAULT_PROBABILITIES, *lines)
+    levels = [_score_level(sisters, models, 0.05, predictions[0, 144:], k) for k in (kernel.score_level, None)]
+    assert len({(c.lower.tobytes(), c.upper.tobytes(), repr(record)) for c, record in levels}) == 1
 result = calibrate_catchment(*interior_series(), ChainConfig(seed=0, n_iterations=400, retain_per_chain=100))
 print("ran", result.sample.m)
 """
