@@ -272,27 +272,26 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
     z = np.array([_normal_quantile(p) for p in probs])
     u, e = ensemble.training_predictions, ensemble.errors
     chosen, which = None, slice(None)
-    if config.variant == 2:
-        # pool every sister's rows, sister-major order
-        lines = [_lines(kind, RegressionDataset(design_matrix(u.reshape(-1)), e.reshape(-1)), probs, z)]
+    if config.variant == 2:  # pool every sister's rows, sister-major order, into one (1, u) design array
+        x = np.ones((u.size, 2))
+        x.reshape(*u.shape, 2)[..., 1] = u
+        lines = [_lines(kind, RegressionDataset(x, e.reshape(-1)), probs, z)]
     else:
         if config.variant == 3:  # the one sister the scheme seed draws
             chosen = int(np.random.default_rng(config.seed).integers(ensemble.m))
             first = [chosen]
         else:
-            # a rejected MCMC move repeats its pair and so its sister: fit each
-            # distinct (u, e) row once, matched byte for byte (-0.0 is not 0.0)
-            rows = np.hstack([u, e])
-            _, first, which = np.unique(
-                rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0], return_index=True, return_inverse=True
-            )
-        by_sister = {}
-        for i in sorted(first):  # in sister order, so a failure names the first sister with those rows
+            # a rejected MCMC move repeats its pair and so its sister: fit a sister only where its (u, e) rows
+            # differ from the previous sister's, byte for byte (-0.0 is not 0.0)
+            bits_u, bits_e, new = u.view(np.int64), e.view(np.int64), np.ones(ensemble.m, dtype=bool)
+            new[1:] = (bits_u[1:] != bits_u[:-1]).any(axis=1) | (bits_e[1:] != bits_e[:-1]).any(axis=1)
+            first, which = np.flatnonzero(new), np.cumsum(new) - 1
+        lines = []
+        for i in first:  # a failure names the first sister of its run
             try:
-                by_sister[i] = _lines(kind, RegressionDataset(design_matrix(u[i]), e[i]), probs, z)
+                lines.append(_lines(kind, RegressionDataset(design_matrix(u[i]), e[i]), probs, z))
             except ValueError as exc:
                 raise type(exc)(f"sister {i}: {exc}") from exc
-        lines = [by_sister[i] for i in first]
     coefficients, shift = (np.array(part) for part in zip(*lines))
     return TrainedErrorModels(kind, config.variant, probs, coefficients[which], shift[which], chosen)
 

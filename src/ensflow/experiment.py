@@ -5,7 +5,9 @@ executes the requested prediction schemes, scores five central intervals per
 scheme and writes five machine-readable outputs: ``metrics.csv``,
 ``summary.json``, ``rankings.csv``, ``wisdom.csv`` and ``timing.csv``
 (plus ``failures.csv`` when catchments had to be skipped; a run without
-skips removes the one an earlier run left in the same directory).
+skips removes the one an earlier run left in the same directory).  A pool
+worker sends back report rows only: a numbered level's ``wisdom.csv`` row,
+not its m member improvements, so the parent's memory does not grow with m.
 
 Configuration lives in a flat ``key = value`` text file; every key has a
 default, so an empty file is a valid experiment.  Catchment-level randomness
@@ -20,7 +22,7 @@ import json
 import math
 import time
 import zlib
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
@@ -43,6 +45,7 @@ from .evaluate import (
     average_width,
     coverage_probability,
     crossing_count,
+    median,
     rank_schemes,
     summarize,
     wisdom_metrics,
@@ -292,13 +295,6 @@ class CatchmentFailure:
     timing: tuple[tuple[str, float], ...] = ()  # every stage entered, the failing one timed up to its raise
 
 
-@dataclass(frozen=True)
-class WisdomRow:
-    catchment: str
-    scheme: str
-    record: WisdomRecord
-
-
 class CalibrationRecord(NamedTuple):
     """Calibration outcome of one calibrated catchment; psrf is inf when every attempt's chains were degenerate."""
 
@@ -371,8 +367,7 @@ def level_matches(score_level) -> bool:
 def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test):
     """Run one scheme and score its five levels: ((alpha, coverage, width, score, crossings) per level, wisdom rows).
 
-    A numbered scheme takes one pass per level (``_score_level``), whose wisdom record's ``ais_out`` is the level's
-    score.
+    A numbered level takes one pass (``_score_level``), and its wisdom row's ``ais_out`` is the level's score.
     """
     result = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
     wisdom_rows, intervals = [], []
@@ -384,8 +379,8 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
         for alpha in INTERVAL_ALPHAS:
             combined, record = _score_level(sisters, result.models, alpha, observed_test, score_level)
             intervals.append(combined)
-            wisdom_rows.append(WisdomRow(cid, result.scheme, record))
-        scores = [row.record.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
+            wisdom_rows.append(_wisdom_row(cid, result.scheme, record))
+        scores = [row.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
     levels = [
         (pred.alpha, coverage_probability(pred, observed_test), average_width(pred), score, crossing_count(pred))
         for pred, score in zip(intervals, scores)
@@ -404,7 +399,7 @@ def _stage(timing: list, label: str):
 
 
 def _process_catchment(args: tuple[ExperimentConfig, str]):
-    """Everything for one catchment, in stages; returns its rows or a failure record, each with its stage timing.
+    """Everything for one catchment, in stages; returns its report rows or a failure record, each with its timing.
 
     The stages are ``ingest`` (reading and partitioning the record), ``calibrate`` and ``sisters`` (for numbered
     schemes only), then each scheme under its own id: its fit, prediction, averaging and scoring.  Any exception
@@ -510,22 +505,19 @@ def _rankings_rows(records: list[MetricsRecord]):
     return rows, averages
 
 
-def _wisdom_rows(wisdom: list[WisdomRow]):
-    """One ``wisdom.csv`` row per record; the member improvements are summarised without their nans."""
-    for row in wisdom:
-        rec = row.record
-        usable = [x for x in rec.improvements if not math.isnan(x)]
-        ri = (min(usable), np.median(usable), max(usable)) if usable else (None, None, None)
-        yield (
-            row.catchment, row.scheme, rec.alpha, rec.ais_out, rec.aais_in, rec.relative_difference,
-            *ri, len(rec.improvements), len(rec.excluded),
-        )
-
-
 WISDOM_FIELDS = (
     "catchment", "scheme", "alpha", "ais_out", "aais_in", "relative_difference",
     "ri_min", "ri_median", "ri_max", "n_members", "n_excluded",
 )
+WisdomRow = namedtuple("WisdomRow", WISDOM_FIELDS)  # all of a numbered level that a worker sends back
+
+
+def _wisdom_row(catchment: str, scheme: str, record: WisdomRecord) -> WisdomRow:
+    """A level's ``wisdom.csv`` row; the member improvements are summarised without their nans."""
+    usable = [x for x in record.improvements if not math.isnan(x)]
+    ri = (min(usable), median(usable), max(usable)) if usable else (None, None, None)
+    return WisdomRow(catchment, scheme, record.alpha, record.ais_out, record.aais_in, record.relative_difference,
+                     *ri, len(record.improvements), len(record.excluded))
 
 
 def write_score_reports(records: list[MetricsRecord], out_dir: str | Path, **summary) -> None:
@@ -564,7 +556,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
         sampler="compiled" if getattr(load_kernel(), "sampler", None) else "python",
         scoring="compiled" if getattr(load_kernel(), "score_level", None) else "python",
     )
-    write_csv(out / "wisdom.csv", WISDOM_FIELDS, _wisdom_rows(result.wisdom))
+    write_csv(out / "wisdom.csv", WISDOM_FIELDS, result.wisdom)
     write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), result.timing)
     if result.failures:
         failure_rows = ((f.catchment, f.stage, f.message) for f in result.failures)

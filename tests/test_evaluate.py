@@ -21,6 +21,7 @@ from ensflow.evaluate import (
     average_width,
     coverage_probability,
     crossing_count,
+    median,
     rank_schemes,
     read_metrics_csv,
     summarize,
@@ -425,6 +426,17 @@ class TestMetricsIo:
         assert cell["score_median"] == pytest.approx(20.0)
         assert cell["coverage_mean"] == pytest.approx(0.9)
         assert cell["width_median"] == pytest.approx(7.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0, -2.5])
+        | st.floats(-1e300, 1e300),
+        min_size=1, max_size=700,
+    ))
+    def test_median_has_numpy_bits(self, values):
+        # duplicates, both zeros, subnormals and +-1e300 from the sampled values: the partition decides which
+        # zero a tie in the middle gives, and np.mean of the middle pair its sign and rounding
+        assert repr(median(values)) == repr(float(np.median(values)))
 
     def test_level_labels(self):
         records = [self.record(alpha=a) for a in INTERVAL_ALPHAS]

@@ -30,7 +30,6 @@ from ensflow.experiment import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticSpec,
-    WisdomRow,
     _catchment_seed,
     discover_catchments,
     generate_synthetic,
@@ -524,8 +523,8 @@ class TestRunExperiment:
             levels, wisdom_rows = experiment._score_scheme(*args)  # (alpha, coverage, width, score, crossings)
             assert len(calls) == expected_calls, scheme
             if wisdom_rows:
-                assert [level[3] for level in levels] == [row.record.ais_out for row in wisdom_rows]
-                assert [level[0] for level in levels] == [row.record.alpha for row in wisdom_rows]
+                assert [level[3] for level in levels] == [row.ais_out for row in wisdom_rows]
+                assert [level[0] for level in levels] == [row.alpha for row in wisdom_rows]
 
     def test_rerun_is_reproducible(self, tmp_path):
         write_catchments(tmp_path, ["north"])
@@ -675,7 +674,7 @@ class TestRunExperiment:
         assert result.exit_code == 0
         assert len(result.records) == 5
         assert len(result.wisdom) == 5  # one record per interval level
-        assert all(row.record.relative_difference >= -1e-12 for row in result.wisdom)
+        assert all(row.relative_difference >= -1e-12 for row in result.wisdom)
         psrf, converged, restarts, seconds = result.calibration["east"]
         assert np.isfinite(psrf) and restarts == 0 and seconds > 0.0
         assert result.calibration["east"].psrf == psrf
@@ -852,15 +851,18 @@ class TestCompiledMonthLoop:
         log, real_run = tmp_path / "builds.log", subprocess.run
 
         def recording_run(args, **kwargs):
-            if str(empty_cache) in args:
+            if str(empty_cache) in args:  # the process and the library it builds, without the process suffix
                 with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()}\n")
+                    fh.write(f"{os.getpid()} {Path(args[args.index('-o') + 1]).stem}\n")
             return real_run(args, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", recording_run)
         result = run_experiment(small_run_config(tmp_path, workers=2, **self.SMALL))
         assert not result.failures and set(result.calibration) == {"w1", "w2"}
-        assert log.read_text().split() == [str(os.getpid())]  # one attempt, in this process
+        # the sampler build, and the plain one where that fails (no compiler): each tried once, in this process
+        attempts = [line.split() for line in log.read_text().splitlines()]
+        assert attempts and [pid for pid, _ in attempts] == [str(os.getpid())] * len(attempts)
+        assert len({library for _, library in attempts}) == len(attempts)
 
 
 def highs_modules():
@@ -972,6 +974,58 @@ class TestSolverLoading:
         assert fresh_python(DIRECT_LOAD_PROBE) == [[], True, [True] * 5]
 
 
+# what a pool worker sends back, as the parent receives it, and the parent's modules after the run
+RETURNED_PROBE = """
+import dataclasses, json, sys
+from ensflow import evaluate, experiment
+
+returned = []
+outcome = experiment._worker_outcome
+experiment._worker_outcome = lambda cid, future: returned.append(outcome(cid, future)) or returned[-1]
+
+def held(obj):
+    yield obj
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from held(getattr(obj, field.name))
+
+data, m = sys.argv[1], int(sys.argv[2])
+for i, cid in enumerate(("a", "b")):
+    experiment.generate_synthetic(experiment.SyntheticSpec(n_months=60, seed=20 + i), data, cid)
+config = experiment.ExperimentConfig(
+    input_dir=data, output_dir=data + "/out", warmup=12, n1=24, n2=12, m=m,
+    n_iterations=100, retain_per_chain=10, max_restarts=0, workers=2,
+)
+result = experiment.run_experiment(config)
+objects = [obj for outcome in returned for obj in held(outcome)]
+print(json.dumps([
+    "numpy.ma" in sys.modules, len(result.failures), len(returned), len(result.wisdom),
+    sum(isinstance(obj, evaluate.WisdomRecord) for obj in objects),
+    sum(isinstance(obj, tuple) and len(obj) == m for obj in objects),
+    sorted({type(obj).__name__ for obj in objects}),
+]))
+"""
+
+
+class TestWhatAWorkerSends:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
+    def test_rows_only_and_no_numpy_ma(self, tmp_path):
+        # every scheme, two workers: the parent never imports numpy.ma (np.median's NaN check does), which every
+        # later fork would inherit, and a worker returns each numbered level as its wisdom.csv row, without the
+        # level's WisdomRecord or its m member improvements
+        m = "20"  # no report row or record has 20 cells
+        loaded, failures, returned, wisdom, records, per_member, types = fresh_python(RETURNED_PROBE, str(tmp_path), m)
+        assert (loaded, failures, returned, wisdom) == (False, 0, 2, 2 * 6 * 5)
+        assert (records, per_member) == (0, 0)
+        assert set(types) <= {
+            "CatchmentResult", "CalibrationRecord", "MetricsRecord", "WisdomRow", "list", "tuple", "str", "float",
+            "int", "bool", "NoneType",
+        }
+
+
 def hand_built_result():
     """Two catchments x two schemes at one level, two wisdom rows, one failure, one calibration."""
     nan = float("nan")
@@ -982,8 +1036,8 @@ def hand_built_result():
         MetricsRecord("c2", "basic-linear", 0.05, 0.5, 2.5, 3.5, 0, 0.125),
     ]
     wisdom = [
-        WisdomRow("c1", "1", WisdomRecord(0.05, 17.25, 20.0, 0.125, (0.25, nan, 0.5), (1,))),
-        WisdomRow("c2", "1", WisdomRecord(0.2, 4.0, 4.0, 0.0, (nan, nan), (0, 1))),
+        experiment._wisdom_row("c1", "1", WisdomRecord(0.05, 17.25, 20.0, 0.125, (0.25, nan, 0.5), (1,))),
+        experiment._wisdom_row("c2", "1", WisdomRecord(0.2, 4.0, 4.0, 0.0, (nan, nan), (0, 1))),
     ]
     failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2', (("ingest", 0.0625),))]
     calibration = {"c1": CalibrationRecord(1.05, True, 0, 2.5)}
