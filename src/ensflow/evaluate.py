@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,24 +116,27 @@ def crossing_count(pred: IntervalPrediction) -> int:
     return int(np.count_nonzero(pred.lower > pred.upper))
 
 
-@dataclass(frozen=True)
-class WisdomRecord:
-    """Combined-versus-members comparison at one interval level.
+class WisdomRecord(NamedTuple):
+    """Combined-versus-members comparison at one interval level: a ``wisdom.csv`` row without its catchment and scheme.
 
-    ``improvements`` holds the relative improvement of the combined interval
-    over each member (nan where a member scored exactly zero and the ratio
-    is undefined; those member indices appear in ``excluded``).
     ``relative_difference`` compares the members' average score with the
     combined score; by convexity of the interval score it cannot be negative
-    when the combined bounds are the member means.
+    when the combined bounds are the member means.  ``ri_min``, ``ri_median``
+    and ``ri_max`` summarise the relative improvements of the combined
+    interval over the ``n_members`` members, (member score - combined score)
+    / member score; the ``n_excluded`` members that scored exactly zero have
+    none, and all three are None when no improvement is left.
     """
 
     alpha: float
     ais_out: float
     aais_in: float
     relative_difference: float
-    improvements: tuple[float, ...]
-    excluded: tuple[int, ...]
+    ri_min: float | None
+    ri_median: float | None
+    ri_max: float | None
+    n_members: int
+    n_excluded: int
 
 
 def wisdom_metrics(member_lowers, member_uppers, combined: IntervalPrediction, observed) -> WisdomRecord:
@@ -155,14 +159,17 @@ def wisdom_metrics(member_lowers, member_uppers, combined: IntervalPrediction, o
 
 
 def wisdom_record(combined: IntervalPrediction, observed, member_scores: list[float]) -> WisdomRecord:
-    """The crowd comparison at ``combined``'s level from the members' average interval scores."""
+    """The crowd comparison at ``combined``'s level from the members' average interval scores.
+
+    The improvements of the nonzero scores, in member order and without nans (an infinite score's), give ``ri_*``.
+    """
     ais_out = average_interval_score(combined, observed)
     aais_in = math.fsum(member_scores) / len(member_scores)
-    # a member scoring exactly zero has no relative improvement
-    improvements = tuple(float("nan") if score == 0.0 else (score - ais_out) / score for score in member_scores)
-    excluded = tuple(i for i, score in enumerate(member_scores) if score == 0.0)
-    relative_difference = 0.0 if aais_in == 0.0 else (aais_in - ais_out) / aais_in
-    return WisdomRecord(combined.alpha, ais_out, aais_in, relative_difference, improvements, excluded)
+    improvements = [(score - ais_out) / score for score in member_scores if score != 0.0]
+    usable = [x for x in improvements if not math.isnan(x)]
+    ri = (min(usable), median(usable), max(usable)) if usable else (None, None, None)
+    rd = 0.0 if aais_in == 0.0 else (aais_in - ais_out) / aais_in
+    return WisdomRecord(combined.alpha, ais_out, aais_in, rd, *ri, len(member_scores), member_scores.count(0.0))
 
 
 def rank_schemes(ais_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,9 +188,8 @@ def rank_schemes(ais_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, ranks.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One scored (catchment, scheme, level) cell."""
+class MetricsRecord(NamedTuple):
+    """One scored (catchment, scheme, level) cell: a ``metrics.csv`` row, whose header is the field names."""
 
     catchment: str
     scheme: str
@@ -195,12 +201,8 @@ class MetricsRecord:
     seconds: float
 
 
-METRICS_FIELDS = ("catchment", "scheme", "alpha", "coverage", "width", "score", "crossings", "seconds")
-
-
 def write_metrics_csv(records, path: str | Path) -> None:
-    rows = ((r.catchment, r.scheme, r.alpha, r.coverage, r.width, r.score, r.crossings, r.seconds) for r in records)
-    write_csv(path, METRICS_FIELDS, rows)
+    write_csv(path, MetricsRecord._fields, records)
 
 
 def _metrics_record(row: list[str]) -> MetricsRecord:
@@ -222,11 +224,14 @@ def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
         cells.add(cell)
         return record
 
-    return list(read_csv(path, METRICS_FIELDS, parse))
+    return list(read_csv(path, MetricsRecord._fields, parse))
 
 
 def median(values: list[float]) -> float:
-    """``np.median``'s bits on a non-empty list of finite floats, without the NaN check that imports ``numpy.ma``."""
+    """``np.median``'s bits on a non-empty list of finite floats, without the NaN check that imports ``numpy.ma``.
+
+    It serves :func:`wisdom_record`'s ``ri_median`` and :func:`summarize`'s medians.
+    """
     n = len(values)
     part = np.partition(values, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1])  # np.median's kth
     return float(part[(n - 1) // 2 : n // 2 + 1].mean())

@@ -6,8 +6,9 @@ scheme and writes five machine-readable outputs: ``metrics.csv``,
 ``summary.json``, ``rankings.csv``, ``wisdom.csv`` and ``timing.csv``
 (plus ``failures.csv`` when catchments had to be skipped; a run without
 skips removes the one an earlier run left in the same directory).  A pool
-worker sends back report rows only: a numbered level's ``wisdom.csv`` row,
-not its m member improvements, so the parent's memory does not grow with m.
+worker sends back report rows only, each row type's fields its file's header:
+``MetricsRecord``s, and a ``WisdomRow`` (catchment, scheme, ``WisdomRecord``)
+per numbered level, so the parent's memory does not grow with m.
 
 Configuration lives in a flat ``key = value`` text file; every key has a
 default, so an empty file is a valid experiment.  Catchment-level randomness
@@ -45,7 +46,6 @@ from .evaluate import (
     average_width,
     coverage_probability,
     crossing_count,
-    median,
     rank_schemes,
     summarize,
     wisdom_metrics,
@@ -84,13 +84,18 @@ class ExperimentConfig:
         The prior box, the chain count and the PSRF threshold are not keys: ``calibrate`` fixes them.
         """
         problems: list[str] = []
+        schemes = self.schemes if isinstance(self.schemes, tuple) else ()
         if not self.schemes:
             problems.append("schemes must name at least one scheme")
-        for scheme in self.schemes:
+        for scheme in schemes:
             if scheme not in ALL_SCHEMES:
                 problems.append(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
         for name in ("catchments", "schemes"):
-            for item, count in Counter(getattr(self, name)).items():
+            ids = getattr(self, name)
+            if not isinstance(ids, tuple) or not all(isinstance(item, str) for item in ids):
+                problems.append(f"{name} must be a tuple of str, got {ids!r}")  # save_config could not write it back
+                continue
+            for item, count in Counter(ids).items():
                 if count > 1:
                     problems.append(f"{name} lists {item!r} " + ("twice" if count == 2 else f"{count} times"))
         if self.m < 1:
@@ -103,7 +108,7 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 problems.append(str(exc))
-        needs_sample = any(s not in BASIC_SCHEMES for s in self.schemes)
+        needs_sample = any(s not in BASIC_SCHEMES for s in schemes)
         if needs_sample and self.m > ChainConfig.n_chains * self.retain_per_chain:
             problems.append(
                 f"m={self.m} exceeds retained pairs "
@@ -295,6 +300,9 @@ class CatchmentFailure:
     timing: tuple[tuple[str, float], ...] = ()  # every stage entered, the failing one timed up to its raise
 
 
+WisdomRow = namedtuple("WisdomRow", ("catchment", "scheme", *WisdomRecord._fields))  # what a worker sends of a level
+
+
 class CalibrationRecord(NamedTuple):
     """Calibration outcome of one calibrated catchment; psrf is inf when every attempt's chains were degenerate."""
 
@@ -379,7 +387,7 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
         for alpha in INTERVAL_ALPHAS:
             combined, record = _score_level(sisters, result.models, alpha, observed_test, score_level)
             intervals.append(combined)
-            wisdom_rows.append(_wisdom_row(cid, result.scheme, record))
+            wisdom_rows.append(WisdomRow(cid, result.scheme, *record))
         scores = [row.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
     levels = [
         (pred.alpha, coverage_probability(pred, observed_test), average_width(pred), score, crossing_count(pred))
@@ -505,21 +513,6 @@ def _rankings_rows(records: list[MetricsRecord]):
     return rows, averages
 
 
-WISDOM_FIELDS = (
-    "catchment", "scheme", "alpha", "ais_out", "aais_in", "relative_difference",
-    "ri_min", "ri_median", "ri_max", "n_members", "n_excluded",
-)
-WisdomRow = namedtuple("WisdomRow", WISDOM_FIELDS)  # all of a numbered level that a worker sends back
-
-
-def _wisdom_row(catchment: str, scheme: str, record: WisdomRecord) -> WisdomRow:
-    """A level's ``wisdom.csv`` row; the member improvements are summarised without their nans."""
-    usable = [x for x in record.improvements if not math.isnan(x)]
-    ri = (min(usable), median(usable), max(usable)) if usable else (None, None, None)
-    return WisdomRow(catchment, scheme, record.alpha, record.ais_out, record.aais_in, record.relative_difference,
-                     *ri, len(record.improvements), len(record.excluded))
-
-
 def write_score_reports(records: list[MetricsRecord], out_dir: str | Path, **summary) -> None:
     """Write what ``records`` alone determine: ``metrics.csv``, ``rankings.csv`` and ``summary.json``.
 
@@ -556,7 +549,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
         sampler="compiled" if getattr(load_kernel(), "sampler", None) else "python",
         scoring="compiled" if getattr(load_kernel(), "score_level", None) else "python",
     )
-    write_csv(out / "wisdom.csv", WISDOM_FIELDS, result.wisdom)
+    write_csv(out / "wisdom.csv", WisdomRow._fields, result.wisdom)
     write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), result.timing)
     if result.failures:
         failure_rows = ((f.catchment, f.stage, f.message) for f in result.failures)

@@ -55,10 +55,11 @@ class MonthlySeries:
         if self.n < 1:
             raise ValueError("series must contain at least one month")
         year, month = self.origin
-        if not 1 <= month <= 12:
+        if not 1 <= month <= 12 or int(month) != month:
             raise ValueError(f"origin month must be in 1..12, got {month}")
         if int(year) != year:
             raise ValueError(f"origin year must be integral, got {year}")
+        object.__setattr__(self, "origin", (int(year), int(month)))  # a float or numpy year would reach calendar
 
     @property
     def n(self) -> int:

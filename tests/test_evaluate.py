@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,6 +26,7 @@ from ensflow.evaluate import (
     read_metrics_csv,
     summarize,
     wisdom_metrics,
+    wisdom_record,
     write_metrics_csv,
     write_summary_json,
 )
@@ -108,22 +109,22 @@ class TestIntervalScore:
 
 
 class TestRelativeImprovement:
-    """(member score - combined score) / member score, as wisdom_metrics reports it per member."""
+    """(member score - combined score) / member score: a lone member's improvement is all three ``ri_*`` cells."""
 
     @staticmethod
     def improvement(candidate, benchmark):
         # an observation inside a closed interval scores the interval's width
         record = wisdom_metrics([[0.0]], [[benchmark]], interval(0.1, [0.0], [candidate]), [0.0])
-        return record.improvements[0], record.excluded
+        assert record.ri_min == record.ri_median == record.ri_max and record.n_members == 1
+        return record.ri_median, record.n_excluded
 
     def test_hand_values(self):
-        assert self.improvement(8.0, 10.0)[0] == pytest.approx(0.2)
-        assert self.improvement(12.0, 10.0)[0] == pytest.approx(-0.2)
-        assert self.improvement(10.0, 10.0)[0] == 0.0
+        assert self.improvement(8.0, 10.0) == (pytest.approx(0.2), 0)
+        assert self.improvement(12.0, 10.0) == (pytest.approx(-0.2), 0)
+        assert self.improvement(10.0, 10.0) == (0.0, 0)
 
     def test_zero_benchmark_rejected(self):
-        value, excluded = self.improvement(1.0, 0.0)
-        assert math.isnan(value) and excluded == (0,)
+        assert self.improvement(1.0, 0.0) == (None, 1)
 
 
 class TestWisdomMetrics:
@@ -133,14 +134,12 @@ class TestWisdomMetrics:
         uppers = np.array([[3.0, 3.0], [4.0, 4.0], [2.0, 2.0]])
         combined = interval(0.2, lowers.mean(axis=0), uppers.mean(axis=0))
         record = wisdom_metrics(lowers, uppers, combined, y)
-        # member scores: widths 2, 4 and 0 (all cover y)
-        assert record.aais_in == pytest.approx(2.0)
-        assert record.ais_out == pytest.approx(2.0)
-        assert record.excluded == (2,)
-        assert math.isnan(record.improvements[2])
-        assert record.improvements[0] == pytest.approx(0.0)
-        assert record.improvements[1] == pytest.approx(0.5)
-        assert record.relative_difference == pytest.approx(0.0)
+        # member scores: widths 2, 4 and 0 (all cover y); the third has no improvement, the others 0 and 0.5
+        assert record.aais_in == 2.0
+        assert record.ais_out == 2.0
+        assert (record.n_members, record.n_excluded) == (3, 1)
+        assert (record.ri_min, record.ri_median, record.ri_max) == (0.0, 0.25, 0.5)
+        assert record.relative_difference == 0.0
 
     def test_averaging_never_scores_worse_than_members(self):
         # interval score is convex in (lower, upper), so the mean interval
@@ -190,7 +189,31 @@ class TestWisdomMetrics:
         record = wisdom_metrics(lowers, uppers, combined, y)
         scores = [average_interval_score(interval(0.05, lo, up), y) for lo, up in zip(lowers, uppers)]
         assert record.aais_in == math.fsum(scores) / 5
-        assert record.improvements == tuple((s - record.ais_out) / s for s in scores)
+        improvements = [(s - record.ais_out) / s for s in scores]
+        assert (record.ri_min, record.ri_median, record.ri_max) == summary_cells(improvements)
+        assert (record.n_members, record.n_excluded) == (5, 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        scores=st.lists(st.sampled_from([0.0, -0.0, math.inf]) | st.floats(-1e4, 1e4), min_size=1, max_size=12),
+        width=st.sampled_from([0.0, 0.5, 3.0]),
+    )
+    @example(scores=[0.0, -0.0, 0.0], width=3.0)  # every member excluded: no improvement is left
+    @example(scores=[math.inf, 2.0, 0.0, math.inf], width=0.5)  # an infinite score's improvement is nan
+    def test_summary_cells_of_any_member_scores(self, scores, width):
+        # y = 0 inside [0, width]: the combined interval scores its width
+        record = wisdom_record(interval(0.1, [0.0], [width]), [0.0], scores)
+        assert (record.alpha, record.ais_out, record.aais_in) == (0.1, width, math.fsum(scores) / len(scores))
+        improvements = [(s - width) / s for s in scores if s != 0.0]
+        cells = (record.ri_min, record.ri_median, record.ri_max)
+        assert repr(cells) == repr(summary_cells(improvements))
+        assert (record.n_members, record.n_excluded) == (len(scores), sum(s == 0.0 for s in scores))
+
+
+def summary_cells(improvements):
+    """min, np.median and max of the improvements without their nans, in member order; Nones when none is left."""
+    usable = [x for x in improvements if not math.isnan(x)]
+    return (min(usable), float(np.median(usable)), max(usable)) if usable else (None, None, None)
 
 
 def where_scores(alpha, lower, upper, y):
@@ -340,9 +363,9 @@ class TestScoresInOnePass:
         record = wisdom_metrics(lowers, uppers, interval(alpha, lowers.mean(axis=0), uppers.mean(axis=0)), y)
         scores = [math.fsum(row) / n for row in where_scores(alpha, lowers, uppers, y).tolist()]
         assert record.aais_in == math.fsum(scores) / m
-        assert record.excluded == tuple(i for i, score in enumerate(scores) if score == 0.0)
-        kept = [(got, score) for got, score in zip(record.improvements, scores) if score != 0.0]
-        assert [got for got, _ in kept] == [(score - record.ais_out) / score for _, score in kept]
+        assert (record.n_members, record.n_excluded) == (m, sum(score == 0.0 for score in scores))
+        improvements = [(score - record.ais_out) / score for score in scores if score != 0.0]
+        assert repr((record.ri_min, record.ri_median, record.ri_max)) == repr(summary_cells(improvements))
 
 
 class TestRankSchemes:

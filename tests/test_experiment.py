@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from ensflow import ensemble, experiment, gr2m
 from ensflow.calibrate import PosteriorSample
-from ensflow.evaluate import MetricsRecord, WisdomRecord
+from ensflow.evaluate import MetricsRecord, read_metrics_csv
 from ensflow.experiment import (
     CalibrationRecord,
     CatchmentFailure,
@@ -30,6 +30,7 @@ from ensflow.experiment import (
     ExperimentConfig,
     ExperimentResult,
     SyntheticSpec,
+    WisdomRow,
     _catchment_seed,
     discover_catchments,
     generate_synthetic,
@@ -40,7 +41,7 @@ from ensflow.experiment import (
 )
 from ensflow.gr2m import simulate_flow
 from ensflow.regress import SOLVER, load_solver
-from ensflow.timeseries import load_catchment, partition
+from ensflow.timeseries import load_catchment, partition, read_csv
 
 
 class TestConfigFile:
@@ -226,6 +227,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig(**{name: ("1", "2", "1", "3", "3", "3")})
         assert str(excinfo.value).split("; ") == [f"{name} lists '1' twice", f"{name} lists '3' 3 times"]
+
+    @pytest.mark.parametrize("name", ["catchments", "schemes"])
+    @pytest.mark.parametrize("ids", ["12", ["1", "2"]], ids=["string", "list"])
+    def test_id_list_must_be_a_tuple_of_str(self, name, ids):
+        # save_config would write either as a value that load_config refuses or reads back as another list
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(**{name: ids})
+        assert str(excinfo.value).split("; ") == [f"{name} must be a tuple of str, got {ids!r}"]
 
     def test_empty_scheme_list_rejected(self):
         # a run with no scheme would score nothing and say nothing about why
@@ -1014,8 +1023,8 @@ class TestWhatAWorkerSends:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit the parent's modules")
     def test_rows_only_and_no_numpy_ma(self, tmp_path):
         # every scheme, two workers: the parent never imports numpy.ma (np.median's NaN check does), which every
-        # later fork would inherit, and a worker returns each numbered level as its wisdom.csv row, without the
-        # level's WisdomRecord or its m member improvements
+        # later fork would inherit, and a worker returns each numbered level as its wisdom.csv row, not as a
+        # WisdomRecord, and no tuple of m member cells
         m = "20"  # no report row or record has 20 cells
         loaded, failures, returned, wisdom, records, per_member, types = fresh_python(RETURNED_PROBE, str(tmp_path), m)
         assert (loaded, failures, returned, wisdom) == (False, 0, 2, 2 * 6 * 5)
@@ -1028,7 +1037,6 @@ class TestWhatAWorkerSends:
 
 def hand_built_result():
     """Two catchments x two schemes at one level, two wisdom rows, one failure, one calibration."""
-    nan = float("nan")
     records = [
         MetricsRecord("c1", "1", 0.05, 0.9375, 12.5, 17.25, 0, 1.5),
         MetricsRecord("c1", "basic-linear", 0.05, 1.0 / 3.0, 0.1, 20.0, 2, 0.25),
@@ -1036,8 +1044,8 @@ def hand_built_result():
         MetricsRecord("c2", "basic-linear", 0.05, 0.5, 2.5, 3.5, 0, 0.125),
     ]
     wisdom = [
-        experiment._wisdom_row("c1", "1", WisdomRecord(0.05, 17.25, 20.0, 0.125, (0.25, nan, 0.5), (1,))),
-        experiment._wisdom_row("c2", "1", WisdomRecord(0.2, 4.0, 4.0, 0.0, (nan, nan), (0, 1))),
+        WisdomRow("c1", "1", 0.05, 17.25, 20.0, 0.125, 0.25, 0.375, 0.5, 3, 1),
+        WisdomRow("c2", "1", 0.2, 4.0, 4.0, 0.0, None, None, None, 2, 2),
     ]
     failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2', (("ingest", 0.0625),))]
     calibration = {"c1": CalibrationRecord(1.05, True, 0, 2.5)}
@@ -1096,6 +1104,25 @@ class TestReportFiles:
         }
         for name, text in expected.items():
             assert (tmp_path / name).read_bytes().decode() == text, name
+
+    @staticmethod
+    def wisdom_row(cells: list[str]) -> WisdomRow:
+        """A ``wisdom.csv`` row with its cells typed as a run holds them; an empty cell is None."""
+        numbers = [None if cell == "" else float(cell) for cell in cells[2:-2]]
+        return WisdomRow(*cells[:2], *numbers, *map(int, cells[-2:]))
+
+    def test_files_hold_the_rows_a_run_returns(self, tmp_path):
+        # every scheme, two workers: each row type's fields are its file's header, and every cell reads back
+        write_catchments(tmp_path, ["north", "south"])
+        config = small_run_config(
+            tmp_path, schemes=ensemble.ALL_SCHEMES, m=20, n_iterations=100, retain_per_chain=10, max_restarts=0,
+            workers=2,
+        )
+        result = run_experiment(config)
+        assert not result.failures and len(result.wisdom) == 2 * 6 * 5
+        out = tmp_path / "out"
+        assert read_metrics_csv(out / "metrics.csv") == result.records  # seconds too: repr reads back
+        assert list(read_csv(out / "wisdom.csv", WisdomRow._fields, self.wisdom_row)) == result.wisdom
 
     def test_average_ranks_are_json_numbers(self, tmp_path):
         experiment.emit_reports(hand_built_result(), tmp_path)

@@ -65,6 +65,29 @@ class TestMonthlySeries:
         with pytest.raises(ValueError, match="origin month"):
             MonthlySeries((2000, 13), [1.0], [1.0], [1.0])
 
+    @pytest.mark.parametrize("year", [np.int64(2000), 2000.0])
+    def test_origin_kept_as_plain_ints(self, tmp_path, year):
+        # a numpy year made calendar.monthrange return numpy ints, and write_daily then wrote np.float64(...)
+        # cells; a float year made write_daily raise
+        totals = np.linspace(10.0, 33.0, 24)
+        plain, odd = (MonthlySeries(origin, totals, totals / 2, totals / 3) for origin in ((2000, 1), (year, 1.0)))
+        assert odd.origin == (2000, 1) and {type(part) for part in odd.origin} == {int}
+        write_daily(tmp_path / "plain.csv", plain)
+        write_daily(tmp_path / "odd.csv", odd)
+        assert (tmp_path / "odd.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        loaded = load_catchment(tmp_path / "odd.csv")
+        assert loaded.origin == (2000, 1) and np.array_equal(loaded.precipitation, plain.precipitation)
+
+    def test_synthetic_catchment_from_a_numpy_start_year_reads_back(self, tmp_path):
+        generate_synthetic(SyntheticSpec(n_months=24, start_year=np.int64(2000)), tmp_path, "a")
+        assert load_catchment(tmp_path / "a.csv").origin == (2000, 1)
+
+    def test_fractional_origin_rejected(self):
+        with pytest.raises(ValueError, match="origin year must be integral"):
+            MonthlySeries((2000.5, 1), [1.0], [1.0], [1.0])
+        with pytest.raises(ValueError, match="origin month"):
+            MonthlySeries((2000, 1.5), [1.0], [1.0], [1.0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one month"):
             MonthlySeries((2000, 1), [], [], [])
