@@ -14,7 +14,7 @@ the crowd effect on a real scheme run.
 import numpy as np
 
 from ensflow.calibrate import PosteriorSample
-from ensflow.ensemble import build_sisters, intervals_from_prediction, member_interval_bounds, run_scheme
+from ensflow.ensemble import build_sisters, combine, intervals_from_prediction, member_interval_bounds, run_scheme
 from ensflow.evaluate import IntervalPrediction, average_interval_score, wisdom_metrics
 from ensflow.experiment import SyntheticSpec, synthesize_monthly
 from ensflow.timeseries import partition
@@ -31,13 +31,13 @@ pairs = np.column_stack(
     [400.0 * np.exp(0.1 * rng.standard_normal(30)), 0.9 + 0.05 * rng.standard_normal(30)]
 )
 sisters = build_sisters(PosteriorSample(pairs=pairs), series, split, 30)
-result = run_scheme("5", series, split, sisters=sisters)
+models = run_scheme("5", series, split, sisters=sisters)
 
 observed = np.asarray(series.streamflow)[split.t3]
-intervals = intervals_from_prediction(result.prediction)
+intervals = intervals_from_prediction(combine(sisters, models))
 print(f"\n{'level':>6} {'combined AIS':>13} {'member avg AIS':>15} {'RD':>8}")
 for alpha in (0.01, 0.025, 0.05, 0.10, 0.20):
-    lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
+    lowers, uppers = member_interval_bounds(sisters, models, alpha)
     record = wisdom_metrics(lowers, uppers, intervals[alpha], observed)
     print(
         f"{1 - alpha:>6.1%} {record.ais_out:>13.2f} {record.aais_in:>15.2f}"

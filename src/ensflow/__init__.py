@@ -23,7 +23,6 @@ from .ensemble import (
     DEFAULT_PROBABILITIES,
     CombinedPrediction,
     SchemeConfig,
-    SchemeResult,
     SisterEnsemble,
     TrainedErrorModels,
     build_sisters,

@@ -300,10 +300,10 @@ def calibration_objective(series: MonthlySeries, split: PeriodPartition):
     The model is warmed up over the warm-up months and compared with
     observed flow over the calibration period only.  The observed months are
     checked, and the month loop bound to the forcing, once, when the
-    objective is made; a call runs the loop and the SSE and nothing else.
+    objective is made (``month_loop`` refuses a series too short for the
+    warm-up plus calibration months); a call runs the loop and the SSE and
+    nothing else.
     """
-    if series.n < split.warmup + split.n1:
-        raise ValueError("series too short for the warm-up plus calibration months")
     observed = np.ascontiguousarray(series.streamflow, dtype=float)[split.t1]
     if not np.isfinite(observed).all():
         raise ValueError("observation series contains non-finite values")

@@ -134,7 +134,11 @@ def _cmd_run(args) -> int:
     if not discover_catchments(config):
         print(f"no catchment files in {config.input_dir}", file=sys.stderr)
         return 2
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     for failure in result.failures:
         print(f"skipped {failure.catchment} at {failure.stage}: {failure.message}", file=sys.stderr)
     n_catchments = len({r.catchment for r in result.records})

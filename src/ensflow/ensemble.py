@@ -2,8 +2,8 @@
 
 The pipeline turns a collection of m calibrated parameter pairs into one set
 of predictive quantiles for the test months.  Steps 1-2 run once per
-catchment (``build_sisters``); every numbered scheme then runs steps 3-6 on
-that same sister ensemble:
+catchment (``build_sisters``); every numbered scheme then fits step 3 on that
+same sister ensemble (``run_scheme``), and ``combine`` runs steps 4-6:
 
 1. each parameter pair is simulated over the error-training and test months,
    giving m equally plausible "sister" predictions;
@@ -407,42 +407,28 @@ def run_basic_scheme(
     return CombinedPrediction(probabilities=probs, quantiles=np.array(quantiles))
 
 
-@dataclass(frozen=True)
-class SchemeResult:
-    scheme: str
-    prediction: CombinedPrediction | None  # None when a numbered scheme left step 6 to its caller
-    models: TrainedErrorModels | None
-
-
 def run_scheme(
     scheme: str,
     series: MonthlySeries,
     split: PeriodPartition,
     config: SchemeConfig | None = None,
     sisters: SisterEnsemble | None = None,
-    combined: bool = True,
-) -> SchemeResult:
-    """Dispatch one scheme id.
+) -> CombinedPrediction | TrainedErrorModels:
+    """Dispatch one scheme id: a basic scheme's quantiles, or a numbered scheme's error models.
 
     Numbered schemes override the config's variant and regression family
-    (that is what the number means) and run steps 3-6 on ``sisters``, which
-    ``build_sisters`` makes once per catchment.  A numbered scheme's result
-    keeps its error models, from which ``member_interval_bounds`` makes a
-    level's bounds, or their lines for the compiled scoring pass.
-    With ``combined`` false a numbered scheme stops after step 3, for a
-    caller that averages those bounds itself (``sister_mean``).
+    (that is what the number means) and fit step 3 on ``sisters``, which
+    ``build_sisters`` makes once per catchment.  ``combine`` averages the
+    models into quantiles (step 6); ``member_interval_bounds`` makes a
+    level's per-sister bounds, or their lines for the compiled scoring pass.
     """
     if config is None:
         config = SchemeConfig()
-    models = None
     if scheme in BASIC_SCHEMES:
-        prediction = run_basic_scheme(scheme.removeprefix("basic-"), series, split, config.probabilities)
-    elif scheme in SCHEME_DEFS:
-        if sisters is None:
-            raise ValueError(f"scheme {scheme} runs on sisters: make them with build_sisters first")
-        variant, kind = SCHEME_DEFS[scheme]
-        models = train_error_model(sisters, replace(config, variant=variant, error_model=kind))
-        prediction = combine(sisters, models) if combined else None
-    else:
+        return run_basic_scheme(scheme.removeprefix("basic-"), series, split, config.probabilities)
+    if scheme not in SCHEME_DEFS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {ALL_SCHEMES}")
-    return SchemeResult(scheme, prediction, models)
+    if sisters is None:
+        raise ValueError(f"scheme {scheme} runs on sisters: make them with build_sisters first")
+    variant, kind = SCHEME_DEFS[scheme]
+    return train_error_model(sisters, replace(config, variant=variant, error_model=kind))

@@ -62,6 +62,9 @@ class ConfigError(ValueError):
     """Experiment configuration is unusable; the message lists every problem."""
 
 
+_CHAIN_KEYS = ("n_iterations", "retain_per_chain", "max_restarts")  # the ChainConfig fields that are config keys
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     input_dir: str = "."
@@ -81,9 +84,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Collect every problem into one ConfigError; partition and chain keys are checked by their own types.
 
-        The prior box, the chain count and the PSRF threshold are not keys: ``calibrate`` fixes them.
+        A config that builds is one ``save_config`` writes and ``load_config`` reads back equal; a key not of its
+        type is named, and no rule compares it.  The prior box, the chain count and the PSRF threshold are not keys.
         """
         problems: list[str] = []
+        not_int = {f.name for f in fields(self) if f.type == "int" and type(getattr(self, f.name)) is not int}
+        problems += [f"{name} must be an int, got {getattr(self, name)!r}" for name in sorted(not_int)]
+        usable = lambda *names: not_int.isdisjoint(names)
+        for name in ("input_dir", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value != value.strip() or value.splitlines() not in ([], [value]):
+                problems.append(f"{name} must be a str with no blank at either end and no line break, got {value!r}")
         schemes = self.schemes if isinstance(self.schemes, tuple) else ()
         if not self.schemes:
             problems.append("schemes must name at least one scheme")
@@ -93,36 +104,40 @@ class ExperimentConfig:
         for name in ("catchments", "schemes"):
             ids = getattr(self, name)
             if not isinstance(ids, tuple) or not all(isinstance(item, str) for item in ids):
-                problems.append(f"{name} must be a tuple of str, got {ids!r}")  # save_config could not write it back
+                problems.append(f"{name} must be a tuple of str, got {ids!r}")
                 continue
+            for item in ids:
+                if "," in item or item != item.strip() or item.splitlines() != [item]:
+                    problems.append(f"{name}: id {item!r} is empty or holds a comma, a blank at an end or a line break")
             for item, count in Counter(ids).items():
                 if count > 1:
                     problems.append(f"{name} lists {item!r} " + ("twice" if count == 2 else f"{count} times"))
-        if self.m < 1:
+        if usable("m") and self.m < 1:
             problems.append(f"m must be >= 1, got {self.m}")
-        for build in (
-            lambda: PeriodPartition(self.warmup, self.n1, self.n2, 1),  # the shortest test period
-            lambda: _chain_config(self, seed=self.seed),
+        for names, build in (
+            (("warmup", "n1", "n2"), lambda: PeriodPartition(self.warmup, self.n1, self.n2, 1)),  # shortest test
+            ((*_CHAIN_KEYS, "seed"), lambda: _chain_config(self, seed=self.seed)),
         ):
+            if not usable(*names):
+                continue
             try:
                 build()
             except ValueError as exc:
                 problems.append(str(exc))
         needs_sample = any(s not in BASIC_SCHEMES for s in schemes)
-        if needs_sample and self.m > ChainConfig.n_chains * self.retain_per_chain:
+        if needs_sample and usable("m", "retain_per_chain") and self.m > ChainConfig.n_chains * self.retain_per_chain:
             problems.append(
                 f"m={self.m} exceeds retained pairs "
                 f"(n_chains * retain_per_chain = {ChainConfig.n_chains * self.retain_per_chain})"
             )
-        if self.workers < 1:
+        if usable("workers") and self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
         if problems:
             raise ConfigError("; ".join(problems))
 
 
 def _chain_config(config: ExperimentConfig, **overrides) -> ChainConfig:
-    names = ("n_iterations", "retain_per_chain", "max_restarts")
-    return ChainConfig(**{name: getattr(config, name) for name in names}, **overrides)
+    return ChainConfig(**{name: getattr(config, name) for name in _CHAIN_KEYS}, **overrides)
 
 
 def parse_ids(text: str) -> tuple[str, ...]:
@@ -175,19 +190,9 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    """Write ``config`` for :func:`load_config`; a value it would not read back equal raises ConfigError."""
-    lines, problems = [], []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        for item in value if isinstance(value, tuple) else (value,) if isinstance(value, str) else ():
-            if item != item.strip() or item.splitlines() not in ([], [item]):
-                problems.append(f"{f.name}: {item!r} has blanks at an end or a line break")
-            elif isinstance(value, tuple) and ("," in item or not item):
-                problems.append(f"{f.name}: list item {item!r} is empty or holds a comma")
-        text = ",".join(value) if isinstance(value, tuple) else str(value)
-        lines.append(f"{f.name} = {text}")
-    if problems:
-        raise ConfigError("; ".join(problems))
+    """Write ``config`` for :func:`load_config`, which reads it back equal (``ExperimentConfig`` holds no other)."""
+    values = ((f.name, getattr(config, f.name)) for f in fields(config))
+    lines = (f"{name} = {','.join(value) if isinstance(value, tuple) else value}" for name, value in values)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -377,17 +382,17 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
 
     A numbered level takes one pass (``_score_level``), and its wisdom row's ``ais_out`` is the level's score.
     """
-    result = run_scheme(scheme, series, split, scheme_config, sisters=sisters, combined=False)
+    delivered = run_scheme(scheme, series, split, scheme_config, sisters=sisters)
     wisdom_rows, intervals = [], []
-    if result.models is None:
-        intervals += intervals_from_prediction(result.prediction).values()
+    if scheme in BASIC_SCHEMES:
+        intervals += intervals_from_prediction(delivered).values()
         scores = [average_interval_score(pred, observed_test) for pred in intervals]
     else:
         score_level = getattr(load_kernel(), "score_level", None)
         for alpha in INTERVAL_ALPHAS:
-            combined, record = _score_level(sisters, result.models, alpha, observed_test, score_level)
+            combined, record = _score_level(sisters, delivered, alpha, observed_test, score_level)
             intervals.append(combined)
-            wisdom_rows.append(WisdomRow(cid, result.scheme, *record))
+            wisdom_rows.append(WisdomRow(cid, scheme, *record))
         scores = [row.ais_out for row in wisdom_rows]  # average_interval_score of the same interval
     levels = [
         (pred.alpha, coverage_probability(pred, observed_test), average_width(pred), score, crossing_count(pred))
@@ -469,7 +474,10 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Process every catchment, score every scheme, write the report files."""
+    """Process every catchment, score every scheme, write the report files; refuse an output_dir that is input_dir."""
+    if Path(config.output_dir).resolve() == Path(config.input_dir).resolve():
+        raise ConfigError(f"output_dir {config.output_dir!r} is input_dir: "
+                          "a later run would read the reports as catchments")
     if set(config.schemes) & set(QUANTILE_SCHEMES):
         load_solver()  # before a pool forks and outside every stage (see ``regress``)
     load_kernel()  # the same for the compiled month loop: no worker compiles it

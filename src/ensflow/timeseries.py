@@ -111,8 +111,9 @@ def partition(n_total: int, warmup: int, n_calibration: int, n_training: int) ->
     """Split ``n_total`` months; the test period takes the remainder.
 
     Raises ``ValueError`` unless all four resulting periods tile
-    ``1..n_total`` exactly with ``n1, n2, n3 >= 1`` and ``warmup >= 0``
-    (:class:`PeriodPartition` checks all but ``n3``).
+    ``1..n_total`` exactly with ``n1, n2, n3 >= 1`` and ``warmup >= 0``:
+    a missing test period is named here, with the months it is cut from,
+    and :class:`PeriodPartition` checks the four periods.
     """
     n3 = n_total - warmup - n_calibration - n_training
     if n3 < 1:

@@ -73,10 +73,10 @@ def test_criterion_01_combined_interval_never_beaten_by_member_average():
         sisters = build_sisters(sample, series, split, 50)
         observed = np.asarray(series.streamflow)[split.t3]
         for scheme in ("1", "2", "3", "4", "5", "6"):
-            result = run_scheme(scheme, series, split, sisters=sisters)
-            intervals = intervals_from_prediction(result.prediction)
+            models = run_scheme(scheme, series, split, sisters=sisters)
+            intervals = intervals_from_prediction(combine(sisters, models))
             for alpha in INTERVAL_ALPHAS:
-                lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
+                lowers, uppers = member_interval_bounds(sisters, models, alpha)
                 record = wisdom_metrics(lowers, uppers, intervals[alpha], observed)
                 worst = min(worst, record.relative_difference)
                 cases += 1
@@ -201,8 +201,8 @@ def tenfold_calibrated_runs():
         calibration = calibrate_catchment(series, split, ChainConfig(seed=1000 + i))
         observed = np.asarray(series.streamflow)[split.t3]
         sisters = build_sisters(calibration.sample, series, split, 100)
-        pooled_quantile = run_scheme("5", series, split, sisters=sisters)
-        per_sister_linear = run_scheme("1", series, split, sisters=sisters)
+        pooled_quantile = combine(sisters, run_scheme("5", series, split, sisters=sisters))
+        per_sister_linear = combine(sisters, run_scheme("1", series, split, sisters=sisters))
         rows.append((per_sister_linear, pooled_quantile, observed))
     return rows
 
@@ -212,7 +212,7 @@ def test_criterion_06_pooled_quantile_scheme_is_roughly_calibrated(tenfold_calib
     catchments (100 ensemble members, 600 test months each)."""
     coverages = []
     for _, pooled_quantile, observed in tenfold_calibrated_runs:
-        intervals = intervals_from_prediction(pooled_quantile.prediction)
+        intervals = intervals_from_prediction(pooled_quantile)
         coverages.append(coverage_probability(intervals[0.05], observed))
     coverages = np.asarray(coverages)
     assert coverages.size == 10
@@ -228,10 +228,10 @@ def test_criterion_07_pooled_quantile_beats_per_sister_linear_on_average(
         improvements = []
         for per_sister_linear, pooled_quantile, observed in tenfold_calibrated_runs:
             benchmark = average_interval_score(
-                intervals_from_prediction(per_sister_linear.prediction)[alpha], observed
+                intervals_from_prediction(per_sister_linear)[alpha], observed
             )
             candidate = average_interval_score(
-                intervals_from_prediction(pooled_quantile.prediction)[alpha], observed
+                intervals_from_prediction(pooled_quantile)[alpha], observed
             )
             improvements.append((benchmark - candidate) / benchmark)
         mean_improvement = float(np.mean(improvements))
@@ -267,7 +267,7 @@ def test_criterion_09_single_member_collapses_scheme_variants():
     series, _ = synthesize_monthly(SyntheticSpec(n_months=96, seed=11))
     sisters = build_sisters(PosteriorSample(pairs=seeded_pairs(np.random.default_rng(5), 1)), series, split, 1)
     quantiles = {
-        scheme: run_scheme(scheme, series, split, sisters=sisters).prediction.quantiles
+        scheme: combine(sisters, run_scheme(scheme, series, split, sisters=sisters)).quantiles
         for scheme in ("1", "2", "3", "4", "5", "6")
     }
     assert np.array_equal(quantiles["1"], quantiles["2"])

@@ -613,9 +613,10 @@ class TestCalibrationObjective:
             objective(400.0, 0.9)
 
     def test_short_series_rejected(self):
+        # the month loop's forcing rule is the only length check
         series = synthetic_series(n=48, seed=7)
         split = partition(84, 12, 48, 12)
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match="^forcing has 48 months, warm-up plus kept flows need 60$"):
             calibration_objective(series, split)
 
     def test_observations_checked_when_made(self):

@@ -93,6 +93,12 @@ class TestIngest:
         assert main(["ingest", "--input", str(data), "--catchments", "c1,c1"]) == 1
         assert "catchments lists 'c1' twice" in capsys.readouterr().err
 
+    def test_a_directory_named_out_is_read(self, tmp_path, capsys):
+        # ingest writes nothing, so its directory may be a run's default output directory
+        generate_synthetic(SyntheticSpec(n_months=60, seed=40), tmp_path / "out", "c1")
+        assert main(["ingest", "--input", str(tmp_path / "out")]) == 0
+        assert "1/1 catchments valid" in capsys.readouterr().out
+
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["ingest", "--input", str(tmp_path / "absent")]) == 1
 
@@ -189,6 +195,15 @@ class TestRun:
         assert main(args) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_output_dir_that_is_the_input_dir_rejected(self, tmp_path, capsys):
+        # run twice, the second run would read the first one's reports as catchments
+        data = make_data(tmp_path)
+        args = self.run_args(tmp_path, data)
+        args[args.index(str(tmp_path / "out"))] = str(data)
+        assert main(args) == 1
+        assert "configuration error: output_dir" in capsys.readouterr().err
+        assert sorted(path.name for path in data.iterdir()) == ["c1.csv", "c1.meta.json"]
 
     def test_repeated_scheme_rejected(self, tmp_path, capsys):
         (tmp_path / "none").mkdir()

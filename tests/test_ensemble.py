@@ -386,12 +386,12 @@ class TestErrorQuantilesAndAuxiliary:
         # level's member bounds are its slices, bit for bit
         series, split = catchment(), partition(60, 6, 18, 36 - n3)
         sisters = build_sisters(posterior(m=12, seed=6), series, split, 12)
-        result = run_scheme(scheme, series, split, small_config(), sisters)
-        expected = whole_array_auxiliary(sisters, result.models)
-        assert np.array_equal(result.prediction.quantiles, expected.mean(axis=0))
-        probs = result.models.probabilities
+        models = run_scheme(scheme, series, split, small_config(), sisters)
+        expected = whole_array_auxiliary(sisters, models)
+        assert np.array_equal(combine(sisters, models).quantiles, expected.mean(axis=0))
+        probs = models.probabilities
         for alpha in (0.1, 0.5):
-            lowers, uppers = member_interval_bounds(sisters, result.models, alpha)
+            lowers, uppers = member_interval_bounds(sisters, models, alpha)
             assert np.array_equal(lowers, expected[:, probs.index(alpha / 2)])
             assert np.array_equal(uppers, expected[:, probs.index(1 - alpha / 2)])
 
@@ -483,7 +483,7 @@ class TestBasicSchemes:
 
 
 class TestRunEnsembleScheme:
-    """Numbered schemes: sisters from ``build_sisters``, then steps 3-6 through ``run_scheme``."""
+    """Numbered schemes: sisters from ``build_sisters``, step 3 by ``run_scheme``, steps 4-6 by ``combine``."""
 
     def test_single_sister_collapses_variants(self):
         # with one sister there is nothing to pool or select, so all three
@@ -492,7 +492,7 @@ class TestRunEnsembleScheme:
         sisters = build_sisters(posterior(m=1, seed=3), series, SPLIT, 1)
         for family in (("1", "2", "3"), ("4", "5", "6")):
             outputs = [
-                run_scheme(scheme, series, SPLIT, small_config(), sisters).prediction.quantiles
+                combine(sisters, run_scheme(scheme, series, SPLIT, small_config(), sisters)).quantiles
                 for scheme in family
             ]
             assert np.array_equal(outputs[0], outputs[1])
@@ -502,11 +502,15 @@ class TestRunEnsembleScheme:
         series = catchment()
         sample = posterior(m=10, seed=4)
         head = PosteriorSample(pairs=sample.pairs[:4])
-        full = run_scheme("2", series, SPLIT, small_config(), build_sisters(sample, series, SPLIT, 4))
-        trimmed = run_scheme("2", series, SPLIT, small_config(), generate_sisters(head, series, SPLIT))
-        np.testing.assert_array_equal(full.prediction.quantiles, trimmed.prediction.quantiles)
-        np.testing.assert_array_equal(full.models.coefficients, trimmed.models.coefficients)
-        np.testing.assert_array_equal(full.models.shift, trimmed.models.shift)
+        full_sisters = build_sisters(sample, series, SPLIT, 4)
+        trimmed_sisters = generate_sisters(head, series, SPLIT)
+        full = run_scheme("2", series, SPLIT, small_config(), full_sisters)
+        trimmed = run_scheme("2", series, SPLIT, small_config(), trimmed_sisters)
+        np.testing.assert_array_equal(
+            combine(full_sisters, full).quantiles, combine(trimmed_sisters, trimmed).quantiles
+        )
+        np.testing.assert_array_equal(full.coefficients, trimmed.coefficients)
+        np.testing.assert_array_equal(full.shift, trimmed.shift)
 
     def test_sample_too_small_rejected(self):
         with pytest.raises(ValueError, match="parameter pairs"):
@@ -525,8 +529,10 @@ class TestRunEnsembleScheme:
         )
         config = small_config()
         for scheme in ("2", "5"):
-            base = run_scheme(scheme, series, SPLIT, config, build_sisters(sample, series, SPLIT, 4)).prediction
-            moved = run_scheme(scheme, shifted, SPLIT, config, build_sisters(sample, shifted, SPLIT, 4)).prediction
+            sisters = build_sisters(sample, series, SPLIT, 4)
+            base = combine(sisters, run_scheme(scheme, series, SPLIT, config, sisters))
+            sisters = build_sisters(sample, shifted, SPLIT, 4)
+            moved = combine(sisters, run_scheme(scheme, shifted, SPLIT, config, sisters))
             np.testing.assert_allclose(
                 moved.quantiles, base.quantiles + shift, rtol=1e-8, atol=1e-8
             )
@@ -534,9 +540,9 @@ class TestRunEnsembleScheme:
     def test_intermediates_exposed(self):
         series = catchment()
         sisters = build_sisters(posterior(m=3, seed=7), series, SPLIT, 3)
-        result = run_scheme("1", series, SPLIT, small_config(), sisters=sisters)
-        assert result.models.coefficients.shape == (3, 4, 2)
-        assert np.array_equal(result.prediction.quantiles, auxiliary_stack(sisters, result.models).mean(axis=0))
+        models = run_scheme("1", series, SPLIT, small_config(), sisters=sisters)
+        assert models.coefficients.shape == (3, 4, 2)
+        assert np.array_equal(combine(sisters, models).quantiles, auxiliary_stack(sisters, models).mean(axis=0))
 
 
 class TestRunScheme:
@@ -549,15 +555,14 @@ class TestRunScheme:
         direct_config = small_config(variant=2, error_model="quantile")
         models = train_error_model(sisters, direct_config)
         direct = combine(sisters, models)
-        assert via_dispatch.scheme == "5"
-        np.testing.assert_array_equal(via_dispatch.prediction.quantiles, direct.quantiles)
-        assert via_dispatch.models.kind == "quantile" and via_dispatch.models.variant == 2
+        assert isinstance(via_dispatch, TrainedErrorModels)
+        np.testing.assert_array_equal(combine(sisters, via_dispatch).quantiles, direct.quantiles)
+        assert via_dispatch.kind == "quantile" and via_dispatch.variant == 2
 
     def test_basic_scheme_needs_no_sample(self):
-        result = run_scheme("basic-linear", catchment(), SPLIT, small_config())
-        assert result.scheme == "basic-linear"
-        assert result.models is None
-        assert result.prediction.quantiles.shape == (4, 18)
+        prediction = run_scheme("basic-linear", catchment(), SPLIT, small_config())
+        assert isinstance(prediction, CombinedPrediction)
+        assert prediction.quantiles.shape == (4, 18)
 
     def test_numbered_scheme_requires_sisters(self):
         with pytest.raises(ValueError, match="build_sisters"):

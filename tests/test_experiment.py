@@ -44,6 +44,9 @@ from ensflow.regress import SOLVER, load_solver
 from ensflow.timeseries import load_catchment, partition, read_csv
 
 
+INT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "int"]
+
+
 class TestConfigFile:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -101,25 +104,42 @@ class TestConfigFile:
         ],
         ids=["leading-blank", "trailing-newline", "newline", "comma-in-id", "empty-id"],
     )
-    def test_save_refuses_a_value_it_cannot_write_back(self, tmp_path, changed):
+    def test_a_value_save_config_cannot_write_back_is_refused(self, changed):
+        # refused when the config is built, so no run starts with a config it cannot save
         with pytest.raises(ConfigError, match=next(iter(changed))):
-            save_config(ExperimentConfig(**changed), tmp_path / "exp.cfg")
-        assert not (tmp_path / "exp.cfg").exists()
+            ExperimentConfig(**changed)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
         text=st.text(st.characters(blacklist_categories=("Cs",))),
         ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=3, unique=True),
+        numbers=st.dictionaries(
+            st.sampled_from(INT_KEYS), st.one_of(st.integers(0, 700), st.floats(0, 700), st.booleans()), max_size=3
+        ),
     )
-    def test_saved_config_reads_back_equal_or_is_refused(self, text, ids):
-        config = ExperimentConfig(output_dir=text, catchments=tuple(ids))
+    def test_every_config_that_builds_reads_back_equal(self, text, ids, numbers):
+        build = lambda: ExperimentConfig(input_dir=text, output_dir=text, catchments=tuple(ids), **numbers)
+        if any(type(value) is not int for value in numbers.values()):
+            with pytest.raises(ConfigError, match="must be an int"):
+                build()
+            return
+        try:
+            config = build()
+        except ConfigError:
+            return
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "exp.cfg"
-            try:
-                save_config(config, path)
-            except ConfigError:
-                return
+            save_config(config, path)
             assert load_config(path) == config
+
+    @pytest.mark.parametrize("name", INT_KEYS)
+    @pytest.mark.parametrize("value", [20.0, True, "12"], ids=["float", "bool", "str"])
+    def test_integer_key_must_hold_an_int(self, name, value):
+        # a float m would fail every catchment at its sisters and be saved as a file load_config refuses;
+        # no other rule compares the value, so a str raises no TypeError
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(**{name: value})
+        assert str(excinfo.value).split("; ") == [f"{name} must be an int, got {value!r}"]
 
     def test_every_problem_reported_at_once(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -798,6 +818,15 @@ class TestRunExperiment:
     def test_invalid_config_rejected_before_any_work(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(small_run_config(tmp_path, workers=0))
+
+    def test_output_dir_that_is_the_input_dir_rejected_before_any_work(self, tmp_path, monkeypatch):
+        # a second run would read the first one's reports as catchments
+        data = write_catchments(tmp_path, ["north"])
+        monkeypatch.setattr(experiment, "_process_catchment", lambda job: pytest.fail("a catchment ran"))
+        for output_dir in (data, data / ".", tmp_path / "other" / ".." / "data"):
+            with pytest.raises(ConfigError, match="is input_dir"):
+                run_experiment(small_run_config(tmp_path, output_dir=str(output_dir)))
+        assert sorted(path.name for path in data.iterdir()) == ["north.csv", "north.meta.json"]
 
 
 class TestCompiledMonthLoop:
