@@ -10,7 +10,7 @@ Everything below also works from the shell:
 
     ensflow synth --out data --count 3 --months 240
     ensflow run --config exp.cfg --input data --out reports
-    ensflow report --metrics reports/metrics.csv --out reports2
+    ensflow report --run reports --out reports2     # the same files, from the files
 """
 
 import json
@@ -24,6 +24,7 @@ from ensflow.experiment import (
     run_experiment,
     save_config,
 )
+from ensflow.reports import read_run
 
 root = Path(tempfile.mkdtemp(prefix="ensflow_demo_"))
 data = root / "data"
@@ -60,3 +61,5 @@ for scheme, stats in summary["schemes"].items():
     print(f"  {scheme:>12}: {stats['95']['score_mean']:8.2f}")
 
 print(f"\nreports in {root / 'reports'}: metrics.csv, summary.json, rankings.csv, wisdom.csv, timing.csv")
+# the files are the run: read back, they give the result that wrote them
+print(f"read back equal to the returned result: {read_run(root / 'reports') == result}")

@@ -10,18 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .evaluate import read_metrics_csv
 from .experiment import (
-    ConfigError,
-    ExperimentConfig,
-    SyntheticSpec,
-    discover_catchments,
-    generate_synthetic,
-    load_config,
-    parse_ids,
+    ConfigError, ExperimentConfig, SyntheticSpec, discover_catchments, generate_synthetic, load_config, parse_ids,
     run_experiment,
-    write_score_reports,
 )
+from .reports import read_run, write_run
 from .timeseries import load_catchment
 
 # run flag -> ExperimentConfig key; a flag that is given replaces the config file's value
@@ -77,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int, default=None, help="chain length")
     run.add_argument("--retain", type=int, default=None, help="retained states per chain")
 
-    report = sub.add_parser("report", help="re-aggregate an existing metrics.csv")
-    report.add_argument("--metrics", required=True)
+    report = sub.add_parser("report", help="rewrite a run's report files from them")
+    report.add_argument("--run", required=True, help="the run's output directory")
     report.add_argument("--out", required=True)
     return parser
 
@@ -148,16 +141,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        records = read_metrics_csv(args.metrics)
+        result = read_run(args.run)
     except (OSError, ValueError) as exc:
-        print(f"cannot read metrics: {exc}", file=sys.stderr)
+        print(f"cannot read run: {exc}", file=sys.stderr)
         return 1
-    if not records:
-        print("metrics file holds no rows", file=sys.stderr)
-        return 2
-    write_score_reports(records, args.out)
-    print(f"re-aggregated {len(records)} rows into {args.out}")
-    return 0
+    write_run(result, args.out)
+    print(f"rewrote {len(result.records)} metric rows and the rest of {args.run} into {args.out}")
+    return result.exit_code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,20 +15,17 @@ to the individual ensemble members it was averaged from.
 All averages use exactly-rounded summation, ``math.fsum``'s bits, so any
 batch order gives the same result.  A batch run scores a numbered scheme's
 members with these bits in ``_gr2m.c``'s ``score_level`` where it builds, and
-either way builds their record through :func:`wisdom_record`.
+either way builds their record through :func:`wisdom_record`.  This module
+writes no file: ``reports`` writes its records and :func:`summarize`'s table.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-from .timeseries import read_csv, write_csv
 
 # central-interval levels 99, 97.5, 95, 90 and 80 percent
 INTERVAL_ALPHAS = (0.01, 0.025, 0.05, 0.10, 0.20)
@@ -201,32 +198,6 @@ class MetricsRecord(NamedTuple):
     seconds: float
 
 
-def write_metrics_csv(records, path: str | Path) -> None:
-    write_csv(path, MetricsRecord._fields, records)
-
-
-def _metrics_record(row: list[str]) -> MetricsRecord:
-    numbers = [float(row[i]) for i in (2, 3, 4, 5, 7)]
-    if not all(map(math.isfinite, numbers)):
-        raise ValueError(f"non-finite number in {','.join(row)}")
-    alpha, coverage, width, score, seconds = numbers
-    return MetricsRecord(row[0], row[1], alpha, coverage, width, score, int(row[6]), seconds)
-
-
-def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
-    """Read a metrics file; a wrong header, a bad row, a non-finite number or a repeated cell raises ``ValueError``."""
-    cells = set()
-
-    def parse(row: list[str]) -> MetricsRecord:
-        record = _metrics_record(row)
-        if (cell := (record.catchment, record.scheme, record.alpha)) in cells:
-            raise ValueError(f"repeated (catchment, scheme, alpha) cell {','.join(row[:3])}")
-        cells.add(cell)
-        return record
-
-    return list(read_csv(path, MetricsRecord._fields, parse))
-
-
 def median(values: list[float]) -> float:
     """``np.median``'s bits on a non-empty list of finite floats, without the NaN check that imports ``numpy.ma``.
 
@@ -249,9 +220,3 @@ def summarize(records) -> dict:
             values = [getattr(r, name) for r in cell]
             block |= {f"{name}_mean": math.fsum(values) / len(values), f"{name}_median": median(values)}
     return out
-
-
-def write_summary_json(summary: dict, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")

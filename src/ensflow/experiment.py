@@ -2,13 +2,11 @@
 
 A run takes a directory of daily catchment CSVs, calibrates each catchment,
 executes the requested prediction schemes, scores five central intervals per
-scheme and writes five machine-readable outputs: ``metrics.csv``,
-``summary.json``, ``rankings.csv``, ``wisdom.csv`` and ``timing.csv``
-(plus ``failures.csv`` when catchments had to be skipped; a run without
-skips removes the one an earlier run left in the same directory).  A pool
-worker sends back report rows only, each row type's fields its file's header:
-``MetricsRecord``s, and a ``WisdomRow`` (catchment, scheme, ``WisdomRecord``)
-per numbered level, so the parent's memory does not grow with m.
+scheme and writes its report files through ``reports.write_run``, here named
+``emit_reports`` (``reports`` lists the files and reads them back).  A pool
+worker sends back report rows only: ``MetricsRecord``s, and a ``WisdomRow``
+(catchment, scheme, ``WisdomRecord``) per numbered level, so the parent's
+memory does not grow with m.
 
 Configuration lives in a flat ``key = value`` text file; every key has a
 default, so an empty file is a valid experiment.  Catchment-level randomness
@@ -23,7 +21,7 @@ import json
 import math
 import time
 import zlib
-from collections import Counter, namedtuple
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
@@ -38,24 +36,14 @@ from .ensemble import (
     intervals_from_prediction, member_interval_bounds, run_scheme, sister_mean,
 )
 from .evaluate import (
-    INTERVAL_ALPHAS,
-    IntervalPrediction,
-    MetricsRecord,
-    WisdomRecord,
-    average_interval_score,
-    average_width,
-    coverage_probability,
-    crossing_count,
-    rank_schemes,
-    summarize,
-    wisdom_metrics,
-    wisdom_record,
-    write_metrics_csv,
-    write_summary_json,
+    INTERVAL_ALPHAS, IntervalPrediction, MetricsRecord, average_interval_score, average_width, coverage_probability,
+    crossing_count, wisdom_metrics, wisdom_record,
 )
 from .gr2m import load_kernel, simulate_flow
 from .regress import load_solver
-from .timeseries import VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_csv, write_daily
+from .reports import KERNEL_KEYS, CalibrationRecord, CatchmentFailure, ExperimentResult, WisdomRow
+from .reports import write_run as emit_reports  # the name the benchmark's tracer hooks
+from .timeseries import VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_daily
 
 
 class ConfigError(ValueError):
@@ -297,36 +285,6 @@ def generate_synthetic(
 # batch runs
 
 
-@dataclass(frozen=True)
-class CatchmentFailure:
-    catchment: str
-    stage: str
-    message: str
-    timing: tuple[tuple[str, float], ...] = ()  # every stage entered, the failing one timed up to its raise
-
-
-WisdomRow = namedtuple("WisdomRow", ("catchment", "scheme", *WisdomRecord._fields))  # what a worker sends of a level
-
-
-class CalibrationRecord(NamedTuple):
-    """Calibration outcome of one calibrated catchment; psrf is inf when every attempt's chains were degenerate."""
-
-    psrf: float
-    converged: bool
-    restarts: int
-    seconds: float  # the catchment's ``calibrate`` stage
-
-
-@dataclass
-class ExperimentResult:
-    records: list[MetricsRecord]
-    wisdom: list[WisdomRow]
-    failures: list[CatchmentFailure]
-    calibration: dict[str, CalibrationRecord]
-    timing: list[tuple[str, str, float]]  # (catchment, stage, seconds) for every stage entered, in run order
-    exit_code: int
-
-
 class CatchmentResult(NamedTuple):
     """The rows of one scored catchment, with its stage timing as ``(stage, seconds)`` pairs in run order."""
 
@@ -474,13 +432,21 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Process every catchment, score every scheme, write the report files; refuse an output_dir that is input_dir."""
-    if Path(config.output_dir).resolve() == Path(config.input_dir).resolve():
+    """Process every catchment, score every scheme, write the report files; before any catchment runs, refuse an
+    output_dir that is input_dir or that cannot be made a directory (a regular file, or a path under one)."""
+    out = Path(config.output_dir)
+    if out.resolve() == Path(config.input_dir).resolve():
         raise ConfigError(f"output_dir {config.output_dir!r} is input_dir: "
                           "a later run would read the reports as catchments")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {config.output_dir!r} cannot be made a directory: {exc}") from None
     if set(config.schemes) & set(QUANTILE_SCHEMES):
         load_solver()  # before a pool forks and outside every stage (see ``regress``)
-    load_kernel()  # the same for the compiled month loop: no worker compiles it
+    kernel = load_kernel()  # the same for the compiled month loop: no worker compiles it
+    compiled = (kernel, getattr(kernel, "sampler", None), getattr(kernel, "score_level", None))  # KERNEL_KEYS' order
+    kernels = {key: "compiled" if part else "python" for key, part in zip(KERNEL_KEYS, compiled)}
     jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
         outcomes = _pool_outcomes(jobs, config.workers)
@@ -493,74 +459,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     wisdom_rows = [row for outcome in scored for row in outcome.wisdom]
     calibration = {outcome.catchment: outcome.calibration for outcome in scored if outcome.calibration is not None}
     timing = [(outcome.catchment, *stage) for outcome in outcomes for stage in outcome.timing]
-    result = ExperimentResult(records, wisdom_rows, failures, calibration, timing, exit_code=0 if records else 2)
-    emit_reports(result, config.output_dir)
+    result = ExperimentResult(records, wisdom_rows, failures, calibration, timing, kernels)
+    emit_reports(result, out)
     return result
-
-
-def _rankings_rows(records: list[MetricsRecord]):
-    """Competition ranks per (catchment, level) across the schemes present."""
-    catchments = sorted({r.catchment for r in records})
-    schemes = sorted({r.scheme for r in records})
-    by_key = {(r.catchment, r.scheme, r.alpha): r.score for r in records}
-    rows = []
-    averages = []
-    for alpha in sorted({r.alpha for r in records}):
-        complete = [
-            c for c in catchments if all((c, s, alpha) in by_key for s in schemes)
-        ]
-        if not complete:
-            continue
-        table = np.array([[by_key[(c, s, alpha)] for s in schemes] for c in complete])
-        ranks, average = rank_schemes(table)
-        for i, c in enumerate(complete):
-            for j, s in enumerate(schemes):
-                rows.append((c, alpha, s, ranks[i, j]))
-        for j, s in enumerate(schemes):
-            averages.append((alpha, s, float(average[j])))
-    return rows, averages
-
-
-def write_score_reports(records: list[MetricsRecord], out_dir: str | Path, **summary) -> None:
-    """Write what ``records`` alone determine: ``metrics.csv``, ``rankings.csv`` and ``summary.json``.
-
-    ``summary.json`` holds the per-scheme statistics and the average ranks,
-    followed by the ``summary`` entries given.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(records, out / "metrics.csv")
-    rows, averages = _rankings_rows(records)
-    summary_doc = {
-        "schemes": summarize(records),
-        "average_ranks": [
-            {"alpha": alpha, "scheme": scheme, "rank": rank} for alpha, scheme, rank in averages
-        ],
-        **summary,
-    }
-    write_summary_json(summary_doc, out / "summary.json")
-    write_csv(out / "rankings.csv", ("catchment", "alpha", "scheme", "rank"), rows)
-
-
-def emit_reports(result: ExperimentResult, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    write_score_reports(
-        result.records,
-        out,
-        calibration={
-            # strict JSON has no NaN or Infinity: the PSRF of degenerate chains is null
-            cid: {**cal._asdict(), "psrf": cal.psrf if math.isfinite(cal.psrf) else None}
-            for cid, cal in sorted(result.calibration.items())
-        },
-        failures=len(result.failures),
-        gr2m_loop="python" if load_kernel() is None else "compiled",
-        sampler="compiled" if getattr(load_kernel(), "sampler", None) else "python",
-        scoring="compiled" if getattr(load_kernel(), "score_level", None) else "python",
-    )
-    write_csv(out / "wisdom.csv", WisdomRow._fields, result.wisdom)
-    write_csv(out / "timing.csv", ("catchment", "scheme", "seconds"), result.timing)
-    if result.failures:
-        failure_rows = ((f.catchment, f.stage, f.message) for f in result.failures)
-        write_csv(out / "failures.csv", ("catchment", "stage", "message"), failure_rows)
-    else:  # an earlier run's file would contradict summary.json's "failures": 0
-        (out / "failures.csv").unlink(missing_ok=True)

@@ -205,6 +205,13 @@ class TestRun:
         assert "configuration error: output_dir" in capsys.readouterr().err
         assert sorted(path.name for path in data.iterdir()) == ["c1.csv", "c1.meta.json"]
 
+    def test_output_dir_that_is_a_file_rejected(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        (tmp_path / "out").write_text("kept\n")
+        assert main(self.run_args(tmp_path, data)) == 1
+        assert "configuration error: output_dir" in capsys.readouterr().err
+        assert (tmp_path / "out").read_text() == "kept\n"
+
     def test_repeated_scheme_rejected(self, tmp_path, capsys):
         (tmp_path / "none").mkdir()
         assert main(["run", "--schemes", "1,1", "--input", str(tmp_path / "none")]) == 1
@@ -255,22 +262,7 @@ class TestRun:
 
 
 class TestReport:
-    def test_reaggregates_metrics(self, tmp_path, capsys):
-        data = make_data(tmp_path)
-        assert main(self.args_for_run(tmp_path, data)) == 0
-        capsys.readouterr()
-        out2 = tmp_path / "re"
-        code = main(
-            ["report", "--metrics", str(tmp_path / "out" / "metrics.csv"), "--out", str(out2)]
-        )
-        assert code == 0
-        assert "re-aggregated 10 rows" in capsys.readouterr().out
-        # only what metrics.csv determines: no wisdom, timing, calibration or failure count
-        assert sorted(p.name for p in out2.iterdir()) == ["metrics.csv", "rankings.csv", "summary.json"]
-        summary = json.loads((out2 / "summary.json").read_text())
-        assert sorted(summary) == ["average_ranks", "schemes"]
-        for name in ("metrics.csv", "rankings.csv"):
-            assert (out2 / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+    HEADER = "catchment,scheme,alpha,coverage,width,score,crossings,seconds\n"
 
     def args_for_run(self, tmp_path, data):
         return [
@@ -281,50 +273,74 @@ class TestReport:
             "--schemes", "basic-linear,basic-quantile",
         ]
 
-    def test_missing_metrics_file(self, tmp_path, capsys):
-        assert main(["report", "--metrics", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 1
+    def run_dir(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        assert main(self.args_for_run(tmp_path, data)) == 0
+        capsys.readouterr()
+        return tmp_path / "out"
 
-    def test_header_only_metrics(self, tmp_path, capsys):
-        path = tmp_path / "metrics.csv"
-        path.write_text("catchment,scheme,alpha,coverage,width,score,crossings,seconds\n")
-        assert main(["report", "--metrics", str(path), "--out", str(tmp_path)]) == 2
+    def test_rewrites_every_file_byte_for_byte(self, tmp_path, capsys):
+        out = self.run_dir(tmp_path, capsys)
+        again = tmp_path / "again"
+        assert main(["report", "--run", str(out), "--out", str(again)]) == 0
+        assert "rewrote 10 metric rows" in capsys.readouterr().out
+        assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in out.iterdir())  # no failures.csv
+        assert len(list(again.iterdir())) == 5
+        for path in out.iterdir():
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_missing_run_directory(self, tmp_path, capsys):
+        assert main(["report", "--run", str(tmp_path / "nope"), "--out", str(tmp_path / "re")]) == 1
+        assert "cannot read run: " in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
+
+    def test_run_without_metric_rows(self, tmp_path, capsys):
+        # every catchment failed: the run and its rewrite both exit 2
+        data = make_data(tmp_path)
+        (data / "c1.csv").write_text("date,precip_mm,pet_mm,flow_mm\n")
+        assert main(self.args_for_run(tmp_path, data)) == 2
+        assert (tmp_path / "out" / "metrics.csv").read_text() == self.HEADER  # no rows
+        assert main(["report", "--run", str(tmp_path / "out"), "--out", str(tmp_path / "re")]) == 2
+        assert (tmp_path / "re" / "failures.csv").read_bytes() == (tmp_path / "out" / "failures.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "row", ["c1,1,0.05,0.9,1.0,2.0,0", "c1,1,0.05,0.9,1.0,nan,0,1.5"], ids=["truncated", "nan-score"]
     )
     def test_malformed_metrics_rejected_before_writing(self, tmp_path, capsys, row):
-        path = tmp_path / "metrics.csv"
-        path.write_text(
-            "catchment,scheme,alpha,coverage,width,score,crossings,seconds\n"
-            f"c0,1,0.05,0.9,1.0,2.0,0,1.5\n{row}\n"
-        )
-        out = tmp_path / "re"
-        assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
-        assert "cannot read metrics" in capsys.readouterr().err
-        assert not out.exists()
+        out = self.run_dir(tmp_path, capsys)
+        (out / "metrics.csv").write_text(f"{self.HEADER}c0,1,0.05,0.9,1.0,2.0,0,1.5\n{row}\n")
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "re")]) == 1
+        assert "cannot read run" in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
 
     def test_unparsable_cell_named_by_its_line(self, tmp_path, capsys):
-        path = tmp_path / "metrics.csv"
-        path.write_text("catchment,scheme,alpha,coverage,width,score,crossings,seconds\nc0,1,0.05,0.9,abc,2.0,0,1.5\n")
-        out = tmp_path / "re"
-        assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
+        out = self.run_dir(tmp_path, capsys)
+        (out / "metrics.csv").write_text(f"{self.HEADER}c0,1,0.05,0.9,abc,2.0,0,1.5\n")
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "re")]) == 1
         err = capsys.readouterr().err
-        assert "cannot read metrics" in err and "metrics.csv:2: could not convert string to float: 'abc'" in err
-        assert not out.exists()
+        assert "cannot read run" in err and "metrics.csv:2: could not convert string to float: 'abc'" in err
+        assert not (tmp_path / "re").exists()
 
     def test_repeated_cell_named_by_its_line(self, tmp_path, capsys):
         # unchecked, a repeat reads as a second catchment: n_catchments 2 and score_mean 2.5 for the one cell
-        path = tmp_path / "metrics.csv"
-        path.write_text(
-            "catchment,scheme,alpha,coverage,width,score,crossings,seconds\n"
-            "c,1,0.05,0.9,1.0,2.0,0,1.5\nc,1,0.1,0.9,1.0,2.0,0,1.5\nc,1,0.050,0.9,1.0,3.0,0,1.5\n"
-        )
-        out = tmp_path / "re"
-        assert main(["report", "--metrics", str(path), "--out", str(out)]) == 1
+        out = self.run_dir(tmp_path, capsys)
+        rows = "c,1,0.05,0.9,1.0,2.0,0,1.5\nc,1,0.1,0.9,1.0,2.0,0,1.5\nc,1,0.050,0.9,1.0,3.0,0,1.5\n"
+        (out / "metrics.csv").write_text(self.HEADER + rows)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "re")]) == 1
         err = capsys.readouterr().err
-        assert "cannot read metrics" in err
+        assert "cannot read run" in err
         assert "metrics.csv:4: repeated (catchment, scheme, alpha) cell c,1,0.050" in err
-        assert not out.exists()
+        assert not (tmp_path / "re").exists()
+
+    def test_bad_summary_refused_without_a_traceback(self, tmp_path, capsys):
+        out = self.run_dir(tmp_path, capsys)
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["failures"]
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "re")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot read run: {out / 'summary.json'}: failures not what the other files give\n"
+        assert "Traceback" not in err and not (tmp_path / "re").exists()
 
 
 class TestArgumentHandling:

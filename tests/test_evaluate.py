@@ -1,6 +1,5 @@
-"""Interval scores against hand-worked cases, plus ranking and report round trips."""
+"""Interval scores against hand-worked cases, plus ranking and the score summary."""
 
-import json
 import math
 
 import numpy as np
@@ -23,12 +22,9 @@ from ensflow.evaluate import (
     crossing_count,
     median,
     rank_schemes,
-    read_metrics_csv,
     summarize,
     wisdom_metrics,
     wisdom_record,
-    write_metrics_csv,
-    write_summary_json,
 )
 from ensflow.evaluate import _interval_scores
 from ensflow.experiment import _score_level
@@ -409,33 +405,6 @@ class TestMetricsIo:
         base.update(kw)
         return MetricsRecord(**base)
 
-    def test_csv_round_trip_exact(self, tmp_path):
-        records = [
-            self.record(),
-            self.record(catchment="c02", scheme="basic-linear", alpha=0.2,
-                        coverage=1.0 / 3.0, width=math.pi, crossings=2),
-        ]
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(records, path)
-        assert read_metrics_csv(path) == records
-
-    def test_repeated_cell_rejected(self, tmp_path):
-        # one (catchment, scheme, alpha) cell is one row; another scheme or level of it is not a repeat
-        records = [self.record(), self.record(scheme="6"), self.record(alpha=0.1), self.record(score=3.0)]
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(records, path)
-        with pytest.raises(ValueError) as excinfo:
-            read_metrics_csv(path)
-        assert str(excinfo.value) == f"{path}:5: repeated (catchment, scheme, alpha) cell c01,5,0.05"
-        write_metrics_csv(records[:3], path)
-        assert read_metrics_csv(path) == records[:3]
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="expected header"):
-            read_metrics_csv(path)
-
     def test_summarize(self):
         records = [
             self.record(catchment="c01", score=10.0, coverage=0.9, width=5.0),
@@ -465,12 +434,3 @@ class TestMetricsIo:
         records = [self.record(alpha=a) for a in INTERVAL_ALPHAS]
         summary = summarize(records)
         assert set(summary["5"]) == {"99", "97.5", "95", "90", "80"}
-
-    def test_summary_json(self, tmp_path):
-        path = tmp_path / "summary.json"
-        write_summary_json({"5": {"95": {"score_mean": 1.0}}}, path)
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text)["5"]["95"]["score_mean"] == 1.0
-        with pytest.raises(ValueError):
-            write_summary_json({"psrf": float("nan")}, path)

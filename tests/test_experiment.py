@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from ensflow import ensemble, experiment, gr2m
 from ensflow.calibrate import PosteriorSample
-from ensflow.evaluate import MetricsRecord, read_metrics_csv
+from ensflow.evaluate import MetricsRecord
 from ensflow.experiment import (
     CalibrationRecord,
     CatchmentFailure,
@@ -41,7 +41,8 @@ from ensflow.experiment import (
 )
 from ensflow.gr2m import simulate_flow
 from ensflow.regress import SOLVER, load_solver
-from ensflow.timeseries import load_catchment, partition, read_csv
+from ensflow.reports import read_run, write_run
+from ensflow.timeseries import load_catchment, partition
 
 
 INT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "int"]
@@ -483,10 +484,8 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
         assert summary["calibration"] == {}
         # degenerate chains leave the PSRF undefined (inf), which strict JSON writes as null
-        degenerate = dataclasses.replace(
-            hand_built_result(), calibration={"c1": CalibrationRecord(math.inf, False, 2, 1.5)}
-        )
-        experiment.emit_reports(degenerate, tmp_path / "degenerate")
+        degenerate = hand_built_result()._replace(calibration={"c1": CalibrationRecord(math.inf, False, 2, 1.5)})
+        write_run(degenerate, tmp_path / "degenerate")
         summary = json.loads((tmp_path / "degenerate" / "summary.json").read_text(), parse_constant=reject)
         assert summary["calibration"] == {"c1": {"psrf": None, "converged": False, "restarts": 2, "seconds": 1.5}}
 
@@ -828,6 +827,24 @@ class TestRunExperiment:
                 run_experiment(small_run_config(tmp_path, output_dir=str(output_dir)))
         assert sorted(path.name for path in data.iterdir()) == ["north.csv", "north.meta.json"]
 
+    def test_output_dir_that_cannot_be_a_directory_rejected_before_any_work(self, tmp_path, monkeypatch):
+        # at the end of the run, making it raised FileExistsError or NotADirectoryError and lost every catchment
+        write_catchments(tmp_path, ["north"])
+        monkeypatch.setattr(experiment, "_process_catchment", lambda job: pytest.fail("a catchment ran"))
+        (tmp_path / "file").write_text("kept\n")
+        for output_dir in (tmp_path / "file", tmp_path / "file" / "out"):
+            with pytest.raises(ConfigError, match=f"output_dir {str(output_dir)!r} cannot be made a directory"):
+                run_experiment(small_run_config(tmp_path, output_dir=str(output_dir)))
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    def test_output_dir_made_before_any_work(self, tmp_path, monkeypatch):
+        write_catchments(tmp_path, ["north"])
+        out = tmp_path / "a" / "b"
+        seen = lambda job: CatchmentFailure(job[1], "ingest", f"output_dir there: {out.is_dir()}")
+        monkeypatch.setattr(experiment, "_process_catchment", seen)
+        result = run_experiment(small_run_config(tmp_path, output_dir=str(out)))
+        assert [failure.message for failure in result.failures] == ["output_dir there: True"]
+
 
 class TestCompiledMonthLoop:
     """The compiled month loop, sampler and scoring pass change no report, and no pool worker builds them."""
@@ -942,12 +959,15 @@ print(json.dumps([loaded_at_import, seen, loaded(), len(result.failures)]))
 NO_SCIPY_VERBS = """
 import json, sys
 from ensflow.cli import main
-from ensflow.evaluate import MetricsRecord, write_metrics_csv
+from ensflow.evaluate import MetricsRecord
+from ensflow.reports import KERNEL_KEYS, ExperimentResult, write_run
 
 data = sys.argv[1]
 codes = [main(["synth", "--out", data, "--count", "1", "--months", "24"]), main(["ingest", "--input", data])]
-write_metrics_csv([MetricsRecord("c1", "1", 0.05, 1.0, 2.0, 3.0, 0, 0.5)], data + "/metrics.csv")
-codes.append(main(["report", "--metrics", data + "/metrics.csv", "--out", data + "/again"]))
+records = [MetricsRecord("c1", "1", 0.05, 1.0, 2.0, 3.0, 0, 0.5)]
+kernels = dict.fromkeys(KERNEL_KEYS, "python")
+write_run(ExperimentResult(records, [], [], {}, [("c1", "ingest", 0.25)], kernels), data + "/run")
+codes.append(main(["report", "--run", data + "/run", "--out", data + "/again"]))
 print(json.dumps([codes, [name for name in sys.modules if name.startswith("scipy")]]))
 """
 
@@ -1083,7 +1103,8 @@ def hand_built_result():
         ("c1", "basic-linear", 0.25), ("c2", "ingest", 0.375), ("c2", "1", 2.0), ("c2", "basic-linear", 0.125),
         ("c3", "ingest", 0.0625),
     ]
-    return ExperimentResult(records, wisdom, failures, calibration, timing, exit_code=0)
+    kernels = {"gr2m_loop": "compiled", "sampler": "python", "scoring": "compiled"}
+    return ExperimentResult(records, wisdom, failures, calibration, timing, kernels)
 
 
 def crlf(*lines):
@@ -1092,7 +1113,7 @@ def crlf(*lines):
 
 class TestReportFiles:
     def test_csv_bytes_pinned(self, tmp_path):
-        experiment.emit_reports(hand_built_result(), tmp_path)
+        write_run(hand_built_result(), tmp_path)
         expected = {
             "metrics.csv": crlf(
                 "catchment,scheme,alpha,coverage,width,score,crossings,seconds",
@@ -1134,12 +1155,6 @@ class TestReportFiles:
         for name, text in expected.items():
             assert (tmp_path / name).read_bytes().decode() == text, name
 
-    @staticmethod
-    def wisdom_row(cells: list[str]) -> WisdomRow:
-        """A ``wisdom.csv`` row with its cells typed as a run holds them; an empty cell is None."""
-        numbers = [None if cell == "" else float(cell) for cell in cells[2:-2]]
-        return WisdomRow(*cells[:2], *numbers, *map(int, cells[-2:]))
-
     def test_files_hold_the_rows_a_run_returns(self, tmp_path):
         # every scheme, two workers: each row type's fields are its file's header, and every cell reads back
         write_catchments(tmp_path, ["north", "south"])
@@ -1149,12 +1164,10 @@ class TestReportFiles:
         )
         result = run_experiment(config)
         assert not result.failures and len(result.wisdom) == 2 * 6 * 5
-        out = tmp_path / "out"
-        assert read_metrics_csv(out / "metrics.csv") == result.records  # seconds too: repr reads back
-        assert list(read_csv(out / "wisdom.csv", WisdomRow._fields, self.wisdom_row)) == result.wisdom
+        assert read_run(tmp_path / "out") == result  # seconds too: repr reads back
 
     def test_average_ranks_are_json_numbers(self, tmp_path):
-        experiment.emit_reports(hand_built_result(), tmp_path)
+        write_run(hand_built_result(), tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["average_ranks"] == [
             {"alpha": 0.05, "scheme": "1", "rank": 1.5},

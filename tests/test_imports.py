@@ -1,6 +1,7 @@
 """No module of ``ensflow`` imports a name it does not use, the package reads every private name it defines, no
 module imports another module's private name or reads one as an attribute, ``timeseries`` and ``gr2m`` import no
-other module when they load, and only ``timeseries`` imports ``csv``.
+other module when they load, only ``timeseries`` imports ``csv``, and only ``reports`` names a report file outside
+a docstring.
 
 No linter is installed to say so.
 """
@@ -159,6 +160,35 @@ def test_detects_an_imported_module():
 def test_only_timeseries_imports_csv():
     # the CSV format is decided once, in timeseries, for the daily files and every report file
     assert [path.stem for path in PACKAGE if "csv" in imported_modules(path.read_text())] == ["timeseries"]
+
+
+REPORT_FILES = ("metrics.csv", "wisdom.csv", "timing.csv", "failures.csv", "rankings.csv", "summary.json")
+
+
+def report_files_named(source: str) -> list[str]:
+    """The report files whose names ``source``'s string constants hold, f-string parts included, but no docstring."""
+    tree = ast.parse(source)
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, documented) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    texts = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and id(node) not in docstrings]
+    return [name for name in REPORT_FILES if any(isinstance(text, str) and name in text for text in texts)]
+
+
+def test_detects_a_report_file_name():
+    source = (
+        '"""Writes metrics.csv."""\nclass A:\n    """Reads wisdom.csv."""\n'
+        'def f(out):\n    """Times timing.csv."""\n    "rankings.csv"\n    return f"{out}/summary.json", "x failures.csv"\n'
+        "# metrics.csv in a comment\n"
+    )
+    assert report_files_named(source) == ["failures.csv", "rankings.csv", "summary.json"]
+
+
+def test_only_reports_names_a_report_file():
+    # each report file's name, header and parser are decided once, in reports
+    assert [path.stem for path in PACKAGE if report_files_named(path.read_text())] == ["reports"]
 
 
 def module_level_imports(source: str) -> list[str]:
