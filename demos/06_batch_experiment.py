@@ -52,8 +52,9 @@ result = run_experiment(config)
 print(f"\nexit code {result.exit_code}, {len(result.records)} metric rows, "
       f"{len(result.failures)} skipped catchments")
 
-for cid, (psrf_value, converged, restarts, seconds) in sorted(result.calibration.items()):
-    print(f"  {cid}: PSRF {psrf_value:.3f}, converged={converged}, {seconds:.1f} s")
+seconds = {cid: value for cid, stage, value in result.timing if stage == "calibrate"}  # each stage timed once
+for cid, (psrf_value, converged, restarts) in sorted(result.calibration.items()):
+    print(f"  {cid}: PSRF {psrf_value:.3f}, converged={converged}, {seconds[cid]:.1f} s")
 
 summary = json.loads((root / "reports" / "summary.json").read_text())
 print("\naverage interval score by scheme (95% level):")

@@ -145,7 +145,11 @@ def _cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read run: {exc}", file=sys.stderr)
         return 1
-    write_run(result, args.out)
+    try:
+        write_run(result, args.out)
+    except OSError as exc:
+        print(f"cannot write run: {exc}", file=sys.stderr)
+        return 1
     print(f"rewrote {len(result.records)} metric rows and the rest of {args.run} into {args.out}")
     return result.exit_code
 

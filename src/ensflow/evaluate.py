@@ -209,13 +209,18 @@ def median(values: list[float]) -> float:
 
 
 def summarize(records) -> dict:
-    """Mean and median of each score per (scheme, level) across catchments; a level is labelled by its percent."""
+    """Mean and median of each score per (scheme, level) across catchments; a level is labelled by its percent, and
+    two alphas of one scheme whose labels are alike raise ``ValueError``."""
     cells: dict[tuple[str, float], list[MetricsRecord]] = {}
     for r in records:
         cells.setdefault((r.scheme, r.alpha), []).append(r)
     out: dict = {}
+    alphas: dict[tuple[str, str], float] = {}  # (scheme, label) -> alpha
     for (scheme, alpha), cell in sorted(cells.items()):
-        block = out.setdefault(scheme, {})[f"{(1.0 - alpha) * 100:g}"] = {"n_catchments": len(cell)}
+        label = f"{(1.0 - alpha) * 100:g}"
+        if (other := alphas.setdefault((scheme, label), alpha)) != alpha:
+            raise ValueError(f"scheme {scheme}: alphas {other!r} and {alpha!r} both label level {label}")
+        block = out.setdefault(scheme, {})[label] = {"n_catchments": len(cell)}
         for name in ("coverage", "width", "score"):
             values = [getattr(r, name) for r in cell]
             block |= {f"{name}_mean": math.fsum(values) / len(values), f"{name}_median": median(values)}

@@ -3,10 +3,10 @@
 A run takes a directory of daily catchment CSVs, calibrates each catchment,
 executes the requested prediction schemes, scores five central intervals per
 scheme and writes its report files through ``reports.write_run``, here named
-``emit_reports`` (``reports`` lists the files and reads them back).  A pool
-worker sends back report rows only: ``MetricsRecord``s, and a ``WisdomRow``
-(catchment, scheme, ``WisdomRecord``) per numbered level, so the parent's
-memory does not grow with m.
+``emit_reports``.  A catchment's outcome is its own ``ExperimentResult``, and a
+run's is their ``reports.concat``.  A pool worker sends back report rows only:
+``MetricsRecord``s, and a ``WisdomRow`` (catchment, scheme, ``WisdomRecord``)
+per numbered level, so the parent's memory does not grow with m.
 
 Configuration lives in a flat ``key = value`` text file; every key has a
 default, so an empty file is a valid experiment.  Catchment-level randomness
@@ -26,7 +26,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .evaluate import (
 )
 from .gr2m import load_kernel, simulate_flow
 from .regress import load_solver
-from .reports import KERNEL_KEYS, CalibrationRecord, CatchmentFailure, ExperimentResult, WisdomRow
+from .reports import KERNEL_KEYS, CalibrationRecord, CatchmentFailure, ExperimentResult, WisdomRow, concat
 from .reports import write_run as emit_reports  # the name the benchmark's tracer hooks
 from .timeseries import VARIABLES, MonthlySeries, PeriodPartition, load_catchment, partition, write_daily
 
@@ -285,16 +284,6 @@ def generate_synthetic(
 # batch runs
 
 
-class CatchmentResult(NamedTuple):
-    """The rows of one scored catchment, with its stage timing as ``(stage, seconds)`` pairs in run order."""
-
-    catchment: str
-    records: list[MetricsRecord]
-    wisdom: list[WisdomRow]
-    calibration: CalibrationRecord | None
-    timing: list[tuple[str, float]]
-
-
 def _catchment_seed(global_seed: int, catchment_id: str) -> int:
     # position-independent: depends only on the id, so batch composition
     # does not leak into per-catchment results
@@ -359,57 +348,64 @@ def _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_t
     return levels, wisdom_rows
 
 
+def _kernels() -> dict[str, str]:
+    """``KERNEL_KEYS`` -> whether the month loop, the sampler and the scoring pass are compiled; builds the loop."""
+    kernel = load_kernel()
+    compiled = (kernel, getattr(kernel, "sampler", None), getattr(kernel, "score_level", None))  # KERNEL_KEYS' order
+    return {key: "compiled" if part else "python" for key, part in zip(KERNEL_KEYS, compiled)}
+
+
 @contextmanager
-def _stage(timing: list, label: str):
-    """Append ``(label, seconds)`` to ``timing`` when the stage ends, by a raise too: the last label names a failure."""
+def _stage(timing: list, cid: str, label: str):
+    """Append ``(cid, label, seconds)`` to ``timing`` when the stage ends, by a raise too: the last names a failure."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        timing.append((label, time.perf_counter() - start))
+        timing.append((cid, label, time.perf_counter() - start))
 
 
-def _process_catchment(args: tuple[ExperimentConfig, str]):
-    """Everything for one catchment, in stages; returns its report rows or a failure record, each with its timing.
+def _process_catchment(args: tuple[ExperimentConfig, str]) -> ExperimentResult:
+    """Everything for one catchment, in stages; returns the ``ExperimentResult`` of that one catchment.
 
     The stages are ``ingest`` (reading and partitioning the record), ``calibrate`` and ``sisters`` (for numbered
     schemes only), then each scheme under its own id: its fit, prediction, averaging and scoring.  Any exception
     becomes a ``CatchmentFailure`` with the stage it came from, its type and its message, so one bad catchment
-    never ends the batch.
+    never ends the batch; the result then holds that failure and the timing rows of the stages entered.
     """
     config, cid = args
-    timing: list[tuple[str, float]] = []
-    records, wisdom_rows, calibration, sisters = [], [], None, None
+    timing: list[tuple[str, str, float]] = []
+    records, wisdom_rows, calibration, sisters = [], [], {}, None
     try:
-        with _stage(timing, "ingest"):
+        with _stage(timing, cid, "ingest"):
             series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
             split = partition(series.n, config.warmup, config.n1, config.n2)
             observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
             scheme_config = SchemeConfig(seed=_catchment_seed(config.seed, cid))
         if any(s not in BASIC_SCHEMES for s in config.schemes):
-            with _stage(timing, "calibrate"):
-                calibration = calibrate_catchment(series, split, _chain_config(config, seed=scheme_config.seed))
-            with _stage(timing, "sisters"):
-                sisters = build_sisters(calibration.sample, series, split, config.m)
+            with _stage(timing, cid, "calibrate"):
+                calibrated = calibrate_catchment(series, split, _chain_config(config, seed=scheme_config.seed))
+            with _stage(timing, cid, "sisters"):
+                sisters = build_sisters(calibrated.sample, series, split, config.m)
+            calibration[cid] = CalibrationRecord(calibrated.psrf, calibrated.converged, calibrated.restarts_used)
         for scheme in config.schemes:
-            with _stage(timing, scheme):
+            with _stage(timing, cid, scheme):
                 levels, rows = _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test)
-            records += [MetricsRecord(cid, scheme, *level, timing[-1][1]) for level in levels]
+            records += [MetricsRecord(cid, scheme, *level, timing[-1][2]) for level in levels]
             wisdom_rows += rows
     except Exception as exc:
-        return CatchmentFailure(cid, timing[-1][0], f"{type(exc).__name__}: {exc}", tuple(timing))
-    cal_info = None if calibration is None else CalibrationRecord(
-        calibration.psrf, calibration.converged, calibration.restarts_used, dict(timing)["calibrate"]
-    )
-    return CatchmentResult(cid, records, wisdom_rows, cal_info, timing)
+        failure = CatchmentFailure(cid, timing[-1][1], f"{type(exc).__name__}: {exc}")
+        return ExperimentResult([], [], [failure], {}, timing, _kernels())
+    return ExperimentResult(records, wisdom_rows, [], calibration, timing, _kernels())
 
 
-def _worker_outcome(cid: str, future: Future):
+def _worker_outcome(cid: str, future: Future) -> ExperimentResult:
     """A pool future's result, or a ``worker`` failure when the pool broke (a worker killed for memory, os._exit)."""
     try:
         return future.result()
     except Exception as exc:
-        return CatchmentFailure(cid, "worker", f"{type(exc).__name__}: {exc}")
+        failure = CatchmentFailure(cid, "worker", f"{type(exc).__name__}: {exc}")
+        return ExperimentResult([], [], [failure], {}, [], _kernels())
 
 
 def _pool_outcomes(jobs: list, workers: int) -> list:
@@ -422,7 +418,7 @@ def _pool_outcomes(jobs: list, workers: int) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [(job[1], pool.submit(_process_catchment, job)) for job in jobs]
         outcomes = {cid: _worker_outcome(cid, future) for cid, future in futures}
-    retry = [job for job in jobs if getattr(outcomes[job[1]], "stage", None) == "worker"]
+    retry = [job for job in jobs if [failure.stage for failure in outcomes[job[1]].failures] == ["worker"]]
     for start in range(0, len(retry), workers):  # at most workers pools at a time
         with ExitStack() as stack:
             pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in retry[start : start + workers]]
@@ -444,21 +440,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"output_dir {config.output_dir!r} cannot be made a directory: {exc}") from None
     if set(config.schemes) & set(QUANTILE_SCHEMES):
         load_solver()  # before a pool forks and outside every stage (see ``regress``)
-    kernel = load_kernel()  # the same for the compiled month loop: no worker compiles it
-    compiled = (kernel, getattr(kernel, "sampler", None), getattr(kernel, "score_level", None))  # KERNEL_KEYS' order
-    kernels = {key: "compiled" if part else "python" for key, part in zip(KERNEL_KEYS, compiled)}
+    kernels = _kernels()  # the same for the compiled month loop: no worker compiles it
     jobs = [(config, cid) for cid in discover_catchments(config)]
     if config.workers > 1 and len(jobs) > 1:
         outcomes = _pool_outcomes(jobs, config.workers)
     else:
         outcomes = [_process_catchment(job) for job in jobs]
-
-    failures = [outcome for outcome in outcomes if isinstance(outcome, CatchmentFailure)]
-    scored = [outcome for outcome in outcomes if not isinstance(outcome, CatchmentFailure)]
-    records = [record for outcome in scored for record in outcome.records]
-    wisdom_rows = [row for outcome in scored for row in outcome.wisdom]
-    calibration = {outcome.catchment: outcome.calibration for outcome in scored if outcome.calibration is not None}
-    timing = [(outcome.catchment, *stage) for outcome in outcomes for stage in outcome.timing]
-    result = ExperimentResult(records, wisdom_rows, failures, calibration, timing, kernels)
+    result = concat(outcomes, kernels)
     emit_reports(result, out)
     return result

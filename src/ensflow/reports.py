@@ -3,8 +3,9 @@
 ``metrics.csv`` holds ``MetricsRecord``s, ``wisdom.csv`` ``WisdomRow``s, ``timing.csv`` (catchment, stage, seconds)
 per stage entered, ``failures.csv`` ``CatchmentFailure``s (there only when a catchment was skipped), ``rankings.csv``
 each scheme's rank per (catchment, level), and ``summary.json`` the score statistics, the average ranks, each
-calibration, the failure count and the ``kernels`` that ran.  The ranks and statistics follow from ``metrics.csv``,
-and :func:`read_run` refuses files that disagree: a directory ``write_run`` wrote reads back equal to its result.
+calibration, the failure count and the ``kernels`` that ran.  A stage's seconds are held once, in ``timing``.  The
+ranks and statistics follow from ``metrics.csv``, and :func:`read_run` refuses files that disagree: a directory
+``write_run`` wrote reads back equal to its result.  A batch's result is the :func:`concat` of its catchments'.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ KERNEL_KEYS = ("gr2m_loop", "sampler", "scoring")  # summary.json: the path that
 
 
 class CatchmentFailure(NamedTuple):
-    """A skipped catchment: a ``failures.csv`` row, the header its first three fields, and its stage timing."""
+    """A skipped catchment: a ``failures.csv`` row; its stages are its ``timing`` rows, the last one failing."""
 
     catchment: str
     stage: str
     message: str
-    timing: tuple[tuple[str, float], ...] = ()  # every stage entered, the failing one timed up to its raise
 
 
 WisdomRow = namedtuple("WisdomRow", ("catchment", "scheme", *WisdomRecord._fields))  # what a worker sends of a level
@@ -42,7 +42,6 @@ class CalibrationRecord(NamedTuple):
     psrf: float
     converged: bool
     restarts: int
-    seconds: float  # the catchment's ``calibrate`` stage
 
 
 class ExperimentResult(NamedTuple):
@@ -72,24 +71,39 @@ def _rankings(records: list[MetricsRecord]) -> tuple[list[tuple], list[dict]]:
     return rows, averages
 
 
-def _summary(result: ExperimentResult, average_ranks: list[dict]) -> dict:
+def concat(results: list[ExperimentResult], kernels: dict[str, str]) -> ExperimentResult:
+    """``results`` one after another, with ``kernels``: a batch's result is its catchments' results concatenated."""
+    rows = lambda name: [row for result in results for row in getattr(result, name)]
+    calibration = {cid: record for result in results for cid, record in result.calibration.items()}
+    return ExperimentResult(rows("records"), rows("wisdom"), rows("failures"), calibration, rows("timing"), kernels)
+
+
+def _summary(result: ExperimentResult, average_ranks: list[dict], out: Path) -> dict:
+    """``summary.json``'s document, each calibration's ``seconds`` its timing row; ``ValueError`` names the bad file."""
+    try:
+        schemes = summarize(result.records)
+    except ValueError as exc:
+        raise ValueError(f"{out / METRICS}: {exc}") from None
+    seconds = {cid: value for cid, stage, value in result.timing if stage == "calibrate"}
+    if missing := [cid for cid in result.calibration if cid not in seconds]:
+        raise ValueError(f"{out / SUMMARY}: calibration of {', '.join(missing)} has no calibrate row in {TIMING}")
     return {
-        "schemes": summarize(result.records),
+        "schemes": schemes,
         "average_ranks": average_ranks,
         # strict JSON has no NaN or Infinity: the PSRF of degenerate chains is null
-        "calibration": {cid: {**cal._asdict(), "psrf": cal.psrf if math.isfinite(cal.psrf) else None}
-                        for cid, cal in result.calibration.items()},
+        "calibration": {cid: {**cal._asdict(), "psrf": cal.psrf if math.isfinite(cal.psrf) else None,
+                              "seconds": seconds[cid]} for cid, cal in result.calibration.items()},
         "failures": len(result.failures),
         **result.kernels,
     }
 
 
 def write_run(result: ExperimentResult, out_dir: str | Path) -> None:
-    """Write every report file of ``result`` into ``out_dir``, made if need be; a non-finite summary value (a NaN
-    calibration time, say) raises ``ValueError`` before any file is written."""
+    """Write every report file of ``result`` into ``out_dir``, made if need be; a summary it cannot write (a NaN
+    calibration time, a calibration with no ``calibrate`` timing row) raises ``ValueError`` before any write."""
     out = Path(out_dir)
     rankings, average_ranks = _rankings(result.records)
-    summary = json.dumps(_summary(result, average_ranks), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    summary = json.dumps(_summary(result, average_ranks, out), indent=2, sort_keys=True, allow_nan=False) + "\n"
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / METRICS, MetricsRecord._fields, result.records)
     (out / SUMMARY).write_text(summary)
@@ -97,7 +111,7 @@ def write_run(result: ExperimentResult, out_dir: str | Path) -> None:
     write_csv(out / WISDOM, WisdomRow._fields, result.wisdom)
     write_csv(out / TIMING, TIMING_HEADER, result.timing)
     if result.failures:
-        write_csv(out / FAILURES, CatchmentFailure._fields[:3], (failure[:3] for failure in result.failures))
+        write_csv(out / FAILURES, CatchmentFailure._fields, result.failures)
     else:  # an earlier run's file would contradict summary.json's "failures": 0
         (out / FAILURES).unlink(missing_ok=True)
 
@@ -105,7 +119,8 @@ def write_run(result: ExperimentResult, out_dir: str | Path) -> None:
 def read_run(out_dir: str | Path) -> ExperimentResult:
     """The result whose report files ``out_dir`` holds.  A missing file raises ``OSError``; a bad header or row, a
     non-finite or repeated ``metrics.csv`` cell, a ``summary.json`` that is not strict JSON or lacks a key, and
-    files that disagree raise ``ValueError`` naming the file (a row by ``file:line``)."""
+    files that disagree (a ``metrics.csv`` ``seconds`` that is not its scheme's ``timing.csv`` row, say) raise
+    ``ValueError`` naming the file (a row by ``file:line``)."""
     out, cells = Path(out_dir), set()
 
     def metrics_row(row: list[str]) -> MetricsRecord:
@@ -126,22 +141,25 @@ def read_run(out_dir: str | Path) -> ExperimentResult:
     records = list(read_csv(out / METRICS, MetricsRecord._fields, metrics_row))
     wisdom = list(read_csv(out / WISDOM, WisdomRow._fields, wisdom_row))
     timing = list(read_csv(out / TIMING, TIMING_HEADER, lambda row: (row[0], row[1], float(row[2]))))
-    failures = []
-    if (out / FAILURES).exists():  # a skipped catchment's timing.csv rows are its failure's timing
-        parse = lambda row: CatchmentFailure(*row, tuple((stage, s) for c, stage, s in timing if c == row[0]))
-        failures = list(read_csv(out / FAILURES, CatchmentFailure._fields[:3], parse))
+    stage_seconds = {(cid, stage): seconds for cid, stage, seconds in timing}
+    for line, record in enumerate(records, start=2):  # every row parsed: a bad or repeated cell is named first
+        if record.seconds != stage_seconds.get((record.catchment, record.scheme)):
+            raise ValueError(f"{out / METRICS}:{line}: seconds {record.seconds!r} is not the {TIMING} row of "
+                             f"{record.catchment},{record.scheme}")
+    has_failures = (out / FAILURES).exists()
+    failures = list(read_csv(out / FAILURES, CatchmentFailure._fields, CatchmentFailure._make)) if has_failures else []
     rankings, average_ranks = _rankings(records)
     if list(read_csv(out / RANKINGS, RANKING_HEADER, list)) != [list(map(str, row)) for row in rankings]:
         raise ValueError(f"{out / RANKINGS}: not the ranks of {out / METRICS}")
     path = out / SUMMARY
     try:
         doc = json.loads(path.read_text(), parse_constant=strict)
-        calibration = {cid: CalibrationRecord(**{**cal, "psrf": math.inf if cal["psrf"] is None else cal["psrf"]})
-                       for cid, cal in doc["calibration"].items()}
+        calibration = {cid: CalibrationRecord(math.inf if cal["psrf"] is None else cal["psrf"], cal["converged"],
+                                              cal["restarts"]) for cid, cal in doc["calibration"].items()}
         result = ExperimentResult(records, wisdom, failures, calibration, timing, {k: doc[k] for k in KERNEL_KEYS})
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a run summary: {type(exc).__name__}: {exc}") from None
-    if (expected := _summary(result, average_ranks)) != doc:
+    if (expected := _summary(result, average_ranks, out)) != doc:
         wrong = sorted(key for key in expected.keys() | doc.keys() if expected.get(key) != doc.get(key))
         raise ValueError(f"{path}: {', '.join(wrong)} not what the other files give")
     return result

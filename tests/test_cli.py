@@ -289,6 +289,14 @@ class TestReport:
         for path in out.iterdir():
             assert (again / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_out_that_is_a_file_refused_without_a_traceback(self, tmp_path, capsys):
+        out = self.run_dir(tmp_path, capsys)
+        (tmp_path / "file").write_text("kept\n")
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "file")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write run: ") and str(tmp_path / "file") in err and "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_missing_run_directory(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "nope"), "--out", str(tmp_path / "re")]) == 1
         assert "cannot read run: " in capsys.readouterr().err

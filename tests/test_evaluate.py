@@ -434,3 +434,10 @@ class TestMetricsIo:
         records = [self.record(alpha=a) for a in INTERVAL_ALPHAS]
         summary = summarize(records)
         assert set(summary["5"]) == {"99", "97.5", "95", "90", "80"}
+
+    def test_two_alphas_of_one_label_refused(self):
+        # both print as level 95: one cell would silently replace the other (n_catchments 1, score_mean 5.0)
+        records = [self.record(catchment="c01", score=3.0), self.record(catchment="c02", alpha=0.0500000001, score=5.0)]
+        with pytest.raises(ValueError, match="scheme 5: alphas 0.05 and 0.0500000001 both label level 95"):
+            summarize(records)
+        assert set(summarize([records[0], records[1]._replace(scheme="6")])) == {"5", "6"}  # another scheme's

@@ -41,7 +41,7 @@ from ensflow.experiment import (
 )
 from ensflow.gr2m import simulate_flow
 from ensflow.regress import SOLVER, load_solver
-from ensflow.reports import read_run, write_run
+from ensflow.reports import concat, read_run, write_run
 from ensflow.timeseries import load_catchment, partition
 
 
@@ -483,11 +483,12 @@ class TestRunExperiment:
         run_experiment(small_run_config(tmp_path))
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
         assert summary["calibration"] == {}
-        # degenerate chains leave the PSRF undefined (inf), which strict JSON writes as null
-        degenerate = hand_built_result()._replace(calibration={"c1": CalibrationRecord(math.inf, False, 2, 1.5)})
+        # degenerate chains leave the PSRF undefined (inf), which strict JSON writes as null; the seconds are
+        # c1's calibrate timing row
+        degenerate = hand_built_result()._replace(calibration={"c1": CalibrationRecord(math.inf, False, 2)})
         write_run(degenerate, tmp_path / "degenerate")
         summary = json.loads((tmp_path / "degenerate" / "summary.json").read_text(), parse_constant=reject)
-        assert summary["calibration"] == {"c1": {"psrf": None, "converged": False, "restarts": 2, "seconds": 1.5}}
+        assert summary["calibration"] == {"c1": {"psrf": None, "converged": False, "restarts": 2, "seconds": 2.5}}
 
     def test_sisters_simulated_once_per_catchment(self, tmp_path, monkeypatch):
         calls = []
@@ -703,7 +704,8 @@ class TestRunExperiment:
         assert len(result.records) == 5
         assert len(result.wisdom) == 5  # one record per interval level
         assert all(row.relative_difference >= -1e-12 for row in result.wisdom)
-        psrf, converged, restarts, seconds = result.calibration["east"]
+        psrf, converged, restarts = result.calibration["east"]
+        seconds = {stage: value for cid, stage, value in result.timing if cid == "east"}["calibrate"]
         assert np.isfinite(psrf) and restarts == 0 and seconds > 0.0
         assert result.calibration["east"].psrf == psrf
         timing = (tmp_path / "out" / "timing.csv").read_text()
@@ -763,6 +765,24 @@ class TestRunExperiment:
             if r.catchment == "pair_b"
         ]
         assert pick(both.records) == pick(solo.records)
+
+    def test_a_batch_is_the_concat_of_its_catchments(self, tmp_path):
+        # the oracle of per-catchment shards: a batch on two workers gives, but for its clock readings, the
+        # concatenation of its catchments run one at a time, a catchment that fails at ingest included
+        data = write_catchments(tmp_path, ["north", "south"])
+        (data / "broken.csv").write_text("not,a,valid,header\n1,2,3,4\n")
+        small = dict(schemes=ensemble.ALL_SCHEMES, m=20, n_iterations=100, retain_per_chain=10, max_restarts=0)
+        batch = run_experiment(small_run_config(tmp_path, workers=2, **small))
+        alone = [
+            run_experiment(small_run_config(tmp_path, output_dir=str(tmp_path / cid), catchments=(cid,), **small))
+            for cid in ("broken", "north", "south")
+        ]
+        unclocked = lambda result: result._replace(
+            records=[record._replace(seconds=0.0) for record in result.records],
+            timing=[(cid, stage, 0.0) for cid, stage, _ in result.timing],
+        )
+        assert [f.catchment for f in batch.failures] == ["broken"] and set(batch.calibration) == {"north", "south"}
+        assert unclocked(batch) == unclocked(concat(alone, batch.kernels))
 
     def test_worker_pool_matches_serial(self, tmp_path):
         write_catchments(tmp_path, ["w1", "w2"])
@@ -840,7 +860,8 @@ class TestRunExperiment:
     def test_output_dir_made_before_any_work(self, tmp_path, monkeypatch):
         write_catchments(tmp_path, ["north"])
         out = tmp_path / "a" / "b"
-        seen = lambda job: CatchmentFailure(job[1], "ingest", f"output_dir there: {out.is_dir()}")
+        failure = lambda job: CatchmentFailure(job[1], "ingest", f"output_dir there: {out.is_dir()}")
+        seen = lambda job: ExperimentResult([], [], [failure(job)], {}, [], experiment._kernels())
         monkeypatch.setattr(experiment, "_process_catchment", seen)
         result = run_experiment(small_run_config(tmp_path, output_dir=str(out)))
         assert [failure.message for failure in result.failures] == ["output_dir there: True"]
@@ -966,7 +987,7 @@ data = sys.argv[1]
 codes = [main(["synth", "--out", data, "--count", "1", "--months", "24"]), main(["ingest", "--input", data])]
 records = [MetricsRecord("c1", "1", 0.05, 1.0, 2.0, 3.0, 0, 0.5)]
 kernels = dict.fromkeys(KERNEL_KEYS, "python")
-write_run(ExperimentResult(records, [], [], {}, [("c1", "ingest", 0.25)], kernels), data + "/run")
+write_run(ExperimentResult(records, [], [], {}, [("c1", "ingest", 0.25), ("c1", "1", 0.5)], kernels), data + "/run")
 codes.append(main(["report", "--run", data + "/run", "--out", data + "/again"]))
 print(json.dumps([codes, [name for name in sys.modules if name.startswith("scipy")]]))
 """
@@ -1043,8 +1064,8 @@ experiment._worker_outcome = lambda cid, future: returned.append(outcome(cid, fu
 
 def held(obj):
     yield obj
-    if isinstance(obj, (list, tuple)):
-        for item in obj:
+    if isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
             yield from held(item)
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
@@ -1077,10 +1098,10 @@ class TestWhatAWorkerSends:
         m = "20"  # no report row or record has 20 cells
         loaded, failures, returned, wisdom, records, per_member, types = fresh_python(RETURNED_PROBE, str(tmp_path), m)
         assert (loaded, failures, returned, wisdom) == (False, 0, 2, 2 * 6 * 5)
-        assert (records, per_member) == (0, 0)
+        assert (records, per_member) == (0, 0) and "CalibrationRecord" in types  # a calibration's dict is walked
         assert set(types) <= {
-            "CatchmentResult", "CalibrationRecord", "MetricsRecord", "WisdomRow", "list", "tuple", "str", "float",
-            "int", "bool", "NoneType",
+            "ExperimentResult", "CalibrationRecord", "MetricsRecord", "WisdomRow", "list", "dict", "tuple", "str",
+            "float", "int", "bool", "NoneType",
         }
 
 
@@ -1096,8 +1117,8 @@ def hand_built_result():
         WisdomRow("c1", "1", 0.05, 17.25, 20.0, 0.125, 0.25, 0.375, 0.5, 3, 1),
         WisdomRow("c2", "1", 0.2, 4.0, 4.0, 0.0, None, None, None, 2, 2),
     ]
-    failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2', (("ingest", 0.0625),))]
-    calibration = {"c1": CalibrationRecord(1.05, True, 0, 2.5)}
+    failures = [CatchmentFailure("c3", "ingest", 'ValueError: bad "x", at 2')]
+    calibration = {"c1": CalibrationRecord(1.05, True, 0)}
     timing = [
         ("c1", "ingest", 0.5), ("c1", "calibrate", 2.5), ("c1", "sisters", 0.75), ("c1", "1", 1.5),
         ("c1", "basic-linear", 0.25), ("c2", "ingest", 0.375), ("c2", "1", 2.0), ("c2", "basic-linear", 0.125),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ensflow.evaluate import INTERVAL_ALPHAS, MetricsRecord
 from ensflow.reports import (
-    KERNEL_KEYS, CalibrationRecord, CatchmentFailure, ExperimentResult, WisdomRow, read_run, write_run,
+    KERNEL_KEYS, CalibrationRecord, CatchmentFailure, ExperimentResult, WisdomRow, concat, read_run, write_run,
 )
 from test_experiment import hand_built_result
 
@@ -25,8 +25,9 @@ def record(**kw):
 
 
 def write_records(out, records):
-    """A run directory of ``records`` alone: no wisdom, timing, failure or calibration rows."""
-    write_run(ExperimentResult(records, [], [], {}, [], dict.fromkeys(KERNEL_KEYS, "python")), out)
+    """A run directory of ``records`` and their schemes' timing rows: no wisdom, failure or calibration rows."""
+    timing = list(dict.fromkeys((r.catchment, r.scheme, r.seconds) for r in records))
+    write_run(ExperimentResult(records, [], [], {}, timing, dict.fromkeys(KERNEL_KEYS, "python")), out)
 
 
 def files(out: Path) -> dict[str, bytes]:
@@ -67,10 +68,46 @@ class TestSummaryFile:
         text = (tmp_path / "run" / "summary.json").read_text()
         assert text.endswith("}\n") and json.loads(text)["calibration"]["c1"]["psrf"] == 1.05
         nan_seconds = hand_built_result()
-        nan_seconds.calibration["c1"] = CalibrationRecord(1.05, True, 0, math.nan)
+        assert nan_seconds.timing[1] == ("c1", "calibrate", 2.5)
+        nan_seconds.timing[1] = ("c1", "calibrate", math.nan)
         with pytest.raises(ValueError):
             write_run(nan_seconds, tmp_path / "nan")
         assert not (tmp_path / "nan").exists()
+
+    def test_calibration_seconds_are_the_timing_row(self, tmp_path):
+        # held once, in timing.csv: an edited calibrate row no longer matches summary.json's seconds
+        write_run(hand_built_result(), tmp_path)
+        timing = (tmp_path / "timing.csv").read_text()
+        (tmp_path / "timing.csv").write_text(timing.replace("c1,calibrate,2.5", "c1,calibrate,999.0"))
+        with pytest.raises(ValueError, match="summary.json: calibration not what the other files give"):
+            read_run(tmp_path)
+
+    def test_calibration_without_a_calibrate_row_refused(self, tmp_path):
+        write_run(hand_built_result(), tmp_path / "run")
+        timing = (tmp_path / "run" / "timing.csv").read_text()
+        (tmp_path / "run" / "timing.csv").write_text(timing.replace("c1,calibrate,2.5\n", ""))
+        message = "summary.json: calibration of c1 has no calibrate row in timing.csv"
+        with pytest.raises(ValueError, match=message):
+            read_run(tmp_path / "run")
+        result = hand_built_result()
+        del result.timing[1]
+        with pytest.raises(ValueError, match=message):
+            write_run(result, tmp_path / "none")
+        assert not (tmp_path / "none").exists()
+
+    def test_two_alphas_of_one_level_label_refused(self, tmp_path):
+        # 0.05 and 0.0500000001 both print as level 95: summary.json would hold one of the two cells
+        records = [record(), record(catchment="c02", alpha=0.0500000001, score=5.0)]
+        message = "metrics.csv: scheme 5: alphas 0.05 and 0.0500000001 both label level 95"
+        with pytest.raises(ValueError, match=message):
+            write_records(tmp_path / "none", records)
+        assert not (tmp_path / "none").exists()
+        write_records(tmp_path / "run", [records[0], records[1]._replace(alpha=0.05)])
+        for name, cell in (("metrics.csv", "c02,5,0.05,"), ("rankings.csv", "c02,0.05,")):
+            path = tmp_path / "run" / name
+            path.write_text(path.read_text().replace(cell, cell.replace("0.05", "0.0500000001")))
+        with pytest.raises(ValueError, match=message):
+            read_run(tmp_path / "run")
 
     def test_holds_the_results_kernels_not_this_hosts(self, tmp_path):
         result = hand_built_result()
@@ -113,6 +150,14 @@ class TestRunDirectory:
         with pytest.raises(OSError, match=name):
             read_run(tmp_path)
 
+    def test_metrics_seconds_are_the_timing_row(self, tmp_path):
+        # a metrics.csv seconds cell repeats its (catchment, scheme) row of timing.csv
+        write_run(hand_built_result(), tmp_path)
+        metrics = (tmp_path / "metrics.csv").read_text()
+        (tmp_path / "metrics.csv").write_text(metrics.replace("4.0,1,2.0", "4.0,1,9.0"))
+        with pytest.raises(ValueError, match=r"metrics.csv:4: seconds 9.0 is not the timing.csv row of c2,1"):
+            read_run(tmp_path)
+
     def test_files_that_disagree_refused(self, tmp_path):
         write_run(hand_built_result(), tmp_path)
         rankings = (tmp_path / "rankings.csv").read_text()
@@ -147,33 +192,39 @@ SECONDS = st.lists(st.tuples(ASCII, FLOATS), max_size=3)
 
 @st.composite
 def results(draw):
-    """A result a run could give: each catchment scored (with its cells) or failed, and its timing rows in order."""
+    """A result a run could give: catchments in order, each scored (with its cells) or failed, and its timing rows in
+    order, the seconds of a scored catchment's schemes and calibration read from its rows."""
     records, wisdom, failures, calibration, timing = [], [], [], {}, []
-    for cid in draw(st.lists(IDS, unique=True, max_size=4)):
+    for cid in sorted(draw(st.lists(IDS, unique=True, max_size=4))):
         stages = draw(SECONDS)
-        timing += [(cid, stage, seconds) for stage, seconds in stages]
         if draw(st.booleans()):  # failed: a worker failure has no stages
-            stage = "worker" if not stages else stages[-1][0]
-            failures.append(CatchmentFailure(cid, stage, draw(ASCII), tuple(stages)))
+            timing += [(cid, stage, seconds) for stage, seconds in stages]
+            failures.append(CatchmentFailure(cid, "worker" if not stages else stages[-1][0], draw(ASCII)))
             continue
         cells = draw(st.lists(st.tuples(IDS, st.sampled_from(INTERVAL_ALPHAS)), unique=True, max_size=4))
+        calibrated = draw(st.booleans())
+        stages += [("calibrate", draw(FLOATS))] * calibrated + [(scheme, draw(FLOATS)) for scheme in
+                                                                dict.fromkeys(scheme for scheme, _ in cells)]
+        timing += [(cid, stage, seconds) for stage, seconds in stages]
+        seconds = dict(stages)  # a scheme's (or calibrate's) row comes last
         records += [MetricsRecord(cid, scheme, alpha, *draw(st.tuples(FLOATS, FLOATS, FLOATS)),
-                                  draw(st.integers(0, 9)), draw(FLOATS)) for scheme, alpha in cells]
+                                  draw(st.integers(0, 9)), seconds[scheme]) for scheme, alpha in cells]
         for scheme, alpha in cells[: draw(st.integers(0, len(cells)))]:  # a numbered scheme's level
             numbers = draw(st.tuples(FLOATS, FLOATS, FLOATS, OPTIONAL, OPTIONAL, OPTIONAL))  # ri_* may be None
             wisdom.append(WisdomRow(cid, scheme, alpha, *numbers, draw(st.integers(0, 9)), draw(st.integers(0, 9))))
-        if draw(st.booleans()):
+        if calibrated:
             psrf = draw(st.sampled_from([math.inf, 1.05]) | FLOATS)
-            calibration[cid] = CalibrationRecord(psrf, draw(st.booleans()), draw(st.integers(0, 5)), draw(FLOATS))
+            calibration[cid] = CalibrationRecord(psrf, draw(st.booleans()), draw(st.integers(0, 5)))
     kernels = {key: draw(st.sampled_from(["compiled", "python"])) for key in KERNEL_KEYS}
-    return ExperimentResult(records, wisdom, failures, dict(sorted(calibration.items())), timing, kernels)
+    return ExperimentResult(records, wisdom, failures, calibration, timing, kernels)
 
 
 def tricky_result():
     """Every case the property must cover, in one result."""
     result = hand_built_result()
     result.records[0] = result.records[0]._replace(coverage=-0.0, width=1e-300)
-    result.calibration["c2"] = CalibrationRecord(math.inf, False, 2, -0.0)
+    result.calibration["c2"] = CalibrationRecord(math.inf, False, 2)
+    result.timing.insert(6, ("c2", "calibrate", -0.0))  # after c2's ingest row
     result.failures.append(CatchmentFailure("c4", "worker", "BrokenProcessPool: a, \"b\"\r\nc\nd"))
     return result
 
@@ -191,3 +242,24 @@ def test_write_read_write_round_trip(result):
         write_run(back, second)
         assert files(second) == files(first)
         assert set(files(first)) == set(FILES) - ({"failures.csv"} if not result.failures else set())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(results())
+@example(hand_built_result())
+@example(tricky_result())
+def test_a_result_is_the_concat_of_its_catchments_run_directories(result):
+    # the oracle of per-catchment shards: each catchment's part of a result, written and read back on its own
+    ids = sorted({row[0] for name in ("records", "wisdom", "failures", "timing") for row in getattr(result, name)})
+    rows = lambda name, cid: [row for row in getattr(result, name) if row[0] == cid]
+    parts = [
+        ExperimentResult(rows("records", cid), rows("wisdom", cid), rows("failures", cid),
+                         {c: cal for c, cal in result.calibration.items() if c == cid}, rows("timing", cid),
+                         result.kernels)
+        for cid in ids
+    ]
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, part in enumerate(parts):
+            write_run(part, Path(scratch, str(i)))
+        back = concat([read_run(Path(scratch, str(i))) for i in range(len(parts))], result.kernels)
+    assert back == result and repr(back) == repr(result)
