@@ -36,10 +36,10 @@ probabilities = (0.05, 0.25, 0.75, 0.95)
 for kind in ("linear", "quantile"):
     config = SchemeConfig(variant=2, error_model=kind, probabilities=probabilities)
     models = train_error_model(ensemble, config)
-    # each probability's error quantile is a line in the sister's prediction u
+    # each probability's error quantile is a line in the sister's prediction u: (b1 u + b0) + shift
     print(f"{kind} error model (pooled):")
     for j, p in enumerate(probabilities):
-        (b0, b1), shift = models.coefficients[0, j], models.shift[0, j]
+        b0, b1, shift = models.lines[0, j]
         print(f"  {p:.0%} error quantile: {b0 + shift:+.2f} {b1:+.3f} u")
     # conditional error band of sister 0 in its wettest and driest test month
     eq = [predict_error_quantiles(models, ensemble, j)[0] for j in range(len(probabilities))]

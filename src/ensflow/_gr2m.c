@@ -31,12 +31,12 @@ void gr2m_run(double theta1, double theta2, const double *p, const double *e, lo
     }
 }
 
-/* One numbered-scheme level in one pass over the (m, n) test predictions u, row i at u + i * stride.  Member i's
-   bounds are u - ((b1 u + b0) + shift), as ensemble.to_auxiliary forms them, from (b0, b1, shift) at lines[0..2]
-   (lower) and lines[3..5] (upper), lines advancing by step a member; their column sums run in row order from +0,
-   a lone column's from -0, as numpy's do in ensemble.sister_mean.  sums[i] is math.fsum of member i's interval
-   scores (evaluate._interval_scores): CPython's partials, n + 1 at most, and its half-way correction.  Returns 1
-   where a running sum is not finite, as is any score of a non-finite bound (IntervalPrediction refuses the rest). */
+/* One numbered-scheme level in one pass over the (m, n) test predictions u, row i at u + i * stride.  Member i's bounds
+   are u - ((b1 u + b0) + shift), as ensemble.to_auxiliary forms them, from TrainedErrorModels.lines: (b0, b1, shift) at
+   lines[0..2] (lower) and lines[3..5] (upper), advancing by step a member; their column sums run in row order from +0,
+   a lone column's from -0, as numpy's do in ensemble.sister_mean.  sums[i] is math.fsum of member i's interval scores
+   (evaluate._interval_scores): CPython's partials, n + 1 at most, and its half-way correction.  Returns 1 where a
+   running sum is not finite, as is any score of a non-finite bound (IntervalPrediction refuses the rest). */
 int score_level(long m, long n, long stride, long step, double penalty, const double *u, const double *lines,
                 const double *y, double *lower, double *upper, double *sums, double *partials)
 {

@@ -158,26 +158,20 @@ class SisterEnsemble:
 class TrainedErrorModels:
     """Error models fitted at ``probabilities``: one per sister (variant 1) or a single one (2, 3).
 
-    Model i's error quantile at ``probabilities[j]`` is a line in a sister's
-    prediction u:  ``coefficients[i, j, 0] + coefficients[i, j, 1] u + shift[i, j]``,
-    with ``coefficients`` (n_models, n_probs, 2) and ``shift`` (n_models, n_probs).
+    Model i's error quantile at ``probabilities[j]`` is a line in a sister's prediction u:  ``(b1 u + b0) + shift``
+    with ``(b0, b1, shift) = lines[i, j]``.  ``lines`` is (n_models, n_probs, 3), the layout ``_gr2m.c``'s
+    ``score_level`` reads.
     """
 
-    kind: str
-    variant: int
     probabilities: tuple[float, ...]
-    coefficients: np.ndarray
-    shift: np.ndarray
+    lines: np.ndarray
     selected_sister: int | None = None
 
     def __post_init__(self) -> None:
-        coefficients, shift = np.asarray(self.coefficients, dtype=float), np.asarray(self.shift, dtype=float)
-        n = len(self.probabilities)
-        if coefficients.shape[1:] != (n, 2) or shift.shape != coefficients.shape[:2]:
-            raise ValueError(f"need coefficients (n_models, {n}, 2) and shift (n_models, {n}), "
-                             f"got {coefficients.shape} and {shift.shape}")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "shift", shift)
+        lines, n = np.asarray(self.lines, dtype=float), len(self.probabilities)
+        if lines.shape[1:] != (n, 3):
+            raise ValueError(f"need lines (n_models, {n}, 3), got {lines.shape}")
+        object.__setattr__(self, "lines", lines)
 
 
 @dataclass(frozen=True)
@@ -253,17 +247,18 @@ def build_sisters(
     return generate_sisters(PosteriorSample(sample.pairs[:m]), series, split)
 
 
-def _lines(kind: str, data: RegressionDataset, probabilities: tuple[float, ...], z: np.ndarray):
-    """One dataset's error quantiles as lines  x @ coefficients[j] + shift[j]: (n_probs, k) and (n_probs,) arrays.
+def _lines(kind: str, data: RegressionDataset, probabilities: tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    """One dataset's error quantiles as lines  x @ line[:-1] + line[-1]: an (n_probs, k + 1) array, row j the
+    coefficients at ``probabilities[j]`` and then the shift.
 
     A pinball-loss fit has its own coefficients per probability and no shift;
     the linear family shifts the least-squares line by sigma z_p, with ``z``
     the z_p, which the caller computes once for all its datasets.
     """
     if kind == "quantile":
-        return fit_quantile_set(data, probabilities), np.zeros(len(probabilities))
+        return np.column_stack([fit_quantile_set(data, probabilities), np.zeros(len(probabilities))])
     fit = fit_ols(data)
-    return np.tile(fit.coefficients, (len(probabilities), 1)), fit.sigma * z
+    return np.column_stack([np.tile(fit.coefficients, (len(probabilities), 1)), fit.sigma * z])
 
 
 def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> TrainedErrorModels:
@@ -292,8 +287,7 @@ def train_error_model(ensemble: SisterEnsemble, config: SchemeConfig) -> Trained
                 lines.append(_lines(kind, RegressionDataset(design_matrix(u[i]), e[i]), probs, z))
             except ValueError as exc:
                 raise type(exc)(f"sister {i}: {exc}") from exc
-    coefficients, shift = (np.array(part) for part in zip(*lines))
-    return TrainedErrorModels(kind, config.variant, probs, coefficients[which], shift[which], chosen)
+    return TrainedErrorModels(probs, np.array(lines)[which], chosen)
 
 
 # Cephes ndtri's P/Q tables, highest power first, Q's leading 1 written out: np.polyval rounds as its polevl does
@@ -336,20 +330,20 @@ def predict_error_quantiles(
     """Error quantiles on the test months at ``probabilities[j]``, shape (m, n3).
 
     Every error model is a line in the sister's own prediction u, so the
-    quantile is  b1 u + b0 + shift, computed for all sisters at once;
+    quantile is  (b1 u + b0) + shift, computed for all sisters at once;
     variants 2 and 3 broadcast their single model.  Stack the calls over j
     for every probability.  With ``lines``, the (n_models, 3) lines
-    (b0, b1, shift) themselves, checked against the sisters alike.
+    (b0, b1, shift) themselves, ``models.lines[:, j]``, checked against the
+    sisters alike.
     """
-    n_models = models.coefficients.shape[0]
+    n_models, line = len(models.lines), models.lines[:, j]
     if n_models not in (1, ensemble.m):
         raise ValueError(f"{n_models} error models do not match {ensemble.m} sisters")
     if lines:
-        return np.column_stack([models.coefficients[:, j], models.shift[:, j]])
-    # in place, so the only array of the result's size is the result
-    out = models.coefficients[:, j, 1, np.newaxis] * ensemble.test_predictions
-    out += models.coefficients[:, j, 0, np.newaxis]
-    out += models.shift[:, j, np.newaxis]
+        return line
+    out = line[:, 1:2] * ensemble.test_predictions  # in place, so the only array of the result's size is the result
+    out += line[:, 0:1]
+    out += line[:, 2:3]
     return out
 
 
@@ -402,8 +396,8 @@ def run_basic_scheme(
     data = RegressionDataset(design_matrix(p[rows], e[rows]), y[rows])
     x_test = design_matrix(p[split.t3], e[split.t3])
 
-    coefficients, shift = _lines(model_kind, data, probs, np.array([_normal_quantile(p) for p in probs]))
-    quantiles = [x_test @ beta + s for beta, s in zip(coefficients, shift)]
+    lines = _lines(model_kind, data, probs, np.array([_normal_quantile(p) for p in probs]))
+    quantiles = [x_test @ line[:-1] + line[-1] for line in lines]
     return CombinedPrediction(probabilities=probs, quantiles=np.array(quantiles))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import zlib
 from collections import Counter
@@ -96,6 +97,9 @@ class ExperimentConfig:
             for item in ids:
                 if "," in item or item != item.strip() or item.splitlines() != [item]:
                     problems.append(f"{name}: id {item!r} is empty or holds a comma, a blank at an end or a line break")
+                elif name == "catchments" and (item in (".", "..") or {"/", os.sep, os.altsep} & set(item)):
+                    problems.append(f"catchments: id {item!r} is . or .. or holds a path separator, so it names no "
+                                    "file in input_dir")
             for item, count in Counter(ids).items():
                 if count > 1:
                     problems.append(f"{name} lists {item!r} " + ("twice" if count == 2 else f"{count} times"))
@@ -317,7 +321,7 @@ def level_matches(score_level) -> bool:
     lines = np.array([[[0.0] * 3] * 2, [[-0.7, 0.9, 0.7], [0.1, 0.3, -0.1]], [[-2.5, -0.5, 2.5], [1.5, 0.5, -1.5]]])
     for n3, n_models in ((5, 3), (1, 1)):
         sisters = SisterEnsemble(np.hstack([u[:, :1], u[:, :n3]]), u[:, :1])
-        models = TrainedErrorModels("linear", 1, (0.25, 0.75), lines[:n_models, :, :2], lines[:n_models, :, 2])
+        models = TrainedErrorModels((0.25, 0.75), lines[:n_models])
         results = [_score_level(sisters, models, 0.5, np.zeros(n3), kernel) for kernel in (score_level, None)]
         if len({(c.lower.tobytes(), c.upper.tobytes(), repr(record)) for c, record in results}) > 1:
             return False
@@ -370,15 +374,17 @@ def _process_catchment(args: tuple[ExperimentConfig, str]) -> ExperimentResult:
 
     The stages are ``ingest`` (reading and partitioning the record), ``calibrate`` and ``sisters`` (for numbered
     schemes only), then each scheme under its own id: its fit, prediction, averaging and scoring.  Any exception
-    becomes a ``CatchmentFailure`` with the stage it came from, its type and its message, so one bad catchment
-    never ends the batch; the result then holds that failure and the timing rows of the stages entered.
+    becomes a ``CatchmentFailure`` with the stage it came from, its type and its message (naming the input file
+    ``<cid>.csv``, without ``input_dir``), so one bad catchment never ends the batch; the result then holds that
+    failure and the timing rows of the stages entered.
     """
     config, cid = args
+    path = Path(config.input_dir) / f"{cid}.csv"
     timing: list[tuple[str, str, float]] = []
     records, wisdom_rows, calibration, sisters = [], [], {}, None
     try:
         with _stage(timing, cid, "ingest"):
-            series = load_catchment(Path(config.input_dir) / f"{cid}.csv")
+            series = load_catchment(path)
             split = partition(series.n, config.warmup, config.n1, config.n2)
             observed_test = np.asarray(series.streamflow, dtype=float)[split.t3]
             scheme_config = SchemeConfig(seed=_catchment_seed(config.seed, cid))
@@ -393,8 +399,8 @@ def _process_catchment(args: tuple[ExperimentConfig, str]) -> ExperimentResult:
                 levels, rows = _score_scheme(cid, scheme, series, split, scheme_config, sisters, observed_test)
             records += [MetricsRecord(cid, scheme, *level, timing[-1][2]) for level in levels]
             wisdom_rows += rows
-    except Exception as exc:
-        failure = CatchmentFailure(cid, timing[-1][1], f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # the input file by its name in input_dir, so a message is the same wherever that is
+        failure = CatchmentFailure(cid, timing[-1][1], f"{type(exc).__name__}: {exc}".replace(str(path), path.name))
         return ExperimentResult([], [], [failure], {}, timing, _kernels())
     return ExperimentResult(records, wisdom_rows, [], calibration, timing, _kernels())
 

@@ -167,8 +167,8 @@ def load_kernel():
         return loop
 
     def score_level(u, lines, y, alpha):
-        """``score_level`` on (m, n3) predictions, (1 or m, 2, 3) lines and n3 observations: the bounds' column sums
-        and the member sums, or None where a sum is not finite or the lines or observations do not fit."""
+        """``score_level`` on (m, n3) predictions, (1 or m, 2, 3) ``TrainedErrorModels.lines`` rows and n3 observations:
+        the bounds' column sums and the member sums, or None where a sum is not finite or the lines or y do not fit."""
         u = u if u.dtype == float and u.strides[1] == 8 and u.strides[0] % 8 == 0 else np.ascontiguousarray(u, float)
         (m, n), lines, y = u.shape, np.ascontiguousarray(lines, dtype=float), np.ascontiguousarray(y, dtype=float)
         out = np.empty(n), np.empty(n), np.empty(m), np.empty(n + 1)  # lower, upper, sums and fsum's partials

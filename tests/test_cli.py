@@ -93,6 +93,14 @@ class TestIngest:
         assert main(["ingest", "--input", str(data), "--catchments", "c1,c1"]) == 1
         assert "catchments lists 'c1' twice" in capsys.readouterr().err
 
+    def test_id_outside_the_directory_refused(self, tmp_path, capsys):
+        # ../x would read the x.csv beside the directory: refused before any file is read
+        data = make_data(tmp_path, ("c1",))
+        (tmp_path / "x.csv").write_bytes((data / "c1.csv").read_bytes())
+        assert main(["ingest", "--input", str(data), "--catchments", "../x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("configuration error: catchments: id '../x' is")
+
     def test_a_directory_named_out_is_read(self, tmp_path, capsys):
         # ingest writes nothing, so its directory may be a run's default output directory
         generate_synthetic(SyntheticSpec(n_months=60, seed=40), tmp_path / "out", "c1")

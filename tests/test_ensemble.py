@@ -32,6 +32,7 @@ from ensflow.ensemble import (
     to_auxiliary,
     train_error_model,
 )
+from ensflow.evaluate import INTERVAL_ALPHAS
 from ensflow.gr2m import simulate_flow
 from ensflow.regress import (
     LinearFit,
@@ -52,26 +53,26 @@ def gaussian_quantile(fit: LinearFit, x, p):
 
 
 def quantile_lines(kind, u, e, probabilities):
-    """The (n_probs, 2) coefficients and (n_probs,) shift of one model fitted on (u, e), written out as the oracle."""
+    """The (n_probs, 3) lines (b0, b1, shift) of one model fitted on (u, e), written out as the oracle."""
     data = RegressionDataset(design_matrix(u), e)
     if kind == "quantile":
-        return fit_quantile_set(data, probabilities), np.zeros(len(probabilities))
+        return np.array([[*beta, 0.0] for beta in fit_quantile_set(data, probabilities)])
     fit = fit_ols(data)
-    return np.array([fit.coefficients for _ in probabilities]), np.array([fit.sigma * ndtri(p) for p in probabilities])
+    return np.array([[*fit.coefficients, fit.sigma * ndtri(p)] for p in probabilities])
 
 
 def pooled_models(probs, coefficients):
-    """One pinball-loss-style model (variant 2) with the given (n_probs, 2) lines and no shift."""
-    return TrainedErrorModels("quantile", 2, probs, np.array([coefficients], float), np.zeros((1, len(probs))))
+    """One pinball-loss-style model (variant 2) with the given (n_probs, 2) coefficients (b0, b1) and no shift."""
+    return TrainedErrorModels(probs, [[[b0, b1, 0.0] for b0, b1 in coefficients]])
 
 
 def whole_array_auxiliary(sisters, models):
     """The (m, n_probs, n3) auxiliary quantiles in one subtraction, probability axis reversed: the oracle.
 
-    Error quantile (i, j, t) is  coefficients[i, j, 1] u[i, t] + coefficients[i, j, 0] + shift[i, j].
+    Error quantile (i, j, t) is  (b1 u[i, t] + b0) + shift, with (b0, b1, shift) = lines[i, j].
     """
-    u, lines = sisters.test_predictions[:, None, :], models.coefficients[..., None]
-    error_quantiles = lines[:, :, 1] * u + lines[:, :, 0] + models.shift[..., None]
+    u, lines = sisters.test_predictions[:, None, :], models.lines[..., None]
+    error_quantiles = lines[:, :, 1] * u + lines[:, :, 0] + lines[:, :, 2]
     return u - error_quantiles[:, ::-1, :]
 
 
@@ -221,13 +222,11 @@ class TestTrainErrorModel:
     def test_variant_1_fits_each_sister(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
         models = train_error_model(ensemble, small_config(variant=1, error_model="linear"))
-        assert models.variant == 1 and models.coefficients.shape == (4, 4, 2)
+        assert models.lines.shape == (4, 4, 3)  # one model a sister: n_models == m
         # each model is the plain least-squares fit on that sister's rows
         for i in range(4):
             u, e = ensemble.training_predictions[i], ensemble.errors[i]
-            coefficients, shift = quantile_lines("linear", u, e, models.probabilities)
-            assert np.array_equal(models.coefficients[i], coefficients)
-            assert np.array_equal(models.shift[i], shift)
+            assert np.array_equal(models.lines[i], quantile_lines("linear", u, e, models.probabilities))
 
     def test_variant_1_fits_each_distinct_sister_once(self, monkeypatch):
         # a rejected MCMC move repeats the chain's pair, and with it the sister, right after it
@@ -251,10 +250,9 @@ class TestTrainErrorModel:
             monkeypatch.undo()
             assert len(fits) == distinct
             assert len(solves) == (distinct * len(config.probabilities) if kind == "quantile" else 0)
-            assert models.coefficients.shape == (9, len(config.probabilities), 2)
-            for i, (coefficients, shift) in enumerate(direct):
-                assert np.array_equal(models.coefficients[i], coefficients)
-                assert np.array_equal(models.shift[i], shift)
+            assert models.lines.shape == (9, len(config.probabilities), 3)
+            for i, lines in enumerate(direct):
+                assert np.array_equal(models.lines[i], lines)
 
     def test_repeated_failing_sister_reported_by_index(self):
         # the constant-prediction sister repeats; its first index is named
@@ -266,11 +264,9 @@ class TestTrainErrorModel:
     def test_variant_2_pools_rows_sister_major(self):
         ensemble = generate_sisters(posterior(m=4), catchment(), SPLIT)
         models = train_error_model(ensemble, small_config(variant=2, error_model="linear"))
-        assert models.coefficients.shape[0] == 1
+        assert models.lines.shape[0] == 1
         u, e = ensemble.training_predictions.reshape(-1), ensemble.errors.reshape(-1)
-        coefficients, shift = quantile_lines("linear", u, e, models.probabilities)
-        assert np.array_equal(models.coefficients[0], coefficients)
-        assert np.array_equal(models.shift[0], shift)
+        assert np.array_equal(models.lines[0], quantile_lines("linear", u, e, models.probabilities))
 
     def test_variant_3_seeded_selection(self):
         ensemble = generate_sisters(posterior(m=6), catchment(), SPLIT)
@@ -288,9 +284,7 @@ class TestTrainErrorModel:
         }
         assert len(chosen) >= 2  # the seed genuinely drives the draw
         u, e = ensemble.training_predictions[expected], ensemble.errors[expected]
-        coefficients, shift = quantile_lines("linear", u, e, config.probabilities)
-        assert np.array_equal(models.coefficients, coefficients[None])
-        assert np.array_equal(models.shift, shift[None])
+        assert np.array_equal(models.lines, quantile_lines("linear", u, e, config.probabilities)[None])
 
     def test_degenerate_sister_reported_by_index(self):
         # a sister with a constant prediction gives a rank-deficient design
@@ -355,16 +349,34 @@ class TestErrorQuantilesAndAuxiliary:
     def test_shape_validation(self):
         # per-sister models fitted on three sisters cannot serve two
         ensemble = generate_sisters(posterior(m=2), catchment(), SPLIT)
-        models = TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 2, 2)), np.zeros((3, 2)))
+        models = TrainedErrorModels((0.1, 0.9), np.zeros((3, 2, 3)))
         with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
             to_auxiliary(ensemble, models, 0)
         with pytest.raises(ValueError, match="3 error models do not match 2 sisters"):
             predict_error_quantiles(models, ensemble, 0)
-        # the lines must cover every probability, one shift each
-        with pytest.raises(ValueError, match=r"need coefficients \(n_models, 2, 2\)"):
-            TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 3, 2)), np.zeros((3, 3)))
-        with pytest.raises(ValueError, match=r"got \(3, 2, 2\) and \(2, 2\)"):
-            TrainedErrorModels("linear", 1, (0.1, 0.9), np.zeros((3, 2, 2)), np.zeros((2, 2)))
+        # the lines must cover every probability, (b0, b1, shift) each
+        with pytest.raises(ValueError, match=r"need lines \(n_models, 2, 3\), got \(3, 3, 3\)"):
+            TrainedErrorModels((0.1, 0.9), np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match=r"got \(3, 2, 2\)"):
+            TrainedErrorModels((0.1, 0.9), np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("n_models", [1, 5], ids=["shared", "per-sister"])
+    def test_level_lines_are_the_flipped_rows_of_the_models(self, n_models):
+        # what the compiled scoring pass reads, checked on every host: a level's lines are the model rows at 1 - p
+        # of its two bounds' p, and the bounds formed from them are member_interval_bounds' bytes
+        rng = np.random.default_rng(8)
+        predictions = rng.gamma(2.0, 20.0, (5, 12))
+        sisters = SisterEnsemble(predictions, predictions[:, :4] - 1.0)
+        models = TrainedErrorModels(DEFAULT_PROBABILITIES, rng.normal(0.0, 2.0, (n_models, 10, 3)))
+        n, u = len(models.probabilities), sisters.test_predictions
+        for alpha in INTERVAL_ALPHAS:
+            lo, hi = models.probabilities.index(alpha / 2), models.probabilities.index(1 - alpha / 2)
+            lines = member_interval_bounds(sisters, models, alpha, lines=True)
+            flipped = models.lines[:, [n - 1 - lo, n - 1 - hi]]
+            assert lines.shape == flipped.shape == (n_models, 2, 3) and lines.tobytes() == flipped.tobytes()
+            formed = [u - ((line[:, 1:2] * u + line[:, 0:1]) + line[:, 2:3]) for line in (lines[:, 0], lines[:, 1])]
+            bounds = member_interval_bounds(sisters, models, alpha)
+            assert [b.tobytes() for b in formed] == [b.tobytes() for b in bounds]
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_DEFS))
     def test_auxiliary_equals_whole_array_formula(self, scheme):
@@ -509,8 +521,7 @@ class TestRunEnsembleScheme:
         np.testing.assert_array_equal(
             combine(full_sisters, full).quantiles, combine(trimmed_sisters, trimmed).quantiles
         )
-        np.testing.assert_array_equal(full.coefficients, trimmed.coefficients)
-        np.testing.assert_array_equal(full.shift, trimmed.shift)
+        np.testing.assert_array_equal(full.lines, trimmed.lines)
 
     def test_sample_too_small_rejected(self):
         with pytest.raises(ValueError, match="parameter pairs"):
@@ -541,7 +552,7 @@ class TestRunEnsembleScheme:
         series = catchment()
         sisters = build_sisters(posterior(m=3, seed=7), series, SPLIT, 3)
         models = run_scheme("1", series, SPLIT, small_config(), sisters=sisters)
-        assert models.coefficients.shape == (3, 4, 2)
+        assert models.lines.shape == (3, 4, 3)
         assert np.array_equal(combine(sisters, models).quantiles, auxiliary_stack(sisters, models).mean(axis=0))
 
 
@@ -557,7 +568,8 @@ class TestRunScheme:
         direct = combine(sisters, models)
         assert isinstance(via_dispatch, TrainedErrorModels)
         np.testing.assert_array_equal(combine(sisters, via_dispatch).quantiles, direct.quantiles)
-        assert via_dispatch.kind == "quantile" and via_dispatch.variant == 2
+        # one pooled pinball-loss model, the very lines of variant 2's quantile fit
+        assert np.array_equal(via_dispatch.lines, models.lines) and via_dispatch.lines.shape[0] == 1
 
     def test_basic_scheme_needs_no_sample(self):
         prediction = run_scheme("basic-linear", catchment(), SPLIT, small_config())

@@ -258,10 +258,10 @@ class TestCompiledLevel:
                 pytest.fail("a C compiler was found but the compiled scoring pass did not load")
             pytest.skip("no C compiler: only the Python scoring path runs here")
 
-    def check(self, predictions, coefficients, shift, y, alpha, probabilities=DEFAULT_PROBABILITIES):
+    def check(self, predictions, lines, y, alpha, probabilities=DEFAULT_PROBABILITIES):
         """Test months after two training months, so each member's row is strided; returns the level's outcome."""
         sisters = SisterEnsemble(predictions, predictions[:, :2])
-        models = TrainedErrorModels("linear", 1, probabilities, coefficients, shift)
+        models = TrainedErrorModels(probabilities, lines)
         try:
             lines = member_interval_bounds(sisters, models, alpha, lines=True)
         except ValueError:  # models that do not fit the sisters: the kernel is not called
@@ -297,7 +297,7 @@ class TestCompiledLevel:
         coefficients = data.draw(arrays(float, (n_models, 10, 2), elements=slope))
         shift = data.draw(arrays(float, (n_models, 10), elements=ADVERSARIAL))
         y = data.draw(arrays(float, n3, elements=ADVERSARIAL))
-        self.check(predictions, coefficients, shift, y, alpha)
+        self.check(predictions, np.dstack([coefficients, shift]), y, alpha)
 
     @pytest.mark.parametrize("n_models", [1, 20])
     def test_adversarial_rows(self, n_models):
@@ -311,28 +311,28 @@ class TestCompiledLevel:
         zeros[3], zeros[4] = 1.0, [1e300, -1e300, 5.0, -5.0]  # a sum across a dynamic range
         zeros[:, 0] = -0.0  # a column of -0.0 bounds: +0.0 as a wide mean, -0.0 as a lone column's
         for terms in (lognormal, zeros, zeros[:, :1]):
-            lines = np.zeros((n_models, 2, 2)), np.zeros((n_models, 2))
-            self.check(np.hstack([np.ones((20, 2)), terms]), *lines, np.zeros(terms.shape[1]), 0.5, (0.25, 0.75))
+            lines = np.zeros((n_models, 2, 3))
+            self.check(np.hstack([np.ones((20, 2)), terms]), lines, np.zeros(terms.shape[1]), 0.5, (0.25, 0.75))
 
     def test_overflowing_member_sum_raises_the_python_error(self):
         # two members whose means cancel: the combined interval scores 0, each member's sum overflows in fsum
         predictions = np.array([[0.0, 0.0, 4e307, 4e307], [0.0, 0.0, -4e307, -4e307]])
-        outcome = self.check(predictions, np.zeros((1, 2, 2)), np.zeros((1, 2)), np.zeros(2), 0.5, (0.25, 0.75))
+        outcome = self.check(predictions, np.zeros((1, 2, 3)), np.zeros(2), 0.5, (0.25, 0.75))
         assert outcome == "OverflowError: intermediate overflow in fsum"
 
     def test_misfit_models_or_observations_raise_the_python_errors(self):
         # the kernel is not called: two models for three sisters, three observations for two test months
         predictions, probabilities = np.ones((3, 4)), (0.25, 0.75)
-        outcome = self.check(predictions, np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2), 0.5, probabilities)
+        outcome = self.check(predictions, np.zeros((2, 2, 3)), np.zeros(2), 0.5, probabilities)
         assert outcome == "ValueError: 2 error models do not match 3 sisters"
-        outcome = self.check(predictions, np.zeros((1, 2, 2)), np.zeros((1, 2)), np.zeros(3), 0.5, probabilities)
+        outcome = self.check(predictions, np.zeros((1, 2, 3)), np.zeros(3), 0.5, probabilities)
         assert outcome == "ValueError: observations (3,) do not match interval length (2,)"
 
     def test_non_finite_bound_raises_the_python_error(self):
         # slope -1: the bound is 2u, which overflows at u = 1e308
         predictions = np.array([[0.0, 0.0, 1e308, 1.0], [0.0, 0.0, 1.0, 1.0]])
-        coefficients = np.array([[[0.0, -1.0], [0.0, 0.0]]])
-        outcome = self.check(predictions, coefficients, np.zeros((1, 2)), np.zeros(2), 0.5, (0.25, 0.75))
+        lines = np.array([[[0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]])
+        outcome = self.check(predictions, lines, np.zeros(2), 0.5, (0.25, 0.75))
         assert outcome == "ValueError: interval bounds contain non-finite values"
 
 

@@ -249,6 +249,23 @@ class TestConfigFile:
             ExperimentConfig(**{name: ("1", "2", "1", "3", "3", "3")})
         assert str(excinfo.value).split("; ") == [f"{name} lists '1' twice", f"{name} lists '3' 3 times"]
 
+    @pytest.mark.parametrize("cid", ["../outside", "sub/c0", "/c0", ".", ".."])
+    def test_catchment_id_that_names_no_file_in_input_dir_refused(self, cid):
+        # "../outside" would score ./outside.csv and "sub/c0" in/sub/c0.csv; refused in the one ConfigError
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(input_dir="in", catchments=(cid,), m=0)
+        assert str(excinfo.value).split("; ") == [
+            f"catchments: id {cid!r} is . or .. or holds a path separator, so it names no file in input_dir",
+            "m must be >= 1, got 0",
+        ]
+
+    def test_catchment_id_with_the_alternative_separator_refused(self, monkeypatch):
+        # os.altsep is '/' on Windows and None on POSIX: an id holding it is refused where it is set
+        ExperimentConfig(catchments=("a\\b", "...", ".c0", "c..0"))  # file names in input_dir
+        monkeypatch.setattr(os, "altsep", "\\")
+        with pytest.raises(ConfigError, match=r"id 'a\\\\b' is \. or \.\. or holds a path separator"):
+            ExperimentConfig(catchments=("a\\b",))
+
     @pytest.mark.parametrize("name", ["catchments", "schemes"])
     @pytest.mark.parametrize("ids", ["12", ["1", "2"]], ids=["string", "list"])
     def test_id_list_must_be_a_tuple_of_str(self, name, ids):
@@ -581,6 +598,23 @@ class TestRunExperiment:
         assert {r.catchment for r in result.records} == {"good"}
         failures_csv = (tmp_path / "out" / "failures.csv").read_text()
         assert "broken" in failures_csv
+
+    def test_failure_names_its_file_the_same_from_any_input_dir(self, tmp_path, monkeypatch):
+        # a malformed and a missing catchment: their messages name bad.csv and missing.csv, not input_dir's spelling
+        data = tmp_path / "a"
+        data.mkdir()
+        (data / "bad.csv").write_text("date,precip_mm,pet_mm,flow_mm\n1990-01-01,x,1,1\n")
+        monkeypatch.chdir(tmp_path)
+        written = []
+        for input_dir, out in (("a", "rel"), (str(data), "abs"), ("./a/../a", "dots")):
+            config = ExperimentConfig(input_dir=input_dir, output_dir=out, catchments=("bad", "missing"),
+                                      schemes=("basic-linear",))
+            assert run_experiment(config).exit_code == 2
+            written.append((tmp_path / out / "failures.csv").read_bytes())
+        assert written[0] == written[1] == written[2]
+        bad, missing = written[0].decode().splitlines()[1:]
+        assert bad == "bad,ingest,ValueError: bad.csv:2: could not convert string to float: 'x'"
+        assert missing == "missing,ingest,FileNotFoundError: [Errno 2] No such file or directory: 'missing.csv'"
 
     def test_clean_rerun_removes_the_old_failures_file(self, tmp_path):
         data = write_catchments(tmp_path, ["good"])

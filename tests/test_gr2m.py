@@ -321,8 +321,8 @@ rng = np.random.default_rng(0)
 predictions = rng.uniform(0.0, 300.0, (600, 444))
 sisters = SisterEnsemble(predictions, predictions[:, :144])
 for n_models in (1, 600):
-    lines = rng.normal(0.0, 0.3, (n_models, 10, 2)), rng.normal(0.0, 5.0, (n_models, 10))
-    models = TrainedErrorModels("linear", 1, DEFAULT_PROBABILITIES, *lines)
+    lines = np.dstack([rng.normal(0.0, 0.3, (n_models, 10, 2)), rng.normal(0.0, 5.0, (n_models, 10))])
+    models = TrainedErrorModels(DEFAULT_PROBABILITIES, lines)
     levels = [_score_level(sisters, models, 0.05, predictions[0, 144:], k) for k in (kernel.score_level, None)]
     assert len({(c.lower.tobytes(), c.upper.tobytes(), repr(record)) for c, record in levels}) == 1
 result = calibrate_catchment(*interior_series(), ChainConfig(seed=0, n_iterations=400, retain_per_chain=100))

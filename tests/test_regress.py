@@ -42,8 +42,8 @@ def average_pinball_loss(p, observed, predicted):
 
 def gaussian_quantile(data, predictors, p):
     """The linear family's predictive quantile x'beta + sigma z_p, as the ensemble computes it."""
-    coefficients, shift = _lines("linear", data, (p,), np.array([_normal_quantile(p)]))
-    return predictors @ coefficients[0] + shift[0]
+    (line,) = _lines("linear", data, (p,), np.array([_normal_quantile(p)]))
+    return predictors @ line[:-1] + line[-1]
 
 
 def random_dataset(rng, n=60, k=3, noise=1.0):
